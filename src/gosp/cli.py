@@ -320,10 +320,8 @@ def _run_edges(model, cfg, threads):
         _row("edges.alpha", p, T, reps, r.alpha, seed),
         _row("edges.beta", p, T, reps, r.beta, seed),
     ]
-    none = est.EDGE_NONE
     records = [
-        {"replica": i, "r_T": (int(a) if a != none else None),
-         "l_T": (int(b) if b != none else None)}
+        {"replica": i, "r_T": int(a), "l_T": int(b)}
         for i, (a, b) in enumerate(zip(r.r_T, r.l_T))
     ]
     return rows, records

@@ -9,7 +9,14 @@ occupied site of the old state.
 States are dense boolean arrays over a moving spatial window, with a leading
 batch axis so that independent replicas (distinct seeds) evolve in lockstep
 through the same vectorised kernels.  The single-replica API wraps the
-batched engine with batch size one.  All truncations of infinite initial
+batched engine with batch size one.
+
+Openness comes from one ``BatchOpenness`` per batch.  By the prefix identity
+of the field, site_hash(seed, [*x, t]) = mix(site_hash(seed, x) ^ (u64(t) * C
++ G)), so the time-independent spatial prefix of each replica and site is
+hashed once into a table and every step finishes it with a single mix.
+
+All truncations of infinite initial
 conditions are justified by the spread bound: influence moves at most
 ``spatial_min``/``spatial_max`` per axis per step, so a sufficiently dilated
 window reproduces the infinite process exactly on the region of interest.
@@ -17,6 +24,7 @@ window reproduces the infinite process exactly on the region of interest.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -25,7 +33,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .field import FieldSpec, _as_u64, open_given_hash, site_hash, threshold_for
+from .field import (
+    FieldSpec, _as_u64, extend_hash, open_given_hash, site_hash, threshold_for,
+)
 from .geometry import ConvexPolytope, TranslatedBlock, as_fraction, cone_mask
 from .model import NormalizedModel
 
@@ -44,6 +54,11 @@ class DimensionNot2(DynamicsError):
 
 class TorusTooSmall(DynamicsError):
     pass
+
+
+class TruncationUncertified(DynamicsError):
+    """A truncated half slab's frontier fell within reach of the omitted
+    sources (or died out), so it need not be the infinite half slab's."""
 
 
 class WindowTooSmall(DynamicsError):
@@ -78,18 +93,6 @@ class Domain:
 
 
 FULL = Domain()
-
-
-@dataclass(frozen=True)
-class HalfSpaceDomain(Domain):
-    """Sites with sign * x[axis] <= threshold."""
-
-    axis: int
-    sign: int
-    threshold: int
-
-    def mask(self, coords, t):
-        return np.asarray(coords[self.axis]) * self.sign <= self.threshold
 
 
 @dataclass(frozen=True)
@@ -230,35 +233,83 @@ def slab_window_rows(model: NormalizedModel, lo, hi) -> tuple[tuple[int, ...], n
 # ---------------------------------------------------------------------------
 # open-site evaluation for batches
 
-def batch_open_fn(seeds, p, sprinkle_eps=None) -> Callable:
-    """Per-row openness evaluator: fn(coords, t_abs) -> bool array (B, *shape).
+class BatchOpenness:
+    """Openness of space-time sites for a batch of replicas, one seed per row.
 
-    ``seeds`` is one 64-bit seed per replica.  The sprinkle substream adds
-    extra open sites at rate eps/(1-p) so the composite marginal is p+eps.
+    The spatial hash prefix site_hash(seed, x) of every site of a box is
+    kept in a (B, *box) table per stream, so each query only finishes the
+    hash with its time coordinate (``extend_hash``: one mix per site).  The
+    box grows, doubling per axis, only when a query window leaves it, and
+    never past ``cone``, a (lo, hi) box holding every window the run can
+    query.  The sprinkle substream (stream 1) adds extra open sites at rate
+    eps/(1-p) so the composite marginal is p+eps.
     """
-    su = _as_u64(seeds)
-    B = su.shape[0]
-    thr = threshold_for(p)
-    extra_thr = None
-    if sprinkle_eps is not None and sprinkle_eps > 0:
-        extra_thr = threshold_for(float(Fraction(sprinkle_eps) / (1 - Fraction(p))))
 
-    def fn(coords, t_abs):
-        s = su.reshape((B,) + (1,) * len(coords))
-        cs = list(coords) + [np.int64(t_abs)]
-        out = open_given_hash(site_hash(s, cs), thr)
-        if extra_thr is not None:
-            out = out | open_given_hash(site_hash(s, cs, stream=1), extra_thr)
+    def __init__(self, seeds, p, sprinkle_eps=None, cone=None):
+        self.seeds = _as_u64(seeds)
+        self.streams = [(0, threshold_for(p))]
+        if sprinkle_eps is not None and sprinkle_eps > 0:
+            rate = float(Fraction(sprinkle_eps) / (1 - Fraction(p)))
+            self.streams.append((1, threshold_for(rate)))
+        self.cone = cone
+        self.lo = self.hi = None
+        self.tables = []
+
+    def take(self, keep) -> "BatchOpenness":
+        """The openness of the rows ``keep`` (row-sliced tables, same box)."""
+        out = copy.copy(self)
+        out.seeds = self.seeds[keep]
+        out.tables = [table[keep] for table in self.tables]
         return out
 
-    return fn
+    def _cover(self, lo, hi) -> None:
+        """Grow the box, and rebuild the tables, to contain [lo, hi)."""
+        if self.lo is not None and all(
+            b <= l and h <= e for l, h, b, e in zip(lo, hi, self.lo, self.hi)
+        ):
+            return
+        if self.lo is not None:
+            # a side that grows at least doubles the width, clipped to the
+            # cone but never short of the query
+            c_lo, c_hi = self.cone if self.cone is not None else (
+                (-math.inf,) * len(lo), (math.inf,) * len(hi)
+            )
+            lo = tuple(
+                min(l, max(b - (e - b), c)) if l < b else b
+                for l, b, e, c in zip(lo, self.lo, self.hi, c_lo)
+            )
+            hi = tuple(
+                max(h, min(e + (e - b), c)) if h > e else e
+                for h, b, e, c in zip(hi, self.lo, self.hi, c_hi)
+            )
+        self.lo, self.hi = tuple(lo), tuple(hi)
+        shape = tuple(h - l for l, h in zip(lo, hi))
+        s = self.seeds.reshape((-1,) + (1,) * len(shape))
+        coords = _window_coords(lo, shape)
+        self.tables = []            # free the old box before hashing the new
+        self.tables = [site_hash(s, coords, stream=k) for k, _ in self.streams]
+
+    def window(self, lo, shape, t) -> np.ndarray:
+        """Open mask (B, *shape) of the sites (x, t), x in [lo, lo + shape)."""
+        hi = tuple(l + e for l, e in zip(lo, shape))
+        self._cover(lo, hi)
+        view = (slice(None),) + tuple(
+            slice(l - b, h - b) for l, h, b in zip(lo, hi, self.lo)
+        )
+        buf = np.empty((len(self.seeds),) + tuple(shape), dtype=np.uint64)
+        tmp = np.empty_like(buf)
+        out = None
+        for (_, thr), table in zip(self.streams, self.tables):
+            m = open_given_hash(extend_hash(table[view], t, buf, tmp), thr)
+            out = m if out is None else out | m
+        return out
 
 
 # ---------------------------------------------------------------------------
 # stepping kernels
 
-def _batch_step(state: BatchState, model: NormalizedModel, open_fn, domain,
-                t0: int) -> BatchState:
+def _batch_step(state: BatchState, model: NormalizedModel,
+                openness: BatchOpenness, domain, t0: int) -> BatchState:
     """Primal slab-shift step; the new top row sits at absolute time t0+t+R."""
     R = model.R
     B = state.batch
@@ -276,10 +327,9 @@ def _batch_step(state: BatchState, model: NormalizedModel, open_fn, domain,
             acc[(slice(None),) + sl] |= src
     t_abs = t0 + state.t + R
     if acc.any():
-        coords = _window_coords(lo, shape)
-        top = acc & open_fn(coords, t_abs)
+        top = acc & openness.window(lo, shape, t_abs)
         if domain is not None:
-            m = domain.mask(coords, t_abs)
+            m = domain.mask(_window_coords(lo, shape), t_abs)
             if m is not None:
                 top &= m
     else:
@@ -300,8 +350,8 @@ def _batch_step(state: BatchState, model: NormalizedModel, open_fn, domain,
     return BatchState(state.t + 1, anchor, rows)
 
 
-def _dual_batch_step(state: BatchState, model: NormalizedModel, open_fn, domain,
-                     t0: int) -> BatchState:
+def _dual_batch_step(state: BatchState, model: NormalizedModel,
+                     openness: BatchOpenness, domain, t0: int) -> BatchState:
     """Dual step: extend occupied open sites backwards by one slab row.
 
     Row r of the dual state at depth tau sits at absolute time t0 - tau + r;
@@ -316,11 +366,11 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel, open_fn, domain,
     shape = tuple(e + (mx - mn) for e, mx, mn in zip(ext, maxs, mins))
     acc = np.zeros((B,) + shape, dtype=bool)
     if all(e > 0 for e in ext) and state.rows.any():
-        coords = _window_coords(state.anchor, ext)
+        coords = _window_coords(state.anchor, ext) if domain is not None else None
         occ_open = np.empty_like(state.rows)
         for r in range(R):
             t_abs = t0 - state.t + r
-            m = state.rows[:, r] & open_fn(coords, t_abs)
+            m = state.rows[:, r] & openness.window(state.anchor, ext, t_abs)
             if domain is not None:
                 dm = domain.mask(coords, t_abs)
                 if dm is not None:
@@ -347,22 +397,37 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel, open_fn, domain,
     return BatchState(state.t + 1, anchor, rows)
 
 
-def _torus_batch_step(state: BatchState, model: NormalizedModel, open_fn, n: int,
-                      t0: int) -> BatchState:
+def _torus_batch_step(state: BatchState, model: NormalizedModel,
+                      openness: BatchOpenness, n: int, t0: int) -> BatchState:
     R = model.R
     d_s = model.d - 1
     acc = np.zeros_like(state.rows[:, 0])
     axes = tuple(range(1, 1 + d_s))
     for y, u in model.split_offsets:
         acc |= np.roll(state.rows[:, R - u], shift=tuple(y), axis=axes)
-    coords = _window_coords((0,) * d_s, (n,) * d_s)
-    top = acc & open_fn(coords, t0 + state.t + R)
+    top = acc & openness.window((0,) * d_s, (n,) * d_s, t0 + state.t + R)
     rows = np.concatenate([state.rows[:, 1:], top[:, None]], axis=1)
     return BatchState(state.t + 1, state.anchor, rows)
 
 
 # ---------------------------------------------------------------------------
 # batched driver
+
+def _query_cone(model: NormalizedModel, anchor, ext, T: int, dual: bool,
+                torus_n: int | None):
+    """Box holding every openness window a T-step run from [anchor, anchor +
+    ext) can query: each step moves influence by at most spatial_min ..
+    spatial_max per axis (mirrored for the dual), and shifted rows stay put."""
+    if torus_n is not None:
+        return (0,) * len(ext), (torus_n,) * len(ext)
+    mins, maxs = model.spatial_min, model.spatial_max
+    if dual:
+        mins, maxs = tuple(-m for m in maxs), tuple(-m for m in mins)
+    return (
+        tuple(a + min(0, T * mn) for a, mn in zip(anchor, mins)),
+        tuple(a + e + max(0, T * mx) for a, e, mx in zip(anchor, ext, maxs)),
+    )
+
 
 EDGE_NONE = np.iinfo(np.int64).min
 
@@ -416,8 +481,10 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
         if rows1.ndim == model.d else np.array(rows1, dtype=bool)
     )
     state = BatchState(0, anchor, rows)
-    seeds_u = _as_u64(seeds)
-    open_fn = batch_open_fn(seeds_u, p, sprinkle_eps)
+    openness = BatchOpenness(
+        seeds, p, sprinkle_eps,
+        cone=_query_cone(model, anchor, rows.shape[2:], T, dual, torus_n),
+    )
     snapshot_times = set(snapshot_times)
     if compact and (edge or hit_window or snapshot_times or stop_extent or per_step):
         raise ValueError("compact mode supports only extinction/count probes")
@@ -480,11 +547,11 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
         if not alive_prev.any():
             break
         if dual:
-            state = _dual_batch_step(state, model, open_fn, domain, t0)
+            state = _dual_batch_step(state, model, openness, domain, t0)
         elif torus_n is not None:
-            state = _torus_batch_step(state, model, open_fn, torus_n, t0)
+            state = _torus_batch_step(state, model, openness, torus_n, t0)
         else:
-            state = _batch_step(state, model, open_fn, domain, t0)
+            state = _batch_step(state, model, openness, domain, t0)
         if per_step is not None:
             per_step(t, state)
         if stop_extent is not None and state.rows.shape[2:] != (0,) * d_s:
@@ -518,7 +585,7 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
             idx = idx[keep]
             state = BatchState(state.t, state.anchor, state.rows[keep])
             alive_prev = alive[keep]
-            open_fn = batch_open_fn(seeds_u[idx], p, sprinkle_eps)
+            openness = openness.take(keep)
     alive_at_T[idx[alive_prev]] = True
     if snapshots is not None:
         # runs that die before a requested snapshot time are recorded empty
@@ -537,7 +604,8 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
 
 @dataclass
 class EdgeTrack:
-    """Frontier positions r_0..r_T; None entries after extinction."""
+    """Frontier positions r_0..r_T; ``extinct_from`` is always None, since
+    a frontier that dies out is refused as uncertified."""
 
     values: list
     extinct_from: int | None
@@ -551,7 +619,6 @@ class Trajectory:
     final: ProcessState | None = None
     snapshots: dict[int, ProcessState] | None = None
     hitting: dict[tuple, int] | None = None
-    edge: EdgeTrack | None = None
     reached_extent: bool | None = None
 
     @property
@@ -564,25 +631,12 @@ def initial_state(A, model: NormalizedModel, t0: int = 0) -> ProcessState:
     return ProcessState(t0, anchor, rows)
 
 
-def _field_open_fn(field: FieldSpec, sprinkled: bool = False):
-    return batch_open_fn(
-        [field.seed], field.p, field.sprinkle_eps if sprinkled else None
-    )
-
-
 def step(state: ProcessState, model: NormalizedModel, field: FieldSpec,
          domain: Domain | None = None) -> ProcessState:
     """One slab-shift step of the single-replica chain."""
     bs = BatchState(0, state.anchor, state.rows[None])
-    out = _batch_step(bs, model, _field_open_fn(field), domain, state.t)
-    return ProcessState(state.t + 1, out.anchor, out.rows[0])
-
-
-def dual_step(state: ProcessState, model: NormalizedModel, field: FieldSpec,
-              domain: Domain | None = None, t0: int = 0) -> ProcessState:
-    """One backwards step of the dual chain; state.t counts dual depth."""
-    bs = BatchState(state.t, state.anchor, state.rows[None])
-    out = _dual_batch_step(bs, model, _field_open_fn(field), domain, t0)
+    openness = BatchOpenness([field.seed], field.p)
+    out = _batch_step(bs, model, openness, domain, state.t)
     return ProcessState(state.t + 1, out.anchor, out.rows[0])
 
 
@@ -595,8 +649,7 @@ def _single(model, field, T, *, dual=False, A=None, init=None, t0=0,
         model, [field.seed], field.p, T, init=init, t0=t0, dual=dual,
         domain=domain, torus_n=torus_n, sprinkle_eps=eps, record_counts=True,
         snapshot_times=probes.get("snapshot_times", ()),
-        hit_window=probes.get("hit_window"), edge=probes.get("edge"),
-        per_step=probes.get("per_step"),
+        hit_window=probes.get("hit_window"), per_step=probes.get("per_step"),
     )
     ext = int(res.extinction[0]) if res.extinction[0] >= 0 else None
     snaps = None
@@ -611,14 +664,9 @@ def _single(model, field, T, *, dual=False, A=None, init=None, t0=0,
         for pos in zip(*np.nonzero(res.hits[0] >= 0)):
             x = tuple(int(l + c) for l, c in zip(res.hit_anchor, pos))
             hitting[x] = int(res.hits[0][pos])
-    edge_track = None
-    if res.edges is not None:
-        vals = [int(v) if v != EDGE_NONE else None for v in res.edges[0]]
-        dead = [t for t, v in enumerate(vals) if v is None]
-        edge_track = EdgeTrack(values=vals, extinct_from=dead[0] if dead else None)
     return Trajectory(
         T=T, extinction_time=ext, counts=[int(c) for c in res.counts[0]],
-        snapshots=snaps, hitting=hitting, edge=edge_track,
+        snapshots=snaps, hitting=hitting,
     )
 
 
@@ -837,25 +885,48 @@ def half_slab_init(model: NormalizedModel, side: str, trunc: int):
     return slab_window_rows(model, (0,), (trunc + 1,))
 
 
-def edge_track(model: NormalizedModel, field: FieldSpec, side: str, T: int,
-               margin: float = 0.2) -> EdgeTrack:
-    """Frontier of the half-slab process: r_t = max occupied x from {x <= 0}
-    (side 'right'), l_t = min occupied x from {x >= 0} ('left').
+def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
+                    margin: float = 0.2) -> np.ndarray:
+    """Frontiers r_0..r_T (side 'right': max occupied x from {x <= 0}) or
+    l_0..l_T ('left': min occupied x from {x >= 0}), shape (B, T+1).
 
-    The infinite half slab is truncated at spatial distance
-    ceil(gamma*T*(1+margin))+1, which leaves every edge value up to time T
-    unchanged: omitted sites are too far to reach the frontier by time T.
+    The infinite half slab is truncated at trunc = ceil(gamma*T*(1+margin))+1.
+    Each step derives a row through one offset, so after t steps the omitted
+    sources x <= -trunc-1 occupy nothing right of -trunc-1 + max(0,
+    t*spatial_max); by additivity a truncated frontier beyond that is the
+    infinite one (mirrored for 'left').  Every replica and step is checked,
+    and TruncationUncertified is raised where the check fails, an empty
+    frontier included.
     """
     if model.d != 2:
         raise DimensionNot2("edge processes are defined for d = 2 only")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     trunc = int(math.ceil(model.gamma * T * (1 + margin))) + 1
-    traj = _single(
-        model, field, T, init=half_slab_init(model, side, trunc),
+    edges = batch_evolve(
+        model, seeds, p, T, init=half_slab_init(model, side, trunc),
         edge="max" if side == "right" else "min",
-    )
-    return traj.edge
+    ).edges
+    t = np.arange(T + 1)
+    if side == "right":
+        ok = edges > -trunc - 1 + np.maximum(0, t * model.spatial_max[0])
+    else:
+        reach = trunc + 1 + np.minimum(0, t * model.spatial_min[0])
+        ok = (edges != EDGE_NONE) & (edges < reach)
+    if not ok.all():
+        b, s = (int(i) for i in np.argwhere(~ok)[0])
+        raise TruncationUncertified(
+            f"{side} frontier of replica {b} at step {s} is not certified "
+            f"by the truncation at {trunc} (margin {margin})"
+        )
+    return edges
+
+
+def edge_track(model: NormalizedModel, field: FieldSpec, side: str, T: int,
+               margin: float = 0.2) -> EdgeTrack:
+    """Certified frontier of one half-slab run (see ``half_slab_edges``)."""
+    edges = half_slab_edges(model, [field.seed], field.p, side, T, margin)[0]
+    return EdgeTrack(values=[int(v) for v in edges], extinct_from=None)
 
 
 # ---------------------------------------------------------------------------

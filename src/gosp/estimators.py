@@ -25,13 +25,13 @@ import numpy as np
 from scipy import ndimage, stats
 
 from .dynamics import (
-    EDGE_NONE,
     BatchState,
     BlockDomain,
     ConeDomain,
     DimensionNot2,
+    TruncationUncertified,
     batch_evolve,
-    half_slab_init,
+    half_slab_edges,
     hit_and_coupled_regions,
     rows_from_sites,
     slab_window_rows,
@@ -66,6 +66,11 @@ class InsufficientDeaths(EstimatorRefused):
 
 class InsufficientSurvivals(EstimatorRefused):
     pass
+
+
+class EdgeTruncationRefused(InsufficientSurvivals):
+    """A truncated half slab's frontier died out or fell within reach of
+    the omitted sources, so its edge values are not certified exact."""
 
 
 class CensoredMean(EstimatorRefused):
@@ -148,6 +153,13 @@ def _rep_seeds(master: int, lane: int, start: int, stop: int) -> np.ndarray:
 
 
 def _spans(start: int, stop: int, chunk: int):
+    # every replica range passes through here before any chunk runs; index
+    # 2**32 would take its seed from the next lane
+    if stop >= _LANE:
+        raise EstimatorError(
+            f"replica index {stop - 1} does not fit a seed lane; at most "
+            f"{_LANE - 1} replicas per run"
+        )
     return [(i, min(i + chunk, stop)) for i in range(start, stop, chunk)]
 
 
@@ -451,12 +463,10 @@ _EDGE_CHUNK = 8
 def _edge_chunk(common, span):
     model, p, T, side, margin, master, lane = common
     seeds = _rep_seeds(master, lane, *span)
-    trunc = int(math.ceil(model.gamma * T * (1 + margin))) + 1
-    res = batch_evolve(
-        model, seeds, p, T, init=half_slab_init(model, side, trunc),
-        edge="max" if side == "right" else "min",
-    )
-    return res.edges
+    try:
+        return half_slab_edges(model, seeds, p, side, T, margin)
+    except TruncationUncertified as exc:
+        raise EdgeTruncationRefused(str(exc)) from exc
 
 
 @dataclass
@@ -497,22 +507,12 @@ def edge_speeds(model: NormalizedModel, p, T: int, reps: int, seed: int,
         ))
 
     def reduce(edges, minimise):
+        # certified frontiers never die out, so every replica counts at every t
         vT = edges[:, T]
-        valid = vT != EDGE_NONE
-        if not valid.any():
-            raise InsufficientSurvivals(
-                "every half-slab replica died before the horizon"
-            )
-        est = Estimate.from_samples(vT[valid] / T)
-        e = edges.astype(float)
-        e[edges == EDGE_NONE] = np.nan
-        with np.errstate(invalid="ignore"):
-            col = np.nansum(e[:, 1:], axis=0)
-            cnt = np.sum(~np.isnan(e[:, 1:]), axis=0)
-        ok = cnt > 0
-        ratios = (col[ok] / cnt[ok]) / np.arange(1, T + 1)[ok]
+        means = edges[:, 1:].astype(float).sum(axis=0) / len(edges)
+        ratios = means / np.arange(1, T + 1)
         diag = float(ratios.min() if minimise else ratios.max())
-        return est, diag, vT
+        return Estimate.from_samples(vT / T), diag, vT
 
     alpha, alpha_upper, r_T = reduce(side_edges("right"), minimise=True)
     beta, beta_lower, l_T = reduce(side_edges("left"), minimise=False)

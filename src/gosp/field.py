@@ -9,7 +9,14 @@ the same seed.
 
 The mixer is the splitmix64 finalizer chained over the coordinates; its
 identifier is recorded in run manifests so outputs are bit-reproducible
-across machines.
+across machines.  Chaining gives the prefix identity
+
+    site_hash(seed, [x_1, ..., x_d]) == mix(site_hash(seed, [x_1, ..., x_{d-1}])
+                                            ^ (u64(x_d) * C + G))
+
+(mix = ``_mix64``, C = ``_COORD_MUL``, G = ``_GOLDEN``, arithmetic mod 2^64),
+so a hash over the spatial coordinates, which does not depend on time, can be
+computed once and finished for each time by ``extend_hash`` with one mix.
 """
 
 from __future__ import annotations
@@ -45,6 +52,25 @@ def _mix64(z):
     z = (z ^ (z >> _S30)) * _MUL1
     z = (z ^ (z >> _S27)) * _MUL2
     return z ^ (z >> _S31)
+
+
+def extend_hash(prefix: np.ndarray, c, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """site_hash with the scalar coordinate ``c`` appended to a prefix hash.
+
+    ``out`` receives mix(prefix ^ (u64(c) * C + G)), computed in place with
+    ``tmp`` as scratch; both are uint64 arrays of the prefix's shape.
+    """
+    key = ((int(c) & _MASK64) * int(_COORD_MUL) + int(_GOLDEN)) & _MASK64
+    np.bitwise_xor(prefix, np.uint64(key), out=out)
+    np.right_shift(out, _S30, out=tmp)
+    out ^= tmp
+    out *= _MUL1
+    np.right_shift(out, _S27, out=tmp)
+    out ^= tmp
+    out *= _MUL2
+    np.right_shift(out, _S31, out=tmp)
+    out ^= tmp
+    return out
 
 
 def _as_u64(values) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 
@@ -108,14 +109,16 @@ class NormalizedModel:
     def d(self) -> int:
         return self.spec.d
 
-    @property
+    # cached in the instance __dict__, which the frozen dataclass's field-wise
+    # __eq__ and __hash__ never read
+    @cached_property
     def spatial_min(self) -> tuple[int, ...]:
         """Per-axis minimum spatial step over all offsets."""
         return tuple(
             min(y[i] for y, _ in self.split_offsets) for i in range(self.d - 1)
         )
 
-    @property
+    @cached_property
     def spatial_max(self) -> tuple[int, ...]:
         """Per-axis maximum spatial step over all offsets."""
         return tuple(

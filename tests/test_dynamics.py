@@ -15,16 +15,19 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import ASYM3, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, snapshot_sites
 from gosp.dynamics import (
+    BatchOpenness,
     MissingSnapshots,
     IrrationalTilt,
     OutsideSlab,
     TorusTooSmall,
+    TruncationUncertified,
     TubeDomain,
     WindowTooSmall,
     dual_evolve,
     dual_reaches,
     edge_track,
     evolve,
+    half_slab_edges,
     hit_and_coupled_regions,
     initial_state,
     reaches,
@@ -242,6 +245,21 @@ def test_edge_track_speed_bound():
     assert r.extinct_from is None
     for t, v in enumerate(r.values):
         assert v <= TWO_D_OP.gamma * t
+
+
+def test_edge_track_refuses_dead_frontier():
+    # at p = 0 the truncated half slab dies at step 1; an empty frontier
+    # certifies nothing about the infinite half slab
+    with pytest.raises(TruncationUncertified):
+        edge_track(TWO_D_OP, FieldSpec(seed=8, p=0.0), "right", 10)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_edge_track_refuses_too_narrow_truncation(side):
+    # margin -0.9 keeps a tenth of the needed half slab: the frontier, slower
+    # than the cone at p = 0.8, falls within reach of the omitted sources
+    with pytest.raises(TruncationUncertified):
+        edge_track(TWO_D_OP, FieldSpec(seed=8, p=0.8), side, 300, margin=-0.9)
 
 
 def test_edge_track_requires_d2():
@@ -493,3 +511,74 @@ def test_domain_monotonicity_property(model, seed, t):
         evolve([(0, 0)], model, f, t, snapshot_times=[t]).snapshots[t]
     )
     assert xi_n <= xi_w <= xi_f
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    _models, _seeds,
+    st.sampled_from(["left", "right"]), st.floats(0.7, 1.0),
+)
+def test_certified_edges_do_not_depend_on_the_truncation(model, seed, side, p):
+    wide = half_slab_edges(model, [seed, seed + 1], p, side, 30, margin=1.0)
+    try:
+        narrow = half_slab_edges(model, [seed, seed + 1], p, side, 30, margin=0.0)
+    except TruncationUncertified:
+        return
+    assert (narrow == wide).all()
+
+
+# ---------------------------------------------------------------------------
+# prefix-cached openness
+
+def _field_open(seed, p, eps, lo, shape, t):
+    """Reference: the scalar field's openness of the window at time t."""
+    coords = [g + l for g, l in zip(np.indices(shape), lo)] + [np.int64(t)]
+    f = FieldSpec(seed=seed, p=p, sprinkle_eps=eps)
+    return f.open_mask(coords) if eps is None else f.sprinkled_mask(coords)
+
+
+@st.composite
+def _openness_runs(draw):
+    d_s = draw(st.sampled_from([1, 2]))
+    B = draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=B, max_size=B))
+    p = draw(st.floats(0.0, 1.0))
+    eps = draw(st.none() | st.floats(0.0, 1.0).map(lambda e: e * (1.0 - p)))
+    queries = draw(st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(-40, 40)] * d_s),
+            st.tuples(*[st.integers(1, 7)] * d_s),
+            st.integers(-60, 60),
+        ),
+        min_size=1, max_size=8,
+    ))
+    keep_at = draw(st.integers(0, len(queries)))
+    keep = draw(st.lists(st.booleans(), min_size=B, max_size=B))
+    clip = draw(st.booleans())
+    return d_s, seeds, p, eps, queries, keep_at, keep, clip
+
+
+@settings(max_examples=200, deadline=None)
+@given(_openness_runs())
+def test_openness_matches_site_hash(run):
+    # windows shift and grow past the box in both directions, with negative
+    # coordinates and times (as in the dual), optionally clipped to the
+    # bounding box of all queries, and rows are dropped midway
+    d_s, seeds, p, eps, queries, keep_at, keep, clip = run
+    cone = None
+    if clip:
+        cone = (
+            tuple(min(q[0][i] for q in queries) for i in range(d_s)),
+            tuple(max(q[0][i] + q[1][i] for q in queries) for i in range(d_s)),
+        )
+    openness = BatchOpenness(seeds, p, eps, cone=cone)
+    rows = list(range(len(seeds)))
+    for k, (lo, shape, t) in enumerate(queries):
+        if k == keep_at and any(keep):
+            kept = np.flatnonzero(keep)
+            openness = openness.take(kept)
+            rows = [rows[i] for i in kept]
+        got = openness.window(lo, shape, t)
+        assert got.dtype == bool and got.shape == (len(rows),) + shape
+        for b, r in enumerate(rows):
+            assert (got[b] == _field_open(seeds[r], p, eps, lo, shape, t)).all()

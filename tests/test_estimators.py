@@ -11,6 +11,7 @@ from conftest import ASYM3, THREE_D, TWO_D_OP
 from gosp.estimators import (
     CensoredMean,
     ConeOutsideShape,
+    EdgeTruncationRefused,
     Estimate,
     EstimatorError,
     GeometryInvalid,
@@ -150,6 +151,11 @@ def test_edge_speeds_p1_exact():
 def test_edge_speeds_refuses_dead_replicas():
     with pytest.raises(InsufficientSurvivals):
         edge_speeds(TWO_D_OP, 0.0, 20, 4, seed=1)
+
+
+def test_edge_speeds_refuses_uncertified_truncation():
+    with pytest.raises(EdgeTruncationRefused):
+        edge_speeds(TWO_D_OP, 0.8, 300, 2, seed=1, margin=-0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +359,15 @@ def test_transfer_refusals():
     with pytest.raises(NoCrossingFound):
         path_crossing_transfer(TWO_D_OP, 0.0, 0.0, 20, 5, seed=2,
                                alpha="1/2", beta="1/2")
+
+
+def test_reps_beyond_a_seed_lane_refused():
+    # replica 2**32 of lane 0 would reuse the seed of replica 0 of lane 1;
+    # refused before any chunk runs
+    with pytest.raises(EstimatorError, match="seed lane"):
+        survival_curve(TWO_D_OP, 0.8, 5, 2**32, seed=1)
+    with pytest.raises(EstimatorError, match="seed lane"):
+        edge_speeds(TWO_D_OP, 0.8, 5, 2**32 + 5, seed=1)
 
 
 # ---------------------------------------------------------------------------

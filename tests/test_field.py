@@ -9,6 +9,7 @@ from gosp.field import (
     FieldSpec,
     FieldError,
     SprinkleUnset,
+    extend_hash,
     site_hash,
     spawn_seed,
     spawn_seeds,
@@ -118,3 +119,17 @@ def test_spawn_seed_large_inputs_keep_low_bits():
     assert a != b
     got = spawn_seeds(1, 2**63 + 1, 2**63 + 3)
     assert [int(s) for s in got] == [a, b]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1), st.integers(0, 2),
+    st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=3),
+    st.integers(-2**62, 2**62), st.integers(0, 1),
+)
+def test_extend_hash_is_the_prefix_identity(seed, base, xs, c, stream):
+    coords = [np.arange(base, base + 4, dtype=np.int64) * x for x in xs]
+    prefix = site_hash(seed, coords, stream=stream)
+    out, tmp = np.empty_like(prefix), np.empty_like(prefix)
+    full = site_hash(seed, coords + [np.int64(c)], stream=stream)
+    assert (extend_hash(prefix, c, out, tmp) == full).all()

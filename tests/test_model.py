@@ -106,3 +106,21 @@ def test_validate_agrees_with_index_and_orientation(offsets):
     else:
         with pytest.raises(Exception):
             validate(spec)
+
+
+def test_cached_spatial_bounds_keep_pickle_and_equality():
+    import pickle
+
+    for model in MODEL_POOL:
+        fresh = validate(model.spec)
+        bounds = (fresh.spatial_min, fresh.spatial_max)
+        assert bounds == tuple(
+            tuple(f(y[i] for y, _ in fresh.split_offsets) for i in range(fresh.d - 1))
+            for f in (min, max)
+        )
+        # a model with cached bounds equals, hashes and pickles like one without
+        assert fresh == validate(model.spec)
+        assert hash(fresh) == hash(validate(model.spec))
+        back = pickle.loads(pickle.dumps(fresh))
+        assert back == fresh
+        assert (back.spatial_min, back.spatial_max) == bounds
