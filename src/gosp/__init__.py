@@ -14,7 +14,6 @@ from .model import (
     ModelError,
     validate,
     lattice_index,
-    orientation_certificate,
     load_model,
 )
 from .field import FieldSpec, MIXER_ID, spawn_seed, spawn_seeds
@@ -56,7 +55,6 @@ __all__ = [
     "ModelError",
     "validate",
     "lattice_index",
-    "orientation_certificate",
     "load_model",
     "FieldSpec",
     "MIXER_ID",

@@ -568,56 +568,37 @@ def run(plan: dict, parallelism: int = 1, out_dir: str = ".") -> dict:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _frac_list(text: str) -> list:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
 def _window(text: str) -> list:
     a, b = text.split(":")
     return [int(a), int(b)]
 
 
-# CLI flag name -> (argparse kwargs builder); config keys mirror flags
-_FLAG_TYPES = {
-    "p": dict(type=float),
-    "T": dict(type=int),
-    "reps": dict(type=int),
-    "tol": dict(type=float),
-    "L_stop": dict(type=int),
-    "T_cond": dict(type=int),
-    "T_max": dict(type=int),
-    "T_inf": dict(type=int),
-    "sizes": dict(type=_int_list, metavar="N1,N2,..."),
-    "n": dict(type=int),
-    "L": dict(type=int),
-    "C": dict(type=int),
-    "t": dict(type=int),
-    "t0": dict(type=int),
-    "h": dict(type=int),
-    "eps": dict(type=float),
-    "slope": dict(type=str),
-    "shift": dict(type=str),
-    "alpha": dict(type=str),
-    "beta": dict(type=str),
-    "lo": dict(type=str),
-    "hi": dict(type=str),
-    "half_width": dict(type=int),
-    "shape_lo": dict(type=float),
-    "shape_hi": dict(type=float),
-    "w": dict(type=_int_list, metavar="W1,W2,..."),
-    "v": dict(type=_frac_list, metavar="V1,V2,..."),
-    "v_hat": dict(type=_frac_list, metavar="V1,V2,..."),
-    "a_values": dict(type=lambda s: [float(x) for x in s.split(",")]),
-    "snapshots": dict(type=_int_list, metavar="T1,T2,..."),
-    "decay_windows": dict(type=lambda s: [_window(w) for w in s.split(",")]),
-    "death_window": dict(type=_window, metavar="A:B"),
-    "dual": dict(action="store_true", default=None),
-    "regime": dict(choices=["auto", "sub", "super"]),
-}
+def _flag_type(schema: dict):
+    """Parser of one flag value: integers, numbers, fractions (kept as
+    'p/q' text), windows written A:B, and comma lists of these."""
+    kind = schema["type"]
+    if kind == "array" and schema.get("maxItems") == 2:
+        return _window
+    if kind == "array":
+        item = _flag_type(schema["items"])
+        return lambda text: [item(part.strip()) for part in text.split(",") if part.strip()]
+    if kind == "integer":
+        return int
+    if kind == "number":
+        return float
+    return str
+
+
+def _flag_kwargs(schema: dict) -> dict:
+    """argparse keyword arguments of the flag for a parameter schema."""
+    if "enum" in schema:
+        return dict(choices=schema["enum"])
+    if schema["type"] == "boolean":
+        return dict(action="store_true", default=None)
+    if schema["type"] == "array":
+        metavar = "A:B" if schema.get("maxItems") == 2 else "X1,X2,..."
+        return dict(type=_flag_type(schema), metavar=metavar)
+    return dict(type=_flag_type(schema))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -637,9 +618,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int)
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", default=".")
-        for key in list(spec["required"]) + list(spec["optional"]):
+        for key, schema in {**spec["required"], **spec["optional"]}.items():
             flag = "--" + key.replace("_", "-")
-            sp.add_argument(flag, dest=key, **_FLAG_TYPES[key])
+            sp.add_argument(flag, dest=key, **_flag_kwargs(schema))
     return parser
 
 

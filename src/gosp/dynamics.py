@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -87,13 +87,6 @@ class Domain:
         """Boolean membership array for sites (coords, t); None = everywhere."""
         return None
 
-    def contains(self, site) -> bool:
-        m = self.mask([np.int64(c) for c in site[:-1]], np.int64(site[-1]))
-        return True if m is None else bool(m)
-
-
-FULL = Domain()
-
 
 @dataclass(frozen=True)
 class BlockDomain(Domain):
@@ -147,9 +140,6 @@ class BatchState:
 
     def alive(self) -> np.ndarray:
         return self.rows.any(axis=tuple(range(1, self.rows.ndim)))
-
-    def counts(self) -> np.ndarray:
-        return self.rows.sum(axis=tuple(range(1, self.rows.ndim)), dtype=np.int64)
 
 
 @dataclass
@@ -205,6 +195,22 @@ def _trim(rows: np.ndarray, anchor):
     return rows[sl], tuple(a + l for a, l in zip(anchor, lo))
 
 
+def _grid_occupancy(anchor, rows, zlo, shape):
+    """Embed a state's rows into the fixed grid [zlo, zlo+shape)."""
+    lead = rows.shape[: rows.ndim - len(shape)]
+    out = np.zeros(lead + shape, dtype=bool)
+    src, dst = [], []
+    for a, e, l, w in zip(anchor, rows.shape[len(lead):], zlo, shape):
+        s0, s1 = max(l - a, 0), min(l + w - a, e)
+        if s0 >= s1:
+            return out
+        src.append(slice(s0, s1))
+        dst.append(slice(s0 + a - l, s1 + a - l))
+    lead_sl = (slice(None),) * len(lead)
+    out[lead_sl + tuple(dst)] = rows[lead_sl + tuple(src)]
+    return out
+
+
 def rows_from_sites(model: NormalizedModel, sites) -> tuple[tuple[int, ...], np.ndarray]:
     """Minimal (anchor, rows) for a finite set of slab sites."""
     R, d_s = model.R, model.d - 1
@@ -237,33 +243,28 @@ class BatchOpenness:
     """Openness of space-time sites for a batch of replicas, one seed per row.
 
     The spatial hash prefix site_hash(seed, x) of every site of a box is
-    kept in a (B, *box) table per stream, so each query only finishes the
-    hash with its time coordinate (``extend_hash``: one mix per site).  The
-    box grows, doubling per axis, only when a query window leaves it, and
-    never past ``cone``, a (lo, hi) box holding every window the run can
-    query.  The sprinkle substream (stream 1) adds extra open sites at rate
-    eps/(1-p) so the composite marginal is p+eps.
+    kept in a (B, *box) table, so each query only finishes the hash with its
+    time coordinate (``extend_hash``: one mix per site).  The box grows,
+    doubling per axis, only when a query window leaves it, and never past
+    ``cone``, a (lo, hi) box holding every window the run can query.
     """
 
-    def __init__(self, seeds, p, sprinkle_eps=None, cone=None):
+    def __init__(self, seeds, p, cone=None):
         self.seeds = _as_u64(seeds)
-        self.streams = [(0, threshold_for(p))]
-        if sprinkle_eps is not None and sprinkle_eps > 0:
-            rate = float(Fraction(sprinkle_eps) / (1 - Fraction(p)))
-            self.streams.append((1, threshold_for(rate)))
+        self.threshold = threshold_for(p)
         self.cone = cone
-        self.lo = self.hi = None
-        self.tables = []
+        self.lo = self.hi = self.table = None
 
     def take(self, keep) -> "BatchOpenness":
-        """The openness of the rows ``keep`` (row-sliced tables, same box)."""
+        """The openness of the rows ``keep`` (row-sliced table, same box)."""
         out = copy.copy(self)
         out.seeds = self.seeds[keep]
-        out.tables = [table[keep] for table in self.tables]
+        if self.table is not None:
+            out.table = self.table[keep]
         return out
 
     def _cover(self, lo, hi) -> None:
-        """Grow the box, and rebuild the tables, to contain [lo, hi)."""
+        """Grow the box, and rebuild the table, to contain [lo, hi)."""
         if self.lo is not None and all(
             b <= l and h <= e for l, h, b, e in zip(lo, hi, self.lo, self.hi)
         ):
@@ -286,8 +287,8 @@ class BatchOpenness:
         shape = tuple(h - l for l, h in zip(lo, hi))
         s = self.seeds.reshape((-1,) + (1,) * len(shape))
         coords = _window_coords(lo, shape)
-        self.tables = []            # free the old box before hashing the new
-        self.tables = [site_hash(s, coords, stream=k) for k, _ in self.streams]
+        self.table = None           # free the old box before hashing the new
+        self.table = site_hash(s, coords)
 
     def window(self, lo, shape, t) -> np.ndarray:
         """Open mask (B, *shape) of the sites (x, t), x in [lo, lo + shape)."""
@@ -297,12 +298,8 @@ class BatchOpenness:
             slice(l - b, h - b) for l, h, b in zip(lo, hi, self.lo)
         )
         buf = np.empty((len(self.seeds),) + tuple(shape), dtype=np.uint64)
-        tmp = np.empty_like(buf)
-        out = None
-        for (_, thr), table in zip(self.streams, self.tables):
-            m = open_given_hash(extend_hash(table[view], t, buf, tmp), thr)
-            out = m if out is None else out | m
-        return out
+        h = extend_hash(self.table[view], t, buf, np.empty_like(buf))
+        return open_given_hash(h, self.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +426,6 @@ def _query_cone(model: NormalizedModel, anchor, ext, T: int, dual: bool,
     )
 
 
-EDGE_NONE = np.iinfo(np.int64).min
-
-
 @dataclass
 class BatchResult:
     """Summary of a batched run; all arrays are indexed by replica."""
@@ -439,31 +433,30 @@ class BatchResult:
     T: int
     extinction: np.ndarray              # step of first empty state; -1 if none seen
     alive_at_T: np.ndarray
-    reached_extent: np.ndarray | None = None
-    edges: np.ndarray | None = None     # (B, T+1), EDGE_NONE where empty
-    hits: np.ndarray | None = None      # (B, *window), -1 where never hit
-    hit_anchor: tuple[int, ...] | None = None
-    counts: np.ndarray | None = None    # (B, T+1)
     snapshots: dict[int, BatchState] | None = None
 
 
 def batch_evolve(model: NormalizedModel, seeds, p, T, *,
                  init: tuple[tuple[int, ...], np.ndarray] | None = None,
                  t0: int = 0, dual: bool = False, domain: Domain | None = None,
-                 torus_n: int | None = None, sprinkle_eps=None,
-                 stop_extent: int | None = None,
-                 edge: str | None = None,
-                 hit_window: tuple[Sequence[int], Sequence[int]] | None = None,
+                 torus_n: int | None = None,
                  snapshot_times: Iterable[int] = (),
-                 record_counts: bool = False,
                  compact: bool = False,
                  per_step: Callable | None = None) -> BatchResult:
-    """Run B replicas for T steps and collect the requested observables.
+    """Run B replicas for T steps; record extinction steps and snapshots.
 
     ``init`` is a shared (anchor, rows) pair with rows of shape (R, *extent)
     or a per-replica (B, R, *extent) array; default is a single occupied site
-    at the origin of row 0.  ``compact`` drops extinct replicas from the
-    working arrays (only valid without per-replica probes).
+    at the origin of row 0.
+
+    ``per_step(t, state)`` is the observer hook.  It is called for t = 0,
+    1, ... in order, up to T or until every replica is extinct, each time
+    before the snapshot at t is taken and before the alive check, with
+    ``state.rows`` holding every replica in replica order.  Rows it clears
+    in place end those replicas at t (their extinction step is t); an
+    exception it raises ends the run.  ``compact`` drops extinct replicas
+    from the working arrays, so it is refused together with an observer or
+    snapshots.
     """
     B = len(seeds)
     d_s = model.d - 1
@@ -482,67 +475,26 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     )
     state = BatchState(0, anchor, rows)
     openness = BatchOpenness(
-        seeds, p, sprinkle_eps,
-        cone=_query_cone(model, anchor, rows.shape[2:], T, dual, torus_n),
+        seeds, p, cone=_query_cone(model, anchor, rows.shape[2:], T, dual, torus_n),
     )
     snapshot_times = set(snapshot_times)
-    if compact and (edge or hit_window or snapshot_times or stop_extent or per_step):
-        raise ValueError("compact mode supports only extinction/count probes")
+    if compact and (snapshot_times or per_step):
+        raise ValueError("compact mode cannot take snapshots or run an observer")
 
     extinction = np.full(B, -1, dtype=np.int64)
-    reached = np.zeros(B, dtype=bool) if stop_extent is not None else None
-    edges = np.full((B, T + 1), EDGE_NONE, dtype=np.int64) if edge else None
-    counts = np.zeros((B, T + 1), dtype=np.int64) if record_counts else None
     snapshots = {} if snapshot_times else None
-    hits = hit_lo = None
-    if hit_window is not None:
-        hit_lo = tuple(int(c) for c in hit_window[0])
-        hit_shape = tuple(int(h) - int(l) for l, h in zip(hit_window[0], hit_window[1]))
-        hits = np.full((B,) + hit_shape, -1, dtype=np.int64)
-    if edge and d_s != 1:
-        raise DimensionNot2("edge tracking requires d = 2")
-
     idx = np.arange(B)                  # original replica index of each row
     alive_at_T = np.zeros(B, dtype=bool)
 
-    def probe(t):
-        alive = state.alive()
-        if t == 0:
-            extinction[idx[~alive]] = 0
-        if counts is not None:
-            counts[idx, t] = state.counts()
-        if edges is not None and state.rows.shape[2] > 0:
-            occ = state.rows.any(axis=1)
-            has = occ.any(axis=1)
-            W = occ.shape[1]
-            if edge == "max":
-                pos = W - 1 - np.argmax(occ[:, ::-1], axis=1)
-            else:
-                pos = np.argmax(occ, axis=1)
-            edges[idx[has], t] = state.anchor[0] + pos[has]
-        if hits is not None and state.rows.shape[2:] != (0,) * d_s:
-            row0 = state.rows[:, 0]
-            src_sl, dst_sl = [], []
-            ok = True
-            for a, e, l, hs in zip(state.anchor, row0.shape[1:], hit_lo, hits.shape[1:]):
-                s0 = max(l - a, 0)
-                s1 = min(l + hs - a, e)
-                if s0 >= s1:
-                    ok = False
-                    break
-                src_sl.append(slice(s0, s1))
-                dst_sl.append(slice(s0 + a - l, s1 + a - l))
-            if ok:
-                occ0 = row0[(slice(None),) + tuple(src_sl)]
-                upd = occ0 & (hits[(slice(None),) + tuple(dst_sl)] < 0)
-                hits[(slice(None),) + tuple(dst_sl)] = np.where(
-                    upd, t, hits[(slice(None),) + tuple(dst_sl)]
-                )
+    def observe(t):
+        if per_step is not None:
+            per_step(t, state)
         if t in snapshot_times:
             snapshots[t] = BatchState(t, state.anchor, state.rows.copy())
-        return alive
+        return state.alive()
 
-    alive_prev = probe(0)
+    alive_prev = observe(0)
+    extinction[~alive_prev] = 0
     for t in range(1, T + 1):
         if not alive_prev.any():
             break
@@ -552,33 +504,8 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
             state = _torus_batch_step(state, model, openness, torus_n, t0)
         else:
             state = _batch_step(state, model, openness, domain, t0)
-        if per_step is not None:
-            per_step(t, state)
-        if stop_extent is not None and state.rows.shape[2:] != (0,) * d_s:
-            occ_new = ~reached[idx]
-            for ax in range(d_s):
-                proj = np.any(
-                    state.rows,
-                    axis=tuple(
-                        i for i in range(1, state.rows.ndim) if i != 2 + ax
-                    ),
-                )
-                if proj.shape[1] == 0:
-                    continue
-                W = proj.shape[1]
-                has = proj.any(axis=1)
-                mx = state.anchor[ax] + W - 1 - np.argmax(proj[:, ::-1], axis=1)
-                mn = state.anchor[ax] + np.argmax(proj, axis=1)
-                big = has & (np.maximum(np.abs(mx), np.abs(mn)) >= stop_extent)
-                hit_now = big & occ_new
-                if hit_now.any():
-                    reached[idx[hit_now]] = True
-                    state.rows[hit_now] = False
-        alive = probe(t)
-        died = alive_prev & ~alive
-        if stop_extent is not None:
-            died &= ~reached[idx]
-        extinction[idx[died]] = t
+        alive = observe(t)
+        extinction[idx[alive_prev & ~alive]] = t
         alive_prev = alive
         if compact and t < T and alive.any() and not alive.all():
             keep = np.flatnonzero(alive)
@@ -594,8 +521,7 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
             if 0 <= t_req <= T and t_req not in snapshots:
                 snapshots[t_req] = BatchState(t_req, (0,) * d_s, empty)
     return BatchResult(
-        T=T, extinction=extinction, alive_at_T=alive_at_T, reached_extent=reached,
-        edges=edges, hits=hits, hit_anchor=hit_lo, counts=counts, snapshots=snapshots,
+        T=T, extinction=extinction, alive_at_T=alive_at_T, snapshots=snapshots,
     )
 
 
@@ -604,11 +530,9 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
 
 @dataclass
 class EdgeTrack:
-    """Frontier positions r_0..r_T; ``extinct_from`` is always None, since
-    a frontier that dies out is refused as uncertified."""
+    """Certified frontier positions r_0..r_T (or l_0..l_T)."""
 
     values: list
-    extinct_from: int | None
 
 
 @dataclass
@@ -616,10 +540,8 @@ class Trajectory:
     T: int
     extinction_time: int | None         # None if still alive at T
     counts: list[int]
-    final: ProcessState | None = None
     snapshots: dict[int, ProcessState] | None = None
     hitting: dict[tuple, int] | None = None
-    reached_extent: bool | None = None
 
     @property
     def survived(self) -> bool:
@@ -640,16 +562,24 @@ def step(state: ProcessState, model: NormalizedModel, field: FieldSpec,
     return ProcessState(state.t + 1, out.anchor, out.rows[0])
 
 
-def _single(model, field, T, *, dual=False, A=None, init=None, t0=0,
-            domain=None, torus_n=None, sprinkled=False, **probes) -> Trajectory:
-    if init is None:
-        init = rows_from_sites(model, A if A is not None else [])
-    eps = field.sprinkle_eps if sprinkled else None
+def _single(model, field, T, A, *, dual=False, t0=0, domain=None,
+            snapshot_times=(), hit_window=None) -> Trajectory:
+    counts = np.zeros(T + 1, dtype=np.int64)
+    hits = None
+    if hit_window is not None:
+        hit_lo = tuple(int(c) for c in hit_window[0])
+        hit_shape = tuple(int(h) - l for l, h in zip(hit_lo, hit_window[1]))
+        hits = np.full(hit_shape, -1, dtype=np.int64)
+
+    def observe(t, state: BatchState):
+        counts[t] = state.rows.sum()
+        if hits is not None:
+            occ = _grid_occupancy(state.anchor, state.rows[0, 0], hit_lo, hit_shape)
+            hits[occ & (hits < 0)] = t
+
     res = batch_evolve(
-        model, [field.seed], field.p, T, init=init, t0=t0, dual=dual,
-        domain=domain, torus_n=torus_n, sprinkle_eps=eps, record_counts=True,
-        snapshot_times=probes.get("snapshot_times", ()),
-        hit_window=probes.get("hit_window"), per_step=probes.get("per_step"),
+        model, [field.seed], field.p, T, init=rows_from_sites(model, A), t0=t0,
+        dual=dual, domain=domain, snapshot_times=snapshot_times, per_step=observe,
     )
     ext = int(res.extinction[0]) if res.extinction[0] >= 0 else None
     snaps = None
@@ -659,24 +589,24 @@ def _single(model, field, T, *, dual=False, A=None, init=None, t0=0,
             for t, st in res.snapshots.items()
         }
     hitting = None
-    if res.hits is not None:
-        hitting = {}
-        for pos in zip(*np.nonzero(res.hits[0] >= 0)):
-            x = tuple(int(l + c) for l, c in zip(res.hit_anchor, pos))
-            hitting[x] = int(res.hits[0][pos])
+    if hits is not None:
+        hitting = {
+            tuple(int(l + c) for l, c in zip(hit_lo, pos)): int(hits[pos])
+            for pos in zip(*np.nonzero(hits >= 0))
+        }
     return Trajectory(
-        T=T, extinction_time=ext, counts=[int(c) for c in res.counts[0]],
+        T=T, extinction_time=ext, counts=[int(c) for c in counts],
         snapshots=snaps, hitting=hitting,
     )
 
 
 def evolve(A, model: NormalizedModel, field: FieldSpec, T: int,
            domain: Domain | None = None, t0: int = 0,
-           snapshot_times: Iterable[int] = (), hit_window=None,
-           sprinkled: bool = False) -> Trajectory:
-    """Iterate the chain from A for T steps (or to extinction)."""
+           snapshot_times: Iterable[int] = (), hit_window=None) -> Trajectory:
+    """Iterate the chain from A for T steps (or to extinction); ``hit_window``
+    (lo, hi) records the first time each site of row 0 in it is occupied."""
     return _single(
-        model, field, T, A=A, t0=t0, domain=domain, sprinkled=sprinkled,
+        model, field, T, A, t0=t0, domain=domain,
         snapshot_times=snapshot_times, hit_window=hit_window,
     )
 
@@ -686,7 +616,7 @@ def dual_evolve(A, model: NormalizedModel, field: FieldSpec, T: int,
                 snapshot_times: Iterable[int] = ()) -> Trajectory:
     """Iterate the dual chain from A for T backwards steps."""
     return _single(
-        model, field, T, dual=True, A=A, t0=t0, domain=domain,
+        model, field, T, A, dual=True, t0=t0, domain=domain,
         snapshot_times=snapshot_times,
     )
 
@@ -821,7 +751,8 @@ def hit_and_coupled_regions(model: NormalizedModel, field: FieldSpec, t: int,
     pad = model.R * max(model.dilation(1), 1) + 1
 
     def prune_step(step_t, state: BatchState):
-        # zero sites that cannot influence the window at time t
+        # zero sites that cannot influence the window at time t; the start
+        # window lies inside the kept box, so step 0 zeroes nothing
         rem = t - step_t
         if rem <= 0 or state.rows.shape[2:] == (0,) * d_s:
             return
@@ -846,24 +777,12 @@ def hit_and_coupled_regions(model: NormalizedModel, field: FieldSpec, t: int,
         snapshot_times=[t], per_step=prune_step if prune else None,
     )
     ext = tuple(h - l for l, h in zip(lo, hi))
-    xi_o = np.zeros((model.R,) + ext, dtype=bool)
-    xi_S = np.zeros((model.R,) + ext, dtype=bool)
-    for target, st in ((xi_o, traj_o.snapshots[t]), (xi_S, res_S.snapshots[t])):
-        rows = st.rows if st.rows.ndim == model.d else st.rows[0]
-        src_sl, dst_sl = [], []
-        ok = all(e > 0 for e in rows.shape[1:])
-        for a, e, l, h in zip(st.anchor, rows.shape[1:], lo, hi):
-            s0, s1 = max(l - a, 0), min(h - a, e)
-            if s0 >= s1:
-                ok = False
-                break
-            src_sl.append(slice(s0, s1))
-            dst_sl.append(slice(s0 + a - l, s1 + a - l))
-        if ok:
-            target[(slice(None),) + tuple(dst_sl)] = rows[(slice(None),) + tuple(src_sl)]
+    snap_o, snap_S = traj_o.snapshots[t], res_S.snapshots[t]
+    xi_o = _grid_occupancy(snap_o.anchor, snap_o.rows, lo, ext)
+    xi_S = _grid_occupancy(snap_S.anchor, snap_S.rows[0], lo, ext)
     K = xi_o == xi_S
     H = np.zeros_like(K)
-    hitting = traj_o.hitting or {}
+    hitting = traj_o.hitting
     for x, tx in hitting.items():
         rel = tuple(c - l for c, l in zip(x, lo))
         for s in range(model.R):
@@ -894,31 +813,39 @@ def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
     Each step derives a row through one offset, so after t steps the omitted
     sources x <= -trunc-1 occupy nothing right of -trunc-1 + max(0,
     t*spatial_max); by additivity a truncated frontier beyond that is the
-    infinite one (mirrored for 'left').  Every replica and step is checked,
-    and TruncationUncertified is raised where the check fails, an empty
-    frontier included.
+    infinite one (mirrored for 'left').  Every replica and step is checked
+    as the run goes, and TruncationUncertified is raised at the first step
+    where the check fails, an empty frontier included.
     """
     if model.d != 2:
         raise DimensionNot2("edge processes are defined for d = 2 only")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     trunc = int(math.ceil(model.gamma * T * (1 + margin))) + 1
-    edges = batch_evolve(
+    edges = np.empty((len(seeds), T + 1), dtype=np.int64)
+
+    def frontier(t, state: BatchState):
+        occ = state.rows.any(axis=1)
+        ok = occ.any(axis=1)
+        if ok.all():
+            if side == "right":
+                edges[:, t] = state.anchor[0] + occ.shape[1] - 1 - np.argmax(
+                    occ[:, ::-1], axis=1
+                )
+                ok = edges[:, t] > -trunc - 1 + max(0, t * model.spatial_max[0])
+            else:
+                edges[:, t] = state.anchor[0] + np.argmax(occ, axis=1)
+                ok = edges[:, t] < trunc + 1 + min(0, t * model.spatial_min[0])
+        if not ok.all():
+            raise TruncationUncertified(
+                f"{side} frontier of replica {np.argmin(ok)} at step {t} is not "
+                f"certified by the truncation at {trunc} (margin {margin})"
+            )
+
+    batch_evolve(
         model, seeds, p, T, init=half_slab_init(model, side, trunc),
-        edge="max" if side == "right" else "min",
-    ).edges
-    t = np.arange(T + 1)
-    if side == "right":
-        ok = edges > -trunc - 1 + np.maximum(0, t * model.spatial_max[0])
-    else:
-        reach = trunc + 1 + np.minimum(0, t * model.spatial_min[0])
-        ok = (edges != EDGE_NONE) & (edges < reach)
-    if not ok.all():
-        b, s = (int(i) for i in np.argwhere(~ok)[0])
-        raise TruncationUncertified(
-            f"{side} frontier of replica {b} at step {s} is not certified "
-            f"by the truncation at {trunc} (margin {margin})"
-        )
+        per_step=frontier,
+    )
     return edges
 
 
@@ -926,7 +853,7 @@ def edge_track(model: NormalizedModel, field: FieldSpec, side: str, T: int,
                margin: float = 0.2) -> EdgeTrack:
     """Certified frontier of one half-slab run (see ``half_slab_edges``)."""
     edges = half_slab_edges(model, [field.seed], field.p, side, T, margin)[0]
-    return EdgeTrack(values=[int(v) for v in edges], extinct_from=None)
+    return EdgeTrack(values=[int(v) for v in edges])
 
 
 # ---------------------------------------------------------------------------
@@ -936,10 +863,8 @@ def torus_extinction(model: NormalizedModel, field: FieldSpec, n: int,
                      T_max: int) -> int | None:
     """Extinction time of the quotient dynamics on the side-n torus started
     from the fully occupied slab; None if still alive at T_max."""
-    d_s = model.d - 1
-    init = slab_window_rows(model, (0,) * d_s, (n,) * d_s)
-    res = batch_evolve(model, [field.seed], field.p, T_max, init=init, torus_n=n)
-    return int(res.extinction[0]) if res.extinction[0] >= 0 else None
+    tau = torus_extinction_batch(model, field.p, [field.seed], n, T_max).extinction[0]
+    return int(tau) if tau >= 0 else None
 
 
 def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,

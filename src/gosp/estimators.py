@@ -30,6 +30,7 @@ from .dynamics import (
     ConeDomain,
     DimensionNot2,
     TruncationUncertified,
+    _grid_occupancy,
     batch_evolve,
     half_slab_edges,
     hit_and_coupled_regions,
@@ -238,8 +239,22 @@ _EVENT_CHUNK = 1024
 def _event_chunk(common, span):
     model, p, T, L_stop, master, lane = common
     seeds = _rep_seeds(master, lane, *span)
-    res = batch_evolve(model, seeds, p, T, stop_extent=L_stop)
-    return res.alive_at_T | res.reached_extent
+    reached = np.zeros(len(seeds), dtype=bool)
+
+    def stop_at_extent(t, state: BatchState):
+        # a replica with an occupied site at sup-norm distance >= L_stop has
+        # the event; clearing its rows ends it here
+        occ = state.rows.any(axis=1)
+        big = np.zeros(len(occ), dtype=bool)
+        for ax, a in enumerate(state.anchor):
+            proj = occ.any(axis=tuple(i for i in range(1, occ.ndim) if i != 1 + ax))
+            far = np.abs(np.arange(a, a + proj.shape[1])) >= L_stop
+            big |= (proj & far).any(axis=1)
+        state.rows[big] = False
+        reached[big] = True
+
+    res = batch_evolve(model, seeds, p, T, per_step=stop_at_extent)
+    return res.alive_at_T | reached
 
 
 def _event_freq(model, p, T, L_stop, reps, master, lane, threads) -> Estimate:
@@ -962,22 +977,6 @@ def bg_event_probability(model: NormalizedModel, p, g: BlockGeometry, n: int,
 
 # ---------------------------------------------------------------------------
 # good blocks
-
-def _grid_occupancy(anchor, rows, zlo, shape):
-    """Embed a state's rows into the fixed grid [zlo, zlo+shape)."""
-    lead = rows.shape[: rows.ndim - len(shape)]
-    out = np.zeros(lead + shape, dtype=bool)
-    src, dst = [], []
-    for a, e, l, w in zip(anchor, rows.shape[len(lead):], zlo, shape):
-        s0, s1 = max(l - a, 0), min(l + w - a, e)
-        if s0 >= s1:
-            return out
-        src.append(slice(s0, s1))
-        dst.append(slice(s0 + a - l, s1 + a - l))
-    lead_sl = (slice(None),) * len(lead)
-    out[lead_sl + tuple(dst)] = rows[lead_sl + tuple(src)]
-    return out
-
 
 _GOOD_CHUNK = 4
 

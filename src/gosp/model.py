@@ -201,84 +201,6 @@ def lattice_index(spec: NeighborhoodSpec):
     return index
 
 
-def orientation_certificate(spec: NeighborhoodSpec):
-    """Find a rational vector u with <x, u> > 0 for every offset x.
-
-    Returns a tuple of Fractions, or None when no such vector exists.  The
-    certificate is found by exact Fourier-Motzkin elimination on the system
-    <x, u> >= 1 and verified by exact rational inner products before being
-    returned.
-    """
-    d = spec.d
-    cons = [
-        (tuple(Fraction(c) for c in o), Fraction(1)) for o in set(spec.offsets)
-    ]
-    point = _fourier_motzkin_point(cons, d)
-    if point is None:
-        return None
-    for o in spec.offsets:
-        assert sum(Fraction(c) * u for c, u in zip(o, point)) >= 1
-    return tuple(point)
-
-
-def _fourier_motzkin_point(cons, d):
-    """Feasible point of {u : sum a_j u_j >= b for (a, b) in cons}, or None.
-
-    Exact rational arithmetic throughout; exponential in the worst case but
-    the neighbourhood systems here are tiny.
-    """
-    stages = []
-    current = list(cons)
-    for var in range(d - 1, -1, -1):
-        pos = [c for c in current if c[0][var] > 0]
-        neg = [c for c in current if c[0][var] < 0]
-        zero = [c for c in current if c[0][var] == 0]
-        stages.append((var, pos, neg))
-        combined = list(zero)
-        for ap, bp in pos:
-            for an, bn in neg:
-                # u_var >= (bp - rest_p)/ap[var] and
-                # u_var <= (rest_n - bn)/(-an[var]); cross-multiplying by the
-                # positive product ap[var] * (-an[var]) removes u_var
-                new_a = tuple(
-                    (-an[var]) * ap[j] + ap[var] * an[j] if j != var else Fraction(0)
-                    for j in range(d)
-                )
-                new_b = (-an[var]) * bp + ap[var] * bn
-                combined.append((new_a, new_b))
-        # constant constraints must hold
-        still = []
-        for a, b in combined:
-            if all(c == 0 for c in a):
-                if 0 < b:
-                    return None
-            else:
-                still.append((a, b))
-        current = still
-    # back-substitute, last eliminated variable first
-    u = [Fraction(0)] * d
-    for var, pos, neg in reversed(stages):
-        lo = None
-        hi = None
-        for a, b in pos:
-            rest = sum(a[j] * u[j] for j in range(d) if j != var)
-            bound = (b - rest) / a[var]
-            lo = bound if lo is None else max(lo, bound)
-        for a, b in neg:
-            rest = sum(a[j] * u[j] for j in range(d) if j != var)
-            bound = (b - rest) / a[var]
-            hi = bound if hi is None else min(hi, bound)
-        if lo is not None and hi is not None and lo > hi:
-            return None
-        if lo is not None:
-            u[var] = lo
-        elif hi is not None:
-            u[var] = hi
-        else:
-            u[var] = Fraction(0)
-    return u
-
-
 def load_model(path) -> NormalizedModel:
     """Read and validate a model file."""
     return validate(NeighborhoodSpec.from_file(path))

@@ -3,12 +3,18 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from conftest import TWO_D_OP, model_file
-from gosp.cli import SchemaError, main, parse_config, run, validate_plan
+from gosp.cli import (
+    _PARAMS, SchemaError, _build_parser, _plan_from_args, main, parse_config,
+    run, validate_plan,
+)
 from gosp.field import MIXER_ID
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _survival_plan(model_path, **over):
@@ -73,6 +79,41 @@ def test_parse_config_roundtrip(tmp_path, model_path):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(_survival_plan(model_path)))
     assert parse_config(str(path))["estimator"] == "survival"
+
+
+def _flag_text(value, schema):
+    if schema.get("type") == "array":
+        sep = ":" if schema.get("maxItems") == 2 else ","
+        return sep.join(_flag_text(v, schema["items"]) for v in value)
+    return str(value)
+
+
+def _as_parsed(value, schema):
+    """The value a flag gives back: fractions stay 'p/q' text."""
+    if schema.get("type") == "array":
+        return [_as_parsed(v, schema["items"]) for v in value]
+    return str(value) if schema.get("type") == ["string", "number"] else value
+
+
+@pytest.mark.parametrize("case", sorted(p.stem for p in GOLDEN.glob("*.json")))
+def test_golden_plan_round_trips_through_flags(case):
+    plan = dict(json.loads((GOLDEN / f"{case}.json").read_text())["plan"],
+                model="model.json")
+    spec = _PARAMS[plan["estimator"]]
+    schemas = {**spec["required"], **spec["optional"]}
+    argv = [plan["estimator"], "--model", plan["model"], "--seed", str(plan["seed"])]
+    expected = dict(plan)
+    for key, schema in schemas.items():
+        if key not in plan:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if plan[key] is True:
+            argv.append(flag)
+        else:
+            argv.append(f"{flag}={_flag_text(plan[key], schema)}")
+            expected[key] = _as_parsed(plan[key], schema)
+    parsed = _plan_from_args(_build_parser().parse_args(argv))
+    assert json.dumps(parsed, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

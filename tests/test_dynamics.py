@@ -23,6 +23,7 @@ from gosp.dynamics import (
     TruncationUncertified,
     TubeDomain,
     WindowTooSmall,
+    batch_evolve,
     dual_evolve,
     dual_reaches,
     edge_track,
@@ -89,6 +90,37 @@ def test_step_p1_matches_sumset():
             state = step(state, model, f)
             got = {s[:-1] for s in state.occupied()}
             assert got == oracles.sumset(model, t)
+
+
+# ---------------------------------------------------------------------------
+# the observer hook of the batched engine
+
+def _hook_run(**kw):
+    # replica b of three starts at x = b; at p = 1 it occupies [b, b + t]
+    rows = np.zeros((3, 1, 3), dtype=bool)
+    for b in range(3):
+        rows[b, 0, b] = True
+    return batch_evolve(TWO_D_OP, [1, 2, 3], 1.0, 6, init=((0,), rows), **kw)
+
+
+def test_observer_sees_every_step_and_ends_cleared_rows():
+    seen = []
+
+    def hook(t, state):
+        seen.append(t)
+        for b in range(3):
+            occ = np.flatnonzero(state.rows[b, 0]) + state.anchor[0]
+            assert list(occ) == ([] if b == 1 and t > 3 else list(range(b, b + t + 1)))
+        if t == 3:
+            state.rows[1] = False
+
+    res = _hook_run(per_step=hook, snapshot_times=[3])
+    assert seen == list(range(7))
+    assert list(res.extinction) == [-1, 3, -1]
+    assert list(res.alive_at_T) == [True, False, True]
+    assert not res.snapshots[3].rows[1].any()     # taken after the hook
+    with pytest.raises(ValueError):
+        _hook_run(per_step=hook, compact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +274,6 @@ def test_edge_track_p1_examples():
 def test_edge_track_speed_bound():
     f = FieldSpec(seed=8, p=0.8)
     r = edge_track(TWO_D_OP, f, "right", 40)
-    assert r.extinct_from is None
     for t, v in enumerate(r.values):
         assert v <= TWO_D_OP.gamma * t
 
@@ -530,11 +561,10 @@ def test_certified_edges_do_not_depend_on_the_truncation(model, seed, side, p):
 # ---------------------------------------------------------------------------
 # prefix-cached openness
 
-def _field_open(seed, p, eps, lo, shape, t):
+def _field_open(seed, p, lo, shape, t):
     """Reference: the scalar field's openness of the window at time t."""
     coords = [g + l for g, l in zip(np.indices(shape), lo)] + [np.int64(t)]
-    f = FieldSpec(seed=seed, p=p, sprinkle_eps=eps)
-    return f.open_mask(coords) if eps is None else f.sprinkled_mask(coords)
+    return FieldSpec(seed=seed, p=p).open_mask(coords)
 
 
 @st.composite
@@ -543,7 +573,6 @@ def _openness_runs(draw):
     B = draw(st.integers(1, 4))
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=B, max_size=B))
     p = draw(st.floats(0.0, 1.0))
-    eps = draw(st.none() | st.floats(0.0, 1.0).map(lambda e: e * (1.0 - p)))
     queries = draw(st.lists(
         st.tuples(
             st.tuples(*[st.integers(-40, 40)] * d_s),
@@ -555,7 +584,7 @@ def _openness_runs(draw):
     keep_at = draw(st.integers(0, len(queries)))
     keep = draw(st.lists(st.booleans(), min_size=B, max_size=B))
     clip = draw(st.booleans())
-    return d_s, seeds, p, eps, queries, keep_at, keep, clip
+    return d_s, seeds, p, queries, keep_at, keep, clip
 
 
 @settings(max_examples=200, deadline=None)
@@ -564,14 +593,14 @@ def test_openness_matches_site_hash(run):
     # windows shift and grow past the box in both directions, with negative
     # coordinates and times (as in the dual), optionally clipped to the
     # bounding box of all queries, and rows are dropped midway
-    d_s, seeds, p, eps, queries, keep_at, keep, clip = run
+    d_s, seeds, p, queries, keep_at, keep, clip = run
     cone = None
     if clip:
         cone = (
             tuple(min(q[0][i] for q in queries) for i in range(d_s)),
             tuple(max(q[0][i] + q[1][i] for q in queries) for i in range(d_s)),
         )
-    openness = BatchOpenness(seeds, p, eps, cone=cone)
+    openness = BatchOpenness(seeds, p, cone=cone)
     rows = list(range(len(seeds)))
     for k, (lo, shape, t) in enumerate(queries):
         if k == keep_at and any(keep):
@@ -581,4 +610,4 @@ def test_openness_matches_site_hash(run):
         got = openness.window(lo, shape, t)
         assert got.dtype == bool and got.shape == (len(rows),) + shape
         for b, r in enumerate(rows):
-            assert (got[b] == _field_open(seeds[r], p, eps, lo, shape, t)).all()
+            assert (got[b] == _field_open(seeds[r], p, lo, shape, t)).all()

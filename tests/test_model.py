@@ -12,7 +12,6 @@ from gosp.model import (
     TooFewOffsets,
     ZeroOffset,
     lattice_index,
-    orientation_certificate,
     validate,
 )
 
@@ -46,19 +45,6 @@ def test_non_positive_time_component_reports_offset():
     with pytest.raises(NonPositiveTimeComponent) as exc:
         validate(NeighborhoodSpec(d=2, offsets=((0, 1), (1, 0))))
     assert exc.value.offset == (1, 0)
-
-
-def test_orientation_certificate_examples():
-    u = orientation_certificate(NeighborhoodSpec(d=2, offsets=((1, 0), (0, 1))))
-    assert u is not None
-    assert all(
-        sum(c * uc for c, uc in zip(off, u)) > 0 for off in ((1, 0), (0, 1))
-    )
-    assert orientation_certificate(
-        NeighborhoodSpec(d=2, offsets=((0, 1), (0, -1)))
-    ) is None
-    u = orientation_certificate(NeighborhoodSpec(d=2, offsets=((-1, 1), (2, 1))))
-    assert u is not None
 
 
 def test_lattice_index_examples():
@@ -102,7 +88,6 @@ def test_validate_agrees_with_index_and_orientation(offsets):
         m = validate(spec)
         # orientation with u = e_d holds whenever validation succeeds
         assert all(u >= 1 for _, u in m.split_offsets)
-        assert orientation_certificate(spec) is not None
     else:
         with pytest.raises(Exception):
             validate(spec)
