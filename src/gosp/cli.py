@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -46,110 +47,55 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 # config schema
 
+# "fraction": a value as_fraction takes (an integer, an integral number or
+# 'p/q' text), so a bad one is refused before the run starts
+_FORMATS = jsonschema.FormatChecker(formats=())
+_FORMATS.checks("fraction", raises=(ArithmeticError, TypeError, ValueError))(
+    lambda value: as_fraction(value) is not None)
+
 _NUM01 = {"type": "number", "minimum": 0, "maximum": 1}
 _POSINT = {"type": "integer", "minimum": 1}
 _INT = {"type": "integer"}
-_FRAC = {"type": ["string", "number"]}
+_FRAC = {"type": ["string", "number"], "format": "fraction"}
 _INTS = {"type": "array", "items": _INT, "minItems": 1}
 _FRACS = {"type": "array", "items": _FRAC, "minItems": 1}
 _WINDOW = {"type": "array", "items": _INT, "minItems": 2, "maxItems": 2}
 _BOOL = {"type": "boolean"}
+_EPS = {"type": "number", "minimum": 0}
+_P_T_REPS = {"p": _NUM01, "T": _POSINT, "reps": _POSINT}
 
-# per-estimator parameter schemas; keys mirror the CLI flags exactly
-_PARAMS = {
-    "simulate": {
-        "required": {"p": _NUM01, "T": _POSINT, "reps": _POSINT},
-        "optional": {"dual": _BOOL, "snapshots": _INTS},
-    },
-    "survival": {
-        "required": {"p": _NUM01, "T": _POSINT, "reps": _POSINT},
-        "optional": {
-            "dual": _BOOL,
-            "decay_windows": {"type": "array", "items": _WINDOW, "minItems": 1},
-            "death_window": _WINDOW,
-        },
-    },
-    "pc": {
-        "required": {
-            "T": _POSINT, "L_stop": _POSINT, "reps": _POSINT,
-            "tol": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "optional": {},
-    },
-    "shape": {
-        "required": {"p": _NUM01, "T": _POSINT, "reps": _POSINT},
-        "optional": {"T_cond": _POSINT},
-    },
-    "edges": {
-        "required": {"p": _NUM01, "T": _POSINT, "reps": _POSINT},
-        "optional": {},
-    },
-    "torus": {
-        "required": {
-            "p": _NUM01, "sizes": _INTS, "reps": _POSINT, "T_max": _POSINT,
-        },
-        "optional": {"regime": {"enum": ["auto", "sub", "super"]}},
-    },
-    "density": {
-        "required": {
-            "p": _NUM01, "n": _POSINT, "T_inf": _POSINT, "reps": _POSINT,
-        },
-        "optional": {"a_values": {"type": "array", "items": {"type": "number"}}},
-    },
-    "crossing": {
-        "required": {
-            "p": _NUM01, "L": _POSINT, "eps": {"type": "number", "minimum": 0},
-            "slope": _FRAC, "reps": _POSINT,
-        },
-        "optional": {"shift": _FRAC},
-    },
-    "bgprobe": {
-        "required": {
-            "p": _NUM01, "w": _INTS, "h": _POSINT, "v": _FRACS, "n": _POSINT,
-            "reps": _POSINT,
-        },
-        "optional": {},
-    },
-    "goodblock": {
-        "required": {"p": _NUM01, "L": _POSINT, "C": _POSINT, "reps": _POSINT},
-        "optional": {"v": _FRACS},
-    },
-    "meet": {
-        "required": {"p": _NUM01, "t": _POSINT, "v_hat": _FRACS, "reps": _POSINT},
-        "optional": {},
-    },
-    "cone": {
-        "required": {
-            "p": _NUM01, "lo": _FRAC, "hi": _FRAC, "T": _POSINT,
-            "reps": _POSINT,
-        },
-        "optional": {"t0": _POSINT, "shape_lo": {"type": "number"},
-                     "shape_hi": {"type": "number"}},
-    },
-    "crosspath": {
-        "required": {
-            "p": _NUM01, "eps": {"type": "number", "minimum": 0},
-            "L": _POSINT, "alpha": _FRAC, "beta": _FRAC, "reps": _POSINT,
-        },
-        "optional": {"shift": _FRAC, "half_width": _POSINT},
-    },
-}
+# estimator -> parameter schemas ("required", "optional"; keys mirror the CLI
+# flags exactly) and further JSON-schema keywords of the whole config
+_PARAMS = {}
+# estimator -> runner(model, cfg, threads) -> (summary rows, result records)
+_RUNNERS = {}
+
+
+def _estimator(name, required, optional=None, **keywords):
+    """Register the decorated runner and its parameter schemas under ``name``."""
+    def register(runner):
+        _PARAMS[name] = {"required": required, "optional": optional or {},
+                         **keywords}
+        _RUNNERS[name] = runner
+        return runner
+    return register
 
 
 def _schema_for(estimator: str) -> dict:
-    spec = _PARAMS[estimator]
+    spec = dict(_PARAMS[estimator])
+    required, optional = spec.pop("required"), spec.pop("optional")
     props = {
         "model": {"type": "string"},
         "estimator": {"const": estimator},
         "seed": _INT,
+        **required, **optional,
     }
-    props.update(spec["required"])
-    props.update(spec["optional"])
     return {
         "type": "object",
         "properties": props,
-        "required": ["model", "estimator", "seed"] + sorted(spec["required"]),
+        "required": ["model", "estimator", "seed"] + sorted(required),
         "additionalProperties": False,
+        **spec,
     }
 
 
@@ -168,10 +114,11 @@ def validate_plan(config: dict) -> dict:
     if unknown:
         raise SchemaError(f"/{unknown[0]}", "unknown key")
     try:
-        jsonschema.validate(config, schema)
+        jsonschema.validate(config, schema, format_checker=_FORMATS)
     except jsonschema.ValidationError as e:
+        # a schema's "description", where it has one, explains the refusal
         pointer = "/" + "/".join(str(part) for part in e.absolute_path)
-        raise SchemaError(pointer, e.message) from None
+        raise SchemaError(pointer, e.schema.get("description", e.message)) from None
     return config
 
 
@@ -188,53 +135,66 @@ def parse_config(path) -> dict:
 # ---------------------------------------------------------------------------
 # runners: plan -> (summary rows, result records)
 
-def _row(name, p, T, reps, e, seed):
+def _row(cfg, name, T, e, reps=None, p=None):
+    """One summary row; ``e`` is an Estimate or (mean, stderr, ci_lo, ci_hi),
+    and ``p``, ``reps`` default to the config's."""
+    mean, stderr, lo, hi = e if isinstance(e, tuple) else (e.mean, e.stderr, *e.ci95)
     return {
-        "estimator": name, "p": p, "T": T, "reps": reps,
-        "mean": e.mean, "stderr": e.stderr,
-        "ci_lo": e.ci95[0], "ci_hi": e.ci95[1], "seed": seed,
+        "estimator": name, "p": cfg["p"] if p is None else p, "T": T,
+        "reps": cfg["reps"] if reps is None else reps, "mean": mean,
+        "stderr": stderr, "ci_lo": lo, "ci_hi": hi, "seed": cfg["seed"],
     }
 
 
-def _raw_row(name, p, T, reps, mean, stderr, ci_lo, ci_hi, seed):
-    return {
-        "estimator": name, "p": p, "T": T, "reps": reps, "mean": mean,
-        "stderr": stderr, "ci_lo": ci_lo, "ci_hi": ci_hi, "seed": seed,
-    }
+def _replicas(**columns):
+    """Records {"replica": i, key: columns[key][i], ...}; array columns are
+    turned into Python values with ``tolist``."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else c
+              for c in columns.values()]
+    return [dict(zip(columns, row), replica=i)
+            for i, row in enumerate(zip(*values))]
 
 
-def _tau_records(taus):
-    return [
-        {"replica": i, "tau": int(t) if t >= 0 else None}
-        for i, t in enumerate(taus)
-    ]
+def _taus(taus):
+    """Extinction steps as integers, the censored (-1) ones as None."""
+    return [int(t) if t >= 0 else None for t in taus.tolist()]
 
 
+@_estimator("simulate", _P_T_REPS, {"dual": _BOOL, "snapshots": _INTS})
 def _run_simulate(model, cfg, threads):
-    p, T, reps, seed = cfg["p"], cfg["T"], cfg["reps"], cfg["seed"]
     snaps = sorted(set(cfg.get("snapshots", ())))
-    seeds = spawn_seeds(seed, 0, reps)
+    dual = cfg.get("dual", False)
     res = batch_evolve(
-        model, seeds, p, T, dual=cfg.get("dual", False),
-        snapshot_times=snaps, compact=not snaps,
+        model, spawn_seeds(cfg["seed"], 0, cfg["reps"]), cfg["p"], cfg["T"],
+        dual=dual, snapshot_times=snaps, compact=not snaps,
     )
-    records = _tau_records(res.extinction)
-    for rec, b in zip(records, range(reps)):
-        if snaps:
-            buf = io.StringIO()
-            write_snapshots(
-                {
-                    t: ProcessState(t, s.anchor, s.rows[b])
-                    for t, s in res.snapshots.items()
-                },
-                buf,
-            )
-            rec["snapshots"] = [json.loads(line) for line in buf.getvalue().splitlines()]
-    e = est.Estimate.from_bernoulli(int(res.alive_at_T.sum()), reps)
-    name = "simulate.dual" if cfg.get("dual", False) else "simulate"
-    return [_row(name, p, T, reps, e, seed)], records
+    records = _replicas(tau=_taus(res.extinction))
+    for b, rec in enumerate(records if snaps else ()):
+        buf = io.StringIO()
+        write_snapshots({t: ProcessState(t, s.anchor, s.rows[b])
+                         for t, s in res.snapshots.items()}, buf)
+        rec["snapshots"] = [json.loads(line) for line in buf.getvalue().splitlines()]
+    e = est.Estimate.from_bernoulli(int(res.alive_at_T.sum()), cfg["reps"])
+    return [_row(cfg, "simulate.dual" if dual else "simulate", cfg["T"], e)], records
 
 
+# the decay and death fits run the primal process, each in a run of its own
+_PRIMAL = {"const": False, "description": "decay_windows and death_window fit "
+           "the primal process only; drop dual"}
+
+
+@_estimator(
+    "survival", _P_T_REPS,
+    {"dual": _BOOL,
+     "decay_windows": {"type": "array", "items": _WINDOW, "minItems": 1},
+     "death_window": _WINDOW},
+    dependentSchemas={
+        "decay_windows": {"properties": {"dual": _PRIMAL, "death_window": {
+            "not": {}, "description": "decay_windows and death_window are "
+            "separate runs; give one of them"}}},
+        "death_window": {"properties": {"dual": _PRIMAL}},
+    },
+)
 def _run_survival(model, cfg, threads):
     p, T, reps, seed = cfg["p"], cfg["T"], cfg["reps"], cfg["seed"]
     if "decay_windows" in cfg:
@@ -242,12 +202,9 @@ def _run_survival(model, cfg, threads):
         r = est.subcritical_decay(
             model, p, T, reps, seed, threads=threads, windows=windows
         )
-        rows = [
-            _raw_row(f"decay[{a}:{b}]", p, T, reps, c, 0.0, c, c, seed)
-            for (a, b), c, _ in r.window_fits
-        ]
-        rows.append(_raw_row("decay", p, T, reps, r.c_hat, 0.0,
-                             r.c_hat, r.c_hat, seed))
+        rows = [_row(cfg, f"decay[{a}:{b}]", T, (c, 0.0, c, c))
+                for (a, b), c, _ in r.window_fits]
+        rows.append(_row(cfg, "decay", T, (r.c_hat, 0.0, r.c_hat, r.c_hat)))
         records = [
             {"index": t, "tau": (t if t <= T else None), "count": int(c)}
             for t, c in enumerate(r.histogram) if c
@@ -256,11 +213,9 @@ def _run_survival(model, cfg, threads):
     if "death_window" in cfg:
         a, b = cfg["death_window"]
         r = est.death_bound_fit(model, p, T, reps, (a, b), seed, threads=threads)
-        rows = [_raw_row(
-            f"death[{a}:{b}]", p, T, reps, r.slope, r.slope_stderr,
-            r.slope - 1.96 * r.slope_stderr, r.slope + 1.96 * r.slope_stderr,
-            seed,
-        )]
+        half = 1.96 * r.slope_stderr
+        rows = [_row(cfg, f"death[{a}:{b}]", T, (
+            r.slope, r.slope_stderr, r.slope - half, r.slope + half))]
         records = [
             {"index": t, "t": t, "tail_count": int(c)}
             for t, c in sorted(r.counts.items())
@@ -269,223 +224,184 @@ def _run_survival(model, cfg, threads):
     dual = cfg.get("dual", False)
     r = est.survival_curve(model, p, T, reps, seed, threads=threads, dual=dual)
     name = "survival.dual" if dual else "survival"
-    return [_row(name, p, T, reps, r.estimate, seed)], _tau_records(r.taus)
+    return [_row(cfg, name, T, r.estimate)], _replicas(tau=_taus(r.taus))
 
 
+@_estimator("pc", {"T": _POSINT, "L_stop": _POSINT, "reps": _POSINT,
+                   "tol": {"type": "number", "exclusiveMinimum": 0}})
 def _run_pc(model, cfg, threads):
-    T, reps, seed = cfg["T"], cfg["reps"], cfg["seed"]
     r = est.critical_point(
-        model, T, cfg["L_stop"], reps, cfg["tol"], seed, threads=threads
+        model, cfg["T"], cfg["L_stop"], cfg["reps"], cfg["tol"], cfg["seed"],
+        threads=threads,
     )
-    rows = [_raw_row("pc", r.p_hat, T, reps, r.p_hat,
-                     (r.p_hi - r.p_lo) / 2, r.p_lo, r.p_hi, seed)]
+    rows = [_row(cfg, "pc", cfg["T"], (
+        r.p_hat, (r.p_hi - r.p_lo) / 2, r.p_lo, r.p_hi), p=r.p_hat)]
     records = [
         {"index": i, "p": p, "event_freq": e.mean}
         for i, (p, e) in enumerate(r.sweep)
     ]
     records += [
-        {"index": len(records) + j, "p": r.p_hat, "event_freq": e.mean,
+        {"index": len(r.sweep) + j, "p": r.p_hat, "event_freq": e.mean,
          "stability_lane": j + 1}
         for j, e in enumerate(r.stability)
     ]
     return rows, records
 
 
+@_estimator("shape", _P_T_REPS, {"T_cond": _POSINT})
 def _run_shape(model, cfg, threads):
-    p, t, reps, seed = cfg["p"], cfg["T"], cfg["reps"], cfg["seed"]
+    T = cfg["T"]
     r = est.shape_and_time_constants(
-        model, p, t, reps, T_cond=cfg.get("T_cond"), seed=seed, threads=threads
+        model, cfg["p"], T, cfg["reps"], T_cond=cfg.get("T_cond"),
+        seed=cfg["seed"], threads=threads,
     )
-    rows = [
-        _row("shape.u_lo", p, t, r.reps, r.u_lo, seed),
-        _row("shape.u_hi", p, t, r.reps, r.u_hi, seed),
-    ]
-    for direction, e in sorted(r.mu_hat.items()):
-        if e is not None:
-            rows.append(_row(f"shape.mu[{direction}]", p, t, e.n, e, seed))
-    records = [
-        {"replica": i, "u_lo": float(lo), "u_hi": float(hi),
-         "support": [int(s) for s in sup]}
-        for i, (lo, hi, sup) in enumerate(
-            zip(r.lo_samples, r.hi_samples, r.supports)
-        )
-    ]
-    return rows, records
+    rows = [_row(cfg, "shape.u_lo", T, r.u_lo), _row(cfg, "shape.u_hi", T, r.u_hi)]
+    rows += [_row(cfg, f"shape.mu[{direction}]", T, e, reps=e.n)
+             for direction, e in sorted(r.mu_hat.items()) if e is not None]
+    # a replica with no occupied site on row 0 at time T has no support
+    supports = [None if s is None else list(s) for s in r.supports]
+    return rows, _replicas(u_lo=r.lo_samples, u_hi=r.hi_samples, support=supports)
 
 
+@_estimator("edges", _P_T_REPS)
 def _run_edges(model, cfg, threads):
-    p, T, reps, seed = cfg["p"], cfg["T"], cfg["reps"], cfg["seed"]
-    r = est.edge_speeds(model, p, T, reps, seed, threads=threads)
-    rows = [
-        _row("edges.alpha", p, T, reps, r.alpha, seed),
-        _row("edges.beta", p, T, reps, r.beta, seed),
-    ]
-    records = [
-        {"replica": i, "r_T": int(a), "l_T": int(b)}
-        for i, (a, b) in enumerate(zip(r.r_T, r.l_T))
-    ]
-    return rows, records
+    r = est.edge_speeds(model, cfg["p"], cfg["T"], cfg["reps"], cfg["seed"],
+                        threads=threads)
+    rows = [_row(cfg, "edges.alpha", cfg["T"], r.alpha),
+            _row(cfg, "edges.beta", cfg["T"], r.beta)]
+    return rows, _replicas(r_T=r.r_T, l_T=r.l_T)
 
 
+@_estimator("torus", {"p": _NUM01, "sizes": _INTS, "reps": _POSINT,
+                      "T_max": _POSINT},
+            {"regime": {"enum": ["auto", "sub", "super"]}})
 def _run_torus(model, cfg, threads):
-    p, reps, seed = cfg["p"], cfg["reps"], cfg["seed"]
     r = est.torus_stats(
-        model, p, cfg["sizes"], reps, cfg["T_max"], seed, threads=threads,
-        regime=cfg.get("regime", "auto"),
+        model, cfg["p"], cfg["sizes"], cfg["reps"], cfg["T_max"], cfg["seed"],
+        threads=threads, regime=cfg.get("regime", "auto"),
     )
-    rows, records, k = [], [], 0
+    rows, records = [], []
     for s in r.per_size:
-        rows.append(_row(f"torus[n={s.n}]", p, cfg["T_max"], reps,
-                         s.mean_tau, seed))
-        for i, t in enumerate(s.taus):
-            records.append({
-                "index": k, "n": s.n, "replica": i,
-                "tau": int(t) if t >= 0 else None,
-            })
-            k += 1
+        rows.append(_row(cfg, f"torus[n={s.n}]", cfg["T_max"], s.mean_tau))
+        records += _replicas(n=[s.n] * len(s.taus), tau=_taus(s.taus))
+    # "index" orders the sizes; run() sorts by replica, interleaving them
+    for k, rec in enumerate(records):
+        rec["index"] = k
     return rows, records
 
 
+@_estimator("density", {"p": _NUM01, "n": _POSINT, "T_inf": _POSINT,
+                        "reps": _POSINT},
+            {"a_values": {"type": "array", "items": {"type": "number"}}})
 def _run_density(model, cfg, threads):
-    p, reps, seed = cfg["p"], cfg["reps"], cfg["seed"]
     r = est.density_spectrum(
-        model, p, cfg["n"], cfg["T_inf"], reps, seed, threads=threads,
-        a_values=tuple(cfg.get("a_values", ())),
+        model, cfg["p"], cfg["n"], cfg["T_inf"], cfg["reps"], cfg["seed"],
+        threads=threads, a_values=tuple(cfg.get("a_values", ())),
     )
-    rows = [_row(f"density[n={cfg['n']}]", p, cfg["T_inf"], reps, r.mean, seed)]
-    records = [
-        {"replica": i, "y": float(y)} for i, y in enumerate(r.samples)
-    ]
-    return rows, records
+    rows = [_row(cfg, f"density[n={cfg['n']}]", cfg["T_inf"], r.mean)]
+    return rows, _replicas(y=r.samples)
 
 
+@_estimator("crossing", {"p": _NUM01, "L": _POSINT, "eps": _EPS,
+                         "slope": _FRAC, "reps": _POSINT},
+            {"shift": _FRAC})
 def _run_crossing(model, cfg, threads):
-    p, reps, seed = cfg["p"], cfg["reps"], cfg["seed"]
     r = est.crossing_probability(
-        model, p, cfg["L"], cfg["eps"], as_fraction(cfg["slope"]), reps, seed,
-        threads=threads, lateral_shift=as_fraction(cfg.get("shift", 0)),
+        model, cfg["p"], cfg["L"], cfg["eps"], as_fraction(cfg["slope"]),
+        cfg["reps"], cfg["seed"], threads=threads,
+        lateral_shift=as_fraction(cfg.get("shift", 0)),
     )
-    rows = [_row("crossing", p, cfg["L"], reps, r.estimate, seed)]
-    records = [
-        {"replica": i, "crossed": bool(c)} for i, c in enumerate(r.outcomes)
-    ]
-    return rows, records
+    return ([_row(cfg, "crossing", cfg["L"], r.estimate)],
+            _replicas(crossed=r.outcomes))
 
 
+@_estimator("bgprobe", {"p": _NUM01, "w": _INTS, "h": _POSINT, "v": _FRACS,
+                        "n": _POSINT, "reps": _POSINT})
 def _run_bgprobe(model, cfg, threads):
-    p, reps, seed = cfg["p"], cfg["reps"], cfg["seed"]
     g = BlockGeometry(
         tuple(cfg["w"]), cfg["h"], tuple(as_fraction(c) for c in cfg["v"])
     )
-    r = est.bg_event_probability(model, p, g, cfg["n"], reps, seed,
-                                 threads=threads)
-    rows = [_row("bgprobe", p, cfg["h"], reps, r.estimate, seed)]
-    records = [
-        {"replica": i, "event": bool(c)} for i, c in enumerate(r.outcomes)
-    ]
-    return rows, records
+    r = est.bg_event_probability(model, cfg["p"], g, cfg["n"], cfg["reps"],
+                                 cfg["seed"], threads=threads)
+    return ([_row(cfg, "bgprobe", cfg["h"], r.estimate)],
+            _replicas(event=r.outcomes))
 
 
+@_estimator("goodblock", {"p": _NUM01, "L": _POSINT, "C": _POSINT,
+                          "reps": _POSINT},
+            {"v": _FRACS})
 def _run_goodblock(model, cfg, threads):
-    p, reps, seed = cfg["p"], cfg["reps"], cfg["seed"]
+    L, C = cfg["L"], cfg["C"]
     r = est.good_block_probability(
-        model, p, cfg["L"], cfg["C"], reps, seed, threads=threads,
+        model, cfg["p"], L, C, cfg["reps"], cfg["seed"], threads=threads,
         v=[as_fraction(c) for c in cfg["v"]] if "v" in cfg else None,
     )
-    T = cfg["C"] * cfg["L"] + cfg["L"] // cfg["C"]
-    rows = [
-        _row("goodblock", p, T, reps, r.estimate, seed),
-        _row("goodblock.event1", p, T, reps, r.event1, seed),
-        _row("goodblock.event2", p, T, reps, r.event2, seed),
-        _row("goodblock.event3", p, T, reps, r.event3, seed),
-    ]
-    records = [
-        {"replica": i, "event1": bool(a), "event2": bool(b), "event3": bool(c)}
-        for i, (a, b, c) in enumerate(r.events)
-    ]
-    return rows, records
+    T = C * L + L // C
+    rows = [_row(cfg, name, T, e) for name, e in (
+        ("goodblock", r.estimate), ("goodblock.event1", r.event1),
+        ("goodblock.event2", r.event2), ("goodblock.event3", r.event3))]
+    ev = np.array(r.events, dtype=bool)
+    return rows, _replicas(event1=ev[:, 0], event2=ev[:, 1], event3=ev[:, 2])
 
 
+@_estimator("meet", {"p": _NUM01, "t": _POSINT, "v_hat": _FRACS,
+                     "reps": _POSINT})
 def _run_meet(model, cfg, threads):
-    p, t, reps, seed = cfg["p"], cfg["t"], cfg["reps"], cfg["seed"]
     r = est.primal_dual_meet(
-        model, p, t, reps, [as_fraction(c) for c in cfg["v_hat"]], seed,
-        threads=threads,
+        model, cfg["p"], cfg["t"], cfg["reps"],
+        [as_fraction(c) for c in cfg["v_hat"]], cfg["seed"], threads=threads,
     )
-    rows = [_row("meet.failure", p, t, reps, r.failure, seed)]
-    records = [
-        {"replica": i, "both_alive": bool(b), "failure": bool(f)}
-        for i, (b, f) in enumerate(r.events)
-    ]
-    return rows, records
+    ev = np.array(r.events, dtype=bool)
+    return ([_row(cfg, "meet.failure", cfg["t"], r.failure)],
+            _replicas(both_alive=ev[:, 0], failure=ev[:, 1]))
 
 
+@_estimator("cone", {"p": _NUM01, "lo": _FRAC, "hi": _FRAC, "T": _POSINT,
+                     "reps": _POSINT},
+            {"t0": _POSINT, "shape_lo": {"type": "number"},
+             "shape_hi": {"type": "number"}},
+            dependentRequired={"shape_lo": ["shape_hi"], "shape_hi": ["shape_lo"]})
 def _run_cone(model, cfg, threads):
-    p, T, reps, seed = cfg["p"], cfg["T"], cfg["reps"], cfg["seed"]
-    shape = None
-    if "shape_lo" in cfg or "shape_hi" in cfg:
-        if not ("shape_lo" in cfg and "shape_hi" in cfg):
-            raise SchemaError("/shape_lo", "shape_lo and shape_hi go together")
-        shape = (cfg["shape_lo"], cfg["shape_hi"])
     r = est.restricted_cone_survival(
-        model, p, (as_fraction(cfg["lo"]), as_fraction(cfg["hi"])), T, reps,
-        seed, threads=threads, t0=cfg.get("t0", 50), shape=shape,
+        model, cfg["p"], (as_fraction(cfg["lo"]), as_fraction(cfg["hi"])),
+        cfg["T"], cfg["reps"], cfg["seed"], threads=threads,
+        t0=cfg.get("t0", 50),
+        shape=(cfg["shape_lo"], cfg["shape_hi"]) if "shape_lo" in cfg else None,
     )
-    rows = [_row("cone", p, T, reps, r.estimate, seed)]
-    records = [
-        {"replica": i, "survived": bool(c)} for i, c in enumerate(r.outcomes)
-    ]
-    return rows, records
+    return ([_row(cfg, "cone", cfg["T"], r.estimate)],
+            _replicas(survived=r.outcomes))
 
 
+@_estimator("crosspath", {"p": _NUM01, "eps": _EPS, "L": _POSINT,
+                          "alpha": _FRAC, "beta": _FRAC, "reps": _POSINT},
+            {"shift": _INT, "half_width": _POSINT})
 def _run_crosspath(model, cfg, threads):
-    p, reps, seed = cfg["p"], cfg["reps"], cfg["seed"]
     r = est.path_crossing_transfer(
-        model, p, cfg["eps"], cfg["L"], reps, seed, threads=threads,
-        alpha=as_fraction(cfg["alpha"]), beta=as_fraction(cfg["beta"]),
-        shift=as_fraction(cfg["shift"]) if "shift" in cfg else None,
+        model, cfg["p"], cfg["eps"], cfg["L"], cfg["reps"], cfg["seed"],
+        threads=threads, alpha=as_fraction(cfg["alpha"]),
+        beta=as_fraction(cfg["beta"]), shift=cfg.get("shift"),
         half_width=cfg.get("half_width"),
     )
     rows = [
-        _row("crosspath.crossing", p, cfg["L"], reps, r.crossing, seed),
-        _row("crosspath.transfer", p, cfg["L"], r.crossed, r.transfer, seed),
+        _row(cfg, "crosspath.crossing", cfg["L"], r.crossing),
+        _row(cfg, "crosspath.transfer", cfg["L"], r.transfer, reps=r.crossed),
     ]
-    records = []
-    for i, rec in enumerate(r.records):
-        if rec is None:
-            records.append({"replica": i, "crossed": False})
-        else:
-            pm, hm, tr = rec
-            records.append({
-                "replica": i, "crossed": True, "path_meet": bool(pm),
-                "hat_meet": bool(hm), "transfer": bool(tr),
-            })
+    records = [
+        {"replica": i, "crossed": False} if rec is None else
+        {"replica": i, "crossed": True, "path_meet": bool(rec[0]),
+         "hat_meet": bool(rec[1]), "transfer": bool(rec[2])}
+        for i, rec in enumerate(r.records)
+    ]
     return rows, records
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "survival": _run_survival,
-    "pc": _run_pc,
-    "shape": _run_shape,
-    "edges": _run_edges,
-    "torus": _run_torus,
-    "density": _run_density,
-    "crossing": _run_crossing,
-    "bgprobe": _run_bgprobe,
-    "goodblock": _run_goodblock,
-    "meet": _run_meet,
-    "cone": _run_cone,
-    "crosspath": _run_crosspath,
-}
+# ---------------------------------------------------------------------------
+# artifact writing
 
 _CSV_COLUMNS = (
     "estimator", "p", "T", "reps", "mean", "stderr", "ci_lo", "ci_hi", "seed"
 )
 
-
-# ---------------------------------------------------------------------------
-# artifact writing
 
 def _json_default(o):
     if isinstance(o, (np.integer,)):
@@ -506,10 +422,10 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(partial, path)
 
 
-def _manifest(plan: dict, timing) -> dict:
+def _write_manifest(path: str, plan: dict, timing) -> None:
     with open(plan["model"], "rb") as fh:
         model_hash = hashlib.sha256(fh.read()).hexdigest()
-    return {
+    manifest = {
         "model_sha256": model_hash,
         "config": plan,
         "master_seed": plan["seed"],
@@ -518,6 +434,8 @@ def _manifest(plan: dict, timing) -> dict:
         "version": __version__,
         "timing": timing,
     }
+    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True,
+                                   default=_json_default) + "\n")
 
 
 def run(plan: dict, parallelism: int = 1, out_dir: str = ".") -> dict:
@@ -525,43 +443,27 @@ def run(plan: dict, parallelism: int = 1, out_dir: str = ".") -> dict:
     model = load_model(plan["model"])
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _atomic_write(
-        manifest_path,
-        json.dumps(_manifest(plan, None), indent=2, sort_keys=True,
-                   default=_json_default) + "\n",
-    )
+    _write_manifest(manifest_path, plan, None)
     t_start = time.perf_counter()
     rows, records = _RUNNERS[plan["estimator"]](model, plan, parallelism)
     wall = time.perf_counter() - t_start
 
     records = sorted(records, key=lambda r: r.get("replica", r.get("index", 0)))
-    lines = [
+    _atomic_write(os.path.join(out_dir, "results.jsonl"), "".join(
         json.dumps(rec, sort_keys=True, separators=(",", ":"),
-                   default=_json_default)
+                   default=_json_default) + "\n"
         for rec in records
-    ]
-    _atomic_write(
-        os.path.join(out_dir, "results.jsonl"),
-        "".join(line + "\n" for line in lines),
-    )
+    ))
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     _atomic_write(os.path.join(out_dir, "summary.csv"), buf.getvalue())
 
     reps = plan.get("reps")
-    timing = {
-        "wall_s": wall,
-        "per_replica_s": (wall / reps) if reps else None,
-    }
-    _atomic_write(
-        manifest_path,
-        json.dumps(_manifest(plan, timing), indent=2, sort_keys=True,
-                   default=_json_default) + "\n",
-    )
+    timing = {"wall_s": wall, "per_replica_s": (wall / reps) if reps else None}
+    _write_manifest(manifest_path, plan, timing)
     return {"rows": rows, "records": records, "timing": timing}
 
 
@@ -601,6 +503,11 @@ def _flag_kwargs(schema: dict) -> dict:
     return dict(type=_flag_type(schema))
 
 
+# a value starting with '-' is taken for an option unless it matches this;
+# argparse's own pattern refuses fractions such as -1/2
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gosp",
@@ -613,6 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, spec in _PARAMS.items():
         sp = sub.add_parser(name, help=f"run the {name} estimator")
+        sp._negative_number_matcher = _NEGATIVE_VALUE
         sp.add_argument("--config", help="JSON config file; overrides flags")
         sp.add_argument("--model")
         sp.add_argument("--seed", type=int)

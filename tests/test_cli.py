@@ -226,3 +226,96 @@ def test_main_success_prints_rows(tmp_path, model_path, capsys):
     ])
     assert code == 0
     assert "survival: mean=1.0" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# registry, refused configs and flag forms
+
+def test_run_dispatches_through_runner_table(tmp_path, model_path, monkeypatch):
+    import gosp.cli as cli
+
+    assert set(cli._PARAMS) == set(cli._RUNNERS)
+    calls = []
+    runner = cli._RUNNERS["survival"]
+
+    def recording(model, cfg, threads):
+        calls.append(cfg["estimator"])
+        return runner(model, cfg, threads)
+
+    monkeypatch.setitem(cli._RUNNERS, "survival", recording)
+    run(_survival_plan(model_path), out_dir=str(tmp_path / "out"))
+    assert calls == ["survival"]
+
+
+_CONE = {"estimator": "cone", "seed": 1, "p": 0.8, "lo": "1/4", "hi": "3/4",
+         "T": 20, "reps": 20}
+
+
+@pytest.mark.parametrize("plan, pointer", [
+    (_survival_plan("m", dual=True, decay_windows=[[5, 10]]), "/dual"),
+    (_survival_plan("m", dual=True, death_window=[5, 10]), "/dual"),
+    (_survival_plan("m", decay_windows=[[5, 10]], death_window=[5, 10]),
+     "/death_window"),
+    (dict(_CONE, model="m", shape_lo=0.0), "/"),
+    (dict(_CONE, model="m", shape_hi=1.0), "/"),
+    (dict(_CONE, model="m", lo=0.5), "/lo"),
+    (dict(_CONE, model="m", hi="abc"), "/hi"),
+    (dict(_CONE, model="m", hi="1/0"), "/hi"),
+    ({"estimator": "crosspath", "model": "m", "seed": 1, "p": 0.8, "eps": 0.0,
+      "L": 40, "alpha": "3/2", "beta": "-1/2", "shift": "1/2", "reps": 6},
+     "/shift"),
+])
+def test_validate_plan_refuses_ignored_or_bad_values(plan, pointer):
+    with pytest.raises(SchemaError) as exc:
+        validate_plan(plan)
+    assert exc.value.pointer == pointer
+
+
+def test_validate_plan_accepts_primal_fit_with_dual_false(model_path):
+    validate_plan(_survival_plan(model_path, dual=False, death_window=[5, 10]))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--slope=1/0"],
+    ["--slope", "1/2", "--shift", "x"],
+])
+def test_bad_fraction_flag_exits_before_manifest(tmp_path, model_path, flags,
+                                                capsys):
+    out = tmp_path / "out"
+    argv = ["crossing", "--model", model_path, "--seed", "1", "--p", "0.8",
+            "--L", "10", "--eps", "0.2", "--reps", "5", "--out", str(out)]
+    assert main(argv + flags) == 1
+    assert "is not a 'fraction'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_fraction_float_exits_before_manifest(tmp_path, model_path):
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(dict(_CONE, model=model_path, lo=0.25)))
+    out = tmp_path / "out"
+    assert main(["cone", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_negative_fraction_flag_space_separated():
+    argv = ["crosspath", "--model", "m", "--seed", "1", "--p", "0.8",
+            "--eps", "0", "--L", "40", "--alpha", "3/2", "--beta", "-1/2",
+            "--shift", "-3", "--reps", "6"]
+    plan = _plan_from_args(_build_parser().parse_args(argv))
+    assert (plan["beta"], plan["shift"]) == ("-1/2", -3)
+
+
+def test_shape_replica_without_support_writes_null(tmp_path, model_path):
+    # conditioned on survival to T_cond = 1 only, some replicas have no
+    # occupied site on row 0 at time T
+    out = tmp_path / "out"
+    code = main([
+        "shape", "--model", model_path, "--seed", "3", "--p", "0.7",
+        "--T", "30", "--T-cond", "1", "--reps", "30", "--out", str(out),
+    ])
+    assert code == 0
+    recs = [json.loads(line)
+            for line in (out / "results.jsonl").read_text().splitlines()]
+    assert len(recs) == 30
+    assert any(r["support"] is None for r in recs)
+    assert all(r["support"] is None or len(r["support"]) == 2 for r in recs)
