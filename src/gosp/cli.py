@@ -19,6 +19,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -53,7 +54,19 @@ _FORMATS = jsonschema.FormatChecker(formats=())
 _FORMATS.checks("fraction", raises=(ArithmeticError, TypeError, ValueError))(
     lambda value: as_fraction(value) is not None)
 
-_NUM01 = {"type": "number", "minimum": 0, "maximum": 1}
+# "finite": refuses the NaN and +-Infinity that Python's json reads and a
+# float flag parses; NaN compares false with every bound, so no bound does
+_FORMATS.checks("finite")(
+    lambda value: not isinstance(value, float) or math.isfinite(value))
+
+
+def _number(**bounds) -> dict:
+    """Schema of a finite number within ``bounds`` (JSON-schema keywords)."""
+    return {"type": "number", **bounds, "allOf": [
+        {"format": "finite", "description": "must be a finite number"}]}
+
+
+_NUM01 = _number(minimum=0, maximum=1)
 _POSINT = {"type": "integer", "minimum": 1}
 _INT = {"type": "integer"}
 _FRAC = {"type": ["string", "number"], "format": "fraction"}
@@ -61,7 +74,7 @@ _INTS = {"type": "array", "items": _INT, "minItems": 1}
 _FRACS = {"type": "array", "items": _FRAC, "minItems": 1}
 _WINDOW = {"type": "array", "items": _INT, "minItems": 2, "maxItems": 2}
 _BOOL = {"type": "boolean"}
-_EPS = {"type": "number", "minimum": 0}
+_EPS = _number(minimum=0)
 _P_T_REPS = {"p": _NUM01, "T": _POSINT, "reps": _POSINT}
 
 # estimator -> parameter schemas ("required", "optional"; keys mirror the CLI
@@ -228,7 +241,7 @@ def _run_survival(model, cfg, threads):
 
 
 @_estimator("pc", {"T": _POSINT, "L_stop": _POSINT, "reps": _POSINT,
-                   "tol": {"type": "number", "exclusiveMinimum": 0}})
+                   "tol": _number(exclusiveMinimum=0)})
 def _run_pc(model, cfg, threads):
     r = est.critical_point(
         model, cfg["T"], cfg["L_stop"], cfg["reps"], cfg["tol"], cfg["seed"],
@@ -292,7 +305,7 @@ def _run_torus(model, cfg, threads):
 
 @_estimator("density", {"p": _NUM01, "n": _POSINT, "T_inf": _POSINT,
                         "reps": _POSINT},
-            {"a_values": {"type": "array", "items": {"type": "number"}}})
+            {"a_values": {"type": "array", "items": _number()}})
 def _run_density(model, cfg, threads):
     r = est.density_spectrum(
         model, cfg["p"], cfg["n"], cfg["T_inf"], cfg["reps"], cfg["seed"],
@@ -358,8 +371,7 @@ def _run_meet(model, cfg, threads):
 
 @_estimator("cone", {"p": _NUM01, "lo": _FRAC, "hi": _FRAC, "T": _POSINT,
                      "reps": _POSINT},
-            {"t0": _POSINT, "shape_lo": {"type": "number"},
-             "shape_hi": {"type": "number"}},
+            {"t0": _POSINT, "shape_lo": _number(), "shape_hi": _number()},
             dependentRequired={"shape_lo": ["shape_hi"], "shape_hi": ["shape_lo"]})
 def _run_cone(model, cfg, threads):
     r = est.restricted_cone_survival(
@@ -508,8 +520,16 @@ def _flag_kwargs(schema: dict) -> dict:
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ArgumentError on a bad command line instead of exiting with
+    argparse's code 2, which gosp keeps for an estimator refusal."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gosp",
         description="Oriented site percolation experiments.",
     )
@@ -550,8 +570,8 @@ def _plan_from_args(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "validate":
             model = load_model(args.model)
             print(f"ok: d={model.d} R={model.R} gamma={model.gamma} "
@@ -566,7 +586,8 @@ def main(argv=None) -> int:
     except est.EstimatorRefused as e:
         print(f"refused ({type(e).__name__}): {e}", file=sys.stderr)
         return 2
-    except (SchemaError, ModelError, OSError, ValueError, est.EstimatorError) as e:
+    except (argparse.ArgumentError, SchemaError, ModelError, OSError, ValueError,
+            est.EstimatorError) as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,12 @@ of the field, site_hash(seed, [*x, t]) = mix(site_hash(seed, x) ^ (u64(t) * C
 + G)), so the time-independent spatial prefix of each replica and site is
 hashed once into a table and every step finishes it with a single mix.
 
+``batch_evolve`` steps the primal and dual chains on Z^{d-1}.  The quotient
+chain on the side-n torus has a stepping loop of its own,
+``torus_extinction_batch``: its window never moves, so each step is a
+gather of the flat rows through one precomputed index per offset, and the
+open masks of up to 256 consecutive steps are finished in one query.
+
 All truncations of infinite initial
 conditions are justified by the spread bound: influence moves at most
 ``spatial_min``/``spatial_max`` per axis per step, so a sufficiently dilated
@@ -291,13 +297,15 @@ class BatchOpenness:
         self.table = site_hash(s, coords)
 
     def window(self, lo, shape, t) -> np.ndarray:
-        """Open mask (B, *shape) of the sites (x, t), x in [lo, lo + shape)."""
+        """Open mask (B, *shape) of the sites (x, t), x in [lo, lo + shape);
+        for an integer array t of k times, the (k, B, *shape) masks of all."""
         hi = tuple(l + e for l, e in zip(lo, shape))
         self._cover(lo, hi)
         view = (slice(None),) + tuple(
             slice(l - b, h - b) for l, h, b in zip(lo, hi, self.lo)
         )
-        buf = np.empty((len(self.seeds),) + tuple(shape), dtype=np.uint64)
+        lead = t.shape if isinstance(t, np.ndarray) else ()
+        buf = np.empty(lead + (len(self.seeds),) + tuple(shape), dtype=np.uint64)
         h = extend_hash(self.table[view], t, buf, np.empty_like(buf))
         return open_given_hash(h, self.threshold)
 
@@ -394,29 +402,30 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
     return BatchState(state.t + 1, anchor, rows)
 
 
-def _torus_batch_step(state: BatchState, model: NormalizedModel,
-                      openness: BatchOpenness, n: int, t0: int) -> BatchState:
-    R = model.R
-    d_s = model.d - 1
-    acc = np.zeros_like(state.rows[:, 0])
-    axes = tuple(range(1, 1 + d_s))
-    for y, u in model.split_offsets:
-        acc |= np.roll(state.rows[:, R - u], shift=tuple(y), axis=axes)
-    top = acc & openness.window((0,) * d_s, (n,) * d_s, t0 + state.t + R)
-    rows = np.concatenate([state.rows[:, 1:], top[:, None]], axis=1)
-    return BatchState(state.t + 1, state.anchor, rows)
+def _torus_batch_step(state: BatchState, gather: np.ndarray,
+                      open_top: np.ndarray) -> BatchState:
+    """Torus step on rows of shape (B, R, *n) read as (B, R*N), N = n^(d-1).
+
+    Row i of ``gather`` gives, for each site of the new top row, the index
+    of its source through offset i in those flat rows; ``open_top`` is the
+    (B, N) open mask of the new top row.
+    """
+    shape = state.rows.shape
+    flat = state.rows.reshape(shape[0], -1)
+    top = np.logical_or.reduce(flat[:, gather], axis=1)
+    top &= open_top
+    if shape[1] > 1:
+        top = np.concatenate([flat[:, open_top.shape[1]:], top], axis=1)
+    return BatchState(state.t + 1, state.anchor, top.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
 # batched driver
 
-def _query_cone(model: NormalizedModel, anchor, ext, T: int, dual: bool,
-                torus_n: int | None):
+def _query_cone(model: NormalizedModel, anchor, ext, T: int, dual: bool):
     """Box holding every openness window a T-step run from [anchor, anchor +
     ext) can query: each step moves influence by at most spatial_min ..
     spatial_max per axis (mirrored for the dual), and shifted rows stay put."""
-    if torus_n is not None:
-        return (0,) * len(ext), (torus_n,) * len(ext)
     mins, maxs = model.spatial_min, model.spatial_max
     if dual:
         mins, maxs = tuple(-m for m in maxs), tuple(-m for m in mins)
@@ -439,11 +448,11 @@ class BatchResult:
 def batch_evolve(model: NormalizedModel, seeds, p, T, *,
                  init: tuple[tuple[int, ...], np.ndarray] | None = None,
                  t0: int = 0, dual: bool = False, domain: Domain | None = None,
-                 torus_n: int | None = None,
                  snapshot_times: Iterable[int] = (),
                  compact: bool = False,
                  per_step: Callable | None = None) -> BatchResult:
-    """Run B replicas for T steps; record extinction steps and snapshots.
+    """Run B replicas of the chain on Z^{d-1} (the dual chain if ``dual``)
+    for T steps; record extinction steps and snapshots.
 
     ``init`` is a shared (anchor, rows) pair with rows of shape (R, *extent)
     or a per-replica (B, R, *extent) array; default is a single occupied site
@@ -460,10 +469,6 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     """
     B = len(seeds)
     d_s = model.d - 1
-    if torus_n is not None and torus_n <= 2 * model.gamma * model.R:
-        raise TorusTooSmall(
-            f"torus side {torus_n} must exceed 2*gamma*R = {2 * model.gamma * model.R}"
-        )
     if init is None:
         anchor, rows1 = rows_from_sites(model, [(0,) * d_s + (0,)])
     else:
@@ -475,7 +480,7 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     )
     state = BatchState(0, anchor, rows)
     openness = BatchOpenness(
-        seeds, p, cone=_query_cone(model, anchor, rows.shape[2:], T, dual, torus_n),
+        seeds, p, cone=_query_cone(model, anchor, rows.shape[2:], T, dual),
     )
     snapshot_times = set(snapshot_times)
     if compact and (snapshot_times or per_step):
@@ -500,8 +505,6 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
             break
         if dual:
             state = _dual_batch_step(state, model, openness, domain, t0)
-        elif torus_n is not None:
-            state = _torus_batch_step(state, model, openness, torus_n, t0)
         else:
             state = _batch_step(state, model, openness, domain, t0)
         alive = observe(t)
@@ -867,13 +870,57 @@ def torus_extinction(model: NormalizedModel, field: FieldSpec, n: int,
     return int(tau) if tau >= 0 else None
 
 
+# a block query finishes the open masks of k steps of B replicas on N sites
+# at once; k*B*N <= _BLOCK_SITES keeps its two uint64 buffers near 1 MB
+_BLOCK_SITES = 1 << 16
+_BLOCK_STEPS = 256
+
+
 def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
                            T_max: int) -> BatchResult:
-    d_s = model.d - 1
-    init = slab_window_rows(model, (0,) * d_s, (n,) * d_s)
-    return batch_evolve(
-        model, seeds, p, T_max, init=init, torus_n=n, compact=True
-    )
+    """Extinction steps of the torus quotient dynamics, one replica per seed,
+    each started from the fully occupied slab and run for at most T_max steps.
+
+    Each step gathers the new top row from flat rows through one index per
+    offset (``_torus_batch_step``).  Its open mask comes from a block of k
+    consecutive times that one ``BatchOpenness.window`` query finishes from
+    the prefix table; extinct replicas are dropped from the rows, the table
+    and the rest of the block after every step.
+    """
+    R, d_s = model.R, model.d - 1
+    if n <= 2 * model.gamma * R:
+        raise TorusTooSmall(
+            f"torus side {n} must exceed 2*gamma*R = {2 * model.gamma * R}"
+        )
+    B, N = len(seeds), n ** d_s
+    cells = np.arange(N).reshape((n,) * d_s)
+    gather = np.stack([
+        (R - u) * N + np.roll(cells, tuple(y), axis=tuple(range(d_s))).ravel()
+        for y, u in model.split_offsets
+    ])
+    state = BatchState(0, (0,) * d_s, np.ones((B, R) + (n,) * d_s, dtype=bool))
+    openness = BatchOpenness(seeds, p)
+    extinction = np.full(B, -1, dtype=np.int64)
+    idx = np.arange(B)                  # original replica index of each row
+    block = np.empty((0, B, N), dtype=bool)     # open masks of the next steps
+    while idx.size and state.t < T_max:
+        if not len(block):
+            k = min(_BLOCK_STEPS, T_max - state.t,
+                    max(1, _BLOCK_SITES // (idx.size * N)))
+            times = np.arange(state.t + R, state.t + R + k)
+            block = openness.window((0,) * d_s, (n,) * d_s, times)
+            block = block.reshape(k, idx.size, N)
+        state = _torus_batch_step(state, gather, block[0])
+        block = block[1:]
+        alive = state.alive()
+        if np.count_nonzero(alive) < idx.size:
+            extinction[idx[~alive]] = state.t
+            keep = np.flatnonzero(alive)
+            idx = idx[keep]
+            state = BatchState(state.t, state.anchor, state.rows[keep])
+            openness = openness.take(keep)
+            block = block[:, keep]
+    return BatchResult(T=T_max, extinction=extinction, alive_at_T=extinction < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -319,3 +319,74 @@ def test_shape_replica_without_support_writes_null(tmp_path, model_path):
     assert len(recs) == 30
     assert any(r["support"] is None for r in recs)
     assert all(r["support"] is None or len(r["support"]) == 2 for r in recs)
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers and unparsable flag values
+
+_NAN, _INF = float("nan"), float("inf")
+_CROSSING = {"estimator": "crossing", "seed": 1, "p": 0.8, "L": 10,
+             "eps": 0.2, "slope": 0, "reps": 5}
+
+
+@pytest.mark.parametrize("over, pointer", [
+    (dict(_survival_plan("m"), p=_NAN), "/p"),
+    (dict(_survival_plan("m"), p=-_INF), "/p"),
+    (dict(_CROSSING, model="m", eps=_NAN), "/eps"),
+    (dict(_CROSSING, model="m", eps=_INF), "/eps"),
+    ({"estimator": "pc", "model": "m", "seed": 1, "T": 10, "L_stop": 5,
+      "reps": 5, "tol": _INF}, "/tol"),
+    ({"estimator": "density", "model": "m", "seed": 1, "p": 0.8, "n": 4,
+      "T_inf": 10, "reps": 5, "a_values": [0.5, _NAN]}, "/a_values/1"),
+    (dict(_CONE, model="m", shape_lo=_NAN, shape_hi=1.0), "/shape_lo"),
+])
+def test_config_file_non_finite_number_exits_before_manifest(
+        tmp_path, model_path, over, pointer, capsys):
+    cfg = tmp_path / "plan.json"
+    # json writes NaN and Infinity as the bare tokens it reads back
+    cfg.write_text(json.dumps(dict(over, model=model_path)))
+    out = tmp_path / "out"
+    assert main([over["estimator"], "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error at {pointer}: must be a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator, flags, pointer", [
+    ("survival", ["--p", "nan", "--T", "5", "--reps", "5"], "/p"),
+    ("survival", ["--p=-inf", "--T", "5", "--reps", "5"], "/p"),
+    ("crossing", ["--p", "0.8", "--L", "10", "--eps", "inf", "--slope", "0",
+                  "--reps", "5"], "/eps"),
+    ("crossing", ["--p", "0.8", "--L", "10", "--eps", "NaN", "--slope", "0",
+                  "--reps", "5"], "/eps"),
+])
+def test_non_finite_number_flag_exits_before_manifest(tmp_path, model_path,
+                                                      estimator, flags, pointer,
+                                                      capsys):
+    out = tmp_path / "out"
+    argv = [estimator, "--model", model_path, "--seed", "1", "--out", str(out)]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert f"config error at {pointer}: must be a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--T", "abc"], ["--p", "high"], ["--bogus"]])
+def test_unparsable_flag_exits_1(tmp_path, model_path, flags, capsys):
+    # exit code 2 is kept for an estimator refusal
+    out = tmp_path / "out"
+    argv = ["survival", "--model", model_path, "--seed", "1", "--p", "0.5",
+            "--T", "5", "--reps", "5", "--out", str(out)]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (ArgumentError): ")
+    assert not out.exists()
+
+
+def test_config_file_unparsable_value_exits_1(tmp_path, model_path, capsys):
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(_survival_plan(model_path, T="abc")))
+    out = tmp_path / "out"
+    assert main(["survival", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config error at /T" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,12 +6,14 @@ p = 0 and p = 1.
 """
 
 import io
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gosp.dynamics as dyn
 import oracles
 from conftest import ASYM3, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, snapshot_sites
 from gosp.dynamics import (
@@ -37,9 +39,10 @@ from gosp.dynamics import (
     tilt_period,
     tilted_view,
     torus_extinction,
+    torus_extinction_batch,
     write_snapshots,
 )
-from gosp.field import FieldSpec
+from gosp.field import FieldSpec, spawn_seeds
 
 
 def _starts(model):
@@ -326,26 +329,85 @@ def test_torus_reproducible():
 def _torus_oracle(model, field, n, T_max):
     """Quotient chain on sets of residues; independent of the array engine."""
     R = model.R
-    rows = [set(range(n)) for _ in range(R)]
+    d_s = model.d - 1
+    rows = [set(itertools.product(range(n), repeat=d_s)) for _ in range(R)]
     for t in range(T_max):
         top = set()
         for y, u in model.split_offsets:
-            top |= {(x + y[0]) % n for x in rows[R - u]}
+            top |= {tuple((xi + yi) % n for xi, yi in zip(x, y)) for x in rows[R - u]}
         tau = t + R
-        top = {x for x in top if field.site_open((x, tau))}
+        top = {x for x in top if field.site_open(x + (tau,))}
         rows = rows[1:] + [top]
         if not any(rows):
             return t + 1
     return None
 
 
-@pytest.mark.parametrize("model", [TWO_D_OP, ASYM3, RANGE2],
+def _torus_n(model):
+    return int(3 * model.gamma * model.R) + 3
+
+
+@pytest.mark.parametrize("model", [TWO_D_OP, ASYM3, RANGE2, THREE_D],
                          ids=lambda m: str(m.spec.offsets))
 def test_torus_matches_quotient_oracle(model):
-    n = int(3 * model.gamma * model.R) + 3
+    n = _torus_n(model)
     for seed in (61, 62, 63, 64):
         f = FieldSpec(seed=seed, p=0.55)
         assert torus_extinction(model, f, n, 40) == _torus_oracle(model, f, n, 40)
+
+
+@pytest.mark.parametrize("T_max", [40, 300])
+@pytest.mark.parametrize("model, p", [(TWO_D_OP, 0.75), (RANGE2, 0.7)],
+                         ids=["2dOP", "range2"])
+def test_torus_block_ends_match_quotient_oracle(model, p, T_max):
+    # one replica finishes its openness in blocks of _BLOCK_STEPS steps:
+    # T_max = 40 stops inside the first block, T_max = 300 inside the second,
+    # and deaths fall inside blocks
+    assert T_max % dyn._BLOCK_STEPS and dyn._BLOCK_STEPS < 300
+    n = _torus_n(model)
+    taus = []
+    for seed in range(8):
+        f = FieldSpec(seed=seed, p=p)
+        tau = torus_extinction(model, f, n, T_max)
+        assert tau == _torus_oracle(model, f, n, T_max)
+        taus.append(tau)
+    assert None in taus
+    assert any(tau is not None and tau % dyn._BLOCK_STEPS for tau in taus)
+
+
+@pytest.mark.parametrize("model, p", [(TWO_D_OP, 0.7), (RANGE2, 0.65),
+                                     (THREE_D, 0.4)],
+                         ids=["2dOP", "range2", "3d"])
+def test_torus_batch_matches_single_replicas(model, p):
+    n = _torus_n(model)
+    seeds = spawn_seeds(5, 0, 256)
+    T_max = 120
+    res = torus_extinction_batch(model, p, seeds, n, T_max)
+    single = [torus_extinction_batch(model, p, [s], n, T_max).extinction[0]
+              for s in seeds]
+    assert res.extinction.tolist() == single
+    assert (res.alive_at_T == (res.extinction < 0)).all()
+    # replicas die inside the first block of the batch, whose rows and
+    # remaining open masks are then compacted, and some outlive T_max
+    first = dyn._BLOCK_SITES // (len(seeds) * n ** (model.d - 1))
+    assert 1 < first < T_max
+    assert ((res.extinction > 1) & (res.extinction < first)).any()
+    assert (res.extinction < 0).any()
+
+
+@pytest.mark.parametrize("model", [TWO_D_OP, RANGE2, THREE_D],
+                         ids=lambda m: str(m.spec.offsets))
+def test_torus_batch_trivial_probabilities(model):
+    n = _torus_n(model)
+    seeds = spawn_seeds(3, 0, 5)
+    dead = torus_extinction_batch(model, 0.0, seeds, n, 10)
+    # the start rows need no openness; the last of them is gone after R steps
+    assert dead.extinction.tolist() == [model.R] * 5
+    assert not dead.alive_at_T.any()
+    # p = 1 is the threshold 2**64, one past the largest uint64 hash
+    full = torus_extinction_batch(model, 1.0, seeds, n, 300)
+    assert full.extinction.tolist() == [-1] * 5
+    assert full.alive_at_T.all()
 
 
 # ---------------------------------------------------------------------------
@@ -611,3 +673,9 @@ def test_openness_matches_site_hash(run):
         assert got.dtype == bool and got.shape == (len(rows),) + shape
         for b, r in enumerate(rows):
             assert (got[b] == _field_open(seeds[r], p, lo, shape, t)).all()
+        # a vector of times gives the mask of each time
+        times = np.array([t - 1, t, t + 5])
+        block = openness.window(lo, shape, times)
+        assert block.shape == (3, len(rows)) + shape
+        for j, tj in enumerate(times):
+            assert (block[j] == openness.window(lo, shape, int(tj))).all()

@@ -133,3 +133,9 @@ def test_extend_hash_is_the_prefix_identity(seed, base, xs, c, stream):
     out, tmp = np.empty_like(prefix), np.empty_like(prefix)
     full = site_hash(seed, coords + [np.int64(c)], stream=stream)
     assert (extend_hash(prefix, c, out, tmp) == full).all()
+    # a vector of k coordinates finishes k copies of the prefix
+    cs = np.array([c, -c, c + 1], dtype=np.int64)
+    out = np.empty((3,) + prefix.shape, dtype=np.uint64)
+    got = extend_hash(prefix, cs, out, np.empty_like(out))
+    for j, cj in enumerate(cs):
+        assert (got[j] == site_hash(seed, coords + [cj], stream=stream)).all()
