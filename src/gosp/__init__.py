@@ -24,8 +24,6 @@ from .dynamics import (
     reaches,
     dual_reaches,
     hit_and_coupled_regions,
-    torus_extinction,
-    tilted_view,
 )
 from .estimators import (
     Estimate,
@@ -66,8 +64,6 @@ __all__ = [
     "reaches",
     "dual_reaches",
     "hit_and_coupled_regions",
-    "torus_extinction",
-    "tilted_view",
     "Estimate",
     "EstimatorError",
     "EstimatorRefused",

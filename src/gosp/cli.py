@@ -33,7 +33,7 @@ from . import __version__
 from .field import MIXER_ID, spawn_seeds
 from .geometry import BlockGeometry, as_fraction
 from .model import ModelError, load_model
-from .dynamics import ProcessState, batch_evolve, write_snapshots
+from .dynamics import batch_evolve
 from . import estimators as est
 
 
@@ -173,6 +173,35 @@ def _taus(taus):
     return [int(t) if t >= 0 else None for t in taus.tolist()]
 
 
+def _rle_encode(bits: np.ndarray) -> str:
+    """Run lengths of a flat bit array, alternating and starting with zeros."""
+    flat = np.asarray(bits, dtype=bool).ravel()
+    if flat.size == 0:
+        return ""
+    runs = []
+    current, count = False, 0
+    # leading zero-run is always present, possibly of length 0
+    for v in flat:
+        if v == current:
+            count += 1
+        else:
+            runs.append(count)
+            current, count = v, 1
+    runs.append(count)
+    return ",".join(str(r) for r in runs)
+
+
+def _snapshot_records(snapshots, b) -> list:
+    """Replica b's snapshots, by time, as records {t, anchor, shape, rows[]}
+    with each slab row run-length encoded."""
+    return [{
+        "t": int(t),
+        "anchor": [int(a) for a in st.anchor],
+        "shape": [int(e) for e in st.rows.shape[2:]],
+        "rows": [_rle_encode(row) for row in st.rows[b]],
+    } for t, st in sorted(snapshots.items())]
+
+
 @_estimator("simulate", _P_T_REPS, {"dual": _BOOL, "snapshots": _INTS})
 def _run_simulate(model, cfg, threads):
     snaps = sorted(set(cfg.get("snapshots", ())))
@@ -183,10 +212,7 @@ def _run_simulate(model, cfg, threads):
     )
     records = _replicas(tau=_taus(res.extinction))
     for b, rec in enumerate(records if snaps else ()):
-        buf = io.StringIO()
-        write_snapshots({t: ProcessState(t, s.anchor, s.rows[b])
-                         for t, s in res.snapshots.items()}, buf)
-        rec["snapshots"] = [json.loads(line) for line in buf.getvalue().splitlines()]
+        rec["snapshots"] = _snapshot_records(res.snapshots, b)
     e = est.Estimate.from_bernoulli(int(res.alive_at_T.sum()), cfg["reps"])
     return [_row(cfg, "simulate.dual" if dual else "simulate", cfg["T"], e)], records
 
@@ -515,9 +541,10 @@ def _flag_kwargs(schema: dict) -> dict:
     return dict(type=_flag_type(schema))
 
 
-# a value starting with '-' is taken for an option unless it matches this;
-# argparse's own pattern refuses fractions such as -1/2
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+# a value starting with '-' is taken for an option unless it matches this:
+# argparse's own pattern refuses fractions such as -1/2, and -inf and -nan,
+# which must reach the schema's finite-number check
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|(inf(inity)?|nan)$)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -22,19 +22,21 @@ chain on the side-n torus has a stepping loop of its own,
 gather of the flat rows through one precomputed index per offset, and the
 open masks of up to 256 consecutive steps are finished in one query.
 
-All truncations of infinite initial
-conditions are justified by the spread bound: influence moves at most
-``spatial_min``/``spatial_max`` per axis per step, so a sufficiently dilated
-window reproduces the infinite process exactly on the region of interest.
+All truncations of infinite initial conditions are justified by the cone
+bound of ``dependency_cone``.  A site influences another only through a path
+of hops.  Each hop moves by a spatial step y with spatial_min <= y <=
+spatial_max and lands on a new top row, so k steps make at most k hops,
+while a shifted row keeps its place.  In k steps influence therefore moves
+by k*min(0, spatial_min) .. k*max(0, spatial_max) per axis, and a window
+dilated by that cone reproduces the infinite process exactly on the region
+of interest.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import math
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -42,7 +44,7 @@ import numpy as np
 from .field import (
     FieldSpec, _as_u64, extend_hash, open_given_hash, site_hash, threshold_for,
 )
-from .geometry import ConvexPolytope, TranslatedBlock, as_fraction, cone_mask
+from .geometry import ConvexPolytope, TranslatedBlock, cone_mask
 from .model import NormalizedModel
 
 
@@ -65,22 +67,6 @@ class TorusTooSmall(DynamicsError):
 class TruncationUncertified(DynamicsError):
     """A truncated half slab's frontier fell within reach of the omitted
     sources (or died out), so it need not be the infinite half slab's."""
-
-
-class WindowTooSmall(DynamicsError):
-    def __init__(self, required):
-        self.required = tuple(required)
-        super().__init__(
-            f"simulation window too small; required initial window {self.required}"
-        )
-
-
-class IrrationalTilt(DynamicsError):
-    pass
-
-
-class MissingSnapshots(DynamicsError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -108,21 +94,6 @@ class ConeDomain(Domain):
 
     def mask(self, coords, t):
         return cone_mask(self.region, coords, t)
-
-
-@dataclass(frozen=True)
-class TubeDomain(Domain):
-    """Spatial box [lo_i, hi_i) at all times."""
-
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-
-    def mask(self, coords, t):
-        out = None
-        for c, l, h in zip(coords, self.lo, self.hi):
-            m = (np.asarray(c) >= l) & (np.asarray(c) < h)
-            out = m if out is None else out & m
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +127,11 @@ class ProcessState:
     anchor: tuple[int, ...]
     rows: np.ndarray            # bool, shape (R, *extent)
 
-    def is_empty(self) -> bool:
-        return not self.rows.any()
-
-    def count(self) -> int:
-        return int(self.rows.sum())
-
     def occupied(self):
         """Iterate occupied slab sites as (x_1, ..., x_{d-1}, s)."""
         for idx in zip(*np.nonzero(self.rows)):
             s, *x = idx
             yield tuple(int(a + c) for a, c in zip(self.anchor, x)) + (int(s),)
-
-    def __contains__(self, site) -> bool:
-        *x, s = site
-        if not 0 <= s < self.rows.shape[0]:
-            return False
-        rel = tuple(c - a for c, a in zip(x, self.anchor))
-        if any(r < 0 or r >= e for r, e in zip(rel, self.rows.shape[1:])):
-            return False
-        return bool(self.rows[(s,) + tuple(rel)])
 
 
 def _window_coords(anchor, shape):
@@ -422,17 +378,22 @@ def _torus_batch_step(state: BatchState, gather: np.ndarray,
 # ---------------------------------------------------------------------------
 # batched driver
 
-def _query_cone(model: NormalizedModel, anchor, ext, T: int, dual: bool):
-    """Box holding every openness window a T-step run from [anchor, anchor +
-    ext) can query: each step moves influence by at most spatial_min ..
-    spatial_max per axis (mirrored for the dual), and shifted rows stay put."""
-    mins, maxs = model.spatial_min, model.spatial_max
-    if dual:
-        mins, maxs = tuple(-m for m in maxs), tuple(-m for m in mins)
-    return (
-        tuple(a + min(0, T * mn) for a, mn in zip(anchor, mins)),
-        tuple(a + e + max(0, T * mx) for a, e, mx in zip(anchor, ext, maxs)),
-    )
+def dependency_cone(model: NormalizedModel, lo, hi, k: int,
+                    backward: bool = False):
+    """Box (lo', hi') of the sites that the box [lo, hi) can influence within
+    k steps, or with ``backward`` of the sites that can influence it.
+
+    A step is a chain step or a unit of time: a hop moves by a spatial step
+    y and takes u >= 1 time, landing on a new top row, so k steps make at
+    most k hops, while a shifted row keeps its place.  Per axis the total
+    move thus lies in [k * min(0, spatial_min), k * max(0, spatial_max)].
+    """
+    down = [k * min(0, m) for m in model.spatial_min]
+    up = [k * max(0, m) for m in model.spatial_max]
+    if backward:
+        down, up = [-u for u in up], [-d for d in down]
+    return (tuple(l + d for l, d in zip(lo, down)),
+            tuple(h + u for h, u in zip(hi, up)))
 
 
 @dataclass
@@ -479,8 +440,11 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
         if rows1.ndim == model.d else np.array(rows1, dtype=bool)
     )
     state = BatchState(0, anchor, rows)
+    # every window a T-step run queries lies in its cone (the dual's
+    # influence runs backwards)
+    hi = tuple(a + e for a, e in zip(anchor, rows.shape[2:]))
     openness = BatchOpenness(
-        seeds, p, cone=_query_cone(model, anchor, rows.shape[2:], T, dual),
+        seeds, p, cone=dependency_cone(model, anchor, hi, T, backward=dual),
     )
     snapshot_times = set(snapshot_times)
     if compact and (snapshot_times or per_step):
@@ -532,13 +496,6 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
 # single-replica API
 
 @dataclass
-class EdgeTrack:
-    """Certified frontier positions r_0..r_T (or l_0..l_T)."""
-
-    values: list
-
-
-@dataclass
 class Trajectory:
     T: int
     extinction_time: int | None         # None if still alive at T
@@ -549,20 +506,6 @@ class Trajectory:
     @property
     def survived(self) -> bool:
         return self.extinction_time is None
-
-
-def initial_state(A, model: NormalizedModel, t0: int = 0) -> ProcessState:
-    anchor, rows = rows_from_sites(model, A)
-    return ProcessState(t0, anchor, rows)
-
-
-def step(state: ProcessState, model: NormalizedModel, field: FieldSpec,
-         domain: Domain | None = None) -> ProcessState:
-    """One slab-shift step of the single-replica chain."""
-    bs = BatchState(0, state.anchor, state.rows[None])
-    openness = BatchOpenness([field.seed], field.p)
-    out = _batch_step(bs, model, openness, domain, state.t)
-    return ProcessState(state.t + 1, out.anchor, out.rows[0])
 
 
 def _single(model, field, T, A, *, dual=False, t0=0, domain=None,
@@ -638,28 +581,26 @@ def reaches(a, b, model: NormalizedModel, field: FieldSpec,
             domain: Domain | None = None) -> bool:
     """True iff there is a path a -> b of open in-domain sites (start exempt).
 
-    Level-by-level forward search pruned to the backward dependency cone of
-    b; reflexive by the empty path.
+    Level-by-level forward search pruned, at each time t, to the sites of
+    the backward ``dependency_cone`` of b over its b_t - t remaining steps;
+    reflexive by the empty path.
     """
     a = tuple(int(c) for c in a)
     b = tuple(int(c) for c in b)
     if a == b:
         return True
-    dt = b[-1] - a[-1]
-    if dt <= 0:
+    if b[-1] <= a[-1]:
         return False
-    mins, maxs = model.spatial_min, model.spatial_max
+    x_b = b[:-1]
     levels = {a[-1]: {a[:-1]}}
     for t in range(a[-1] + 1, b[-1] + 1):
-        rem = b[-1] - t
+        lo, hi = dependency_cone(model, x_b, [c + 1 for c in x_b], b[-1] - t,
+                                 backward=True)
         cand = set()
         for y, u in model.split_offsets:
             for x in levels.get(t - u, ()):
                 z = tuple(xi + yi for xi, yi in zip(x, y))
-                if all(
-                    rem * mn <= bi - zi <= rem * mx
-                    for bi, zi, mn, mx in zip(b, z, mins, maxs)
-                ):
+                if all(l <= zi < h for zi, l, h in zip(z, lo, hi)):
                     cand.add(z)
         here = {
             z for z in cand
@@ -680,20 +621,18 @@ def dual_reaches(b, a, model: NormalizedModel, field: FieldSpec,
         return True
     if a[-1] >= b[-1]:
         return False
-    mins, maxs = model.spatial_min, model.spatial_max
+    x_a = a[:-1]
     levels = {b[-1]: {b[:-1]}}
     for t in range(b[-1] - 1, a[-1] - 1, -1):
-        rem = t - a[-1]
+        # a dual path ends at a, so its site at t is in a's forward cone
+        lo, hi = dependency_cone(model, x_a, [c + 1 for c in x_a], t - a[-1])
         cand = set()
         for y, u in model.split_offsets:
             for x in levels.get(t + u, ()):
                 if not (field.site_open(x + (t + u,)) and _domain_ok(domain, x, t + u)):
                     continue
                 z = tuple(xi - yi for xi, yi in zip(x, y))
-                if all(
-                    rem * mn <= zi - ai <= rem * mx
-                    for ai, zi, mn, mx in zip(a, z, mins, maxs)
-                ):
+                if all(l <= zi < h for zi, l, h in zip(z, lo, hi)):
                     cand.add(z)
         if cand:
             levels[t] = cand
@@ -721,46 +660,33 @@ class HitCoupled:
     hitting: dict[tuple, int]
 
 
-def required_slab_window(model: NormalizedModel, t: int, lo, hi):
-    """Initial window whose slab run restricted to [lo, hi) at time t is exact."""
-    mins, maxs = model.spatial_min, model.spatial_max
-    return (
-        tuple(l - t * mx for l, mx in zip(lo, maxs)),
-        tuple(h - t * mn for h, mn in zip(hi, mins)),
-    )
-
-
 def hit_and_coupled_regions(model: NormalizedModel, field: FieldSpec, t: int,
-                            window, max_width: int | None = None,
-                            prune: bool = True) -> HitCoupled:
+                            window, prune: bool = True) -> HitCoupled:
     """Compare the origin run and the full-slab run on one configuration.
 
     ``window`` is a (lo, hi) pair of spatial bounds.  The full-slab run is
-    started on the window dilated by the dependency cone, which makes its
-    restriction to the window exact; if ``max_width`` is given and the
-    dilated window is wider, the query is refused.
+    started on the backward ``dependency_cone`` of the window over t steps:
+    no site outside it can influence the window at time t, so by additivity
+    the run's restriction to the window is the infinite slab's.  With
+    ``prune`` each step also zeroes the sites outside the backward cone of
+    the steps left, which by the same argument changes nothing in the window.
     """
     lo = tuple(int(c) for c in window[0])
     hi = tuple(int(c) for c in window[1])
     d_s = model.d - 1
-    slo, shi = required_slab_window(model, t, lo, hi)
-    if max_width is not None and any(h - l > max_width for l, h in zip(slo, shi)):
-        raise WindowTooSmall((slo, shi))
     traj_o = evolve(
         [(0,) * d_s + (0,)], model, field, t,
         snapshot_times=[t], hit_window=(lo, hi),
     )
-    mins, maxs = model.spatial_min, model.spatial_max
-    pad = model.R * max(model.dilation(1), 1) + 1
 
     def prune_step(step_t, state: BatchState):
-        # zero sites that cannot influence the window at time t; the start
-        # window lies inside the kept box, so step 0 zeroes nothing
+        # a site of this state reaches time t in at most rem hops, so one
+        # outside the rem-step backward cone of the window never enters it
+        # (step 0 zeroes nothing: the start window is exactly that cone)
         rem = t - step_t
         if rem <= 0 or state.rows.shape[2:] == (0,) * d_s:
             return
-        keep_lo = tuple(l - rem * mx - pad for l, mx in zip(lo, maxs))
-        keep_hi = tuple(h - rem * mn + pad for h, mn in zip(hi, mins))
+        keep_lo, keep_hi = dependency_cone(model, lo, hi, rem, backward=True)
         for ax in range(d_s):
             a = state.anchor[ax]
             e = state.rows.shape[2 + ax]
@@ -776,7 +702,8 @@ def hit_and_coupled_regions(model: NormalizedModel, field: FieldSpec, t: int,
 
     res_S = batch_evolve(
         model, [field.seed], field.p, t,
-        init=slab_window_rows(model, slo, shi),
+        init=slab_window_rows(
+            model, *dependency_cone(model, lo, hi, t, backward=True)),
         snapshot_times=[t], per_step=prune_step if prune else None,
     )
     ext = tuple(h - l for l, h in zip(lo, hi))
@@ -800,74 +727,57 @@ def hit_and_coupled_regions(model: NormalizedModel, field: FieldSpec, t: int,
 # ---------------------------------------------------------------------------
 # edge processes (d = 2)
 
-def half_slab_init(model: NormalizedModel, side: str, trunc: int):
-    """Half slab {x <= 0} (side 'right') or {x >= 0} ('left'), truncated."""
-    if side == "right":
-        return slab_window_rows(model, (-trunc,), (1,))
-    return slab_window_rows(model, (0,), (trunc + 1,))
-
-
 def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
                     margin: float = 0.2) -> np.ndarray:
     """Frontiers r_0..r_T (side 'right': max occupied x from {x <= 0}) or
     l_0..l_T ('left': min occupied x from {x >= 0}), shape (B, T+1).
 
     The infinite half slab is truncated at trunc = ceil(gamma*T*(1+margin))+1.
-    Each step derives a row through one offset, so after t steps the omitted
-    sources x <= -trunc-1 occupy nothing right of -trunc-1 + max(0,
-    t*spatial_max); by additivity a truncated frontier beyond that is the
-    infinite one (mirrored for 'left').  Every replica and step is checked
-    as the run goes, and TruncationUncertified is raised at the first step
-    where the check fails, an empty frontier included.
+    After t steps the omitted sources x <= -trunc-1 occupy nothing outside
+    the t-step ``dependency_cone`` of -trunc-1, the nearest of them; by
+    additivity a truncated frontier right of that cone is the infinite one
+    (mirrored for 'left').  Every replica and step is checked as the run
+    goes, and TruncationUncertified is raised at the first step where the
+    check fails, an empty frontier included.
     """
     if model.d != 2:
         raise DimensionNot2("edge processes are defined for d = 2 only")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     trunc = int(math.ceil(model.gamma * T * (1 + margin))) + 1
+    if side == "right":
+        init = slab_window_rows(model, (-trunc,), (1,))
+        nearest = ((-trunc - 1,), (-trunc,))
+    else:
+        init = slab_window_rows(model, (0,), (trunc + 1,))
+        nearest = ((trunc + 1,), (trunc + 2,))
     edges = np.empty((len(seeds), T + 1), dtype=np.int64)
 
     def frontier(t, state: BatchState):
         occ = state.rows.any(axis=1)
         ok = occ.any(axis=1)
         if ok.all():
+            (reach_lo,), (reach_hi,) = dependency_cone(model, *nearest, t)
             if side == "right":
                 edges[:, t] = state.anchor[0] + occ.shape[1] - 1 - np.argmax(
                     occ[:, ::-1], axis=1
                 )
-                ok = edges[:, t] > -trunc - 1 + max(0, t * model.spatial_max[0])
+                ok = edges[:, t] >= reach_hi
             else:
                 edges[:, t] = state.anchor[0] + np.argmax(occ, axis=1)
-                ok = edges[:, t] < trunc + 1 + min(0, t * model.spatial_min[0])
+                ok = edges[:, t] < reach_lo
         if not ok.all():
             raise TruncationUncertified(
                 f"{side} frontier of replica {np.argmin(ok)} at step {t} is not "
                 f"certified by the truncation at {trunc} (margin {margin})"
             )
 
-    batch_evolve(
-        model, seeds, p, T, init=half_slab_init(model, side, trunc),
-        per_step=frontier,
-    )
+    batch_evolve(model, seeds, p, T, init=init, per_step=frontier)
     return edges
-
-
-def edge_track(model: NormalizedModel, field: FieldSpec, side: str, T: int,
-               margin: float = 0.2) -> EdgeTrack:
-    """Certified frontier of one half-slab run (see ``half_slab_edges``)."""
-    edges = half_slab_edges(model, [field.seed], field.p, side, T, margin)[0]
-    return EdgeTrack(values=[int(v) for v in edges])
 
 
 # ---------------------------------------------------------------------------
 # torus dynamics
-
-def torus_extinction(model: NormalizedModel, field: FieldSpec, n: int,
-                     T_max: int) -> int | None:
-    """Extinction time of the quotient dynamics on the side-n torus started
-    from the fully occupied slab; None if still alive at T_max."""
-    tau = torus_extinction_batch(model, field.p, [field.seed], n, T_max).extinction[0]
-    return int(tau) if tau >= 0 else None
 
 
 # a block query finishes the open masks of k steps of B replicas on N sites
@@ -921,174 +831,3 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
             openness = openness.take(keep)
             block = block[:, keep]
     return BatchResult(T=T_max, extinction=extinction, alive_at_T=extinction < 0)
-
-
-# ---------------------------------------------------------------------------
-# tilted re-indexing
-
-def tilt_period(model: NormalizedModel, v) -> int:
-    """Smallest t >= R with t*v integral."""
-    v = tuple(as_fraction(c) for c in v)
-    q = math.lcm(*(c.denominator for c in v)) if v else 1
-    return q * math.ceil(model.R / q)
-
-
-@dataclass
-class TiltedView:
-    """Tilted-lattice quantities computed by re-indexing snapshots.
-
-    Sites of the tilted base are keyed by their original spatial coordinate
-    z = x + s*v, so all keys are integer tuples; row s of the view collects
-    the z with (z + t*v, 0) occupied at time t+s.
-    """
-
-    t: int
-    R_hat: int
-    v: tuple[Fraction, ...]
-    rows: dict[int, set]                # s -> set of original-coordinate tuples
-    coupled: dict[int, set] | None      # K-hat rows, if a slab run was given
-    hitting: dict[tuple, int] | None    # (z..., s) -> t-hat
-
-    def contains(self, x, s) -> bool:
-        """Membership of a tilted-base site given by its tilted coordinate x
-        (a rational vector with x + s*v integral)."""
-        z = tuple(as_fraction(c) + s * vc for c, vc in zip(x, self.v))
-        if any(c.denominator != 1 for c in z):
-            return False
-        return tuple(int(c) for c in z) in self.rows.get(s, set())
-
-
-def _row0_shifted(model, snap: ProcessState, shift):
-    """Original coordinates z with (z + shift, 0) occupied in the snapshot."""
-    out = set()
-    if any(c.denominator != 1 for c in shift):
-        return out
-    ishift = tuple(int(c) for c in shift)
-    row0 = snap.rows[0]
-    for pos in zip(*np.nonzero(row0)):
-        x = tuple(a + int(c) for a, c in zip(snap.anchor, pos))
-        out.add(tuple(xi - si for xi, si in zip(x, ishift)))
-    return out
-
-
-def tilted_view(model: NormalizedModel, traj: Trajectory, v, t: int,
-                traj_slab: Trajectory | None = None,
-                hit_horizon: int | None = None) -> TiltedView:
-    """Re-index a trajectory into the tilted lattice at time t.
-
-    Needs snapshots of the trajectory at times t, ..., t+R_hat-1 (and at
-    multiples s + R_hat*k up to ``hit_horizon`` for hatted hitting times).
-    """
-    try:
-        v = tuple(as_fraction(c) for c in v)
-    except (ValueError, TypeError) as exc:
-        raise IrrationalTilt(str(exc)) from exc
-    if len(v) != model.d - 1:
-        raise IrrationalTilt(f"tilt vector {v} has wrong dimension")
-    R_hat = tilt_period(model, v)
-    snaps = traj.snapshots or {}
-
-    def snap_at(u):
-        if u not in snaps:
-            raise MissingSnapshots(f"snapshot at time {u} not retained")
-        return snaps[u]
-
-    rows = {}
-    for s in range(R_hat):
-        shift = tuple((t + s) * vc for vc in v)
-        rows[s] = _row0_shifted(model, snap_at(t + s), shift)
-    coupled = None
-    if traj_slab is not None:
-        ssnaps = traj_slab.snapshots or {}
-        coupled = {}
-        for s in range(R_hat):
-            if t + s not in ssnaps:
-                raise MissingSnapshots(f"slab snapshot at time {t + s} not retained")
-            shift = tuple((t + s) * vc for vc in v)
-            slab_row = _row0_shifted(model, ssnaps[t + s], shift)
-            # sites where the two indicators agree; outside the union of
-            # supports both are zero, so only the union needs checking
-            coupled[s] = {
-                z for z in rows[s] | slab_row if (z in rows[s]) == (z in slab_row)
-            }
-    hitting = None
-    if hit_horizon is not None:
-        hitting = {}
-        for s in range(R_hat):
-            u = s
-            while u <= hit_horizon:
-                if u in snaps:
-                    shift = tuple(u * vc for vc in v)
-                    for z in _row0_shifted(model, snaps[u], shift):
-                        key = z + (s,)
-                        if key not in hitting:
-                            hitting[key] = u
-                u += R_hat
-    return TiltedView(t=t, R_hat=R_hat, v=v, rows=rows, coupled=coupled,
-                      hitting=hitting)
-
-
-# ---------------------------------------------------------------------------
-# snapshot serialisation
-
-def _rle_encode(bits: np.ndarray) -> str:
-    """Run lengths of a flat bit array, alternating and starting with zeros."""
-    flat = np.asarray(bits, dtype=bool).ravel()
-    if flat.size == 0:
-        return ""
-    runs = []
-    current, count = False, 0
-    # leading zero-run is always present, possibly of length 0
-    for v in flat:
-        if v == current:
-            count += 1
-        else:
-            runs.append(count)
-            current, count = v, 1
-    runs.append(count)
-    return ",".join(str(r) for r in runs)
-
-
-def _rle_decode(text: str, size: int) -> np.ndarray:
-    out = np.zeros(size, dtype=bool)
-    if not text:
-        return out
-    pos, val = 0, False
-    for tok in text.split(","):
-        n = int(tok)
-        if val:
-            out[pos:pos + n] = True
-        pos += n
-        val = not val
-    if pos != size:
-        raise ValueError(f"run lengths cover {pos} bits, expected {size}")
-    return out
-
-
-def write_snapshots(snapshots: dict[int, ProcessState], fh) -> None:
-    """Dump retained states as JSONL records {t, anchor, shape, rows[]}."""
-    for t in sorted(snapshots):
-        st = snapshots[t]
-        rec = {
-            "t": int(t),
-            "anchor": [int(a) for a in st.anchor],
-            "shape": [int(e) for e in st.rows.shape[1:]],
-            "rows": [_rle_encode(st.rows[s]) for s in range(st.rows.shape[0])],
-        }
-        fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
-
-def read_snapshots(fh) -> dict[int, ProcessState]:
-    out = {}
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        shape = tuple(rec["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        rows = np.stack(
-            [_rle_decode(r, size).reshape(shape) for r in rec["rows"]]
-        )
-        out[rec["t"]] = ProcessState(rec["t"], tuple(rec["anchor"]), rows)
-    return out

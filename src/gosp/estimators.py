@@ -32,6 +32,7 @@ from .dynamics import (
     TruncationUncertified,
     _grid_occupancy,
     batch_evolve,
+    dependency_cone,
     half_slab_edges,
     hit_and_coupled_regions,
     rows_from_sites,
@@ -339,6 +340,8 @@ _SHAPE_BLOCK = 32
 
 def _shape_chunk(common, span):
     model, p, t, T_cond, master, lane, directions, ns = common
+    # the t-step cone of the origin, one site wider on each side
+    lo, hi = dependency_cone(model, (-1,), (2,), t)
     out = []
     for i in range(*span):
         si = _rep_seeds(master, lane, i, i + 1)[0]
@@ -346,8 +349,6 @@ def _shape_chunk(common, span):
         if not pre.alive_at_T[0]:
             out.append(None)
             continue
-        lo = (t * model.spatial_min[0] - 1,)
-        hi = (t * model.spatial_max[0] + 2,)
         hc = hit_and_coupled_regions(model, FieldSpec(si, p), t, (lo, hi))
         run = _longest_run((hc.H & hc.K)[0])
         if run is None:
@@ -819,15 +820,18 @@ def _crossing_source_window(model: NormalizedModel, g: BlockGeometry,
                             shift: Fraction, half: bool):
     """Initial slab window of every source that can enter the box.
 
-    The truncation is exact: a source outside the window cannot place any
-    site inside the box by the per-step displacement bounds.
+    The truncation is exact: a source outside the window lies outside the
+    backward ``dependency_cone`` of every row of the box, so it cannot place
+    any site inside the box.
     """
     v, w = g.v[0], g.w[0]
-    mn, mx = model.spatial_min[0], model.spatial_max[0]
     los, his = [], []
     for t in range(g.h + 1):
-        los.append(v * t - w + shift - t * mx)
-        his.append(v * t + w + shift - t * mn)
+        # the box row at time t is v*t + shift + [-w, w)
+        (lo,), (hi,) = dependency_cone(
+            model, (v * t - w + shift,), (v * t + w + shift,), t, backward=True)
+        los.append(lo)
+        his.append(hi)
     lo = math.floor(min(los))
     hi = math.ceil(max(his)) + 1
     if half:
@@ -1013,14 +1017,9 @@ def _good_chunk(common, span):
         tb = TranslatedBlock(block_g, tuple(off_spatial) + (Fraction(0),))
         return tb.mask(z_grid, r_grid)
 
-    # initial window for the slab runs, valid for both snapshot times
-    mn, mx = model.spatial_min, model.spatial_max
-    slo = tuple(
-        min(l - s_time * x, l - C * L * x) for l, x in zip(zlo, mx)
-    )
-    shi = tuple(
-        max(h - s_time * x, h - C * L * x) for h, x in zip(zhi, mn)
-    )
+    # initial window for the slab runs: the backward cone of the grid over
+    # s_time steps holds that over C*L <= s_time, so both snapshots are exact
+    slo, shi = dependency_cone(model, zlo, zhi, s_time, backward=True)
 
     out = []
     for i in range(*span):

@@ -135,15 +135,15 @@ class FieldSpec:
     """The configuration omega: seed, open probability, optional sprinkle.
 
     With ``sprinkle_eps`` set, an independent substream of extra open sites
-    is available so that base-open OR extra-open is Bernoulli(p + eps); the
-    extra rate is eps/(1-p) so the composite marginal comes out at exactly
-    p + eps while base-open still implies sprinkled-open on the same seed.
+    is available so that the sprinkled field, ``open_mask | extra_mask``, is
+    Bernoulli(p + eps); the extra rate is eps/(1-p) so the composite marginal
+    comes out at exactly p + eps while base-open still implies sprinkled-open
+    on the same seed.
     """
 
     seed: int
     p: float
     sprinkle_eps: float | None = None
-    d: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -153,12 +153,6 @@ class FieldSpec:
                 raise FieldError(
                     f"sprinkle_eps must be in [0, 1-p], got {self.sprinkle_eps}"
                 )
-
-    def _check_site(self, site):
-        if self.d is not None and len(site) != self.d:
-            raise FieldError(
-                f"site {tuple(site)} has dimension {len(site)}, expected {self.d}"
-            )
 
     @property
     def _extra_rate(self) -> float:
@@ -175,22 +169,7 @@ class FieldSpec:
         return open_given_hash(h, threshold_for(self.p))
 
     def site_open(self, site) -> bool:
-        self._check_site(site)
         return bool(self.open_mask([np.int64(c) for c in site]))
-
-    def sprinkled_mask(self, coords) -> np.ndarray:
-        extra_rate = self._extra_rate
-        base = self.open_mask(coords)
-        if extra_rate == 0.0:
-            return base
-        extra = open_given_hash(
-            site_hash(self.seed, coords, stream=1), threshold_for(extra_rate)
-        )
-        return base | extra
-
-    def sprinkled_open(self, site) -> bool:
-        self._check_site(site)
-        return bool(self.sprinkled_mask([np.int64(c) for c in site]))
 
     def extra_mask(self, coords) -> np.ndarray:
         """Only the extra open sites from the sprinkle substream."""
@@ -203,13 +182,7 @@ class FieldSpec:
         )
 
     def extra_open(self, site) -> bool:
-        self._check_site(site)
         return bool(self.extra_mask([np.int64(c) for c in site]))
-
-    def with_p(self, p: float) -> "FieldSpec":
-        """Same seed and mixer, different open probability (exact monotone
-        coupling: open sites are non-decreasing in p)."""
-        return FieldSpec(seed=self.seed, p=p, sprinkle_eps=None, d=self.d)
 
 
 def spawn_seed(master_seed: int, index: int) -> int:

@@ -1,9 +1,9 @@
-"""Space-time regions: boxes, tilted blocks, cones.
+"""Space-time regions: tilted blocks and cones.
 
 All membership tests are exact: tilt vectors are restricted to rationals and
 decisions reduce to integer comparisons, so no floating point enters any
-membership decision.  Vectorised variants operate on numpy integer arrays
-and are used by the dynamics for domain restriction.
+membership decision.  The masks operate on numpy integer arrays and are used
+by the dynamics for domain restriction.
 """
 
 from __future__ import annotations
@@ -58,24 +58,6 @@ class BlockGeometry:
         return BlockGeometry(
             tuple(w_factor * c for c in self.w), h_factor * self.h, self.v
         )
-
-
-def box_geometry(n: int, d: int, R: int) -> BlockGeometry:
-    """The basic box: [-n, n)^{d-1} x [0, R), i.e. an untilted block."""
-    return BlockGeometry((n,) * (d - 1), R, (Fraction(0),) * (d - 1))
-
-
-def block_contains(g: BlockGeometry, site: Sequence[int]) -> bool:
-    """Exact membership of an integer site (x, t) in the block."""
-    *x, t = site
-    if not 0 <= t < g.h:
-        return False
-    for xi, wi, vi in zip(x, g.w, g.v):
-        # xi - t*vi in [-wi, wi), scaled by the denominator of vi
-        lhs = xi * vi.denominator - t * vi.numerator
-        if not -wi * vi.denominator <= lhs < wi * vi.denominator:
-            return False
-    return True
 
 
 def block_mask(
@@ -137,14 +119,6 @@ class ConvexPolytope:
         )
 
 
-def cone_contains(polytope: ConvexPolytope, site: Sequence[int]) -> bool:
-    """Membership of (x, t) in the cone over the polytope: t > 0, x/t inside."""
-    *x, t = site
-    if t <= 0:
-        return False
-    return polytope.contains_point([Fraction(xi, t) for xi in x])
-
-
 def cone_mask(polytope: ConvexPolytope, coords: Sequence[np.ndarray], t) -> np.ndarray:
     """Vectorised cone membership; a . x <= b * t cleared of denominators."""
     t_arr = np.asarray(t, dtype=np.int64)
@@ -166,16 +140,6 @@ class TranslatedBlock:
 
     geometry: BlockGeometry
     offset: tuple[Fraction, ...]
-
-    def contains(self, site: Sequence[int]) -> bool:
-        return bool(
-            block_mask(
-                self.geometry,
-                [np.int64(c) for c in site[:-1]],
-                np.int64(site[-1]),
-                offset=self.offset,
-            )
-        )
 
     def mask(self, coords, t) -> np.ndarray:
         return block_mask(self.geometry, coords, t, offset=self.offset)

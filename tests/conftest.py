@@ -31,6 +31,11 @@ THREE_D = validate(
 
 MODEL_POOL = [TWO_D_OP, ASYM3, SYM3, RANGE2, THREE_D]
 
+# every step to the right, so the spatial steps do not straddle 0: in t
+# steps influence moves between 0 and t sites, not exactly t (kept out of
+# MODEL_POOL, whose instances the acceptance criteria draw)
+DRIFT2 = validate(NeighborhoodSpec(d=2, offsets=((1, 1), (1, 2))))
+
 
 @pytest.fixture
 def two_d_op():

@@ -4,7 +4,9 @@ Everything here is scalar, set-based and deliberately naive: path existence
 by memoised recursion over single offsets, slab states by level-by-level
 derivation in plain dicts of tuples, sumsets by set DP, and exact small-T
 survival probabilities by exhaustive enumeration of the dependency cone.
-None of it shares code with the vectorised engine it checks.
+Scalar region membership and run-length decoding check the vectorised
+masks and the snapshot records.  None of it shares code with the vectorised
+engine it checks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from gosp.field import FieldSpec
+from gosp.geometry import BlockGeometry, ConvexPolytope, TranslatedBlock
 from gosp.model import NormalizedModel
 
 
@@ -77,7 +82,6 @@ def infected_times(model: NormalizedModel, field: FieldSpec, starts, t_max,
     levels: dict[int, set] = {}
     for s in starts:
         levels.setdefault(t0 + s[-1], set()).add(tuple(s[:-1]))
-    mins, maxs = model.spatial_min, model.spatial_max
     for tau in range(t0 + R, t0 + t_max + R):
         cand = set()
         for y, u in model.split_offsets:
@@ -191,3 +195,57 @@ def exact_extinction_pmf(model: NormalizedModel, p, T: int):
     probs = [exact_survival(model, p, t) for t in range(T + 1)]
     pmf = [probs[t - 1] - probs[t] for t in range(1, T + 1)]
     return [1 - probs[0]] + pmf, probs[T]
+
+
+# ---------------------------------------------------------------------------
+# region membership, one site at a time
+
+def box_geometry(n: int, d: int, R: int) -> BlockGeometry:
+    """The basic box: [-n, n)^{d-1} x [0, R), i.e. an untilted block."""
+    return BlockGeometry((n,) * (d - 1), R, (Fraction(0),) * (d - 1))
+
+
+def block_contains(g: BlockGeometry, site) -> bool:
+    """Exact membership of a site (x, t), integer or rational, in the block."""
+    *x, t = site
+    if not 0 <= t < g.h:
+        return False
+    for xi, wi, vi in zip(x, g.w, g.v):
+        # xi - t*vi in [-wi, wi), scaled by the denominator of vi
+        lhs = xi * vi.denominator - t * vi.numerator
+        if not -wi * vi.denominator <= lhs < wi * vi.denominator:
+            return False
+    return True
+
+
+def translated_block_contains(tb: TranslatedBlock, site) -> bool:
+    """Membership of a site in a block translated by a rational vector."""
+    return block_contains(tb.geometry, [c - o for c, o in zip(site, tb.offset)])
+
+
+def cone_contains(polytope: ConvexPolytope, site) -> bool:
+    """Membership of (x, t) in the cone over the polytope: t > 0, x/t inside."""
+    *x, t = site
+    if t <= 0:
+        return False
+    return polytope.contains_point([Fraction(xi, t) for xi in x])
+
+
+# ---------------------------------------------------------------------------
+# snapshot records
+
+def rle_decode(text: str, size: int) -> np.ndarray:
+    """Bits of a run-length text (alternating runs, zeros first)."""
+    out = np.zeros(size, dtype=bool)
+    if not text:
+        return out
+    pos, val = 0, False
+    for tok in text.split(","):
+        n = int(tok)
+        if val:
+            out[pos:pos + n] = True
+        pos += n
+        val = not val
+    if pos != size:
+        raise ValueError(f"run lengths cover {pos} bits, expected {size}")
+    return out

@@ -359,6 +359,10 @@ def test_config_file_non_finite_number_exits_before_manifest(
                   "--reps", "5"], "/eps"),
     ("crossing", ["--p", "0.8", "--L", "10", "--eps", "NaN", "--slope", "0",
                   "--reps", "5"], "/eps"),
+    # space-separated negative forms are values, not unknown options
+    ("survival", ["--p", "-inf", "--T", "5", "--reps", "5"], "/p"),
+    ("survival", ["--p", "-Infinity", "--T", "5", "--reps", "5"], "/p"),
+    ("survival", ["--p", "-nan", "--T", "5", "--reps", "5"], "/p"),
 ])
 def test_non_finite_number_flag_exits_before_manifest(tmp_path, model_path,
                                                       estimator, flags, pointer,

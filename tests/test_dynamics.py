@@ -1,48 +1,48 @@
-"""Slab chain, dual chain, reachability, probes and re-indexing.
+"""Slab chain, dual chain, reachability, probes and truncations.
 
 The engine is checked against the naive set-based references in oracles.py
 on every model of the shared pool, plus exact deterministic examples at
-p = 0 and p = 1.
+p = 0 and p = 1.  Truncations are also checked on DRIFT2, whose spatial
+steps do not straddle 0, and reachability on randomly drawn models.
 """
 
-import io
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gosp.dynamics as dyn
 import oracles
-from conftest import ASYM3, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, snapshot_sites
+from conftest import (
+    ASYM3, DRIFT2, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, snapshot_sites,
+)
+from gosp.cli import _rle_encode, _snapshot_records
 from gosp.dynamics import (
     BatchOpenness,
-    MissingSnapshots,
-    IrrationalTilt,
+    BlockDomain,
     OutsideSlab,
     TorusTooSmall,
     TruncationUncertified,
-    TubeDomain,
-    WindowTooSmall,
     batch_evolve,
     dual_evolve,
     dual_reaches,
-    edge_track,
     evolve,
     half_slab_edges,
     hit_and_coupled_regions,
-    initial_state,
     reaches,
-    read_snapshots,
-    step,
-    tilt_period,
-    tilted_view,
-    torus_extinction,
+    rows_from_sites,
+    slab_window_rows,
     torus_extinction_batch,
-    write_snapshots,
 )
 from gosp.field import FieldSpec, spawn_seeds
+from gosp.geometry import BlockGeometry, TranslatedBlock
+from gosp.model import ModelError, NeighborhoodSpec, validate
+
+
+def _ids(model):
+    return str(model.spec.offsets)
 
 
 def _starts(model):
@@ -55,19 +55,18 @@ def _starts(model):
 
 def test_initial_state_keeps_closed_sites():
     # the start set is the state at time 0; openness is never consulted there
-    st0 = initial_state([(0, 0), (3, 0)], TWO_D_OP)
-    assert (0, 0) in st0
-    assert (3, 0) in st0
-    assert (1, 0) not in st0
+    f = FieldSpec(seed=1, p=0.0)
+    traj = evolve([(0, 0), (3, 0)], TWO_D_OP, f, 0, snapshot_times=[0])
+    assert snapshot_sites(traj.snapshots[0]) == {(0, 0), (3, 0)}
 
 
 def test_initial_state_empty_and_invalid():
-    st0 = initial_state([], TWO_D_OP)
-    assert st0.is_empty()
+    _, rows = rows_from_sites(TWO_D_OP, [])
+    assert rows.shape == (1, 0) and not rows.any()
     with pytest.raises(OutsideSlab):
-        initial_state([(0, 1)], TWO_D_OP)      # slab has R = 1 rows
+        rows_from_sites(TWO_D_OP, [(0, 1)])      # slab has R = 1 rows
     with pytest.raises(OutsideSlab):
-        initial_state([(0, 0, 0)], TWO_D_OP)
+        rows_from_sites(TWO_D_OP, [(0, 0, 0)])
 
 
 def test_evolve_empty_start_is_extinct_at_zero():
@@ -88,10 +87,10 @@ def test_step_p1_matches_sumset():
     f = FieldSpec(seed=7, p=1.0)
     for model in (TWO_D_OP, ASYM3, THREE_D):
         d_s = model.d - 1
-        state = initial_state([(0,) * d_s + (0,)], model)
+        traj = evolve([(0,) * d_s + (0,)], model, f, 8,
+                      snapshot_times=range(1, 9))
         for t in range(1, 9):
-            state = step(state, model, f)
-            got = {s[:-1] for s in state.occupied()}
+            got = {s[:-1] for s in traj.snapshots[t].occupied()}
             assert got == oracles.sumset(model, t)
 
 
@@ -171,8 +170,7 @@ def test_dual_p1_reflected_sumset():
     assert got == want
 
 
-@pytest.mark.parametrize("model", [TWO_D_OP, ASYM3, RANGE2],
-                         ids=lambda m: str(m.spec.offsets))
+@pytest.mark.parametrize("model", [TWO_D_OP, ASYM3, RANGE2, DRIFT2], ids=_ids)
 def test_reaches_matches_path_oracle(model):
     a = (0, 0)
     for seed in (31, 32):
@@ -183,17 +181,42 @@ def test_reaches_matches_path_oracle(model):
                 assert reaches(a, b, model, f) == oracles.path_exists(model, f, a, b)
 
 
-@pytest.mark.parametrize("model", [TWO_D_OP, ASYM3, RANGE2],
-                         ids=lambda m: str(m.spec.offsets))
+@pytest.mark.parametrize("model", [TWO_D_OP, ASYM3, RANGE2, DRIFT2], ids=_ids)
 def test_dual_reaches_matches_dual_oracle(model):
     a = (0, 0)
+    # up to t = 6, where on DRIFT2 dual paths through open u = 2 hops occur
     for seed in (41, 42):
         f = FieldSpec(seed=seed, p=0.6)
         for x in range(-8, 9):
-            for t in range(0, 5):
+            for t in range(0, 7):
                 b = (x, t)
                 got = dual_reaches(b, a, model, f)
                 assert got == oracles.dual_path_exists(model, f, b, a)
+
+
+@st.composite
+def _drawn_models(draw):
+    """Valid d = 2 models of 2-3 offsets (y, u), |y| <= 2, 1 <= u <= 3."""
+    offsets = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 3)),
+                            min_size=2, max_size=3, unique=True))
+    try:
+        return validate(NeighborhoodSpec(d=2, offsets=tuple(offsets)))
+    except ModelError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_drawn_models(), st.integers(0, 2**32 - 1), st.floats(0.6, 1.0))
+def test_reaches_matches_oracles_on_drawn_models(model, seed, p):
+    # fixed model lists all have steps straddling 0; drawn ones need not
+    f = FieldSpec(seed=seed, p=p)
+    a = (0, 0)
+    for x in range(-6, 7):
+        for t in range(1, 5):
+            b = (x, t)
+            assert reaches(a, b, model, f) == oracles.path_exists(model, f, a, b)
+            assert dual_reaches(b, a, model, f) == oracles.dual_path_exists(
+                model, f, b, a)
 
 
 def test_duality_identity():
@@ -208,11 +231,17 @@ def test_duality_identity():
                     )
 
 
+def _untilted(centre, w, h=20):
+    """Domain of the untilted block [centre - w, centre + w) x [0, h)."""
+    g = BlockGeometry((w,), h, (0,))
+    return BlockDomain(TranslatedBlock(g, (Fraction(centre), Fraction(0))))
+
+
 def test_reaches_respects_domain():
     f = FieldSpec(seed=2, p=1.0)
     # at p = 1 the origin reaches (3, 3); a tube cut at x < 2 blocks it
     assert reaches((0, 0), (3, 3), TWO_D_OP, f)
-    dom = TubeDomain((-5,), (2,))
+    dom = _untilted(-2, 4)                  # x in [-6, 2)
     assert not reaches((0, 0), (3, 3), TWO_D_OP, f, domain=dom)
     assert reaches((0, 0), (1, 3), TWO_D_OP, f, domain=dom)
 
@@ -251,33 +280,43 @@ def test_hit_coupled_pruning_is_exact():
     assert a.hitting == b.hitting
 
 
-def test_hit_coupled_refuses_narrow_budget():
-    f = FieldSpec(seed=1, p=0.7)
-    with pytest.raises(WindowTooSmall) as exc:
-        hit_and_coupled_regions(TWO_D_OP, f, 50, ((-2,), (3,)), max_width=10)
-    (lo, hi) = exc.value.required
-    assert hi[0] - lo[0] > 10
+@pytest.mark.parametrize("model", [m for m in MODEL_POOL if m.d == 2] + [DRIFT2],
+                         ids=_ids)
+def test_hit_coupled_slab_run_matches_a_wider_window(model):
+    # the pruned slab run from the cone of the window equals, on the window,
+    # a run from a slab window 100 sites wider on each side than any cone
+    t, lo, hi = 40, -10, 11
+    reach = t * max(abs(y[0]) for y, _ in model.split_offsets) + 100
+    for seed in range(5):
+        f = FieldSpec(seed=seed, p=0.8)
+        hc = hit_and_coupled_regions(model, f, t, ((lo,), (hi,)))
+        wide = batch_evolve(
+            model, [seed], f.p, t, snapshot_times=[t],
+            init=slab_window_rows(model, (lo - reach,), (hi + reach,)),
+        ).snapshots[t]
+        got = {(lo + int(x), int(s)) for s, x in zip(*np.nonzero(hc.xi_slab))}
+        want = {(int(wide.anchor[0] + x), int(s))
+                for s, x in zip(*np.nonzero(wide.rows[0]))}
+        assert got == {(x, s) for x, s in want if lo <= x < hi}
 
 
 # ---------------------------------------------------------------------------
 # edge processes
 
+def _edge_track(model, p, side, T, margin=0.2):
+    """Certified frontier of one half-slab run, seed 8."""
+    return half_slab_edges(model, [8], p, side, T, margin)[0].tolist()
+
+
 def test_edge_track_p1_examples():
-    f = FieldSpec(seed=4, p=1.0)
-    r = edge_track(ASYM3, f, "right", 6)
-    assert r.values == [2 * t for t in range(7)]
-    l = edge_track(ASYM3, f, "left", 6)
-    assert l.values == [-t for t in range(7)]
-    r = edge_track(TWO_D_OP, f, "right", 6)
-    assert r.values == list(range(7))
-    l = edge_track(TWO_D_OP, f, "left", 6)
-    assert l.values == [0] * 7
+    assert _edge_track(ASYM3, 1.0, "right", 6) == [2 * t for t in range(7)]
+    assert _edge_track(ASYM3, 1.0, "left", 6) == [-t for t in range(7)]
+    assert _edge_track(TWO_D_OP, 1.0, "right", 6) == list(range(7))
+    assert _edge_track(TWO_D_OP, 1.0, "left", 6) == [0] * 7
 
 
 def test_edge_track_speed_bound():
-    f = FieldSpec(seed=8, p=0.8)
-    r = edge_track(TWO_D_OP, f, "right", 40)
-    for t, v in enumerate(r.values):
+    for t, v in enumerate(_edge_track(TWO_D_OP, 0.8, "right", 40)):
         assert v <= TWO_D_OP.gamma * t
 
 
@@ -285,7 +324,7 @@ def test_edge_track_refuses_dead_frontier():
     # at p = 0 the truncated half slab dies at step 1; an empty frontier
     # certifies nothing about the infinite half slab
     with pytest.raises(TruncationUncertified):
-        edge_track(TWO_D_OP, FieldSpec(seed=8, p=0.0), "right", 10)
+        _edge_track(TWO_D_OP, 0.0, "right", 10)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -293,36 +332,41 @@ def test_edge_track_refuses_too_narrow_truncation(side):
     # margin -0.9 keeps a tenth of the needed half slab: the frontier, slower
     # than the cone at p = 0.8, falls within reach of the omitted sources
     with pytest.raises(TruncationUncertified):
-        edge_track(TWO_D_OP, FieldSpec(seed=8, p=0.8), side, 300, margin=-0.9)
+        _edge_track(TWO_D_OP, 0.8, side, 300, margin=-0.9)
 
 
 def test_edge_track_requires_d2():
     from gosp.dynamics import DimensionNot2
 
-    f = FieldSpec(seed=8, p=0.8)
     with pytest.raises(DimensionNot2):
-        edge_track(THREE_D, f, "right", 5)
+        _edge_track(THREE_D, 0.8, "right", 5)
 
 
 # ---------------------------------------------------------------------------
 # torus dynamics
 
+def _torus_tau(model, field, n, T_max):
+    """Extinction step of one torus replica; None if alive at T_max."""
+    tau = torus_extinction_batch(model, field.p, [field.seed], n, T_max).extinction[0]
+    return int(tau) if tau >= 0 else None
+
+
 def test_torus_trivial_probabilities():
-    assert torus_extinction(TWO_D_OP, FieldSpec(seed=1, p=0.0), 6, 10) == 1
-    assert torus_extinction(TWO_D_OP, FieldSpec(seed=1, p=1.0), 6, 10) is None
+    assert _torus_tau(TWO_D_OP, FieldSpec(seed=1, p=0.0), 6, 10) == 1
+    assert _torus_tau(TWO_D_OP, FieldSpec(seed=1, p=1.0), 6, 10) is None
 
 
 def test_torus_too_small():
     with pytest.raises(TorusTooSmall):
-        torus_extinction(TWO_D_OP, FieldSpec(seed=1, p=0.5), 2, 10)
+        _torus_tau(TWO_D_OP, FieldSpec(seed=1, p=0.5), 2, 10)
     with pytest.raises(TorusTooSmall):
-        torus_extinction(ASYM3, FieldSpec(seed=1, p=0.5), 4, 10)
+        _torus_tau(ASYM3, FieldSpec(seed=1, p=0.5), 4, 10)
 
 
 def test_torus_reproducible():
     f = FieldSpec(seed=123, p=0.55)
-    a = torus_extinction(TWO_D_OP, f, 8, 200)
-    b = torus_extinction(TWO_D_OP, f, 8, 200)
+    a = _torus_tau(TWO_D_OP, f, 8, 200)
+    b = _torus_tau(TWO_D_OP, f, 8, 200)
     assert a == b
 
 
@@ -353,7 +397,7 @@ def test_torus_matches_quotient_oracle(model):
     n = _torus_n(model)
     for seed in (61, 62, 63, 64):
         f = FieldSpec(seed=seed, p=0.55)
-        assert torus_extinction(model, f, n, 40) == _torus_oracle(model, f, n, 40)
+        assert _torus_tau(model, f, n, 40) == _torus_oracle(model, f, n, 40)
 
 
 @pytest.mark.parametrize("T_max", [40, 300])
@@ -368,7 +412,7 @@ def test_torus_block_ends_match_quotient_oracle(model, p, T_max):
     taus = []
     for seed in range(8):
         f = FieldSpec(seed=seed, p=p)
-        tau = torus_extinction(model, f, n, T_max)
+        tau = _torus_tau(model, f, n, T_max)
         assert tau == _torus_oracle(model, f, n, T_max)
         taus.append(tau)
     assert None in taus
@@ -411,116 +455,34 @@ def test_torus_batch_trivial_probabilities(model):
 
 
 # ---------------------------------------------------------------------------
-# tilted re-indexing
-
-def test_tilt_period_examples():
-    assert tilt_period(TWO_D_OP, (0,)) == 1
-    assert tilt_period(TWO_D_OP, (Fraction(1, 2),)) == 2
-    assert tilt_period(TWO_D_OP, (Fraction(1, 3),)) == 3
-    assert tilt_period(RANGE2, (Fraction(1, 2),)) == 2
-    assert tilt_period(RANGE2, (Fraction(1, 3),)) == 3
-    assert tilt_period(RANGE2, (0,)) == 2
-
-
-def test_tilted_view_zero_tilt_is_identity():
-    f = FieldSpec(seed=14, p=0.7)
-    traj = evolve([(0, 0), (2, 1)], RANGE2, f, 8, snapshot_times=[6, 7])
-    view = tilted_view(RANGE2, traj, (0,), 6)
-    assert view.R_hat == 2
-    state = traj.snapshots[6]
-    for s in range(2):
-        want = {x[:-1] for x in snapshot_sites(state) if x[-1] == s}
-        assert view.rows[s] == want
-        for z in want:
-            assert view.contains(z, s)
-
-
-def test_tilted_view_half_tilt():
-    f = FieldSpec(seed=14, p=0.8)
-    traj = evolve([(0, 0)], TWO_D_OP, f, 6, snapshot_times=[4, 5])
-    view = tilted_view(TWO_D_OP, traj, (Fraction(1, 2),), 4)
-    assert view.R_hat == 2
-    # row 0: sites of the time-4 snapshot shifted back by 4 * (1/2)
-    want = {(x - 2,) for (x, _) in snapshot_sites(traj.snapshots[4])}
-    assert view.rows[0] == want
-    # row 1 sits at time 5 where the shift 5/2 is not integral
-    assert view.rows[1] == set()
-
-
-def test_tilted_view_integer_tilt_predicate():
-    f = FieldSpec(seed=15, p=0.8)
-    traj = evolve([(0, 0)], TWO_D_OP, f, 10, snapshot_times=range(11))
-    view = tilted_view(TWO_D_OP, traj, (1,), 6, hit_horizon=10)
-    occ6 = snapshot_sites(traj.snapshots[6])
-    for x in range(-2, 10):
-        assert view.contains((x,), 0) == ((x + 6, 0) in occ6)
-    # hatted hitting time: first snapshot time where the re-indexed site is on
-    for (z, s), t_hat in view.hitting.items():
-        assert s == 0
-        assert (z + t_hat, 0) in snapshot_sites(traj.snapshots[t_hat])
-        for u in range(0, t_hat):
-            assert (z + u, 0) not in snapshot_sites(traj.snapshots[u])
-
-
-def test_tilted_view_coupled_rows():
-    from gosp.dynamics import slab_window_rows, batch_evolve, ProcessState
-
-    f = FieldSpec(seed=16, p=0.8)
-    traj = evolve([(0, 0)], TWO_D_OP, f, 6, snapshot_times=[6])
-    res = batch_evolve(
-        TWO_D_OP, [f.seed], f.p, 6,
-        init=slab_window_rows(TWO_D_OP, (-20,), (21,)), snapshot_times=[6],
-    )
-    slab = {
-        6: ProcessState(6, res.snapshots[6].anchor, res.snapshots[6].rows[0])
-    }
-    traj_slab = evolve([(0, 0)], TWO_D_OP, f, 0)
-    traj_slab.snapshots = slab
-    view = tilted_view(TWO_D_OP, traj, (0,), 6, traj_slab=traj_slab)
-    occ = view.rows[0]
-    slab_occ = {x[:-1] for x in slab[6].occupied()}
-    assert view.coupled[0] == {
-        z for z in occ | slab_occ if (z in occ) == (z in slab_occ)
-    }
-
-
-def test_tilted_view_errors():
-    f = FieldSpec(seed=14, p=0.8)
-    traj = evolve([(0, 0)], TWO_D_OP, f, 6, snapshot_times=[4])
-    with pytest.raises(MissingSnapshots):
-        tilted_view(TWO_D_OP, traj, (Fraction(1, 2),), 4)   # needs time 5 too
-    with pytest.raises(IrrationalTilt):
-        tilted_view(TWO_D_OP, traj, (0, 0), 4)              # wrong dimension
-
-
-# ---------------------------------------------------------------------------
 # snapshot serialisation
 
 def test_snapshot_roundtrip():
-    f = FieldSpec(seed=27, p=0.7)
-    traj = evolve([(0, 0), (3, 1)], RANGE2, f, 8, snapshot_times=[0, 3, 8])
-    buf = io.StringIO()
-    write_snapshots(traj.snapshots, buf)
-    buf.seek(0)
-    back = read_snapshots(buf)
-    assert set(back) == {0, 3, 8}
-    for t, state in traj.snapshots.items():
-        assert back[t].anchor == state.anchor
-        assert (back[t].rows == state.rows).all()
+    # the simulate records of replica 1 decode to its snapshots
+    res = batch_evolve(RANGE2, [26, 27], 0.7, 8,
+                       init=rows_from_sites(RANGE2, [(0, 0), (3, 1)]),
+                       snapshot_times=[0, 3, 8])
+    recs = _snapshot_records(res.snapshots, 1)
+    assert [r["t"] for r in recs] == [0, 3, 8]
+    for r in recs:
+        state = res.snapshots[r["t"]]
+        shape = tuple(r["shape"])
+        rows = [oracles.rle_decode(text, int(np.prod(shape))).reshape(shape)
+                for text in r["rows"]]
+        assert tuple(r["anchor"]) == state.anchor
+        assert (np.stack(rows) == state.rows[1]).all()
 
 
 def test_rle_format():
-    from gosp.dynamics import _rle_decode, _rle_encode
-
     bits = np.array([0, 0, 1, 1, 1, 0, 1], dtype=bool)
     enc = _rle_encode(bits)
     assert enc == "2,3,1,1"
-    assert (_rle_decode(enc, 7) == bits).all()
+    assert (oracles.rle_decode(enc, 7) == bits).all()
     # a leading one-run is encoded behind a zero-length zero-run
     assert _rle_encode(np.array([1, 1, 0], dtype=bool)) == "0,2,1"
     assert _rle_encode(np.zeros(0, dtype=bool)) == ""
     with pytest.raises(ValueError):
-        _rle_decode("2,3", 7)
+        oracles.rle_decode("2,3", 7)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +554,8 @@ def test_cone_bound_property(model, seed, t):
 @given(_models, _seeds, st.integers(1, 5))
 def test_domain_monotonicity_property(model, seed, t):
     f = FieldSpec(seed=seed, p=0.8)
-    narrow = TubeDomain((-2,), (3,))
-    wide = TubeDomain((-6,), (7,))
+    narrow = _untilted(1, 3)                # x in [-2, 4)
+    wide = _untilted(1, 7)                  # x in [-6, 8)
     xi_n = snapshot_sites(
         evolve([(0, 0)], model, f, t, domain=narrow, snapshot_times=[t]).snapshots[t]
     )

@@ -1,4 +1,8 @@
-"""Blocks, boxes, cones and the renormalisation target regions."""
+"""Blocks, boxes, cones and the renormalisation target regions.
+
+The vectorised masks are checked on examples and against the scalar
+membership oracles in oracles.py.
+"""
 
 from fractions import Fraction
 
@@ -12,39 +16,56 @@ from gosp.geometry import (
     TranslatedBlock,
     as_fraction,
     bg_target_blocks,
-    block_contains,
     block_mask,
+    cone_mask,
+)
+from oracles import (
+    block_contains,
     box_geometry,
     cone_contains,
-    cone_mask,
+    translated_block_contains as contains,
 )
 
 
+def _coords(site):
+    return [np.int64(c) for c in site[:-1]], np.int64(site[-1])
+
+
+def _in_block(g, site, offset=None) -> bool:
+    """block_mask at one site."""
+    return bool(block_mask(g, *_coords(site), offset=offset))
+
+
+def _in_cone(polytope, site) -> bool:
+    """cone_mask at one site."""
+    return bool(cone_mask(polytope, *_coords(site)))
+
+
 def test_block_contains_examples():
-    assert block_contains(BlockGeometry((1,), 1, (0,)), (0, 0))
+    assert _in_block(BlockGeometry((1,), 1, (0,)), (0, 0))
     g = BlockGeometry((2,), 3, (1,))
-    assert block_contains(g, (3, 2))        # 3 - 2*1 = 1 in [-2, 2)
-    assert not block_contains(g, (5, 2))    # 5 - 2 = 3 outside
-    assert not block_contains(g, (0, 3))    # t range half-open
+    assert _in_block(g, (3, 2))        # 3 - 2*1 = 1 in [-2, 2)
+    assert not _in_block(g, (5, 2))    # 5 - 2 = 3 outside
+    assert not _in_block(g, (0, 3))    # t range half-open
 
 
 def test_box_equals_untilted_block():
     g = box_geometry(3, 2, 2)
     for x in range(-5, 5):
         for t in range(-1, 4):
-            assert block_contains(g, (x, t)) == (-3 <= x < 3 and 0 <= t < 2)
+            assert _in_block(g, (x, t)) == (-3 <= x < 3 and 0 <= t < 2)
 
 
 def test_half_open_spatial_range():
     g = BlockGeometry((2,), 1, (0,))
-    assert block_contains(g, (-2, 0))
-    assert not block_contains(g, (2, 0))
+    assert _in_block(g, (-2, 0))
+    assert not _in_block(g, (2, 0))
 
 
 def test_fractional_tilt_membership():
     g = BlockGeometry((1,), 4, (Fraction(1, 2),))
     # at t=3 the admissible x satisfy x - 3/2 in [-1, 1), i.e. x in {1, 2}
-    assert [x for x in range(-2, 5) if block_contains(g, (x, 3))] == [1, 2]
+    assert [x for x in range(-2, 5) if _in_block(g, (x, 3))] == [1, 2]
 
 
 def test_block_mask_matches_scalar():
@@ -61,16 +82,16 @@ def test_translated_block_invariance():
     tb = TranslatedBlock(g, shift)
     for x in range(-5, 12):
         for t in range(-2, 8):
-            assert tb.contains((x, t)) == block_contains(g, (x - 5, t - 2))
+            assert bool(tb.mask(*_coords((x, t)))) == block_contains(g, (x - 5, t - 2))
 
 
 def test_cone_contains_examples():
     o = ConvexPolytope.interval(-1, 1)
-    assert cone_contains(o, (0, 5))
-    assert not cone_contains(o, (6, 5))
-    assert not cone_contains(o, (0, 0))     # t must be positive
+    assert _in_cone(o, (0, 5))
+    assert not _in_cone(o, (6, 5))
+    assert not _in_cone(o, (0, 0))     # t must be positive
     o2 = ConvexPolytope.interval("1/5", "3/5")
-    assert cone_contains(o2, (2, 5))
+    assert _in_cone(o2, (2, 5))
 
 
 def test_cone_mask_matches_scalar():
@@ -85,20 +106,20 @@ def test_bg_target_blocks_geometry():
     g = BlockGeometry((2,), 3, (0,))
     regions = bg_target_blocks(g)
     # targets centred at (+-4, 21) for v=0, w=2, h=3
-    assert regions.target_plus.contains((4, 21))
-    assert regions.target_minus.contains((-4, 21))
-    assert not regions.target_plus.contains((-4, 21))
+    assert contains(regions.target_plus, (4, 21))
+    assert contains(regions.target_minus, (-4, 21))
+    assert not contains(regions.target_plus, (-4, 21))
     # envelope contains the source block
     for x in range(-6, 6):
         for t in range(0, 5):
-            if regions.source.contains((x, t)):
-                assert regions.envelope.contains((x, t))
+            if contains(regions.source, (x, t)):
+                assert contains(regions.envelope, (x, t))
     # targets are disjoint
     for x in range(-10, 10):
         for t in range(18, 26):
             assert not (
-                regions.target_plus.contains((x, t))
-                and regions.target_minus.contains((x, t))
+                contains(regions.target_plus, (x, t))
+                and contains(regions.target_minus, (x, t))
             )
 
 
@@ -129,4 +150,4 @@ def test_block_membership_translation_property(w, h, v, x, t):
     g = BlockGeometry((w,), h, (v,))
     # simultaneous integer translation of site and block leaves membership
     tb = TranslatedBlock(g, (Fraction(3), Fraction(2)))
-    assert tb.contains((x + 3, t + 2)) == block_contains(g, (x, t))
+    assert bool(tb.mask(*_coords((x + 3, t + 2)))) == block_contains(g, (x, t))
