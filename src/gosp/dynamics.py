@@ -110,13 +110,18 @@ class BatchState:
     t: int
     anchor: tuple[int, ...]
     rows: np.ndarray
+    # which replicas were occupied when a step kernel made ``rows``; None
+    # if unknown, and stale once the rows are changed in place
+    live: np.ndarray | None = None
 
     @property
     def batch(self) -> int:
         return self.rows.shape[0]
 
     def alive(self) -> np.ndarray:
-        return self.rows.any(axis=tuple(range(1, self.rows.ndim)))
+        if _narrow(self.rows):
+            return _any(_replica_last(self.rows), axis=0)
+        return _any(self.rows, axis=tuple(range(1, self.rows.ndim)))
 
 
 @dataclass
@@ -139,22 +144,54 @@ def _window_coords(anchor, shape):
     return [g + a for g, a in zip(grids, anchor)]
 
 
+# A reduction over short rows costs about 20-30 ns a row however short
+# they are.  So a batch of at least _NARROW_MIN_B replicas that span at
+# most _NARROW_CELLS cells each is reduced from a copy with the replica axis
+# last, where every reduction runs across rows or along rows of B cells;
+# with fewer replicas or wider windows the copy costs more than it saves.
+# (``_any`` is ndarray.any without the method's Python-level wrapper.)
+_NARROW_CELLS = 32
+_NARROW_MIN_B = 128
+_any = np.logical_or.reduce
+
+
+def _narrow(rows: np.ndarray) -> bool:
+    B = rows.shape[0]
+    return B >= _NARROW_MIN_B and rows.size <= _NARROW_CELLS * B
+
+
+def _replica_last(rows: np.ndarray) -> np.ndarray:
+    """Rows (B, R, *ext) as a contiguous (R * cells, B) copy."""
+    return rows.reshape(rows.shape[0], -1).T.copy()
+
+
 def _trim(rows: np.ndarray, anchor):
-    """Shrink the spatial window to the occupied bounding box."""
-    d_s = rows.ndim - 2
-    if d_s == 0:
-        return rows, anchor
-    if not rows.any():
+    """Shrink the spatial window to the occupied bounding box.
+
+    Returns the trimmed rows, their anchor and which replicas are occupied,
+    all from one pass that ORs the rows into per-replica and per-cell
+    occupancy.
+    """
+    B, R, ext = rows.shape[0], rows.shape[1], rows.shape[2:]
+    d_s = len(ext)
+    if _narrow(rows):
+        occ = _any(_replica_last(rows).reshape(R, rows.size // (B * R), B), axis=0)
+        alive, cells = _any(occ, axis=0), _any(occ, axis=1).reshape(ext)
+    else:
+        occ = rows[:, 0]
+        for r in range(1, R):
+            occ = occ | rows[:, r]
+        alive, cells = _any(occ, axis=tuple(range(1, occ.ndim))), _any(occ, axis=0)
+    if not alive.any():
         sl = (slice(None), slice(None)) + (slice(0, 0),) * d_s
-        return rows[sl], anchor
+        return rows[sl], anchor, alive
     lo, hi = [], []
     for ax in range(d_s):
-        proj = np.any(rows, axis=tuple(i for i in range(rows.ndim) if i != 2 + ax))
-        nz = np.flatnonzero(proj)
+        nz = np.flatnonzero(_any(cells, axis=tuple(i for i in range(d_s) if i != ax)))
         lo.append(int(nz[0]))
         hi.append(int(nz[-1]) + 1)
     sl = (slice(None), slice(None)) + tuple(slice(l, h) for l, h in zip(lo, hi))
-    return rows[sl], tuple(a + l for a, l in zip(anchor, lo))
+    return rows[sl], tuple(a + l for a, l in zip(anchor, lo)), alive
 
 
 def _grid_occupancy(anchor, rows, zlo, shape):
@@ -307,8 +344,8 @@ def _batch_step(state: BatchState, model: NormalizedModel,
         rows[(slice(None), slice(0, R - 1)) + sl] = state.rows[:, 1:]
     sl = tuple(slice(l_ - l, l_ - l + s_) for l_, l, s_ in zip(lo, ulo, shape))
     rows[(slice(None), R - 1) + sl] = top
-    rows, anchor = _trim(rows, ulo)
-    return BatchState(state.t + 1, anchor, rows)
+    rows, anchor, live = _trim(rows, ulo)
+    return BatchState(state.t + 1, anchor, rows, live)
 
 
 def _dual_batch_step(state: BatchState, model: NormalizedModel,
@@ -354,8 +391,8 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
         rows[(slice(None), slice(1, R)) + sl] = state.rows[:, : R - 1]
     sl = tuple(slice(l_ - l, l_ - l + s_) for l_, l, s_ in zip(lo, ulo, shape))
     rows[(slice(None), 0) + sl] = acc
-    rows, anchor = _trim(rows, ulo)
-    return BatchState(state.t + 1, anchor, rows)
+    rows, anchor, live = _trim(rows, ulo)
+    return BatchState(state.t + 1, anchor, rows, live)
 
 
 def _torus_batch_step(state: BatchState, gather: np.ndarray,
@@ -456,11 +493,13 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     alive_at_T = np.zeros(B, dtype=bool)
 
     def observe(t):
+        live = state.live
         if per_step is not None:
             per_step(t, state)
+            live = None             # the observer may have cleared rows
         if t in snapshot_times:
             snapshots[t] = BatchState(t, state.anchor, state.rows.copy())
-        return state.alive()
+        return state.alive() if live is None else live
 
     alive_prev = observe(0)
     extinction[~alive_prev] = 0

@@ -4,6 +4,8 @@ The engine is checked against the naive set-based references in oracles.py
 on every model of the shared pool, plus exact deterministic examples at
 p = 0 and p = 1.  Truncations are also checked on DRIFT2, whose spatial
 steps do not straddle 0, and reachability on randomly drawn models.
+Compaction is checked against uncompacted and single-replica runs, and the
+occupancy reductions against plain numpy.
 """
 
 import itertools
@@ -641,3 +643,72 @@ def test_openness_matches_site_hash(run):
         assert block.shape == (3, len(rows)) + shape
         for j, tj in enumerate(times):
             assert (block[j] == openness.window(lo, shape, int(tj))).all()
+
+
+# ---------------------------------------------------------------------------
+# compaction and occupancy
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(MODEL_POOL + [DRIFT2]),
+    st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+    _seeds,
+    st.integers(1, 300),
+    st.integers(0, 12),
+    st.booleans(),
+)
+def test_compaction_is_exact(model, p, master, B, T, dual):
+    # dropping extinct replicas changes nothing: each row of a compacted
+    # run equals the full batch's row and a B = 1 run of its seed
+    seeds = spawn_seeds(master, 0, B)
+    full = batch_evolve(model, seeds, p, T, dual=dual)
+    comp = batch_evolve(model, seeds, p, T, dual=dual, compact=True)
+    assert np.array_equal(comp.extinction, full.extinction)
+    assert np.array_equal(comp.alive_at_T, full.alive_at_T)
+    for i, s in enumerate(seeds):
+        one = batch_evolve(model, [s], p, T, dual=dual)
+        assert one.extinction[0] == comp.extinction[i]
+        assert one.alive_at_T[0] == comp.alive_at_T[i]
+
+
+@st.composite
+def _occupancy_rows(draw):
+    # batches on both sides of the narrow/wide switch in replicas and in
+    # cells per replica, with empty rows, all-empty batches and
+    # non-contiguous views like the trimmed rows a step leaves
+    d_s = draw(st.sampled_from([1, 2]))
+    B = draw(st.sampled_from([1, 2, dyn._NARROW_MIN_B - 1, dyn._NARROW_MIN_B, 300]))
+    R = draw(st.integers(1, 3))
+    ext = tuple(draw(st.integers(0, 40 if d_s == 1 else 7)) for _ in range(d_s))
+    rng = np.random.default_rng(draw(_seeds))
+    rows = rng.random((B, R) + ext) < draw(st.sampled_from([0.0, 1e-3, 0.03, 0.3]))
+    rows[rng.random(B) < draw(st.sampled_from([0.0, 0.5]))] = False
+    if draw(st.booleans()):
+        pad = [(0, 0), (0, 0)] + [(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+                                  for _ in range(d_s)]
+        big = np.pad(rows, pad)
+        rows = big[(slice(None), slice(None)) + tuple(
+            slice(lo, lo + e) for (lo, _), e in zip(pad[2:], ext))]
+    anchor = tuple(draw(st.integers(-50, 50)) for _ in range(d_s))
+    return rows, anchor
+
+
+@settings(max_examples=300, deadline=None)
+@given(_occupancy_rows())
+def test_occupancy_matches_plain_numpy(case):
+    rows, anchor = case
+    d_s = rows.ndim - 2
+    expect_alive = rows.any(axis=tuple(range(1, rows.ndim)))
+    state = dyn.BatchState(0, anchor, rows)
+    assert np.array_equal(state.alive(), expect_alive)
+    trimmed, lo, alive = dyn._trim(rows, anchor)
+    assert np.array_equal(alive, expect_alive)
+    nz = np.nonzero(rows)
+    if not nz[0].size:
+        assert trimmed.shape == rows.shape[:2] + (0,) * d_s and lo == anchor
+        return
+    box = [(int(c.min()), int(c.max()) + 1) for c in nz[2:]]
+    assert lo == tuple(a + b for a, (b, _) in zip(anchor, box))
+    assert np.array_equal(
+        trimmed, rows[(slice(None), slice(None)) + tuple(slice(*b) for b in box)]
+    )

@@ -1,11 +1,14 @@
 """Estimator entry points: deterministic examples at p in {0, 1}, exact
-small-horizon oracles, refusal paths and thread-count invariance."""
+small-horizon oracles, refusal paths, and invariance under the thread count
+and the chunk sizes."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import gosp.estimators as est
 import oracles
 from conftest import ASYM3, THREE_D, TWO_D_OP
 from gosp.estimators import (
@@ -384,3 +387,23 @@ def test_thread_count_invariance():
     da = density_spectrum(TWO_D_OP, 0.7, 4, 20, 12, seed=14, threads=1)
     db = density_spectrum(TWO_D_OP, 0.7, 4, 20, 12, seed=14, threads=2)
     assert (da.samples == db.samples).all()
+
+
+def test_outcomes_do_not_depend_on_chunk_size(monkeypatch):
+    # a replica's outcome depends on its seed alone; 135,000 replicas make
+    # an odd number of chunks at every size (135, 33 and 3), so at two
+    # threads one worker takes a chunk more than the other
+    reps = 135_000
+    ref = None
+    for threads, chunk in itertools.product((1, 2), (1_000, 4_096, 65_536)):
+        monkeypatch.setattr(est, "_DECAY_CHUNK", chunk)
+        monkeypatch.setattr(est, "_SURVIVAL_CHUNK", chunk)
+        assert len(est._spans(0, reps, chunk)) % 2 == 1
+        hist = subcritical_decay(
+            TWO_D_OP, 0.5, 40, reps, seed=21, threads=threads,
+            windows=((5, 10), (10, 15)),
+        ).histogram
+        taus = survival_curve(TWO_D_OP, 0.5, 40, reps, seed=22, threads=threads).taus
+        if ref is None:
+            ref = hist, taus
+        assert np.array_equal(hist, ref[0]) and np.array_equal(taus, ref[1])

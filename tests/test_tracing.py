@@ -26,25 +26,23 @@ print(sorted(tracing.install()))
 """
 
 
-# runs a tiny torus plan and a tiny survival plan through gosp.cli.run
+# runs tiny plans, given as JSON (plan, threads) pairs, through gosp.cli.run
 # under tracing; the wrappers patch process-wide attributes, hence the
-# subprocess
+# subprocess.  The decay chunk is lowered so that a small decay plan still
+# spreads over several chunks in the process pool.
 _TRACED = """
 import json, os, sys, time
 import gosp.cli as cli
+import gosp.estimators
 sys.path.insert(0, sys.argv[1])
 import tracing
+gosp.estimators._DECAY_CHUNK = 4000
 missing = tracing.install()
-model, out = sys.argv[2], sys.argv[3]
-plans = [
-    {"estimator": "torus", "model": model, "seed": 3, "p": 0.7, "sizes": [6],
-     "reps": 20, "T_max": 300, "regime": "super"},
-    {"estimator": "survival", "model": model, "seed": 3, "p": 0.7, "T": 20,
-     "reps": 50},
-]
+model, out, plans = sys.argv[2], sys.argv[3], json.loads(sys.argv[4])
 t0 = time.perf_counter()
-for i, plan in enumerate(plans):
-    cli.run(cli.validate_plan(plan), 1, os.path.join(out, str(i)))
+for i, (plan, threads) in enumerate(plans):
+    plan = cli.validate_plan(dict(plan, model=model, seed=3))
+    cli.run(plan, threads, os.path.join(out, str(i)))
 print(json.dumps({
     "broken": sorted(tracing._spans.broken),
     "layers": tracing.layer_metrics(time.perf_counter() - t0, missing),
@@ -68,12 +66,42 @@ def test_tracing_install_finds_every_name():
     assert _run(_PROBE) == "[]"
 
 
-def test_traced_torus_and_survival_plans_have_every_layer(tmp_path):
+def _traced_layers(tmp_path, plans):
     model = model_file(tmp_path, TWO_D_OP)
-    out = json.loads(_run(_TRACED, model, str(tmp_path / "out")))
+    out = json.loads(
+        _run(_TRACED, model, str(tmp_path / "out"), json.dumps(plans))
+    )
     assert out["broken"] == []
     layers = out["layers"]
     assert [name for name, v in layers.items() if v is None] == []
+    # the benchmark's result line must parse as strict JSON
+    json.dumps(layers, allow_nan=False)
+    return layers
+
+
+def test_traced_torus_and_survival_plans_have_every_layer(tmp_path):
+    layers = _traced_layers(tmp_path, [
+        ({"estimator": "torus", "p": 0.7, "sizes": [6], "reps": 20,
+          "T_max": 300, "regime": "super"}, 1),
+        ({"estimator": "survival", "p": 0.7, "T": 20, "reps": 50}, 1),
+    ])
     assert layers["dynamics.steps"] > 0
     assert layers["dynamics.torus_step_s"] > 0
     assert layers["dynamics.primal_step_s"] > 0
+
+
+def test_traced_dual_and_pooled_decay_plans_have_every_layer(tmp_path):
+    # the dual kernel, and a decay run spread over three chunks in the
+    # process pool, must be seen by every layer as the benchmark sees them
+    layers = _traced_layers(tmp_path, [
+        ({"estimator": "survival", "p": 0.7, "T": 20, "reps": 50,
+          "dual": True}, 1),
+        ({"estimator": "survival", "p": 0.5, "T": 20, "reps": 12000,
+          "decay_windows": [[2, 6], [6, 10]]}, 2),
+    ])
+    assert layers["dynamics.dual_step_s"] > 0
+    assert layers["dynamics.primal_step_s"] > 0
+    assert layers["estimators.chunks"] >= 3
+    assert layers["estimators.pool_starts"] == 1
+    # every decay replica takes its first step in a traced kernel
+    assert layers["dynamics.replica_steps"] >= 12000
