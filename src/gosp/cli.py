@@ -72,7 +72,7 @@ _INT = {"type": "integer"}
 _FRAC = {"type": ["string", "number"], "format": "fraction"}
 _INTS = {"type": "array", "items": _INT, "minItems": 1}
 _FRACS = {"type": "array", "items": _FRAC, "minItems": 1}
-_WINDOW = {"type": "array", "items": _INT, "minItems": 2, "maxItems": 2}
+_WINDOW = {"type": "array", "items": _POSINT, "minItems": 2, "maxItems": 2}
 _BOOL = {"type": "boolean"}
 _EPS = _number(minimum=0)
 _P_T_REPS = {"p": _NUM01, "T": _POSINT, "reps": _POSINT}

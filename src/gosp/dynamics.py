@@ -540,7 +540,6 @@ class Trajectory:
     extinction_time: int | None         # None if still alive at T
     counts: list[int]
     snapshots: dict[int, ProcessState] | None = None
-    hitting: dict[tuple, int] | None = None
 
     @property
     def survived(self) -> bool:
@@ -548,19 +547,11 @@ class Trajectory:
 
 
 def _single(model, field, T, A, *, dual=False, t0=0, domain=None,
-            snapshot_times=(), hit_window=None) -> Trajectory:
+            snapshot_times=()) -> Trajectory:
     counts = np.zeros(T + 1, dtype=np.int64)
-    hits = None
-    if hit_window is not None:
-        hit_lo = tuple(int(c) for c in hit_window[0])
-        hit_shape = tuple(int(h) - l for l, h in zip(hit_lo, hit_window[1]))
-        hits = np.full(hit_shape, -1, dtype=np.int64)
 
     def observe(t, state: BatchState):
         counts[t] = state.rows.sum()
-        if hits is not None:
-            occ = _grid_occupancy(state.anchor, state.rows[0, 0], hit_lo, hit_shape)
-            hits[occ & (hits < 0)] = t
 
     res = batch_evolve(
         model, [field.seed], field.p, T, init=rows_from_sites(model, A), t0=t0,
@@ -573,26 +564,18 @@ def _single(model, field, T, A, *, dual=False, t0=0, domain=None,
             t: ProcessState(t0 + t, st.anchor, st.rows[0])
             for t, st in res.snapshots.items()
         }
-    hitting = None
-    if hits is not None:
-        hitting = {
-            tuple(int(l + c) for l, c in zip(hit_lo, pos)): int(hits[pos])
-            for pos in zip(*np.nonzero(hits >= 0))
-        }
     return Trajectory(
         T=T, extinction_time=ext, counts=[int(c) for c in counts],
-        snapshots=snaps, hitting=hitting,
+        snapshots=snaps,
     )
 
 
 def evolve(A, model: NormalizedModel, field: FieldSpec, T: int,
            domain: Domain | None = None, t0: int = 0,
-           snapshot_times: Iterable[int] = (), hit_window=None) -> Trajectory:
-    """Iterate the chain from A for T steps (or to extinction); ``hit_window``
-    (lo, hi) records the first time each site of row 0 in it is occupied."""
+           snapshot_times: Iterable[int] = ()) -> Trajectory:
+    """Iterate the chain from A for T steps (or to extinction)."""
     return _single(
-        model, field, T, A, t0=t0, domain=domain,
-        snapshot_times=snapshot_times, hit_window=hit_window,
+        model, field, T, A, t0=t0, domain=domain, snapshot_times=snapshot_times,
     )
 
 
@@ -683,10 +666,13 @@ def dual_reaches(b, a, model: NormalizedModel, field: FieldSpec,
 
 @dataclass
 class HitCoupled:
-    """H, K and both final states restricted to a common window.
+    """H, K and both final states of a batch, restricted to a common window.
 
-    Arrays have shape (R, *window extent); slab site (x, s) maps to index
-    [s, x - window_lo].
+    Arrays have a leading replica axis: H, K, xi_origin and xi_slab have
+    shape (B, R, *window extent), and slab site (x, s) of replica b maps to
+    index [b, s, x - window_lo].  ``hit_times`` (B, *window extent) holds the
+    first step at which the origin run occupies (x, 0), or -1 if it never
+    does.
     """
 
     t: int
@@ -696,12 +682,12 @@ class HitCoupled:
     K: np.ndarray
     xi_origin: np.ndarray
     xi_slab: np.ndarray
-    hitting: dict[tuple, int]
+    hit_times: np.ndarray
 
 
-def hit_and_coupled_regions(model: NormalizedModel, field: FieldSpec, t: int,
+def hit_and_coupled_regions(model: NormalizedModel, seeds, p, t: int,
                             window, prune: bool = True) -> HitCoupled:
-    """Compare the origin run and the full-slab run on one configuration.
+    """Compare the origin run and the full-slab run on each seed's field.
 
     ``window`` is a (lo, hi) pair of spatial bounds.  The full-slab run is
     started on the backward ``dependency_cone`` of the window over t steps:
@@ -712,11 +698,13 @@ def hit_and_coupled_regions(model: NormalizedModel, field: FieldSpec, t: int,
     """
     lo = tuple(int(c) for c in window[0])
     hi = tuple(int(c) for c in window[1])
+    ext = tuple(h - l for l, h in zip(lo, hi))
     d_s = model.d - 1
-    traj_o = evolve(
-        [(0,) * d_s + (0,)], model, field, t,
-        snapshot_times=[t], hit_window=(lo, hi),
-    )
+    hit_times = np.full((len(seeds),) + ext, -1, dtype=np.int64)
+
+    def record_hits(step_t, state: BatchState):
+        occ = _grid_occupancy(state.anchor, state.rows[:, 0], lo, ext)
+        hit_times[occ & (hit_times < 0)] = step_t
 
     def prune_step(step_t, state: BatchState):
         # a site of this state reaches time t in at most rem hops, so one
@@ -739,27 +727,24 @@ def hit_and_coupled_regions(model: NormalizedModel, field: FieldSpec, t: int,
                 sl[2 + ax] = slice(max(cut_h, 0), e)
                 state.rows[tuple(sl)] = False
 
-    res_S = batch_evolve(
-        model, [field.seed], field.p, t,
+    snap_o = batch_evolve(
+        model, seeds, p, t, snapshot_times=[t], per_step=record_hits,
+    ).snapshots[t]
+    snap_S = batch_evolve(
+        model, seeds, p, t,
         init=slab_window_rows(
             model, *dependency_cone(model, lo, hi, t, backward=True)),
         snapshot_times=[t], per_step=prune_step if prune else None,
-    )
-    ext = tuple(h - l for l, h in zip(lo, hi))
-    snap_o, snap_S = traj_o.snapshots[t], res_S.snapshots[t]
+    ).snapshots[t]
     xi_o = _grid_occupancy(snap_o.anchor, snap_o.rows, lo, ext)
-    xi_S = _grid_occupancy(snap_S.anchor, snap_S.rows[0], lo, ext)
-    K = xi_o == xi_S
-    H = np.zeros_like(K)
-    hitting = traj_o.hitting
-    for x, tx in hitting.items():
-        rel = tuple(c - l for c, l in zip(x, lo))
-        for s in range(model.R):
-            if tx <= t - s:
-                H[(s,) + rel] = True
+    xi_S = _grid_occupancy(snap_S.anchor, snap_S.rows, lo, ext)
+    # (x, s) lies in H iff the origin run occupied (x, 0) by step t - s
+    last = (t - np.arange(model.R)).reshape((1, -1) + (1,) * d_s)
+    ht = hit_times[:, None]
+    H = (ht >= 0) & (ht <= last)
     return HitCoupled(
-        t=t, window_lo=lo, window_hi=hi, H=H, K=K,
-        xi_origin=xi_o, xi_slab=xi_S, hitting=hitting,
+        t=t, window_lo=lo, window_hi=hi, H=H, K=xi_o == xi_S,
+        xi_origin=xi_o, xi_slab=xi_S, hit_times=hit_times,
     )
 
 

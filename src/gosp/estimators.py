@@ -8,7 +8,9 @@ the thread count.  Chunk sizes are constants chosen for speed; they only
 group replicas into batches, and a replica's outcome depends on its seed
 alone, so no outcome depends on them either
 (tests/test_estimators.py::test_outcomes_do_not_depend_on_chunk_size checks
-survival and decay at three chunk sizes and two thread counts).
+survival and decay at three chunk sizes and two thread counts, and
+test_batched_outcomes_do_not_depend_on_chunk_size shape, meet, density and
+goodblock at two sizes of each chunk constant).
 
 All reported quantities are finite-horizon proxies; the horizon is an
 explicit parameter carried in the result record.  Estimators refuse (raise a
@@ -338,7 +340,7 @@ def _longest_run(mask: np.ndarray):
     return int(starts[k]), int(ends[k]) - 1
 
 
-_SHAPE_CHUNK = 4
+_SHAPE_CHUNK = 16
 _SHAPE_BLOCK = 32
 
 
@@ -346,37 +348,36 @@ def _shape_chunk(common, span):
     model, p, t, T_cond, master, lane, directions, ns = common
     # the t-step cone of the origin, one site wider on each side
     lo, hi = dependency_cone(model, (-1,), (2,), t)
-    out = []
-    for i in range(*span):
-        si = _rep_seeds(master, lane, i, i + 1)[0]
-        pre = batch_evolve(model, [si], p, T_cond, compact=True)
-        if not pre.alive_at_T[0]:
-            out.append(None)
-            continue
-        hc = hit_and_coupled_regions(model, FieldSpec(si, p), t, (lo, hi))
-        run = _longest_run((hc.H & hc.K)[0])
+    seeds = _rep_seeds(master, lane, *span)
+    alive = batch_evolve(model, seeds, p, T_cond, compact=True).alive_at_T
+    out = [None] * len(seeds)
+    if not alive.any():
+        return out
+    hc = hit_and_coupled_regions(model, seeds[alive], p, t, (lo, hi))
+    for j, i in enumerate(np.flatnonzero(alive)):
+        run = _longest_run((hc.H[j] & hc.K[j])[0])
         if run is None:
-            out.append(None)
             continue
         a, b = run
-        occ = np.flatnonzero(hc.xi_origin[0])
+        occ = np.flatnonzero(hc.xi_origin[j, 0])
         support = (
             (int(lo[0] + occ[0]), int(lo[0] + occ[-1])) if occ.size else None
         )
+        hit_times = hc.hit_times[j]
         mus = {}
         for dvec in directions:
             pts = []
             for n in ns:
-                tn = hc.hitting.get((round(n * dvec[0]),))
-                if tn is not None:
-                    pts.append((n, tn))
+                x = round(n * dvec[0]) - lo[0]
+                if 0 <= x < len(hit_times) and hit_times[x] >= 0:
+                    pts.append((n, int(hit_times[x])))
             if len(pts) >= 3:
                 mus[dvec] = sum(n * tn for n, tn in pts) / sum(
                     n * n for n, _ in pts
                 )
             else:
                 mus[dvec] = None
-        out.append(((lo[0] + a) / t, (lo[0] + b) / t, support, mus))
+        out[i] = ((lo[0] + a) / t, (lo[0] + b) / t, support, mus)
     return out
 
 
@@ -642,9 +643,10 @@ def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
                       threads: int = 1,
                       windows=((40, 60), (60, 80)),
                       floor: int = 50) -> SubcriticalDecay:
+    for window in windows:
+        if not 1 <= window[0] < window[1] <= T:
+            raise EstimatorError(f"window {window} must satisfy 1 <= a < b <= T")
     b_max = max(b for _, b in windows)
-    if b_max > T:
-        raise EstimatorError(f"windows {windows} must end at or before T={T}")
     hist = sum(_run_chunks(
         _decay_chunk, (model, p, T, seed, 0), reps, _DECAY_CHUNK, threads,
     ))
@@ -754,32 +756,38 @@ def torus_stats(model: NormalizedModel, p, sizes, reps: int, T_max: int,
 # ---------------------------------------------------------------------------
 # density spectrum
 
-_DENSITY_CHUNK = 8
+# the chunks of density and goodblock repeat each replica's seed once per
+# start site; a chunk takes as many replicas as fit _SITE_ROWS batch rows
+_SITE_ROWS = 512
+
+
+def _site_chunk(n_sites: int) -> int:
+    return max(1, _SITE_ROWS // n_sites)
+
+
+def _site_starts(model: NormalizedModel, ext, slab_rows) -> np.ndarray:
+    """Rows (n, R, *ext) with one occupied site each: every cell of a box of
+    extent ``ext`` on each slab row of ``slab_rows`` in turn."""
+    cells = math.prod(ext)
+    n = len(slab_rows) * cells
+    rows = np.zeros((n, model.R, cells), dtype=bool)
+    k = np.arange(n)
+    rows[k, np.repeat(slab_rows, cells), k % cells] = True
+    return rows.reshape((n, model.R) + tuple(ext))
 
 
 def _density_chunk(common, span):
     model, p, n, T_inf, master, lane = common
     d_s = model.d - 1
-    R = model.R
-    ext = (2 * n,) * d_s
-    anchor = (-n,) * d_s
-    # one batch entry per site of the box, all on the same replica seed
-    n_sites = R * int(np.prod(ext))
-    rows = np.zeros((n_sites,) + (R,) + ext, dtype=bool)
-    k = 0
-    for s in range(R):
-        for pos in np.ndindex(ext):
-            rows[(k, s) + pos] = True
-            k += 1
-    out = []
-    for i in range(*span):
-        si = _rep_seeds(master, lane, i, i + 1)[0]
-        res = batch_evolve(
-            model, [si] * n_sites, p, T_inf, init=(anchor, rows.copy()),
-            dual=True, compact=True,
-        )
-        out.append(float(res.alive_at_T.mean()))
-    return np.array(out)
+    rows = _site_starts(model, (2 * n,) * d_s, range(model.R))
+    n_sites = len(rows)
+    seeds = _rep_seeds(master, lane, *span)
+    res = batch_evolve(
+        model, np.repeat(seeds, n_sites), p, T_inf,
+        init=((-n,) * d_s, np.concatenate([rows] * len(seeds))),
+        dual=True, compact=True,
+    )
+    return res.alive_at_T.reshape(len(seeds), n_sites).mean(axis=1)
 
 
 @dataclass
@@ -805,7 +813,7 @@ def density_spectrum(model: NormalizedModel, p, n: int, T_inf: int, reps: int,
         raise EstimatorError("T_inf must be at least 10")
     samples = np.concatenate(_run_chunks(
         _density_chunk, (model, p, n, T_inf, seed, 0), reps,
-        _DENSITY_CHUNK, threads,
+        _site_chunk(model.R * (2 * n) ** (model.d - 1)), threads,
     ))
     freq_le = {
         float(a): float((samples <= a).mean()) for a in a_values
@@ -986,9 +994,6 @@ def bg_event_probability(model: NormalizedModel, p, g: BlockGeometry, n: int,
 # ---------------------------------------------------------------------------
 # good blocks
 
-_GOOD_CHUNK = 4
-
-
 def _good_chunk(common, span):
     model, p, L, C, v, master, lane = common
     R = model.R
@@ -1025,60 +1030,44 @@ def _good_chunk(common, span):
     # s_time steps holds that over C*L <= s_time, so both snapshots are exact
     slo, shi = dependency_cone(model, zlo, zhi, s_time, backward=True)
 
-    out = []
-    for i in range(*span):
-        si = _rep_seeds(master, lane, i, i + 1)[0]
-        e1 = e2 = True
-        e3 = False
-        for u in range(R):
-            t0 = u - R + 1
-            # all sites (x, u) of the block's slab row u
-            xranges = [
-                range(math.ceil(vi * u - L), math.ceil(vi * u - L) + 2 * L)
-                for vi in v
-            ]
-            sites = list(product(*xranges))
-            B = len(sites)
-            anchor = tuple(r[0] for r in xranges)
-            ext = (2 * L,) * d_s
-            rows = np.zeros((B, R) + ext, dtype=bool)
-            for k, site in enumerate(sites):
-                rel = tuple(c - a for c, a in zip(site, anchor))
-                rows[(k, R - 1) + rel] = True
-            res = batch_evolve(
-                model, [si] * B, p, s_time, init=(anchor, rows), t0=t0,
-                snapshot_times=[C * L, s_time],
-            )
-            tau = res.extinction
-            alive_long = (tau < 0) | (tau >= thr)
-            if ((tau >= thr) & (tau >= 0) & (tau < s_time)).any():
-                e1 = False
-            res_s = batch_evolve(
-                model, [si], p, s_time, init=slab_window_rows(model, slo, shi),
-                t0=t0, snapshot_times=[C * L, s_time],
-            )
-            for off_t in (C * L, s_time):
-                reg = region_mask(region_g, tuple(vi * off_t for vi in v))
-                snap = res.snapshots[off_t]
-                occ = _grid_occupancy(snap.anchor, snap.rows, zlo, shape)
-                snap_s = res_s.snapshots[off_t]
-                occ_s = _grid_occupancy(snap_s.anchor, snap_s.rows[0], zlo, shape)
-                mismatch = (occ != occ_s[None]) & reg[None]
-                if mismatch[alive_long].any():
-                    e2 = False
-            if u == R - 1:
-                # probe blocks against the untranslated slab run (t0 = 0)
-                snap_s = res_s.snapshots[s_time]
-                occ_s = _grid_occupancy(snap_s.anchor, snap_s.rows[0], zlo, shape)
-                hit_both = True
-                for sgn in (1, -1):
-                    off_sp = [vi * s_time for vi in v]
-                    off_sp[d_s - 1] += sgn * L
-                    if not (occ_s & region_mask(probe_g, off_sp)).any():
-                        hit_both = False
-                e3 = hit_both
-        out.append((e1, e2, e3))
-    return out
+    # one batch entry per replica and site (x, u) of the block's slab row
+    # u, which is the top chain row R-1 of a run from t0 = u - R + 1
+    starts = _site_starts(model, (2 * L,) * d_s, [R - 1])
+    n_sites = len(starts)
+    seeds = _rep_seeds(master, lane, *span)
+    k = len(seeds)
+    site_seeds, starts = np.repeat(seeds, n_sites), np.concatenate([starts] * k)
+    e1, e2, e3 = np.ones((3, k), dtype=bool)
+    for u in range(R):
+        t0 = u - R + 1
+        res = batch_evolve(
+            model, site_seeds, p, s_time, t0=t0, snapshot_times=[C * L, s_time],
+            init=(tuple(math.ceil(vi * u - L) for vi in v), starts),
+        )
+        tau = res.extinction.reshape(k, n_sites)
+        alive_long = (tau < 0) | (tau >= thr)
+        e1 &= ~((tau >= thr) & (tau < s_time)).any(axis=1)
+        res_s = batch_evolve(
+            model, seeds, p, s_time, init=slab_window_rows(model, slo, shi),
+            t0=t0, snapshot_times=[C * L, s_time],
+        )
+        for off_t in (C * L, s_time):
+            reg = region_mask(region_g, tuple(vi * off_t for vi in v))
+            snap, snap_s = res.snapshots[off_t], res_s.snapshots[off_t]
+            occ = _grid_occupancy(snap.anchor, snap.rows, zlo, shape)
+            occ_s = _grid_occupancy(snap_s.anchor, snap_s.rows, zlo, shape)
+            mismatch = (occ.reshape((k, n_sites) + occ_s.shape[1:])
+                        != occ_s[:, None]) & reg
+            e2 &= ~(mismatch.reshape(k, n_sites, -1).any(axis=2)
+                    & alive_long).any(axis=1)
+        if u == R - 1:
+            # probe blocks against the untranslated slab run (t0 = 0)
+            for sgn in (1, -1):
+                off_sp = [vi * s_time for vi in v]
+                off_sp[d_s - 1] += sgn * L
+                hit = occ_s & region_mask(probe_g, off_sp)
+                e3 &= hit.reshape(k, -1).any(axis=1)
+    return list(zip(e1.tolist(), e2.tolist(), e3.tolist()))
 
 
 @dataclass
@@ -1117,7 +1106,8 @@ def good_block_probability(model: NormalizedModel, p, L: int, C: int,
     if len(v) != model.d - 1:
         raise GeometryInvalid("tilt vector has wrong dimension")
     parts = _run_chunks(
-        _good_chunk, (model, p, L, C, v, seed, 0), reps, _GOOD_CHUNK, threads,
+        _good_chunk, (model, p, L, C, v, seed, 0), reps,
+        _site_chunk((2 * L) ** (model.d - 1)), threads,
     )
     flat = [item for part in parts for item in part]
     good = sum(1 for e1, e2, e3 in flat if e1 and e2 and e3)
@@ -1133,20 +1123,19 @@ def good_block_probability(model: NormalizedModel, p, L: int, C: int,
 # ---------------------------------------------------------------------------
 # primal-dual meeting
 
-def _states_intersect(a: BatchState, b: BatchState) -> bool:
-    ra, rb = a.rows[0], b.rows[0]
-    if not (ra.any() and rb.any()):
-        return False
+def _states_intersect(a: BatchState, b: BatchState) -> np.ndarray:
+    """Per row of two batches: do the two states share an occupied site?"""
     lo = tuple(max(x, y) for x, y in zip(a.anchor, b.anchor))
     hi = tuple(
         min(x + e, y + f)
-        for x, e, y, f in zip(a.anchor, ra.shape[1:], b.anchor, rb.shape[1:])
+        for x, e, y, f in zip(a.anchor, a.rows.shape[2:], b.anchor, b.rows.shape[2:])
     )
     if any(l >= h for l, h in zip(lo, hi)):
-        return False
+        return np.zeros(a.batch, dtype=bool)
     sla = tuple(slice(l - x, h - x) for l, h, x in zip(lo, hi, a.anchor))
     slb = tuple(slice(l - y, h - y) for l, h, y in zip(lo, hi, b.anchor))
-    return bool((ra[(slice(None),) + sla] & rb[(slice(None),) + slb]).any())
+    both = a.rows[(slice(None),) * 2 + sla] & b.rows[(slice(None),) * 2 + slb]
+    return both.reshape(a.batch, -1).any(axis=1)
 
 
 _MEET_CHUNK = 32
@@ -1154,19 +1143,17 @@ _MEET_CHUNK = 32
 
 def _meet_chunk(common, span):
     model, p, t, z, master, lane = common
-    out = []
-    for i in range(*span):
-        si = _rep_seeds(master, lane, i, i + 1)[0]
-        sp, sd = spawn_seed(si, 0), spawn_seed(si, 1)
-        rp = batch_evolve(model, [sp], p, t, snapshot_times=[t])
-        rd = batch_evolve(
-            model, [sd], p, t, init=rows_from_sites(model, [z + (0,)]),
-            t0=2 * t, dual=True, snapshot_times=[t],
-        )
-        both = bool(rp.alive_at_T[0] and rd.alive_at_T[0])
-        meet = both and _states_intersect(rp.snapshots[t], rd.snapshots[t])
-        out.append((both, both and not meet))
-    return out
+    seeds = _rep_seeds(master, lane, *span)
+    rp = batch_evolve(model, [spawn_seed(s, 0) for s in seeds], p, t,
+                      snapshot_times=[t])
+    rd = batch_evolve(
+        model, [spawn_seed(s, 1) for s in seeds], p, t,
+        init=rows_from_sites(model, [z + (0,)]), t0=2 * t, dual=True,
+        snapshot_times=[t],
+    )
+    both = rp.alive_at_T & rd.alive_at_T
+    meet = _states_intersect(rp.snapshots[t], rd.snapshots[t])
+    return list(zip(both.tolist(), (both & ~meet).tolist()))
 
 
 @dataclass

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TWO_D_OP, model_file
+from gosp import estimators as est
 from gosp.cli import (
     _PARAMS, SchemaError, _build_parser, _plan_from_args, main, parse_config,
     run, validate_plan,
@@ -264,6 +265,8 @@ _CONE = {"estimator": "cone", "seed": 1, "p": 0.8, "lo": "1/4", "hi": "3/4",
     ({"estimator": "crosspath", "model": "m", "seed": 1, "p": 0.8, "eps": 0.0,
       "L": 40, "alpha": "3/2", "beta": "-1/2", "shift": "1/2", "reps": 6},
      "/shift"),
+    (_survival_plan("m", death_window=[0, 10]), "/death_window/0"),
+    (_survival_plan("m", decay_windows=[[5, 10], [4, -3]]), "/decay_windows/1/1"),
 ])
 def test_validate_plan_refuses_ignored_or_bad_values(plan, pointer):
     with pytest.raises(SchemaError) as exc:
@@ -394,3 +397,37 @@ def test_config_file_unparsable_value_exits_1(tmp_path, model_path, capsys):
     assert main(["survival", "--config", str(cfg), "--out", str(out)]) == 1
     assert "config error at /T" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("window, schema_refuses", [
+    ("60:40", False), ("10:95", False), ("0:10", True), ("-3:10", True),
+])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_bad_decay_window_exits_1_before_any_chunk(
+        tmp_path, model_path, monkeypatch, capsys, window, schema_refuses, form):
+    # a bound below 1 fails the schema before the manifest is written; a
+    # window with a >= b or b > T is refused before any chunk runs
+    def no_chunk(common, span):
+        raise AssertionError("a decay chunk ran")
+
+    monkeypatch.setattr(est, "_decay_chunk", no_chunk)
+    out = tmp_path / "out"
+    if form == "flag":
+        argv = ["survival", "--model", model_path, "--seed", "1", "--p", "0.5",
+                "--T", "90", "--reps", "100", "--decay-windows", window]
+    else:
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(_survival_plan(
+            model_path, p=0.5, T=90, reps=100,
+            decay_windows=[[10, 20], [int(c) for c in window.split(":")]],
+        )))
+        argv = ["survival", "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if schema_refuses:
+        assert "config error at /decay_windows/" in err
+        assert not out.exists()
+    else:
+        assert "must satisfy 1 <= a < b <= T" in err
+        assert not (out / "results.jsonl").exists()
+

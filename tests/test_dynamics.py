@@ -252,34 +252,56 @@ def test_reaches_respects_domain():
 # hit and coupled regions
 
 def test_hit_coupled_at_time_zero():
-    f = FieldSpec(seed=9, p=0.8)
-    hc = hit_and_coupled_regions(TWO_D_OP, f, 0, ((-3,), (4,)))
+    hc = hit_and_coupled_regions(TWO_D_OP, [9], 0.8, 0, ((-3,), (4,)))
     # the two runs agree exactly at the origin before any step is taken
     assert hc.K.sum() == 1
-    assert hc.K[0, 3]
+    assert hc.K[0, 0, 3]
     assert hc.H.sum() == 1
-    assert hc.H[0, 3]
+    assert hc.H[0, 0, 3]
+    assert hc.hit_times.tolist() == [[-1, -1, -1, 0, -1, -1, -1]]
 
 
 def test_hit_coupled_p1_window_saturates():
-    f = FieldSpec(seed=9, p=1.0)
-    hc = hit_and_coupled_regions(TWO_D_OP, f, 6, ((1,), (6,)))
+    hc = hit_and_coupled_regions(TWO_D_OP, [9, 10], 1.0, 6, ((1,), (6,)))
     # the origin run covers [0, t] at p = 1, so the window is hit and coupled
     assert hc.H.all()
     assert hc.K.all()
     assert hc.xi_origin.all()
     assert hc.xi_slab.all()
+    # 2dOP's steps are 0 and 1, so x is first occupied at step x
+    assert (hc.hit_times == np.arange(1, 6)).all()
 
 
 def test_hit_coupled_pruning_is_exact():
-    f = FieldSpec(seed=19, p=0.7)
-    a = hit_and_coupled_regions(TWO_D_OP, f, 8, ((-2,), (9,)), prune=True)
-    b = hit_and_coupled_regions(TWO_D_OP, f, 8, ((-2,), (9,)), prune=False)
-    assert (a.H == b.H).all()
-    assert (a.K == b.K).all()
-    assert (a.xi_origin == b.xi_origin).all()
-    assert (a.xi_slab == b.xi_slab).all()
-    assert a.hitting == b.hitting
+    a = hit_and_coupled_regions(TWO_D_OP, [19, 20, 21], 0.7, 8, ((-2,), (9,)),
+                                prune=True)
+    b = hit_and_coupled_regions(TWO_D_OP, [19, 20, 21], 0.7, 8, ((-2,), (9,)),
+                                prune=False)
+    for name in ("H", "K", "xi_origin", "xi_slab", "hit_times"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("model", [m for m in MODEL_POOL if m.d == 2] + [DRIFT2],
+                         ids=_ids)
+def test_hit_coupled_batch_matches_single_runs(model, p):
+    # each row of a batched call equals the B = 1 call on its seed, for
+    # batches that mix replicas dying early with replicas alive at t
+    t = 30
+    window = dyn.dependency_cone(model, (-1,), (2,), t)
+    pool = spawn_seeds(33, 0, 2000)
+    ext = batch_evolve(model, pool, p, t, compact=True).extinction
+    early = (ext > 0) & (ext < t)
+    died, rest = np.flatnonzero(early)[:6], np.flatnonzero(~early)[:10]
+    assert len(died) == (0 if p == 1 else 6)
+    assert p < 0.8 or (len(rest) == 10 and (ext[rest] < 0).all())
+    seeds = pool[np.sort(np.concatenate([died, rest]))]
+    hc = hit_and_coupled_regions(model, seeds, p, t, window)
+    assert hc.hit_times.shape == (len(seeds), window[1][0] - window[0][0])
+    for b, seed in enumerate(seeds):
+        one = hit_and_coupled_regions(model, [seed], p, t, window)
+        for name in ("H", "K", "xi_origin", "xi_slab", "hit_times"):
+            assert np.array_equal(getattr(hc, name)[b], getattr(one, name)[0])
 
 
 @pytest.mark.parametrize("model", [m for m in MODEL_POOL if m.d == 2] + [DRIFT2],
@@ -289,14 +311,14 @@ def test_hit_coupled_slab_run_matches_a_wider_window(model):
     # a run from a slab window 100 sites wider on each side than any cone
     t, lo, hi = 40, -10, 11
     reach = t * max(abs(y[0]) for y, _ in model.split_offsets) + 100
+    hc = hit_and_coupled_regions(model, list(range(5)), 0.8, t, ((lo,), (hi,)))
     for seed in range(5):
-        f = FieldSpec(seed=seed, p=0.8)
-        hc = hit_and_coupled_regions(model, f, t, ((lo,), (hi,)))
         wide = batch_evolve(
-            model, [seed], f.p, t, snapshot_times=[t],
+            model, [seed], 0.8, t, snapshot_times=[t],
             init=slab_window_rows(model, (lo - reach,), (hi + reach,)),
         ).snapshots[t]
-        got = {(lo + int(x), int(s)) for s, x in zip(*np.nonzero(hc.xi_slab))}
+        got = {(lo + int(x), int(s))
+               for s, x in zip(*np.nonzero(hc.xi_slab[seed]))}
         want = {(int(wide.anchor[0] + x), int(s))
                 for s, x in zip(*np.nonzero(wide.rows[0]))}
         assert got == {(x, s) for x, s in want if lo <= x < hi}

@@ -10,7 +10,7 @@ import pytest
 
 import gosp.estimators as est
 import oracles
-from conftest import ASYM3, THREE_D, TWO_D_OP
+from conftest import ASYM3, RANGE2, THREE_D, TWO_D_OP
 from gosp.estimators import (
     CensoredMean,
     ConeOutsideShape,
@@ -407,3 +407,62 @@ def test_outcomes_do_not_depend_on_chunk_size(monkeypatch):
         if ref is None:
             ref = hist, taus
         assert np.array_equal(hist, ref[0]) and np.array_equal(taus, ref[1])
+
+
+def test_batched_outcomes_do_not_depend_on_chunk_size(monkeypatch):
+    # shape, meet, density and goodblock step each chunk's replicas as one
+    # batch; chunks of one replica are the per-replica reference, the
+    # middle sizes leave ragged last chunks, and at two threads several
+    # chunks go through the pool
+    v = (Fraction(1, 2),)
+
+    def outcomes(threads):
+        sh = shape_and_time_constants(TWO_D_OP, 0.75, 40, 20, seed=5,
+                                      threads=threads)
+        return (
+            sh.attempts, sh.lo_samples.tolist(), sh.hi_samples.tolist(),
+            sh.supports, {k: e.mean for k, e in sh.mu_hat.items() if e},
+            # off the drift, so some pairs alive at t meet and some do not
+            primal_dual_meet(TWO_D_OP, 0.8, 12, 20, (Fraction(1, 4),), seed=3,
+                             threads=threads).events,
+            density_spectrum(TWO_D_OP, 0.7, 4, 20, 13, seed=4,
+                             threads=threads).samples.tolist(),
+            density_spectrum(THREE_D, 0.7, 2, 10, 5, seed=4,
+                             threads=threads).samples.tolist(),
+            good_block_probability(TWO_D_OP, 0.8, 4, 2, 9, seed=7, v=v,
+                                   threads=threads).events,
+            good_block_probability(RANGE2, 0.8, 4, 2, 9, seed=7, v=v,
+                                   threads=threads).events,
+        )
+
+    ref = None
+    for threads, (shape, block, meet, rows) in itertools.product(
+        (1, 2), ((1, 7, 1, 1), (3, 7, 5, 20), (16, 32, 32, 512)),
+    ):
+        monkeypatch.setattr(est, "_SHAPE_CHUNK", shape)
+        monkeypatch.setattr(est, "_SHAPE_BLOCK", block)
+        monkeypatch.setattr(est, "_MEET_CHUNK", meet)
+        monkeypatch.setattr(est, "_SITE_ROWS", rows)
+        got = outcomes(threads)
+        if ref is None:
+            ref = got
+            assert got[0] > 20          # some attempts died before T_cond
+            assert 0 < sum(f for _, f in got[5]) < sum(b for b, _ in got[5])
+        assert got == ref
+    # a shape chunk's items, the Nones of replicas dead by T_cond included,
+    # are those of one-replica chunks in replica order
+    common = (TWO_D_OP, 0.75, 40, 40, 5, 0, ((-1.0,), (1.0,)), (8, 10, 12, 14))
+    whole = est._shape_chunk(common, (0, 16))
+    assert None in whole and whole != sorted(whole, key=lambda x: x is None)
+    assert whole == [x for i in range(16) for x in est._shape_chunk(common, (i, i + 1))]
+
+
+def test_shape_chunk_without_survivors(monkeypatch):
+    # at p = 0 no replica survives the pre-run, so the chunk is all None
+    # and never computes hit and coupled regions
+    def refuse(*args, **kwargs):
+        raise AssertionError("hit_and_coupled_regions called")
+
+    monkeypatch.setattr(est, "hit_and_coupled_regions", refuse)
+    common = (TWO_D_OP, 0.0, 10, 10, 5, 0, ((1.0,),), (2, 3, 4, 5))
+    assert est._shape_chunk(common, (0, 6)) == [None] * 6
