@@ -6,7 +6,7 @@ phase observables (survival, limit shape, edge speeds, extinction times,
 renormalisation block events).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .model import (
     NeighborhoodSpec,

@@ -178,17 +178,11 @@ def _rle_encode(bits: np.ndarray) -> str:
     flat = np.asarray(bits, dtype=bool).ravel()
     if flat.size == 0:
         return ""
-    runs = []
-    current, count = False, 0
-    # leading zero-run is always present, possibly of length 0
-    for v in flat:
-        if v == current:
-            count += 1
-        else:
-            runs.append(count)
-            current, count = v, 1
-    runs.append(count)
-    return ",".join(str(r) for r in runs)
+    cuts = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    # a leading one-run follows a zero-run of length 0
+    starts = [0, 0] if flat[0] else [0]
+    runs = np.diff(np.concatenate((starts, cuts, [flat.size])))
+    return ",".join(map(str, runs.tolist()))
 
 
 def _snapshot_records(snapshots, b) -> list:
@@ -208,7 +202,7 @@ def _run_simulate(model, cfg, threads):
     dual = cfg.get("dual", False)
     res = batch_evolve(
         model, spawn_seeds(cfg["seed"], 0, cfg["reps"]), cfg["p"], cfg["T"],
-        dual=dual, snapshot_times=snaps, compact=not snaps,
+        dual=dual, snapshot_times=snaps,
     )
     records = _replicas(tau=_taus(res.extinction))
     for b, rec in enumerate(records if snaps else ()):
@@ -513,6 +507,13 @@ def _window(text: str) -> list:
     return [int(a), int(b)]
 
 
+def _threads(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _flag_type(schema: dict):
     """Parser of one flag value: integers, numbers, fractions (kept as
     'p/q' text), windows written A:B, and comma lists of these."""
@@ -571,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file; overrides flags")
         sp.add_argument("--model")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=_threads, default=1)
         sp.add_argument("--out", default=".")
         for key, schema in {**spec["required"], **spec["optional"]}.items():
             flag = "--" + key.replace("_", "-")

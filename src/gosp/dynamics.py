@@ -8,8 +8,8 @@ occupied site of the old state.
 
 States are dense boolean arrays over a moving spatial window, with a leading
 batch axis so that independent replicas (distinct seeds) evolve in lockstep
-through the same vectorised kernels.  The single-replica API wraps the
-batched engine with batch size one.
+through the same vectorised kernels; ``evolve`` and ``dual_evolve`` are
+one-replica runs of ``batch_evolve`` and return its ``BatchResult``.
 
 Openness comes from one ``BatchOpenness`` per batch.  By the prefix identity
 of the field, site_hash(seed, [*x, t]) = mix(site_hash(seed, x) ^ (u64(t) * C
@@ -44,7 +44,6 @@ import numpy as np
 from .field import (
     FieldSpec, _as_u64, extend_hash, open_given_hash, site_hash, threshold_for,
 )
-from .geometry import ConvexPolytope, TranslatedBlock, cone_mask
 from .model import NormalizedModel
 
 
@@ -67,33 +66,6 @@ class TorusTooSmall(DynamicsError):
 class TruncationUncertified(DynamicsError):
     """A truncated half slab's frontier fell within reach of the omitted
     sources (or died out), so it need not be the infinite half slab's."""
-
-
-# ---------------------------------------------------------------------------
-# domains
-
-class Domain:
-    """Unrestricted domain; subclasses restrict where paths may step."""
-
-    def mask(self, coords, t):
-        """Boolean membership array for sites (coords, t); None = everywhere."""
-        return None
-
-
-@dataclass(frozen=True)
-class BlockDomain(Domain):
-    block: TranslatedBlock
-
-    def mask(self, coords, t):
-        return self.block.mask(coords, t)
-
-
-@dataclass(frozen=True)
-class ConeDomain(Domain):
-    region: ConvexPolytope
-
-    def mask(self, coords, t):
-        return cone_mask(self.region, coords, t)
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +94,6 @@ class BatchState:
         if _narrow(self.rows):
             return _any(_replica_last(self.rows), axis=0)
         return _any(self.rows, axis=tuple(range(1, self.rows.ndim)))
-
-
-@dataclass
-class ProcessState:
-    """Single-replica slab occupancy over a bounded window."""
-
-    t: int
-    anchor: tuple[int, ...]
-    rows: np.ndarray            # bool, shape (R, *extent)
-
-    def occupied(self):
-        """Iterate occupied slab sites as (x_1, ..., x_{d-1}, s)."""
-        for idx in zip(*np.nonzero(self.rows)):
-            s, *x = idx
-            yield tuple(int(a + c) for a, c in zip(self.anchor, x)) + (int(s),)
 
 
 def _window_coords(anchor, shape):
@@ -306,16 +263,35 @@ class BatchOpenness:
 # ---------------------------------------------------------------------------
 # stepping kernels
 
+def _shift_in(state: BatchState, new: np.ndarray, lo, dual: bool) -> BatchState:
+    """The next state: ``new``, the (B, *shape) new row at ``lo``, becomes
+    the top row (row 0 for the dual), the old rows move one row towards the
+    other end, and the union window of both is trimmed."""
+    B, R, *ext = state.rows.shape
+    shape = new.shape[1:]
+    ulo = tuple(min(l, a) for l, a in zip(lo, state.anchor))
+    uhi = tuple(max(l + s, a + e) for l, s, a, e in zip(lo, shape, state.anchor, ext))
+    rows = np.zeros((B, R) + tuple(h - l for l, h in zip(ulo, uhi)), dtype=bool)
+    head, tail = slice(None, -1), slice(1, None)
+    src, dst, row = (head, tail, 0) if dual else (tail, head, R - 1)
+    if R > 1 and all(e > 0 for e in ext):
+        sl = tuple(slice(a - l, a - l + e) for a, l, e in zip(state.anchor, ulo, ext))
+        rows[(slice(None), dst) + sl] = state.rows[:, src]
+    sl = tuple(slice(l_ - l, l_ - l + s) for l_, l, s in zip(lo, ulo, shape))
+    rows[(slice(None), row) + sl] = new
+    rows, anchor, live = _trim(rows, ulo)
+    return BatchState(state.t + 1, anchor, rows, live)
+
+
 def _batch_step(state: BatchState, model: NormalizedModel,
                 openness: BatchOpenness, domain, t0: int) -> BatchState:
     """Primal slab-shift step; the new top row sits at absolute time t0+t+R."""
     R = model.R
-    B = state.batch
     mins, maxs = model.spatial_min, model.spatial_max
     ext = state.rows.shape[2:]
     lo = tuple(a + mn for a, mn in zip(state.anchor, mins))
     shape = tuple(e + (mx - mn) for e, mx, mn in zip(ext, maxs, mins))
-    acc = np.zeros((B,) + shape, dtype=bool)
+    acc = np.zeros((state.batch,) + shape, dtype=bool)
     if all(e > 0 for e in ext):
         for y, u in model.split_offsets:
             src = state.rows[:, R - u]
@@ -325,27 +301,10 @@ def _batch_step(state: BatchState, model: NormalizedModel,
             acc[(slice(None),) + sl] |= src
     t_abs = t0 + state.t + R
     if acc.any():
-        top = acc & openness.window(lo, shape, t_abs)
+        acc &= openness.window(lo, shape, t_abs)
         if domain is not None:
-            m = domain.mask(_window_coords(lo, shape), t_abs)
-            if m is not None:
-                top &= m
-    else:
-        top = acc
-    # union window for the shifted old rows and the new top row
-    ulo = tuple(min(l, a) for l, a in zip(lo, state.anchor))
-    uhi = tuple(
-        max(l + s_, a + e) for l, s_, a, e in zip(lo, shape, state.anchor, ext)
-    )
-    ushape = tuple(h - l for l, h in zip(ulo, uhi))
-    rows = np.zeros((B, R) + ushape, dtype=bool)
-    if R > 1 and all(e > 0 for e in ext):
-        sl = tuple(slice(a - l, a - l + e) for a, l, e in zip(state.anchor, ulo, ext))
-        rows[(slice(None), slice(0, R - 1)) + sl] = state.rows[:, 1:]
-    sl = tuple(slice(l_ - l, l_ - l + s_) for l_, l, s_ in zip(lo, ulo, shape))
-    rows[(slice(None), R - 1) + sl] = top
-    rows, anchor, live = _trim(rows, ulo)
-    return BatchState(state.t + 1, anchor, rows, live)
+            acc &= domain(_window_coords(lo, shape), t_abs)
+    return _shift_in(state, acc, lo, dual=False)
 
 
 def _dual_batch_step(state: BatchState, model: NormalizedModel,
@@ -357,12 +316,11 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
     inserted sites carry no openness requirement until they extend in turn.
     """
     R = model.R
-    B = state.batch
     mins, maxs = model.spatial_min, model.spatial_max
     ext = state.rows.shape[2:]
     lo = tuple(a - mx for a, mx in zip(state.anchor, maxs))
     shape = tuple(e + (mx - mn) for e, mx, mn in zip(ext, maxs, mins))
-    acc = np.zeros((B,) + shape, dtype=bool)
+    acc = np.zeros((state.batch,) + shape, dtype=bool)
     if all(e > 0 for e in ext) and state.rows.any():
         coords = _window_coords(state.anchor, ext) if domain is not None else None
         occ_open = np.empty_like(state.rows)
@@ -370,9 +328,7 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
             t_abs = t0 - state.t + r
             m = state.rows[:, r] & openness.window(state.anchor, ext, t_abs)
             if domain is not None:
-                dm = domain.mask(coords, t_abs)
-                if dm is not None:
-                    m = m & dm
+                m &= domain(coords, t_abs)
             occ_open[:, r] = m
         for y, u in model.split_offsets:
             src = occ_open[:, u - 1]
@@ -380,19 +336,7 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
                 slice(mx - yi, mx - yi + e) for yi, mx, e in zip(y, maxs, ext)
             )
             acc[(slice(None),) + sl] |= src
-    ulo = tuple(min(l, a) for l, a in zip(lo, state.anchor))
-    uhi = tuple(
-        max(l + s_, a + e) for l, s_, a, e in zip(lo, shape, state.anchor, ext)
-    )
-    ushape = tuple(h - l for l, h in zip(ulo, uhi))
-    rows = np.zeros((B, R) + ushape, dtype=bool)
-    if R > 1 and all(e > 0 for e in ext):
-        sl = tuple(slice(a - l, a - l + e) for a, l, e in zip(state.anchor, ulo, ext))
-        rows[(slice(None), slice(1, R)) + sl] = state.rows[:, : R - 1]
-    sl = tuple(slice(l_ - l, l_ - l + s_) for l_, l, s_ in zip(lo, ulo, shape))
-    rows[(slice(None), 0) + sl] = acc
-    rows, anchor, live = _trim(rows, ulo)
-    return BatchState(state.t + 1, anchor, rows, live)
+    return _shift_in(state, acc, lo, dual=True)
 
 
 def _torus_batch_step(state: BatchState, gather: np.ndarray,
@@ -445,25 +389,26 @@ class BatchResult:
 
 def batch_evolve(model: NormalizedModel, seeds, p, T, *,
                  init: tuple[tuple[int, ...], np.ndarray] | None = None,
-                 t0: int = 0, dual: bool = False, domain: Domain | None = None,
+                 t0: int = 0, dual: bool = False, domain: Callable | None = None,
                  snapshot_times: Iterable[int] = (),
-                 compact: bool = False,
                  per_step: Callable | None = None) -> BatchResult:
     """Run B replicas of the chain on Z^{d-1} (the dual chain if ``dual``)
     for T steps; record extinction steps and snapshots.
 
     ``init`` is a shared (anchor, rows) pair with rows of shape (R, *extent)
     or a per-replica (B, R, *extent) array; default is a single occupied site
-    at the origin of row 0.
+    at the origin of row 0.  ``domain(coords, t)``, if given, is the boolean
+    mask of the sites (coords, t) a path may step on (for example
+    ``TranslatedBlock.mask`` or ``partial(cone_mask, polytope)``).
 
     ``per_step(t, state)`` is the observer hook.  It is called for t = 0,
     1, ... in order, up to T or until every replica is extinct, each time
     before the snapshot at t is taken and before the alive check, with
     ``state.rows`` holding every replica in replica order.  Rows it clears
     in place end those replicas at t (their extinction step is t); an
-    exception it raises ends the run.  ``compact`` drops extinct replicas
-    from the working arrays, so it is refused together with an observer or
-    snapshots.
+    exception it raises ends the run.  A run with neither an observer nor
+    snapshots, whose states nobody sees, drops extinct replicas from its
+    working arrays.
     """
     B = len(seeds)
     d_s = model.d - 1
@@ -484,8 +429,7 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
         seeds, p, cone=dependency_cone(model, anchor, hi, T, backward=dual),
     )
     snapshot_times = set(snapshot_times)
-    if compact and (snapshot_times or per_step):
-        raise ValueError("compact mode cannot take snapshots or run an observer")
+    compact = per_step is None and not snapshot_times
 
     extinction = np.full(B, -1, dtype=np.int64)
     snapshots = {} if snapshot_times else None
@@ -534,58 +478,24 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
 # ---------------------------------------------------------------------------
 # single-replica API
 
-@dataclass
-class Trajectory:
-    T: int
-    extinction_time: int | None         # None if still alive at T
-    counts: list[int]
-    snapshots: dict[int, ProcessState] | None = None
-
-    @property
-    def survived(self) -> bool:
-        return self.extinction_time is None
-
-
-def _single(model, field, T, A, *, dual=False, t0=0, domain=None,
-            snapshot_times=()) -> Trajectory:
-    counts = np.zeros(T + 1, dtype=np.int64)
-
-    def observe(t, state: BatchState):
-        counts[t] = state.rows.sum()
-
-    res = batch_evolve(
-        model, [field.seed], field.p, T, init=rows_from_sites(model, A), t0=t0,
-        dual=dual, domain=domain, snapshot_times=snapshot_times, per_step=observe,
-    )
-    ext = int(res.extinction[0]) if res.extinction[0] >= 0 else None
-    snaps = None
-    if res.snapshots is not None:
-        snaps = {
-            t: ProcessState(t0 + t, st.anchor, st.rows[0])
-            for t, st in res.snapshots.items()
-        }
-    return Trajectory(
-        T=T, extinction_time=ext, counts=[int(c) for c in counts],
-        snapshots=snaps,
-    )
-
-
 def evolve(A, model: NormalizedModel, field: FieldSpec, T: int,
-           domain: Domain | None = None, t0: int = 0,
-           snapshot_times: Iterable[int] = ()) -> Trajectory:
-    """Iterate the chain from A for T steps (or to extinction)."""
-    return _single(
-        model, field, T, A, t0=t0, domain=domain, snapshot_times=snapshot_times,
+           domain: Callable | None = None, t0: int = 0,
+           snapshot_times: Iterable[int] = ()) -> BatchResult:
+    """Iterate the chain from the slab sites A for T steps (or to
+    extinction): the one-replica ``batch_evolve`` run on ``field``."""
+    return batch_evolve(
+        model, [field.seed], field.p, T, init=rows_from_sites(model, A), t0=t0,
+        domain=domain, snapshot_times=snapshot_times,
     )
 
 
 def dual_evolve(A, model: NormalizedModel, field: FieldSpec, T: int,
-                domain: Domain | None = None, t0: int = 0,
-                snapshot_times: Iterable[int] = ()) -> Trajectory:
-    """Iterate the dual chain from A for T backwards steps."""
-    return _single(
-        model, field, T, A, dual=True, t0=t0, domain=domain,
-        snapshot_times=snapshot_times,
+                domain: Callable | None = None, t0: int = 0,
+                snapshot_times: Iterable[int] = ()) -> BatchResult:
+    """Iterate the dual chain from the slab sites A for T backwards steps."""
+    return batch_evolve(
+        model, [field.seed], field.p, T, init=rows_from_sites(model, A), t0=t0,
+        dual=True, domain=domain, snapshot_times=snapshot_times,
     )
 
 
@@ -593,14 +503,11 @@ def dual_evolve(A, model: NormalizedModel, field: FieldSpec, T: int,
 # pointwise reachability
 
 def _domain_ok(domain, x, t) -> bool:
-    if domain is None:
-        return True
-    m = domain.mask([np.int64(c) for c in x], np.int64(t))
-    return True if m is None else bool(m)
+    return domain is None or bool(domain([np.int64(c) for c in x], np.int64(t)))
 
 
 def reaches(a, b, model: NormalizedModel, field: FieldSpec,
-            domain: Domain | None = None) -> bool:
+            domain: Callable | None = None) -> bool:
     """True iff there is a path a -> b of open in-domain sites (start exempt).
 
     Level-by-level forward search pruned, at each time t, to the sites of
@@ -634,7 +541,7 @@ def reaches(a, b, model: NormalizedModel, field: FieldSpec,
 
 
 def dual_reaches(b, a, model: NormalizedModel, field: FieldSpec,
-                 domain: Domain | None = None) -> bool:
+                 domain: Callable | None = None) -> bool:
     """True iff there is a dual path b ~> a: steps reversed, with every path
     site except the final one required to be open (and in the domain)."""
     a = tuple(int(c) for c in a)

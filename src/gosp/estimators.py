@@ -21,10 +21,12 @@ is degenerate at the requested parameters.
 from __future__ import annotations
 
 import math
+import os
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product, repeat
 
 import numpy as np
@@ -32,8 +34,6 @@ from scipy import ndimage, stats
 
 from .dynamics import (
     BatchState,
-    BlockDomain,
-    ConeDomain,
     DimensionNot2,
     TruncationUncertified,
     _grid_occupancy,
@@ -45,13 +45,14 @@ from .dynamics import (
     slab_window_rows,
     torus_extinction_batch,
 )
-from .field import FieldSpec, spawn_seed, spawn_seeds
+from .field import FieldSpec, site_hash, spawn_seed, spawn_seeds
 from .geometry import (
     BlockGeometry,
     ConvexPolytope,
     TranslatedBlock,
     as_fraction,
     bg_target_blocks,
+    cone_mask,
 )
 from .model import NormalizedModel
 
@@ -174,7 +175,10 @@ def _spans(start: int, stop: int, chunk: int):
 def _run_spans(worker, common, spans, threads: int) -> list:
     if threads <= 1 or len(spans) <= 1:
         return [worker(common, s) for s in spans]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+    # the pool forks all its workers at the first submit, so it is sized
+    # to the chunks and cores there are, not to the threads asked for
+    workers = min(threads, len(spans), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(worker, repeat(common), spans, chunksize=1))
 
 
@@ -191,7 +195,7 @@ _SURVIVAL_CHUNK = 2048
 def _survival_chunk(common, span):
     model, p, T, dual, master, lane = common
     seeds = _rep_seeds(master, lane, *span)
-    res = batch_evolve(model, seeds, p, T, dual=dual, compact=True)
+    res = batch_evolve(model, seeds, p, T, dual=dual)
     return res.extinction, res.alive_at_T
 
 
@@ -342,6 +346,10 @@ def _longest_run(mask: np.ndarray):
 
 _SHAPE_CHUNK = 16
 _SHAPE_BLOCK = 32
+# the directions whose time constants are estimated, and the survival
+# frequency of the pre-check below which a shape request is refused
+_SHAPE_DIRECTIONS = ((-1.0,), (1.0,))
+_SHAPE_SURVIVAL_FLOOR = 0.2
 
 
 def _shape_chunk(common, span):
@@ -349,7 +357,7 @@ def _shape_chunk(common, span):
     # the t-step cone of the origin, one site wider on each side
     lo, hi = dependency_cone(model, (-1,), (2,), t)
     seeds = _rep_seeds(master, lane, *span)
-    alive = batch_evolve(model, seeds, p, T_cond, compact=True).alive_at_T
+    alive = batch_evolve(model, seeds, p, T_cond).alive_at_T
     out = [None] * len(seeds)
     if not alive.any():
         return out
@@ -411,28 +419,24 @@ class ShapeEstimate:
 
 
 def shape_and_time_constants(model: NormalizedModel, p, t: int, reps: int,
-                             grid=None, T_cond: int | None = None,
-                             seed: int = 0, threads: int = 1,
-                             survival_floor: float = 0.2,
-                             attempt_budget: int | None = None) -> ShapeEstimate:
-    """Shape interval at time t from replicas conditioned on survival."""
+                             T_cond: int | None = None, seed: int = 0,
+                             threads: int = 1) -> ShapeEstimate:
+    """Shape interval at time t from replicas conditioned on survival to
+    T_cond, drawn from at most max(10 reps, 50) attempts."""
     if model.d != 2:
         raise DimensionNot2("shape estimation is implemented for d = 2")
     T_cond = t if T_cond is None else T_cond
     pre = survival_curve(
         model, p, min(t, 200), 200, seed, threads=threads, lane=9
     )
-    if pre.estimate.mean < survival_floor:
+    if pre.estimate.mean < _SHAPE_SURVIVAL_FLOOR:
         raise SubcriticalRefused(
             f"survival frequency {pre.estimate.mean:.3f} at T={pre.T} is "
-            f"below the floor {survival_floor}"
+            f"below the floor {_SHAPE_SURVIVAL_FLOOR}"
         )
-    directions = tuple(
-        tuple(float(c) for c in dv) for dv in (grid or ((-1.0,), (1.0,)))
-    )
     ns = tuple(range(max(2, t // 5), t // 2 + 1, max(1, t // 20)))
-    budget = attempt_budget if attempt_budget is not None else max(reps * 10, 50)
-    common = (model, p, t, T_cond, seed, 0, directions, ns)
+    budget = max(reps * 10, 50)
+    common = (model, p, t, T_cond, seed, 0, _SHAPE_DIRECTIONS, ns)
 
     collected = []
     attempts = 0
@@ -462,12 +466,12 @@ def shape_and_time_constants(model: NormalizedModel, p, t: int, reps: int,
     lo_samples = np.array([c[0] for c in collected])
     hi_samples = np.array([c[1] for c in collected])
     mu_hat = {}
-    for dvec in directions:
+    for dvec in _SHAPE_DIRECTIONS:
         vals = [c[3][dvec] for c in collected if c[3][dvec] is not None]
         mu_hat[dvec] = Estimate.from_samples(vals) if vals else None
     return ShapeEstimate(
         p=p, t=t, T_cond=T_cond, seed=seed, reps=reps, attempts=attempts,
-        directions=directions, mu_hat=mu_hat,
+        directions=_SHAPE_DIRECTIONS, mu_hat=mu_hat,
         u_lo=Estimate.from_samples(lo_samples),
         u_hi=Estimate.from_samples(hi_samples),
         lo_samples=lo_samples, hi_samples=hi_samples,
@@ -559,6 +563,11 @@ def _fit_line(x: np.ndarray, y: np.ndarray):
     return float(slope), float(intercept), r2, se
 
 
+# a death-bound fit needs this many deaths in its window, and a decay fit
+# this many survivors at the end of each window
+_MIN_EVENTS = 50
+
+
 @dataclass
 class DeathBoundFit:
     """Log-linear fit of the finite-extinction-time tail over a window."""
@@ -577,8 +586,8 @@ class DeathBoundFit:
 
 
 def death_bound_fit(model: NormalizedModel, p, T: int, reps: int,
-                    window: tuple[int, int], seed: int, threads: int = 1,
-                    floor: int = 50) -> DeathBoundFit:
+                    window: tuple[int, int], seed: int,
+                    threads: int = 1) -> DeathBoundFit:
     """Slope of log P(t <= tau < infinity) over the window.
 
     Extinction by the horizon counts as finite; tau > T is censored out of
@@ -594,10 +603,10 @@ def death_bound_fit(model: NormalizedModel, p, T: int, reps: int,
     tails = np.array([(finite >= t).sum() for t in ts])
     n_deaths = int(tails[0] - (finite > w1).sum())
     keep = tails > 0
-    if n_deaths < floor or keep.sum() < 3:
+    if n_deaths < _MIN_EVENTS or keep.sum() < 3:
         raise InsufficientDeaths(
             f"{n_deaths} deaths in window [{w0}, {w1}] "
-            f"(floor {floor}, {int(keep.sum())} support points)"
+            f"(floor {_MIN_EVENTS}, {int(keep.sum())} support points)"
         )
     slope, intercept, r2, se = _fit_line(
         ts[keep].astype(float), np.log(tails[keep] / reps)
@@ -616,7 +625,7 @@ _DECAY_CHUNK = 65536
 def _decay_chunk(common, span):
     model, p, T, master, lane = common
     seeds = _rep_seeds(master, lane, *span)
-    res = batch_evolve(model, seeds, p, T, compact=True)
+    res = batch_evolve(model, seeds, p, T)
     tau_eff = np.where(res.extinction < 0, T + 1, res.extinction)
     # integer histogram so the merge over chunks is exact in any order
     return np.bincount(tau_eff, minlength=T + 2)
@@ -641,8 +650,7 @@ class SubcriticalDecay:
 
 def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
                       threads: int = 1,
-                      windows=((40, 60), (60, 80)),
-                      floor: int = 50) -> SubcriticalDecay:
+                      windows=((40, 60), (60, 80))) -> SubcriticalDecay:
     for window in windows:
         if not 1 <= window[0] < window[1] <= T:
             raise EstimatorError(f"window {window} must satisfy 1 <= a < b <= T")
@@ -655,9 +663,10 @@ def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
     def fit(a, b):
         ts = np.arange(a, b + 1)
         surv = tail[a:b + 1]
-        if surv[-1] < floor:
+        if surv[-1] < _MIN_EVENTS:
             raise InsufficientSurvivals(
-                f"only {int(surv[-1])} replicas with tau >= {b} (floor {floor})"
+                f"only {int(surv[-1])} replicas with tau >= {b} "
+                f"(floor {_MIN_EVENTS})"
             )
         slope, _, _, _ = _fit_line(ts.astype(float), np.log(surv / reps))
         return -slope, int(surv[-1])
@@ -785,7 +794,7 @@ def _density_chunk(common, span):
     res = batch_evolve(
         model, np.repeat(seeds, n_sites), p, T_inf,
         init=((-n,) * d_s, np.concatenate([rows] * len(seeds))),
-        dual=True, compact=True,
+        dual=True,
     )
     return res.alive_at_T.reshape(len(seeds), n_sites).mean(axis=1)
 
@@ -867,8 +876,7 @@ def _crossing_chunk(common, span):
     seeds = _rep_seeds(master, lane, *span)
     res = batch_evolve(
         model, seeds, p, L, init=init,
-        domain=BlockDomain(TranslatedBlock(g, (shift, Fraction(0)))),
-        compact=True,
+        domain=TranslatedBlock(g, (shift, Fraction(0))).mask,
     )
     return res.alive_at_T
 
@@ -914,15 +922,16 @@ _BG_CHUNK = 16
 def _bg_chunk(common, span):
     model, p, g, n, master, lane = common
     regions = bg_target_blocks(g)
-    d_s = model.d - 1
     out = []
     for i in range(*span):
         si = _rep_seeds(master, lane, i, i + 1)[0]
-        rng = np.random.default_rng(np.uint64(si))
-        t = int(rng.integers(0, g.h))
+        # the box's time and place from hashes of the seed, each scaled
+        # to its range [0, m) as (h * m) >> 64
+        h0, *hx = (int(v) for v in site_hash(si, [np.arange(model.d)], stream=2))
+        t = h0 * g.h >> 64
         x = tuple(
-            math.ceil(vi * t - wi) + int(rng.integers(0, 2 * wi))
-            for vi, wi in zip(g.v, g.w)
+            math.ceil(vi * t - wi) + (hi * 2 * wi >> 64)
+            for vi, wi, hi in zip(g.v, g.w, hx)
         )
         init = slab_window_rows(
             model, tuple(c - n for c in x), tuple(c + n for c in x)
@@ -953,7 +962,7 @@ def _bg_chunk(common, span):
 
         batch_evolve(
             model, [si], p, 8 * g.h - t, init=init, t0=t,
-            domain=BlockDomain(regions.envelope), per_step=scan,
+            domain=regions.envelope.mask, per_step=scan,
         )
         out.append(success)
     return np.array(out, dtype=bool)
@@ -1211,6 +1220,7 @@ def _interval_bounds(polytope: ConvexPolytope):
 
 
 _CONE_CHUNK = 64
+_CONE_MARGIN = 0.02
 
 
 def _cone_chunk(common, span):
@@ -1229,7 +1239,7 @@ def _cone_chunk(common, span):
     seeds = _rep_seeds(master, lane, *span)
     res = batch_evolve(
         model, seeds, p, T - t0, init=init, t0=t0,
-        domain=ConeDomain(polytope), compact=True,
+        domain=partial(cone_mask, polytope),
     )
     return res.alive_at_T
 
@@ -1249,15 +1259,14 @@ class ConeSurvival:
 
 def restricted_cone_survival(model: NormalizedModel, p, polytope, T: int,
                              reps: int, seed: int, threads: int = 1,
-                             t0: int = 50, shape=None,
-                             margin: float = 0.02) -> ConeSurvival:
+                             t0: int = 50, shape=None) -> ConeSurvival:
     """Frequency that some start site of the cone over the polytope, in the
     time window [t0, t0+R), percolates within the cone to time T.
 
     Start-window policy: start sites are exactly the cone's lattice sites in
     that window and are exempt from the openness/domain requirement, like
     any path start.  Refuses unless the polytope lies inside the shape
-    interval with the given margin.
+    interval with a margin of _CONE_MARGIN.
     """
     if model.d != 2:
         raise DimensionNot2("cone survival is implemented for d = 2")
@@ -1276,10 +1285,11 @@ def restricted_cone_survival(model: NormalizedModel, p, polytope, T: int,
     u_lo, u_hi = (
         shape.u_hat if isinstance(shape, ShapeEstimate) else tuple(shape)
     )
-    if not (u_lo + margin <= float(o_lo) and float(o_hi) <= u_hi - margin):
+    if not (u_lo + _CONE_MARGIN <= float(o_lo)
+            and float(o_hi) <= u_hi - _CONE_MARGIN):
         raise ConeOutsideShape(
             f"cone [{float(o_lo):.3f}, {float(o_hi):.3f}] is not inside the "
-            f"shape interval [{u_lo:.3f}, {u_hi:.3f}] with margin {margin}"
+            f"shape interval [{u_lo:.3f}, {u_hi:.3f}] with margin {_CONE_MARGIN}"
         )
     ev = np.concatenate(_run_chunks(
         _cone_chunk, (model, p, polytope, T, t0, seed, 0), reps,
@@ -1403,7 +1413,7 @@ def _transfer_chunk(common, span):
                 break
             res = batch_evolve(
                 model, [si], p, L, init=init,
-                domain=BlockDomain(TranslatedBlock(g, (Fraction(off), Fraction(0)))),
+                domain=TranslatedBlock(g, (Fraction(off), Fraction(0))).mask,
                 snapshot_times=range(L + 1),
             )
             if not res.alive_at_T[0]:
@@ -1457,7 +1467,7 @@ class TransferResult:
 def path_crossing_transfer(model: NormalizedModel, p, eps: float, L: int,
                            reps: int, seed: int, threads: int = 1,
                            alpha=None, beta=None, shift=None,
-                           half_width=None, probe=None) -> TransferResult:
+                           half_width=None) -> TransferResult:
     """Sample fields where both tilted boxes are crossed, extract leftmost
     crossing paths and test the sprinkled start-to-end transfer.
 
@@ -1477,7 +1487,7 @@ def path_crossing_transfer(model: NormalizedModel, p, eps: float, L: int,
     else:
         w = max(1, round(eps * L)) if eps > 0 else max(1, round(0.1 * L))
     shift = 2 * w if shift is None else int(shift)
-    probe = probe if probe is not None else box_infection_probe(model)
+    probe = box_infection_probe(model)
     parts = _run_chunks(
         _transfer_chunk,
         (model, p, eps, L, w, alpha, beta, shift, probe, seed, 0),

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 
 class ModelError(ValueError):
@@ -205,8 +204,3 @@ def load_model(path) -> NormalizedModel:
     """Read and validate a model file."""
     return validate(NeighborhoodSpec.from_file(path))
 
-
-# frequently used example neighbourhoods
-TWO_D_OP = NeighborhoodSpec(2, ((0, 1), (1, 1)))
-ASYMMETRIC_NONPLANAR = NeighborhoodSpec(2, ((-1, 1), (0, 1), (2, 1)))
-SYMMETRIC_THREE_POINT = NeighborhoodSpec(2, ((-1, 1), (0, 1), (1, 1)))

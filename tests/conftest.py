@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -53,8 +54,12 @@ def sym3():
 
 
 def snapshot_sites(state) -> set:
-    """Occupied slab sites of a ProcessState as a set of tuples."""
-    return set(state.occupied())
+    """Occupied slab sites (x_1, ..., x_{d-1}, s) of replica 0 of a
+    BatchState, as a set of tuples."""
+    return {
+        tuple(int(a + c) for a, c in zip(state.anchor, x)) + (int(s),)
+        for s, *x in zip(*np.nonzero(state.rows[0]))
+    }
 
 
 def model_file(tmp_path, model) -> str:

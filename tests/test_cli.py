@@ -378,9 +378,11 @@ def test_non_finite_number_flag_exits_before_manifest(tmp_path, model_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--T", "abc"], ["--p", "high"], ["--bogus"]])
+@pytest.mark.parametrize("flags", [["--T", "abc"], ["--p", "high"], ["--bogus"],
+                                   ["--threads", "0"], ["--threads", "-3"]])
 def test_unparsable_flag_exits_1(tmp_path, model_path, flags, capsys):
-    # exit code 2 is kept for an estimator refusal
+    # exit code 2 is kept for an estimator refusal; fewer than one thread
+    # is refused with the flags that do not parse
     out = tmp_path / "out"
     argv = ["survival", "--model", model_path, "--seed", "1", "--p", "0.5",
             "--T", "5", "--reps", "5", "--out", str(out)]

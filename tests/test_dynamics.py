@@ -4,8 +4,9 @@ The engine is checked against the naive set-based references in oracles.py
 on every model of the shared pool, plus exact deterministic examples at
 p = 0 and p = 1.  Truncations are also checked on DRIFT2, whose spatial
 steps do not straddle 0, and reachability on randomly drawn models.
-Compaction is checked against uncompacted and single-replica runs, and the
-occupancy reductions against plain numpy.
+Compaction is checked against uncompacted and single-replica runs, and
+against the rule that only a run with no observer and no snapshots compacts;
+the occupancy reductions are checked against plain numpy.
 """
 
 import itertools
@@ -23,7 +24,6 @@ from conftest import (
 from gosp.cli import _rle_encode, _snapshot_records
 from gosp.dynamics import (
     BatchOpenness,
-    BlockDomain,
     OutsideSlab,
     TorusTooSmall,
     TruncationUncertified,
@@ -73,16 +73,17 @@ def test_initial_state_empty_and_invalid():
 
 def test_evolve_empty_start_is_extinct_at_zero():
     f = FieldSpec(seed=1, p=1.0)
-    traj = evolve([], TWO_D_OP, f, 5)
-    assert traj.extinction_time == 0
-    assert not traj.survived
+    res = evolve([], TWO_D_OP, f, 5)
+    assert res.extinction.tolist() == [0]
+    assert not res.alive_at_T[0]
 
 
 def test_evolve_p_zero_dies_in_one_step():
     f = FieldSpec(seed=1, p=0.0)
-    traj = evolve([(0, 0)], TWO_D_OP, f, 5)
-    assert traj.extinction_time == 1
-    assert traj.counts[0] == 1
+    res = evolve([(0, 0)], TWO_D_OP, f, 5, snapshot_times=[0, 1])
+    assert res.extinction.tolist() == [1]
+    assert snapshot_sites(res.snapshots[0]) == {(0, 0)}
+    assert snapshot_sites(res.snapshots[1]) == set()
 
 
 def test_step_p1_matches_sumset():
@@ -92,7 +93,7 @@ def test_step_p1_matches_sumset():
         traj = evolve([(0,) * d_s + (0,)], model, f, 8,
                       snapshot_times=range(1, 9))
         for t in range(1, 9):
-            got = {s[:-1] for s in traj.snapshots[t].occupied()}
+            got = {s[:-1] for s in snapshot_sites(traj.snapshots[t])}
             assert got == oracles.sumset(model, t)
 
 
@@ -123,8 +124,6 @@ def test_observer_sees_every_step_and_ends_cleared_rows():
     assert list(res.extinction) == [-1, 3, -1]
     assert list(res.alive_at_T) == [True, False, True]
     assert not res.snapshots[3].rows[1].any()     # taken after the hook
-    with pytest.raises(ValueError):
-        _hook_run(per_step=hook, compact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +159,14 @@ def test_dual_evolve_matches_oracle(model):
 def test_dual_closed_start_dies_immediately():
     # dual extension requires the source site itself to be open
     f = FieldSpec(seed=0, p=0.0)
-    traj = dual_evolve([(0, 0)], TWO_D_OP, f, 3)
-    assert traj.extinction_time == 1
+    res = dual_evolve([(0, 0)], TWO_D_OP, f, 3)
+    assert res.extinction.tolist() == [1]
 
 
 def test_dual_p1_reflected_sumset():
     f = FieldSpec(seed=3, p=1.0)
     traj = dual_evolve([(0, 0)], ASYM3, f, 4, snapshot_times=[4])
-    got = {s[:-1] for s in traj.snapshots[4].occupied()}
+    got = {s[:-1] for s in snapshot_sites(traj.snapshots[4])}
     want = {tuple(-c for c in x) for x in oracles.sumset(ASYM3, 4)}
     assert got == want
 
@@ -234,9 +233,9 @@ def test_duality_identity():
 
 
 def _untilted(centre, w, h=20):
-    """Domain of the untilted block [centre - w, centre + w) x [0, h)."""
+    """Domain mask of the untilted block [centre - w, centre + w) x [0, h)."""
     g = BlockGeometry((w,), h, (0,))
-    return BlockDomain(TranslatedBlock(g, (Fraction(centre), Fraction(0))))
+    return TranslatedBlock(g, (Fraction(centre), Fraction(0))).mask
 
 
 def test_reaches_respects_domain():
@@ -290,7 +289,7 @@ def test_hit_coupled_batch_matches_single_runs(model, p):
     t = 30
     window = dyn.dependency_cone(model, (-1,), (2,), t)
     pool = spawn_seeds(33, 0, 2000)
-    ext = batch_evolve(model, pool, p, t, compact=True).extinction
+    ext = batch_evolve(model, pool, p, t).extinction
     early = (ext > 0) & (ext < t)
     died, rest = np.flatnonzero(early)[:6], np.flatnonzero(~early)[:10]
     assert len(died) == (0 if p == 1 else 6)
@@ -497,7 +496,18 @@ def test_snapshot_roundtrip():
         assert (np.stack(rows) == state.rows[1]).all()
 
 
-def test_rle_format():
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), max_size=80), st.sampled_from([(-1,), (4, -1)]))
+def test_rle_format(bits, shape):
+    # any array round-trips, and only the leading zero-run may be empty
+    bits = np.array(bits, dtype=bool)
+    if len(shape) == 2:
+        bits = bits[: len(bits) // 4 * 4]
+    arr = bits.reshape(shape)
+    enc = _rle_encode(arr)
+    assert (oracles.rle_decode(enc, bits.size) == bits).all()
+    runs = [int(r) for r in enc.split(",")] if enc else []
+    assert all(r > 0 for r in runs[1:])
     bits = np.array([0, 0, 1, 1, 1, 0, 1], dtype=bool)
     enc = _rle_encode(bits)
     assert enc == "2,3,1,1"
@@ -681,16 +691,43 @@ def test_openness_matches_site_hash(run):
 )
 def test_compaction_is_exact(model, p, master, B, T, dual):
     # dropping extinct replicas changes nothing: each row of a compacted
-    # run equals the full batch's row and a B = 1 run of its seed
+    # run equals the row of the full batch, which a no-op observer keeps
+    # from compacting, and a B = 1 run of its seed
     seeds = spawn_seeds(master, 0, B)
-    full = batch_evolve(model, seeds, p, T, dual=dual)
-    comp = batch_evolve(model, seeds, p, T, dual=dual, compact=True)
+    full = batch_evolve(model, seeds, p, T, dual=dual, per_step=lambda t, s: None)
+    comp = batch_evolve(model, seeds, p, T, dual=dual)
     assert np.array_equal(comp.extinction, full.extinction)
     assert np.array_equal(comp.alive_at_T, full.alive_at_T)
     for i, s in enumerate(seeds):
         one = batch_evolve(model, [s], p, T, dual=dual)
         assert one.extinction[0] == comp.extinction[i]
         assert one.alive_at_T[0] == comp.alive_at_T[i]
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_compaction_is_derived(monkeypatch, dual):
+    # a run that no observer or snapshot sees drops its extinct replicas;
+    # one that has either keeps stepping all B rows
+    kernel = "_dual_batch_step" if dual else "_batch_step"
+    step, sizes = getattr(dyn, kernel), []
+
+    def recording(state, *args):
+        sizes.append(state.batch)
+        return step(state, *args)
+
+    monkeypatch.setattr(dyn, kernel, recording)
+    B, T = 64, 30
+    seeds = spawn_seeds(5, 0, B)
+    for kw in ({}, {"per_step": lambda t, state: None}, {"snapshot_times": [3]}):
+        sizes.clear()
+        ext = batch_evolve(TWO_D_OP, seeds, 0.5, T, dual=dual, **kw).extinction
+        if kw:
+            assert sizes == [B] * len(sizes)
+        else:
+            # step t steps the replicas alive at t - 1
+            assert sizes == [int(((ext < 0) | (ext >= t)).sum())
+                             for t in range(1, len(sizes) + 1)]
+            assert sizes[-1] < B
 
 
 @st.composite

@@ -251,6 +251,18 @@ def test_bg_event_trivial():
     assert bg_event_probability(TWO_D_OP, 0.0, g, 1, 6, seed=2).estimate.mean == 0.0
 
 
+def test_bg_event_placement_uses_no_numpy_generator(monkeypatch):
+    # each box is placed from the field's hash of its seed, not from a
+    # numpy bit generator, whose streams may change between numpy versions
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.random.default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    g = BlockGeometry((3,), 4, ("1/2",))
+    ev = bg_event_probability(TWO_D_OP, 0.8, g, 1, 20, seed=3)
+    assert ev.outcomes.shape == (20,)
+
+
 def test_bg_event_geometry_validation():
     with pytest.raises(GeometryInvalid):
         bg_event_probability(TWO_D_OP, 0.5, BlockGeometry((2,), 3, (0,)), 2,
@@ -407,6 +419,37 @@ def test_outcomes_do_not_depend_on_chunk_size(monkeypatch):
         if ref is None:
             ref = hist, taus
         assert np.array_equal(hist, ref[0]) and np.array_equal(taus, ref[1])
+
+
+def test_pool_is_sized_to_chunks_and_cores(monkeypatch):
+    # the pool forks all its workers at once, so threads beyond the chunks
+    # or the cores start none; threads <= 1 run serially.  The pool here
+    # records its size and maps in process, so nothing is forked
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(est, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(est, "_SURVIVAL_CHUNK", 4)
+    ref = survival_curve(TWO_D_OP, 0.6, 10, 12, seed=1).taus     # 3 chunks
+    for cores, threads, want in ((8, 5000, [3]), (8, 2, [2]), (2, 5000, [2]),
+                                 (None, 5000, [1]), (8, 1, []), (8, 0, []),
+                                 (8, -4, [])):
+        monkeypatch.setattr(est.os, "cpu_count", lambda: cores)
+        sizes.clear()
+        taus = survival_curve(TWO_D_OP, 0.6, 10, 12, seed=1, threads=threads).taus
+        assert sizes == want and np.array_equal(taus, ref)
 
 
 def test_batched_outcomes_do_not_depend_on_chunk_size(monkeypatch):
