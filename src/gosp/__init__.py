@@ -30,7 +30,6 @@ from .estimators import (
     EstimatorError,
     EstimatorRefused,
     survival_curve,
-    dual_survival_curve,
     critical_point,
     shape_and_time_constants,
     edge_speeds,
@@ -68,7 +67,6 @@ __all__ = [
     "EstimatorError",
     "EstimatorRefused",
     "survival_curve",
-    "dual_survival_curve",
     "critical_point",
     "shape_and_time_constants",
     "edge_speeds",

@@ -196,7 +196,11 @@ def _snapshot_records(snapshots, b) -> list:
     } for t, st in sorted(snapshots.items())]
 
 
-@_estimator("simulate", _P_T_REPS, {"dual": _BOOL, "snapshots": _INTS})
+# a snapshot time above T is refused by batch_evolve, before any step runs
+@_estimator("simulate", _P_T_REPS, {
+    "dual": _BOOL,
+    "snapshots": {"type": "array", "items": {"type": "integer", "minimum": 0},
+                  "minItems": 1}})
 def _run_simulate(model, cfg, threads):
     snaps = sorted(set(cfg.get("snapshots", ())))
     dual = cfg.get("dual", False)
@@ -314,9 +318,9 @@ def _run_torus(model, cfg, threads):
         threads=threads, regime=cfg.get("regime", "auto"),
     )
     rows, records = [], []
-    for s in r.per_size:
-        rows.append(_row(cfg, f"torus[n={s.n}]", cfg["T_max"], s.mean_tau))
-        records += _replicas(n=[s.n] * len(s.taus), tau=_taus(s.taus))
+    for n, s in zip(map(int, cfg["sizes"]), r.per_size):
+        rows.append(_row(cfg, f"torus[n={n}]", cfg["T_max"], s.mean_tau))
+        records += _replicas(n=[n] * len(s.taus), tau=_taus(s.taus))
     # "index" orders the sizes; run() sorts by replica, interleaving them
     for k, rec in enumerate(records):
         rec["index"] = k
@@ -324,12 +328,11 @@ def _run_torus(model, cfg, threads):
 
 
 @_estimator("density", {"p": _NUM01, "n": _POSINT, "T_inf": _POSINT,
-                        "reps": _POSINT},
-            {"a_values": {"type": "array", "items": _number()}})
+                        "reps": _POSINT})
 def _run_density(model, cfg, threads):
     r = est.density_spectrum(
         model, cfg["p"], cfg["n"], cfg["T_inf"], cfg["reps"], cfg["seed"],
-        threads=threads, a_values=tuple(cfg.get("a_values", ())),
+        threads=threads,
     )
     rows = [_row(cfg, f"density[n={cfg['n']}]", cfg["T_inf"], r.mean)]
     return rows, _replicas(y=r.samples)

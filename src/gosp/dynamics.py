@@ -381,7 +381,6 @@ def dependency_cone(model: NormalizedModel, lo, hi, k: int,
 class BatchResult:
     """Summary of a batched run; all arrays are indexed by replica."""
 
-    T: int
     extinction: np.ndarray              # step of first empty state; -1 if none seen
     alive_at_T: np.ndarray
     snapshots: dict[int, BatchState] | None = None
@@ -393,7 +392,8 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
                  snapshot_times: Iterable[int] = (),
                  per_step: Callable | None = None) -> BatchResult:
     """Run B replicas of the chain on Z^{d-1} (the dual chain if ``dual``)
-    for T steps; record extinction steps and snapshots.
+    for T steps; record extinction steps and the snapshots at
+    ``snapshot_times``, each of which must lie in [0, T].
 
     ``init`` is a shared (anchor, rows) pair with rows of shape (R, *extent)
     or a per-replica (B, R, *extent) array; default is a single occupied site
@@ -410,6 +410,10 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     snapshots, whose states nobody sees, drops extinct replicas from its
     working arrays.
     """
+    snapshot_times = set(snapshot_times)
+    if any(not 0 <= t <= T for t in snapshot_times):
+        raise ValueError(
+            f"snapshot times {sorted(snapshot_times)} must lie in [0, T={T}]")
     B = len(seeds)
     d_s = model.d - 1
     if init is None:
@@ -428,7 +432,6 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     openness = BatchOpenness(
         seeds, p, cone=dependency_cone(model, anchor, hi, T, backward=dual),
     )
-    snapshot_times = set(snapshot_times)
     compact = per_step is None and not snapshot_times
 
     extinction = np.full(B, -1, dtype=np.int64)
@@ -467,12 +470,9 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     if snapshots is not None:
         # runs that die before a requested snapshot time are recorded empty
         empty = np.zeros((B, model.R) + (0,) * d_s, dtype=bool)
-        for t_req in snapshot_times:
-            if 0 <= t_req <= T and t_req not in snapshots:
-                snapshots[t_req] = BatchState(t_req, (0,) * d_s, empty)
-    return BatchResult(
-        T=T, extinction=extinction, alive_at_T=alive_at_T, snapshots=snapshots,
-    )
+        for t_req in snapshot_times - snapshots.keys():
+            snapshots[t_req] = BatchState(t_req, (0,) * d_s, empty)
+    return BatchResult(extinction, alive_at_T, snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +577,11 @@ class HitCoupled:
 
     Arrays have a leading replica axis: H, K, xi_origin and xi_slab have
     shape (B, R, *window extent), and slab site (x, s) of replica b maps to
-    index [b, s, x - window_lo].  ``hit_times`` (B, *window extent) holds the
-    first step at which the origin run occupies (x, 0), or -1 if it never
-    does.
+    index [b, s, x - lo] for the window (lo, hi).  ``hit_times`` (B, *window
+    extent) holds the first step at which the origin run occupies (x, 0), or
+    -1 if it never does.
     """
 
-    t: int
-    window_lo: tuple[int, ...]
-    window_hi: tuple[int, ...]
     H: np.ndarray
     K: np.ndarray
     xi_origin: np.ndarray
@@ -649,10 +646,8 @@ def hit_and_coupled_regions(model: NormalizedModel, seeds, p, t: int,
     last = (t - np.arange(model.R)).reshape((1, -1) + (1,) * d_s)
     ht = hit_times[:, None]
     H = (ht >= 0) & (ht <= last)
-    return HitCoupled(
-        t=t, window_lo=lo, window_hi=hi, H=H, K=xi_o == xi_S,
-        xi_origin=xi_o, xi_slab=xi_S, hit_times=hit_times,
-    )
+    return HitCoupled(H=H, K=xi_o == xi_S, xi_origin=xi_o, xi_slab=xi_S,
+                      hit_times=hit_times)
 
 
 # ---------------------------------------------------------------------------
@@ -761,4 +756,4 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
             state = BatchState(state.t, state.anchor, state.rows[keep])
             openness = openness.take(keep)
             block = block[:, keep]
-    return BatchResult(T=T_max, extinction=extinction, alive_at_T=extinction < 0)
+    return BatchResult(extinction, extinction < 0)

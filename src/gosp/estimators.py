@@ -6,14 +6,17 @@ seed, replica count): replica i always runs on the derived seed
 per-replica arrays in index order, so the reported numbers do not depend on
 the thread count.  Chunk sizes are constants chosen for speed; they only
 group replicas into batches, and a replica's outcome depends on its seed
-alone, so no outcome depends on them either
-(tests/test_estimators.py::test_outcomes_do_not_depend_on_chunk_size checks
-survival and decay at three chunk sizes and two thread counts, and
-test_batched_outcomes_do_not_depend_on_chunk_size shape, meet, density and
-goodblock at two sizes of each chunk constant).
+alone, so no outcome depends on them either.  tests/test_estimators.py
+checks this for every chunked estimator at two thread counts:
+test_outcomes_do_not_depend_on_chunk_size for survival and decay,
+test_batched_outcomes_do_not_depend_on_chunk_size for shape, meet, density
+and goodblock, and test_per_replica_outcomes_do_not_depend_on_chunk_size for
+pc, edges, torus, crossing, bgprobe, cone and crosspath.
 
-All reported quantities are finite-horizon proxies; the horizon is an
-explicit parameter carried in the result record.  Estimators refuse (raise a
+A result holds only what its estimator computed; the inputs it ran on are
+in the run manifest's ``config``.  All reported quantities are
+finite-horizon proxies; the horizon is an explicit parameter, written to the
+summary row's ``T`` column and to the manifest.  Estimators refuse (raise a
 subclass of ``EstimatorRefused``) rather than return a number whose estimand
 is degenerate at the requested parameters.
 """
@@ -205,22 +208,13 @@ class SurvivalCurve:
 
     estimate: Estimate
     taus: np.ndarray            # extinction step per replica; -1 if alive at T
-    p: float
-    T: int
-    reps: int
-    seed: int
-    dual: bool
-
-    def survival_function(self, t: int) -> float:
-        """Empirical P(tau >= t); replicas alive at T count as tau > T."""
-        tau_eff = np.where(self.taus < 0, self.T + 1, self.taus)
-        return float((tau_eff >= t).mean())
 
 
 def survival_curve(model: NormalizedModel, p, T: int, reps: int, seed: int,
                    threads: int = 1, dual: bool = False,
                    lane: int = 0) -> SurvivalCurve:
-    """Fraction of origin-started replicas alive at horizon T."""
+    """Fraction of origin-started replicas alive at horizon T (with ``dual``,
+    of replicas whose dual from the origin reaches depth T)."""
     if reps < 1:
         raise EstimatorError("reps must be >= 1")
     parts = _run_chunks(
@@ -231,14 +225,8 @@ def survival_curve(model: NormalizedModel, p, T: int, reps: int, seed: int,
     alive = np.concatenate([a for _, a in parts])
     return SurvivalCurve(
         estimate=Estimate.from_bernoulli(alive.sum(), reps),
-        taus=taus, p=p, T=T, reps=reps, seed=seed, dual=dual,
+        taus=taus,
     )
-
-
-def dual_survival_curve(model: NormalizedModel, p, T: int, reps: int,
-                        seed: int, threads: int = 1) -> SurvivalCurve:
-    """Fraction of replicas whose dual from the origin reaches depth T."""
-    return survival_curve(model, p, T, reps, seed, threads=threads, dual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +278,6 @@ class CriticalPoint:
     p_hat: float
     sweep: list                  # (p, Estimate) pairs visited by bisection
     stability: list              # Estimate at p_hat under independent seeds
-    T: int
-    L_stop: int
-    reps: int
-    seed: int
 
 
 def critical_point(model: NormalizedModel, T: int, L_stop: int, reps: int,
@@ -325,7 +309,6 @@ def critical_point(model: NormalizedModel, T: int, L_stop: int, reps: int,
     ]
     return CriticalPoint(
         p_lo=lo, p_hi=hi, p_hat=p_hat, sweep=sweep, stability=stability,
-        T=T, L_stop=L_stop, reps=reps, seed=seed,
     )
 
 
@@ -353,7 +336,7 @@ _SHAPE_SURVIVAL_FLOOR = 0.2
 
 
 def _shape_chunk(common, span):
-    model, p, t, T_cond, master, lane, directions, ns = common
+    model, p, t, T_cond, master, lane, ns = common
     # the t-step cone of the origin, one site wider on each side
     lo, hi = dependency_cone(model, (-1,), (2,), t)
     seeds = _rep_seeds(master, lane, *span)
@@ -373,7 +356,7 @@ def _shape_chunk(common, span):
         )
         hit_times = hc.hit_times[j]
         mus = {}
-        for dvec in directions:
+        for dvec in _SHAPE_DIRECTIONS:
             pts = []
             for n in ns:
                 x = round(n * dvec[0]) - lo[0]
@@ -399,13 +382,7 @@ class ShapeEstimate:
     not join the run, so the run endpoints track the true frontier.
     """
 
-    p: float
-    t: int
-    T_cond: int
-    seed: int
-    reps: int                    # conditioned replicas used
     attempts: int                # attempts consumed to reach the quota
-    directions: tuple
     mu_hat: dict                 # direction -> Estimate or None
     u_lo: Estimate
     u_hi: Estimate
@@ -426,17 +403,16 @@ def shape_and_time_constants(model: NormalizedModel, p, t: int, reps: int,
     if model.d != 2:
         raise DimensionNot2("shape estimation is implemented for d = 2")
     T_cond = t if T_cond is None else T_cond
-    pre = survival_curve(
-        model, p, min(t, 200), 200, seed, threads=threads, lane=9
-    )
+    T_pre = min(t, 200)
+    pre = survival_curve(model, p, T_pre, 200, seed, threads=threads, lane=9)
     if pre.estimate.mean < _SHAPE_SURVIVAL_FLOOR:
         raise SubcriticalRefused(
-            f"survival frequency {pre.estimate.mean:.3f} at T={pre.T} is "
+            f"survival frequency {pre.estimate.mean:.3f} at T={T_pre} is "
             f"below the floor {_SHAPE_SURVIVAL_FLOOR}"
         )
     ns = tuple(range(max(2, t // 5), t // 2 + 1, max(1, t // 20)))
     budget = max(reps * 10, 50)
-    common = (model, p, t, T_cond, seed, 0, _SHAPE_DIRECTIONS, ns)
+    common = (model, p, t, T_cond, seed, 0, ns)
 
     collected = []
     attempts = 0
@@ -470,8 +446,7 @@ def shape_and_time_constants(model: NormalizedModel, p, t: int, reps: int,
         vals = [c[3][dvec] for c in collected if c[3][dvec] is not None]
         mu_hat[dvec] = Estimate.from_samples(vals) if vals else None
     return ShapeEstimate(
-        p=p, t=t, T_cond=T_cond, seed=seed, reps=reps, attempts=attempts,
-        directions=_SHAPE_DIRECTIONS, mu_hat=mu_hat,
+        attempts=attempts, mu_hat=mu_hat,
         u_lo=Estimate.from_samples(lo_samples),
         u_hi=Estimate.from_samples(hi_samples),
         lo_samples=lo_samples, hi_samples=hi_samples,
@@ -509,10 +484,6 @@ class EdgeSpeeds:
     beta_lower: float
     r_T: np.ndarray
     l_T: np.ndarray
-    p: float
-    T: int
-    reps: int
-    seed: int
 
 
 def edge_speeds(model: NormalizedModel, p, T: int, reps: int, seed: int,
@@ -543,7 +514,7 @@ def edge_speeds(model: NormalizedModel, p, T: int, reps: int, seed: int,
     beta, beta_lower, l_T = reduce(side_edges("left"), minimise=False)
     return EdgeSpeeds(
         alpha=alpha, beta=beta, alpha_upper=alpha_upper, beta_lower=beta_lower,
-        r_T=r_T, l_T=l_T, p=p, T=T, reps=reps, seed=seed,
+        r_T=r_T, l_T=l_T,
     )
 
 
@@ -551,7 +522,8 @@ def edge_speeds(model: NormalizedModel, p, T: int, reps: int, seed: int,
 # extinction-time tails
 
 def _fit_line(x: np.ndarray, y: np.ndarray):
-    """Least-squares line with slope standard error and R^2."""
+    """Slope of the least-squares line, its R^2 and the slope's standard
+    error."""
     n = x.size
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
@@ -560,7 +532,7 @@ def _fit_line(x: np.ndarray, y: np.ndarray):
     r2 = 1.0 if ss_tot == 0 else 1 - ss_res / ss_tot
     sxx = float(((x - x.mean()) ** 2).sum())
     se = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 and sxx > 0 else 0.0
-    return float(slope), float(intercept), r2, se
+    return float(slope), r2, se
 
 
 # a death-bound fit needs this many deaths in its window, and a decay fit
@@ -574,15 +546,9 @@ class DeathBoundFit:
 
     slope: float
     slope_stderr: float
-    intercept: float
     r2: float
     n_deaths: int                # deaths inside the window
     counts: dict                 # t -> count of t <= tau <= T
-    p: float
-    T: int
-    reps: int
-    window: tuple[int, int]
-    seed: int
 
 
 def death_bound_fit(model: NormalizedModel, p, T: int, reps: int,
@@ -608,14 +574,12 @@ def death_bound_fit(model: NormalizedModel, p, T: int, reps: int,
             f"{n_deaths} deaths in window [{w0}, {w1}] "
             f"(floor {_MIN_EVENTS}, {int(keep.sum())} support points)"
         )
-    slope, intercept, r2, se = _fit_line(
+    slope, r2, se = _fit_line(
         ts[keep].astype(float), np.log(tails[keep] / reps)
     )
     return DeathBoundFit(
-        slope=slope, slope_stderr=se, intercept=intercept, r2=r2,
-        n_deaths=n_deaths,
+        slope=slope, slope_stderr=se, r2=r2, n_deaths=n_deaths,
         counts={int(t): int(c) for t, c in zip(ts, tails)},
-        p=p, T=T, reps=reps, window=(w0, w1), seed=seed,
     )
 
 
@@ -638,14 +602,6 @@ class SubcriticalDecay:
     c_hat: float                 # fit over the union of the windows
     window_fits: list            # (window, c_window, survivors at window end)
     histogram: np.ndarray        # counts of tau; index T+1 collects tau > T
-    p: float
-    T: int
-    reps: int
-    seed: int
-
-    def survival_function(self, t: int) -> float:
-        """Empirical P(tau >= t); replicas alive at T count as tau > T."""
-        return float(self.histogram[t:].sum() / self.reps)
 
 
 def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
@@ -668,7 +624,7 @@ def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
                 f"only {int(surv[-1])} replicas with tau >= {b} "
                 f"(floor {_MIN_EVENTS})"
             )
-        slope, _, _, _ = _fit_line(ts.astype(float), np.log(surv / reps))
+        slope, _, _ = _fit_line(ts.astype(float), np.log(surv / reps))
         return -slope, int(surv[-1])
 
     window_fits = []
@@ -677,10 +633,7 @@ def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
         window_fits.append(((int(a), int(b)), c_w, n_w))
     a0 = min(a for a, _ in windows)
     c_hat, _ = fit(int(a0), int(b_max))
-    return SubcriticalDecay(
-        c_hat=c_hat, window_fits=window_fits, histogram=hist,
-        p=p, T=T, reps=reps, seed=seed,
-    )
+    return SubcriticalDecay(c_hat=c_hat, window_fits=window_fits, histogram=hist)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +650,8 @@ def _torus_chunk(common, span):
 
 @dataclass
 class TorusSizeStats:
-    n: int
+    """Extinction times on one torus size, in the order of ``sizes``."""
+
     mean_tau: Estimate
     uncensored: int
     censored: int
@@ -713,21 +667,16 @@ class TorusStats:
     regime: str
     per_size: list
     slope_vs_log: float | None   # subcritical: slope of mean tau vs log n
-    p: float
-    reps: int
-    T_max: int
-    seed: int
 
 
 def torus_stats(model: NormalizedModel, p, sizes, reps: int, T_max: int,
-                seed: int, threads: int = 1, regime: str = "auto",
-                min_uncensored: int | None = None) -> TorusStats:
+                seed: int, threads: int = 1, regime: str = "auto") -> TorusStats:
     if regime not in ("auto", "sub", "super"):
         raise EstimatorError(f"unknown regime {regime!r}")
     if regime == "auto":
         pre = survival_curve(model, p, 100, 200, seed, threads=threads, lane=9)
         regime = "super" if pre.estimate.mean >= 0.2 else "sub"
-    floor = min_uncensored if min_uncensored is not None else max(10, reps // 2)
+    floor = max(10, reps // 2)
     per_size = []
     for j, n in enumerate(sizes):
         ext = np.concatenate(_run_chunks(
@@ -747,19 +696,16 @@ def torus_stats(model: NormalizedModel, p, sizes, reps: int, T_max: int,
         else:
             ratio = est.mean / math.log(n)
         per_size.append(TorusSizeStats(
-            n=int(n), mean_tau=est, uncensored=int(taus.size),
+            mean_tau=est, uncensored=int(taus.size),
             censored=int(reps - taus.size), ks_distance=ks, ratio_log=ratio,
             taus=taus,
         ))
     slope = None
     if regime == "sub" and len(per_size) >= 2:
-        xs = np.log([s.n for s in per_size])
+        xs = np.log(sizes)
         ys = [s.mean_tau.mean for s in per_size]
         slope = float(np.polyfit(xs, ys, 1)[0])
-    return TorusStats(
-        regime=regime, per_size=per_size, slope_vs_log=slope,
-        p=p, reps=reps, T_max=T_max, seed=seed,
-    )
+    return TorusStats(regime=regime, per_size=per_size, slope_vs_log=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -805,18 +751,10 @@ class DensitySpectrum:
 
     mean: Estimate
     samples: np.ndarray
-    freq_le: dict                # a -> empirical P(Y_n <= a)
-    histogram: tuple             # (counts, bin edges)
-    p: float
-    n: int
-    T_inf: int
-    reps: int
-    seed: int
 
 
 def density_spectrum(model: NormalizedModel, p, n: int, T_inf: int, reps: int,
-                     seed: int, threads: int = 1,
-                     a_values=()) -> DensitySpectrum:
+                     seed: int, threads: int = 1) -> DensitySpectrum:
     """Y_n = fraction of sites of B_n whose dual survives to depth T_inf."""
     if T_inf < 10:
         raise EstimatorError("T_inf must be at least 10")
@@ -824,14 +762,7 @@ def density_spectrum(model: NormalizedModel, p, n: int, T_inf: int, reps: int,
         _density_chunk, (model, p, n, T_inf, seed, 0), reps,
         _site_chunk(model.R * (2 * n) ** (model.d - 1)), threads,
     ))
-    freq_le = {
-        float(a): float((samples <= a).mean()) for a in a_values
-    }
-    counts, edges = np.histogram(samples, bins=10, range=(0.0, 1.0))
-    return DensitySpectrum(
-        mean=Estimate.from_samples(samples), samples=samples, freq_le=freq_le,
-        histogram=(counts, edges), p=p, n=n, T_inf=T_inf, reps=reps, seed=seed,
-    )
+    return DensitySpectrum(mean=Estimate.from_samples(samples), samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -885,12 +816,7 @@ def _crossing_chunk(common, span):
 class CrossingEstimate:
     estimate: Estimate
     outcomes: np.ndarray         # crossing indicator per replica
-    p: float
-    L: int
-    eps: float
-    slope: Fraction
-    w: int
-    seed: int
+    w: int                       # box half-width, max(1, round(eps * L))
 
 
 def crossing_probability(model: NormalizedModel, p, L: int, eps: float,
@@ -908,8 +834,7 @@ def crossing_probability(model: NormalizedModel, p, L: int, eps: float,
         reps, _CROSS_CHUNK, threads,
     ))
     return CrossingEstimate(
-        estimate=Estimate.from_bernoulli(ev.sum(), reps), outcomes=ev,
-        p=p, L=L, eps=eps, slope=slope, w=w, seed=seed,
+        estimate=Estimate.from_bernoulli(ev.sum(), reps), outcomes=ev, w=w,
     )
 
 
@@ -972,11 +897,6 @@ def _bg_chunk(common, span):
 class BlockEventEstimate:
     estimate: Estimate
     outcomes: np.ndarray         # event indicator per replica
-    geometry: BlockGeometry
-    n: int
-    p: float
-    reps: int
-    seed: int
 
 
 def bg_event_probability(model: NormalizedModel, p, g: BlockGeometry, n: int,
@@ -996,7 +916,6 @@ def bg_event_probability(model: NormalizedModel, p, g: BlockGeometry, n: int,
     ))
     return BlockEventEstimate(
         estimate=Estimate.from_bernoulli(ev.sum(), reps), outcomes=ev,
-        geometry=g, n=n, p=p, reps=reps, seed=seed,
     )
 
 
@@ -1086,12 +1005,6 @@ class GoodBlockEstimate:
     event2: Estimate             # coupled-region containments
     event3: Estimate             # displaced probe blocks reached
     events: list                 # per replica (e1, e2, e3)
-    p: float
-    L: int
-    C: int
-    v: tuple
-    reps: int
-    seed: int
 
 
 def good_block_probability(model: NormalizedModel, p, L: int, C: int,
@@ -1125,7 +1038,7 @@ def good_block_probability(model: NormalizedModel, p, L: int, C: int,
         event1=Estimate.from_bernoulli(sum(e[0] for e in flat), reps),
         event2=Estimate.from_bernoulli(sum(e[1] for e in flat), reps),
         event3=Estimate.from_bernoulli(sum(e[2] for e in flat), reps),
-        events=flat, p=p, L=L, C=C, v=v, reps=reps, seed=seed,
+        events=flat,
     )
 
 
@@ -1178,11 +1091,6 @@ class MeetEstimate:
     events: list                 # per replica (both alive, failure)
     both_alive: int
     z: tuple[int, ...]
-    v_hat: tuple
-    p: float
-    t: int
-    reps: int
-    seed: int
 
 
 def primal_dual_meet(model: NormalizedModel, p, t: int, reps: int, v_hat,
@@ -1199,7 +1107,7 @@ def primal_dual_meet(model: NormalizedModel, p, t: int, reps: int, v_hat,
     return MeetEstimate(
         failure=Estimate.from_bernoulli(sum(f for _, f in flat), reps),
         events=flat, both_alive=sum(b for b, _ in flat),
-        z=z, v_hat=v_hat, p=p, t=t, reps=reps, seed=seed,
+        z=z,
     )
 
 
@@ -1248,13 +1156,7 @@ def _cone_chunk(common, span):
 class ConeSurvival:
     estimate: Estimate
     outcomes: np.ndarray         # survival indicator per replica
-    bounds: tuple[float, float]
-    shape_interval: tuple[float, float]
-    p: float
-    T: int
-    t0: int
-    reps: int
-    seed: int
+    bounds: tuple[float, float]  # the polytope's interval [lo, hi]
 
 
 def restricted_cone_survival(model: NormalizedModel, p, polytope, T: int,
@@ -1266,7 +1168,8 @@ def restricted_cone_survival(model: NormalizedModel, p, polytope, T: int,
     Start-window policy: start sites are exactly the cone's lattice sites in
     that window and are exempt from the openness/domain requirement, like
     any path start.  Refuses unless the polytope lies inside the shape
-    interval with a margin of _CONE_MARGIN.
+    interval ``shape`` = (lo, hi), estimated here if None, with a margin of
+    _CONE_MARGIN.
     """
     if model.d != 2:
         raise DimensionNot2("cone survival is implemented for d = 2")
@@ -1281,10 +1184,8 @@ def restricted_cone_survival(model: NormalizedModel, p, polytope, T: int,
         shape = shape_and_time_constants(
             model, p, min(400, max(T, 50)), 40,
             seed=spawn_seed(seed, 7), threads=threads,
-        )
-    u_lo, u_hi = (
-        shape.u_hat if isinstance(shape, ShapeEstimate) else tuple(shape)
-    )
+        ).u_hat
+    u_lo, u_hi = shape
     if not (u_lo + _CONE_MARGIN <= float(o_lo)
             and float(o_hi) <= u_hi - _CONE_MARGIN):
         raise ConeOutsideShape(
@@ -1297,8 +1198,7 @@ def restricted_cone_survival(model: NormalizedModel, p, polytope, T: int,
     ))
     return ConeSurvival(
         estimate=Estimate.from_bernoulli(ev.sum(), reps), outcomes=ev,
-        bounds=(float(o_lo), float(o_hi)), shape_interval=(u_lo, u_hi),
-        p=p, T=T, t0=t0, reps=reps, seed=seed,
+        bounds=(float(o_lo), float(o_hi)),
     )
 
 
@@ -1456,12 +1356,6 @@ class TransferResult:
     hat_meets: int
     crossed: int
     records: list
-    probe: tuple
-    p: float
-    eps: float
-    L: int
-    reps: int
-    seed: int
 
 
 def path_crossing_transfer(model: NormalizedModel, p, eps: float, L: int,
@@ -1506,6 +1400,5 @@ def path_crossing_transfer(model: NormalizedModel, p, eps: float, L: int,
         ),
         path_meets=sum(r[0] for r in crossed),
         hat_meets=sum(r[1] for r in crossed),
-        crossed=len(crossed), records=records, probe=probe,
-        p=p, eps=eps, L=L, reps=reps, seed=seed,
+        crossed=len(crossed), records=records,
     )

@@ -21,7 +21,6 @@ from gosp.estimators import (
     crossing_probability,
     death_bound_fit,
     density_spectrum,
-    dual_survival_curve,
     edge_speeds,
     path_crossing_transfer,
     shape_and_time_constants,
@@ -42,7 +41,7 @@ def theta_curves():
     # shared by criteria 5 and 12: primal and dual survival at p=0.8, T=100
     t_start = time.perf_counter()
     sc = survival_curve(TWO_D_OP, 0.8, 100, 20000, seed=1005)
-    dc = dual_survival_curve(TWO_D_OP, 0.8, 100, 20000, seed=1006)
+    dc = survival_curve(TWO_D_OP, 0.8, 100, 20000, seed=1006, dual=True)
     return sc, dc, time.perf_counter() - t_start
 
 
@@ -223,9 +222,7 @@ def test_criterion_10_subcritical_decay_windows():
 
 
 def test_criterion_11_torus_laws():
-    sup = torus_stats(
-        TWO_D_OP, 0.8, [12], 560, 300000, seed=1110, min_uncensored=500
-    )
+    sup = torus_stats(TWO_D_OP, 0.8, [12], 560, 300000, seed=1110)
     s = sup.per_size[0]
     sub = torus_stats(TWO_D_OP, 0.55, [8, 16, 32], 400, 2000, seed=1111)
     ratios = [sz.ratio_log for sz in sub.per_size]
@@ -247,13 +244,12 @@ def test_criterion_12_density(theta_curves):
     p = 0.8
     target = p * sc.estimate.mean
     half = 0.5 * target
-    d16 = density_spectrum(TWO_D_OP, p, 16, 200, 200, seed=1120,
-                           a_values=(half,))
-    d32 = density_spectrum(TWO_D_OP, p, 32, 200, 200, seed=1121,
-                           a_values=(half,))
+    d16 = density_spectrum(TWO_D_OP, p, 16, 200, 200, seed=1120)
+    d32 = density_spectrum(TWO_D_OP, p, 32, 200, 200, seed=1121)
     diff = abs(d32.mean.mean - target)
     sigma = np.hypot(p * sc.estimate.stderr, d32.mean.stderr)
-    f16, f32 = d16.freq_le[half], d32.freq_le[half]
+    f16 = float((d16.samples <= half).mean())
+    f32 = float((d32.samples <= half).mean())
     ok = diff <= 3 * sigma and f32 <= f16
     _report(
         12, ok,

@@ -191,6 +191,41 @@ def test_simulate_snapshot_records(tmp_path, model_path):
         assert set(recs[0]["snapshots"][0]) == {"t", "anchor", "shape", "rows"}
 
 
+@pytest.mark.parametrize("snapshots, schema_refuses", [("9", False), ("-2", True)])
+def test_simulate_snapshot_outside_horizon_exits_1(tmp_path, model_path, capsys,
+                                                   snapshots, schema_refuses):
+    # a negative time fails the schema before the manifest is written; a
+    # time above T is refused by the engine before any step runs
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model_path, "--seed", "1", "--p", "0.8",
+                 "--T", "5", "--reps", "3", "--snapshots", snapshots,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if schema_refuses:
+        assert "config error at /snapshots/0" in err
+        assert not out.exists()
+    else:
+        assert "must lie in [0, T=5]" in err
+        assert not (out / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_density_a_values_exits_1_before_manifest(tmp_path, model_path, form):
+    # no output depends on an a-value, so neither the flag nor the key exists
+    out = tmp_path / "out"
+    if form == "flag":
+        argv = ["density", "--model", model_path, "--seed", "1", "--p", "0.8",
+                "--n", "4", "--T-inf", "20", "--reps", "5", "--a-values", "0.5"]
+    else:
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps({
+            "estimator": "density", "model": model_path, "seed": 1, "p": 0.8,
+            "n": 4, "T_inf": 20, "reps": 5, "a_values": [0.5]}))
+        argv = ["density", "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -339,8 +374,6 @@ _CROSSING = {"estimator": "crossing", "seed": 1, "p": 0.8, "L": 10,
     (dict(_CROSSING, model="m", eps=_INF), "/eps"),
     ({"estimator": "pc", "model": "m", "seed": 1, "T": 10, "L_stop": 5,
       "reps": 5, "tol": _INF}, "/tol"),
-    ({"estimator": "density", "model": "m", "seed": 1, "p": 0.8, "n": 4,
-      "T_inf": 10, "reps": 5, "a_values": [0.5, _NAN]}, "/a_values/1"),
     (dict(_CONE, model="m", shape_lo=_NAN, shape_hi=1.0), "/shape_lo"),
 ])
 def test_config_file_non_finite_number_exits_before_manifest(

@@ -730,6 +730,20 @@ def test_compaction_is_derived(monkeypatch, dual):
             assert sizes[-1] < B
 
 
+def test_snapshot_time_outside_horizon_refused(monkeypatch):
+    # refused before any step runs; a time T itself is recorded
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(dyn, "_batch_step", no_step)
+    seeds = spawn_seeds(5, 0, 4)
+    for times in ([6], [0, 3, 6], [-1]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, T=5\]"):
+            batch_evolve(TWO_D_OP, seeds, 0.5, 5, snapshot_times=times)
+    res = batch_evolve(TWO_D_OP, seeds, 0.5, 0, snapshot_times=[0])
+    assert list(res.snapshots) == [0]
+
+
 @st.composite
 def _occupancy_rows(draw):
     # batches on both sides of the narrow/wide switch in replicas and in

@@ -28,7 +28,6 @@ from gosp.estimators import (
     crossing_probability,
     death_bound_fit,
     density_spectrum,
-    dual_survival_curve,
     edge_speeds,
     good_block_probability,
     path_crossing_transfer,
@@ -74,8 +73,8 @@ def test_survival_trivial():
     s0 = survival_curve(TWO_D_OP, 0.0, 10, 50, seed=1)
     assert s0.estimate.mean == 0.0
     assert (s0.taus == 1).all()
-    assert dual_survival_curve(TWO_D_OP, 0.0, 10, 50, seed=1).estimate.mean == 0.0
-    assert dual_survival_curve(TWO_D_OP, 1.0, 10, 50, seed=1).estimate.mean == 1.0
+    assert survival_curve(TWO_D_OP, 0.0, 10, 50, seed=1, dual=True).estimate.mean == 0.0
+    assert survival_curve(TWO_D_OP, 1.0, 10, 50, seed=1, dual=True).estimate.mean == 1.0
 
 
 def test_survival_one_step_closed_form():
@@ -91,14 +90,6 @@ def test_survival_matches_exact_enumeration(p):
     exact = float(oracles.exact_survival(TWO_D_OP, p, 3))
     sc = survival_curve(TWO_D_OP, float(p), 3, 20000, seed=11)
     assert abs(sc.estimate.mean - exact) <= 4 * max(sc.estimate.stderr, 1e-9)
-
-
-def test_survival_function_consistency():
-    sc = survival_curve(TWO_D_OP, 0.6, 20, 2000, seed=3)
-    assert sc.survival_function(0) == 1.0
-    vals = [sc.survival_function(t) for t in range(0, 22)]
-    assert vals == sorted(vals, reverse=True)
-    assert sc.survival_function(21) == sc.estimate.mean
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +118,7 @@ def test_shape_p1_deterministic():
     assert sh.u_hat == (-1.0, 1.9)
     assert sh.mu_hat[(-1.0,)].mean == 1.0
     assert 0.5 <= sh.mu_hat[(1.0,)].mean <= 0.65
-    assert sh.reps == 5
+    assert len(sh.lo_samples) == 5
 
 
 def test_shape_refuses_subcritical():
@@ -188,8 +179,6 @@ def test_subcritical_decay_positive_rate():
     assert dc.c_hat > 0
     for (_, c_w, n_w) in dc.window_fits:
         assert c_w > 0 and n_w >= 50
-    assert dc.survival_function(0) == 1.0
-    assert dc.survival_function(15) < dc.survival_function(5)
 
 
 def test_subcritical_decay_refuses_without_survivors():
@@ -204,9 +193,9 @@ def test_subcritical_decay_refuses_without_survivors():
 def test_torus_stats_p0():
     ts = torus_stats(TWO_D_OP, 0.0, [6, 8], 40, 50, seed=8)
     assert ts.regime == "sub"
-    for s in ts.per_size:
+    for n, s in zip([6, 8], ts.per_size):
         assert s.mean_tau.mean == 1.0 and s.censored == 0
-        assert s.ratio_log == pytest.approx(1 / np.log(s.n))
+        assert s.ratio_log == pytest.approx(1 / np.log(n))
     assert ts.slope_vs_log == pytest.approx(0.0, abs=1e-12)
 
 
@@ -224,12 +213,10 @@ def test_torus_stats_rejects_unknown_regime():
 # density
 
 def test_density_trivial():
-    d1 = density_spectrum(TWO_D_OP, 1.0, 4, 20, 5, seed=9, a_values=(0.5,))
+    d1 = density_spectrum(TWO_D_OP, 1.0, 4, 20, 5, seed=9)
     assert (d1.samples == 1.0).all()
-    assert d1.freq_le[0.5] == 0.0
-    d0 = density_spectrum(TWO_D_OP, 0.0, 4, 20, 5, seed=9, a_values=(0.5,))
+    d0 = density_spectrum(TWO_D_OP, 0.0, 4, 20, 5, seed=9)
     assert (d0.samples == 0.0).all()
-    assert d0.freq_le[0.5] == 1.0
     with pytest.raises(EstimatorError):
         density_spectrum(TWO_D_OP, 0.5, 4, 5, 5, seed=9)
 
@@ -494,10 +481,53 @@ def test_batched_outcomes_do_not_depend_on_chunk_size(monkeypatch):
         assert got == ref
     # a shape chunk's items, the Nones of replicas dead by T_cond included,
     # are those of one-replica chunks in replica order
-    common = (TWO_D_OP, 0.75, 40, 40, 5, 0, ((-1.0,), (1.0,)), (8, 10, 12, 14))
+    common = (TWO_D_OP, 0.75, 40, 40, 5, 0, (8, 10, 12, 14))
     whole = est._shape_chunk(common, (0, 16))
     assert None in whole and whole != sorted(whole, key=lambda x: x is None)
     assert whole == [x for i in range(16) for x in est._shape_chunk(common, (i, i + 1))]
+
+
+def test_per_replica_outcomes_do_not_depend_on_chunk_size(monkeypatch):
+    # pc, edges, torus, crossing, bgprobe, cone and crosspath split their
+    # replicas into chunks of a constant size: chunks of one replica are
+    # the per-replica reference, 7 leaves a ragged last chunk, and the
+    # default takes each run's replicas in one or a few chunks
+    names = ("_EVENT_CHUNK", "_EDGE_CHUNK", "_TORUS_CHUNK", "_CROSS_CHUNK",
+             "_BG_CHUNK", "_CONE_CHUNK", "_TRANSFER_CHUNK")
+    defaults = {name: getattr(est, name) for name in names}
+    g = BlockGeometry((3,), 4, ("1/2",))
+
+    def outcomes(threads):
+        cp = critical_point(TWO_D_OP, 8, 8, 20, 0.25, seed=5, threads=threads)
+        ed = edge_speeds(TWO_D_OP, 0.8, 30, 20, seed=13, threads=threads)
+        return (
+            [(p, e.mean) for p, e in cp.sweep], [e.mean for e in cp.stability],
+            ed.r_T.tolist(), ed.l_T.tolist(),
+            torus_stats(TWO_D_OP, 0.55, [6], 20, 400, seed=8, threads=threads,
+                        regime="sub").per_size[0].taus.tolist(),
+            crossing_probability(TWO_D_OP, 0.7, 20, 0.2, 0, 20, seed=10,
+                                 threads=threads).outcomes.tolist(),
+            bg_event_probability(TWO_D_OP, 0.7, g, 1, 20, seed=3,
+                                 threads=threads).outcomes.tolist(),
+            restricted_cone_survival(TWO_D_OP, 0.7, ("1/4", "3/4"), 30, 20,
+                                     seed=1, threads=threads, t0=5,
+                                     shape=(0.0, 1.0)).outcomes.tolist(),
+            path_crossing_transfer(TWO_D_OP, 0.8, 0.1, 20, 20, seed=2,
+                                   threads=threads, alpha="1/2",
+                                   beta="1/2").records,
+        )
+
+    ref = None
+    for threads, size in itertools.product((1, 2), (1, 7, None)):
+        for name in names:
+            monkeypatch.setattr(est, name, size or defaults[name])
+        got = outcomes(threads)
+        if ref is None:
+            ref = got
+            # every per-replica outcome takes more than one value
+            for part in got[2:]:
+                assert len(set(map(str, part))) > 1, part
+        assert got == ref
 
 
 def test_shape_chunk_without_survivors(monkeypatch):
@@ -507,5 +537,5 @@ def test_shape_chunk_without_survivors(monkeypatch):
         raise AssertionError("hit_and_coupled_regions called")
 
     monkeypatch.setattr(est, "hit_and_coupled_regions", refuse)
-    common = (TWO_D_OP, 0.0, 10, 10, 5, 0, ((1.0,),), (2, 3, 4, 5))
+    common = (TWO_D_OP, 0.0, 10, 10, 5, 0, (2, 3, 4, 5))
     assert est._shape_chunk(common, (0, 6)) == [None] * 6
