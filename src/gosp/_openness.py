@@ -1,0 +1,128 @@
+"""Open masks finished from spatial prefix hashes, in native code if it builds.
+
+``open_mask(prefix, t, threshold)`` is open_given_hash(extend_hash(prefix,
+t), threshold): the open mask of the sites whose spatial prefix hashes are
+``prefix`` at time t, or at each time of an integer array t.  The native
+kernel ``_openness.c`` computes it in one pass over the prefix view; the
+numpy path of ``gosp.field`` is the reference, and runs when there is no
+compiler, the build fails, or the threshold is 2**64 (p = 1).
+
+The kernel is compiled with gcc on first use into a cache directory, under a
+name keyed by the source and the flags, and loaded with ctypes.  Its
+``target_clones`` let the loader pick AVX-512 or AVX2 at load time, so one
+cached library runs on any x86-64 machine.  Loading happens at import, so
+forked pool workers inherit the library and never compile.  ``KIND`` says
+which path runs: "native" or "numpy".
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
+
+import numpy as np
+
+from .field import _COORD_MUL, _GOLDEN, _MASK64, _TWO64, extend_hash, open_given_hash
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_openness.c")
+_FLAGS = ("-O3", "-shared", "-fPIC")
+_KEY_MUL, _KEY_ADD = int(_COORD_MUL), int(_GOLDEN)
+
+
+def _cache_dir() -> str | None:
+    """$XDG_CACHE_HOME/gosp or ~/.cache/gosp, else the temporary directory;
+    None if none of them is writable."""
+    bases = [os.environ.get("XDG_CACHE_HOME", ""), os.path.expanduser("~/.cache")]
+    # a relative base (expanduser keeps "~" when it finds no home) would
+    # put the cache in the working directory
+    dirs = [os.path.join(b, "gosp") for b in bases if os.path.isabs(b)]
+    for d in dirs + [tempfile.gettempdir()]:
+        try:
+            os.makedirs(d, exist_ok=True)
+        except OSError:
+            continue
+        if os.access(d, os.W_OK | os.X_OK):
+            return d
+    return None
+
+
+def _compile(path: str) -> None:
+    """Build the kernel into ``path``: under a temporary name first, then
+    renamed into place, so concurrent builders never load a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run(["gcc", *_FLAGS, _SOURCE, "-o", tmp],
+                       check=True, capture_output=True)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _library_name() -> str:
+    """The cached library's file name, keyed by the source, the flags and
+    the machine type."""
+    with open(_SOURCE, "rb") as fh:
+        key = fh.read() + " ".join(_FLAGS + (platform.machine(),)).encode()
+    return f"gosp-openness-{hashlib.sha256(key).hexdigest()[:16]}.so"
+
+
+def _load():
+    """The kernel's ctypes function, built if not cached; None if it cannot
+    be built or loaded."""
+    d = _cache_dir()
+    if d is None:
+        return None
+    path = os.path.join(d, _library_name())
+    try:
+        if not os.path.exists(path):
+            _compile(path)
+        fn = ctypes.CDLL(path).open_window
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    ptr = ctypes.c_void_p
+    fn.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ctypes.c_int64,
+                   ctypes.c_uint64, ptr]
+    fn.restype = None
+    return fn
+
+
+_kernel = _load()
+KIND = "numpy" if _kernel is None else "native"
+
+
+def _numpy_mask(prefix: np.ndarray, t, threshold: int) -> np.ndarray:
+    """The numpy reference of ``open_mask``."""
+    buf = np.empty(np.shape(t) + prefix.shape, dtype=np.uint64)
+    return open_given_hash(extend_hash(prefix, t, buf, np.empty_like(buf)), threshold)
+
+
+def open_mask(prefix: np.ndarray, t, threshold: int) -> np.ndarray:
+    """Open mask of shape (*t.shape, *prefix.shape): site i of ``prefix`` is
+    open at time t iff mix(prefix[i] ^ (u64(t) * C + G)) < threshold."""
+    if prefix.dtype != np.uint64:
+        raise TypeError(f"prefix hashes must be uint64, not {prefix.dtype}")
+    if _kernel is None or threshold >= _TWO64:
+        return _numpy_mask(prefix, t, threshold)
+    many = isinstance(t, np.ndarray)
+    out = np.empty((t.shape if many else ()) + prefix.shape, dtype=bool)
+    if not out.size:
+        return out
+    if many:
+        keys = t.astype(np.uint64).ravel() * _COORD_MUL + _GOLDEN
+        nk, keys_at = keys.size, keys.ctypes.data
+    else:
+        keys = ctypes.c_uint64(((int(t) & _MASK64) * _KEY_MUL + _KEY_ADD) & _MASK64)
+        nk, keys_at = 1, ctypes.addressof(keys)
+    nd = prefix.ndim
+    dims = (ctypes.c_int64 * (2 * nd))(*prefix.shape, *prefix.strides)
+    at = ctypes.addressof(dims)
+    _kernel(prefix.ctypes.data, nd, at, at + 8 * nd, keys_at, nk, threshold,
+            ctypes.addressof(ctypes.c_char.from_buffer(out)))
+    return out

@@ -30,6 +30,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
+from ._openness import KIND as OPENNESS_KIND
 from .field import MIXER_ID, spawn_seeds
 from .geometry import BlockGeometry, as_fraction
 from .model import ModelError, load_model
@@ -466,6 +467,7 @@ def _write_manifest(path: str, plan: dict, timing) -> None:
         "master_seed": plan["seed"],
         "reps": plan.get("reps"),
         "mixer": MIXER_ID,
+        "openness": OPENNESS_KIND,
         "version": __version__,
         "timing": timing,
     }

@@ -14,7 +14,8 @@ one-replica runs of ``batch_evolve`` and return its ``BatchResult``.
 Openness comes from one ``BatchOpenness`` per batch.  By the prefix identity
 of the field, site_hash(seed, [*x, t]) = mix(site_hash(seed, x) ^ (u64(t) * C
 + G)), so the time-independent spatial prefix of each replica and site is
-hashed once into a table and every step finishes it with a single mix.
+hashed once into a table and every step finishes it with a single mix and
+the threshold test (``open_mask``, one native pass where the kernel builds).
 
 ``batch_evolve`` steps the primal and dual chains on Z^{d-1}.  The quotient
 chain on the side-n torus has a stepping loop of its own,
@@ -41,9 +42,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .field import (
-    FieldSpec, _as_u64, extend_hash, open_given_hash, site_hash, threshold_for,
-)
+from ._openness import open_mask
+from .field import FieldSpec, _as_u64, site_hash, threshold_for
 from .model import NormalizedModel
 
 
@@ -195,12 +195,17 @@ def slab_window_rows(model: NormalizedModel, lo, hi) -> tuple[tuple[int, ...], n
 # ---------------------------------------------------------------------------
 # open-site evaluation for batches
 
+# the prefix table is hashed in blocks of this many rows, whose uint64
+# temporaries stay in cache
+_COVER_ROWS = 4096
+
+
 class BatchOpenness:
     """Openness of space-time sites for a batch of replicas, one seed per row.
 
     The spatial hash prefix site_hash(seed, x) of every site of a box is
     kept in a (B, *box) table, so each query only finishes the hash with its
-    time coordinate (``extend_hash``: one mix per site).  The box grows,
+    time coordinate (``open_mask``: one mix per site).  The box grows,
     doubling per axis, only when a query window leaves it, and never past
     ``cone``, a (lo, hi) box holding every window the run can query.
     """
@@ -244,7 +249,9 @@ class BatchOpenness:
         s = self.seeds.reshape((-1,) + (1,) * len(shape))
         coords = _window_coords(lo, shape)
         self.table = None           # free the old box before hashing the new
-        self.table = site_hash(s, coords)
+        self.table = np.empty((len(s),) + shape, dtype=np.uint64)
+        for i in range(0, len(s), _COVER_ROWS):
+            self.table[i:i + _COVER_ROWS] = site_hash(s[i:i + _COVER_ROWS], coords)
 
     def window(self, lo, shape, t) -> np.ndarray:
         """Open mask (B, *shape) of the sites (x, t), x in [lo, lo + shape);
@@ -254,10 +261,7 @@ class BatchOpenness:
         view = (slice(None),) + tuple(
             slice(l - b, h - b) for l, h, b in zip(lo, hi, self.lo)
         )
-        lead = t.shape if isinstance(t, np.ndarray) else ()
-        buf = np.empty(lead + (len(self.seeds),) + tuple(shape), dtype=np.uint64)
-        h = extend_hash(self.table[view], t, buf, np.empty_like(buf))
-        return open_given_hash(h, self.threshold)
+        return open_mask(self.table[view], t, self.threshold)
 
 
 # ---------------------------------------------------------------------------
