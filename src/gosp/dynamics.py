@@ -403,7 +403,7 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     or a per-replica (B, R, *extent) array; default is a single occupied site
     at the origin of row 0.  ``domain(coords, t)``, if given, is the boolean
     mask of the sites (coords, t) a path may step on (for example
-    ``TranslatedBlock.mask`` or ``partial(cone_mask, polytope)``).
+    ``TranslatedBlock.mask`` or ``partial(cone_mask, lo, hi)``).
 
     ``per_step(t, state)`` is the observer hook.  It is called for t = 0,
     1, ... in order, up to T or until every replica is extinct, each time

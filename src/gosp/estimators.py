@@ -9,9 +9,10 @@ group replicas into batches, and a replica's outcome depends on its seed
 alone, so no outcome depends on them either.  tests/test_estimators.py
 checks this for every chunked estimator at two thread counts:
 test_outcomes_do_not_depend_on_chunk_size for survival and decay,
-test_batched_outcomes_do_not_depend_on_chunk_size for shape, meet, density
-and goodblock, and test_per_replica_outcomes_do_not_depend_on_chunk_size for
-pc, edges, torus, crossing, bgprobe, cone and crosspath.
+test_batched_outcomes_do_not_depend_on_chunk_size for shape, meet, density,
+goodblock and crosspath, and
+test_per_replica_outcomes_do_not_depend_on_chunk_size for pc, edges, torus,
+crossing, bgprobe, cone and crosspath.
 
 A result holds only what its estimator computed; the inputs it ran on are
 in the run manifest's ``config``.  All reported quantities are
@@ -51,7 +52,6 @@ from .dynamics import (
 from .field import FieldSpec, site_hash, spawn_seed, spawn_seeds
 from .geometry import (
     BlockGeometry,
-    ConvexPolytope,
     TranslatedBlock,
     as_fraction,
     bg_target_blocks,
@@ -458,13 +458,16 @@ def shape_and_time_constants(model: NormalizedModel, p, t: int, reps: int,
 # edge speeds (d = 2)
 
 _EDGE_CHUNK = 8
+# the half slab's truncation margin; the frontier certificate refuses a
+# margin that turns out too small
+_EDGE_MARGIN = 0.2
 
 
 def _edge_chunk(common, span):
-    model, p, T, side, margin, master, lane = common
+    model, p, T, side, master, lane = common
     seeds = _rep_seeds(master, lane, *span)
     try:
-        return half_slab_edges(model, seeds, p, side, T, margin)
+        return half_slab_edges(model, seeds, p, side, T, _EDGE_MARGIN)
     except TruncationUncertified as exc:
         raise EdgeTruncationRefused(str(exc)) from exc
 
@@ -487,7 +490,7 @@ class EdgeSpeeds:
 
 
 def edge_speeds(model: NormalizedModel, p, T: int, reps: int, seed: int,
-                threads: int = 1, margin: float = 0.2) -> EdgeSpeeds:
+                threads: int = 1) -> EdgeSpeeds:
     """Mean frontier displacement per step for both half-slab processes.
 
     Both sides run on the same per-replica fields, so differences of speeds
@@ -498,7 +501,7 @@ def edge_speeds(model: NormalizedModel, p, T: int, reps: int, seed: int,
 
     def side_edges(side):
         return np.concatenate(_run_chunks(
-            _edge_chunk, (model, p, T, side, margin, seed, 0), reps,
+            _edge_chunk, (model, p, T, side, seed, 0), reps,
             _EDGE_CHUNK, threads,
         ))
 
@@ -768,48 +771,43 @@ def density_spectrum(model: NormalizedModel, p, n: int, T_inf: int, reps: int,
 # ---------------------------------------------------------------------------
 # box crossing
 
-def _crossing_source_window(model: NormalizedModel, g: BlockGeometry,
-                            shift: Fraction, half: bool):
-    """Initial slab window of every source that can enter the box.
+def _tilted_box(model: NormalizedModel, w: int, height: int, slope: Fraction,
+                shift: Fraction, half: bool):
+    """``(init, domain)`` of a run inside the box B(w, height, slope) shifted
+    by ``shift``, or None if no source can enter it.
 
-    The truncation is exact: a source outside the window lies outside the
-    backward ``dependency_cone`` of every row of the box, so it cannot place
-    any site inside the box.
+    ``init`` is the slab window of every source that can enter the box (with
+    ``half``, of those at x <= 0).  The truncation is exact: a source outside
+    the window lies outside the backward ``dependency_cone`` of every row of
+    the box, so it cannot place any site inside the box.
     """
-    v, w = g.v[0], g.w[0]
-    los, his = [], []
-    for t in range(g.h + 1):
-        # the box row at time t is v*t + shift + [-w, w)
-        (lo,), (hi,) = dependency_cone(
-            model, (v * t - w + shift,), (v * t + w + shift,), t, backward=True)
-        los.append(lo)
-        his.append(hi)
-    lo = math.floor(min(los))
-    hi = math.ceil(max(his)) + 1
+    g = BlockGeometry((w,), height, (slope,))
+    # the box row at time t is slope*t + shift + [-w, w)
+    cones = [
+        dependency_cone(model, (slope * t - w + shift,),
+                        (slope * t + w + shift,), t, backward=True)
+        for t in range(height + 1)
+    ]
+    lo = math.floor(min(c_lo for (c_lo,), _ in cones))
+    hi = math.ceil(max(c_hi for _, (c_hi,) in cones)) + 1
     if half:
         hi = min(hi, 1)
     if lo >= hi:
         return None
-    return slab_window_rows(model, (lo,), (hi,))
+    return (slab_window_rows(model, (lo,), (hi,)),
+            TranslatedBlock(g, (shift, Fraction(0))).mask)
 
 
 _CROSS_CHUNK = 64
 
 
 def _crossing_chunk(common, span):
-    model, p, L, w, slope, shift, half, master, lane = common
-    # box height L+R so the top chain row [L, L+R) lies inside the domain
-    g = BlockGeometry((w,), L + model.R, (slope,))
-    init = _crossing_source_window(model, g, shift, half)
-    n = span[1] - span[0]
-    if init is None:
-        return np.zeros(n, dtype=bool)
+    model, p, L, box, master, lane = common
+    if box is None:
+        return np.zeros(span[1] - span[0], dtype=bool)
+    init, domain = box
     seeds = _rep_seeds(master, lane, *span)
-    res = batch_evolve(
-        model, seeds, p, L, init=init,
-        domain=TranslatedBlock(g, (shift, Fraction(0))).mask,
-    )
-    return res.alive_at_T
+    return batch_evolve(model, seeds, p, L, init=init, domain=domain).alive_at_T
 
 
 @dataclass
@@ -826,12 +824,13 @@ def crossing_probability(model: NormalizedModel, p, L: int, eps: float,
     by the process started from the truncated half slab {x <= 0}."""
     if model.d != 2:
         raise DimensionNot2("box crossing is defined for d = 2 only")
-    slope = as_fraction(slope)
     w = max(1, round(eps * L))
+    # box height L+R so the top chain row [L, L+R) lies inside the domain
+    box = _tilted_box(model, w, L + model.R, as_fraction(slope),
+                      as_fraction(lateral_shift), half=True)
     ev = np.concatenate(_run_chunks(
-        _crossing_chunk,
-        (model, p, L, w, slope, as_fraction(lateral_shift), True, seed, 0),
-        reps, _CROSS_CHUNK, threads,
+        _crossing_chunk, (model, p, L, box, seed, 0), reps, _CROSS_CHUNK,
+        threads,
     ))
     return CrossingEstimate(
         estimate=Estimate.from_bernoulli(ev.sum(), reps), outcomes=ev, w=w,
@@ -848,8 +847,7 @@ def _bg_chunk(common, span):
     model, p, g, n, master, lane = common
     regions = bg_target_blocks(g)
     out = []
-    for i in range(*span):
-        si = _rep_seeds(master, lane, i, i + 1)[0]
+    for si in _rep_seeds(master, lane, *span):
         # the box's time and place from hashes of the seed, each scaled
         # to its range [0, m) as (h * m) >> 64
         h0, *hx = (int(v) for v in site_hash(si, [np.arange(model.d)], stream=2))
@@ -1114,40 +1112,21 @@ def primal_dual_meet(model: NormalizedModel, p, t: int, reps: int, v_hat,
 # ---------------------------------------------------------------------------
 # restricted-cone survival
 
-def _interval_bounds(polytope: ConvexPolytope):
-    """Lower/upper bounds of a one-dimensional polytope."""
-    lo = hi = None
-    for (a,), b in polytope.halfspaces:
-        if a > 0:
-            bound = b / a
-            hi = bound if hi is None else min(hi, bound)
-        elif a < 0:
-            bound = b / a
-            lo = bound if lo is None else max(lo, bound)
-    return lo, hi
-
-
 _CONE_CHUNK = 64
 _CONE_MARGIN = 0.02
 
 
 def _cone_chunk(common, span):
-    model, p, polytope, T, t0, master, lane = common
-    R = model.R
-    o_lo, o_hi = _interval_bounds(polytope)
-    sites = []
-    for s in range(R):
-        t_abs = t0 + s
-        x0 = math.floor(o_lo * t_abs) - 1
-        x1 = math.ceil(o_hi * t_abs) + 2
-        for x in range(x0, x1):
-            if polytope.contains_point((Fraction(x, t_abs),)):
-                sites.append((x, s))
-    init = rows_from_sites(model, sites)
+    model, p, lo, hi, T, t0, master, lane = common
+    # the cone's lattice sites x in [lo*t, hi*t] at t = t0, ..., t0+R-1
+    sites = [
+        (x, s) for s in range(model.R)
+        for x in range(math.ceil(lo * (t0 + s)), math.floor(hi * (t0 + s)) + 1)
+    ]
     seeds = _rep_seeds(master, lane, *span)
     res = batch_evolve(
-        model, seeds, p, T - t0, init=init, t0=t0,
-        domain=partial(cone_mask, polytope),
+        model, seeds, p, T - t0, init=rows_from_sites(model, sites), t0=t0,
+        domain=partial(cone_mask, lo, hi),
     )
     return res.alive_at_T
 
@@ -1156,30 +1135,29 @@ def _cone_chunk(common, span):
 class ConeSurvival:
     estimate: Estimate
     outcomes: np.ndarray         # survival indicator per replica
-    bounds: tuple[float, float]  # the polytope's interval [lo, hi]
+    bounds: tuple[float, float]  # the cone's interval [lo, hi]
 
 
-def restricted_cone_survival(model: NormalizedModel, p, polytope, T: int,
+def restricted_cone_survival(model: NormalizedModel, p, interval, T: int,
                              reps: int, seed: int, threads: int = 1,
                              t0: int = 50, shape=None) -> ConeSurvival:
-    """Frequency that some start site of the cone over the polytope, in the
-    time window [t0, t0+R), percolates within the cone to time T.
+    """Frequency that some start site of the cone {(x, t): lo*t <= x <= hi*t}
+    over ``interval`` = (lo, hi), in the time window [t0, t0+R), percolates
+    within the cone to time T.
 
     Start-window policy: start sites are exactly the cone's lattice sites in
     that window and are exempt from the openness/domain requirement, like
-    any path start.  Refuses unless the polytope lies inside the shape
-    interval ``shape`` = (lo, hi), estimated here if None, with a margin of
+    any path start.  Refuses unless [lo, hi] lies inside the shape interval
+    ``shape`` = (u_lo, u_hi), estimated here if None, with a margin of
     _CONE_MARGIN.
     """
     if model.d != 2:
         raise DimensionNot2("cone survival is implemented for d = 2")
     if not 0 < t0 < T:
         raise EstimatorError("need 0 < t0 < T")
-    if isinstance(polytope, (tuple, list)):
-        polytope = ConvexPolytope.interval(*polytope)
-    o_lo, o_hi = _interval_bounds(polytope)
-    if o_lo is None or o_hi is None or o_lo > o_hi:
-        raise EstimatorError("polytope must be a bounded non-empty interval")
+    o_lo, o_hi = (as_fraction(c) for c in interval)
+    if o_lo > o_hi:
+        raise EstimatorError("cone interval must be non-empty")
     if shape is None:
         shape = shape_and_time_constants(
             model, p, min(400, max(T, 50)), 40,
@@ -1193,7 +1171,7 @@ def restricted_cone_survival(model: NormalizedModel, p, polytope, T: int,
             f"shape interval [{u_lo:.3f}, {u_hi:.3f}] with margin {_CONE_MARGIN}"
         )
     ev = np.concatenate(_run_chunks(
-        _cone_chunk, (model, p, polytope, T, t0, seed, 0), reps,
+        _cone_chunk, (model, p, o_lo, o_hi, T, t0, seed, 0), reps,
         _CONE_CHUNK, threads,
     ))
     return ConeSurvival(
@@ -1205,18 +1183,23 @@ def restricted_cone_survival(model: NormalizedModel, p, polytope, T: int,
 # ---------------------------------------------------------------------------
 # path crossing and sprinkled transfer
 
-def box_infection_probe(model: NormalizedModel, n: int = 1,
-                        t_max: int = 12) -> tuple[int, tuple[int, ...], int]:
-    """Smallest t (then closest v) with v + [-n, n)^{d-1} inside the t-fold
-    sumset of the spatial steps; at p=1 a site infects that whole box t
-    steps later."""
+# the probe box's half-width and the largest number of steps searched
+_PROBE_N = 1
+_PROBE_T_MAX = 12
+
+
+def box_infection_probe(model: NormalizedModel) -> tuple[int, tuple[int, ...], int]:
+    """(n, v, t) for the smallest t (then closest v) with v + [-n, n)^{d-1}
+    inside the t-fold sumset of the spatial steps, n = _PROBE_N; at p=1 a
+    site infects that whole box t steps later."""
     if any(u != 1 for _, u in model.split_offsets):
         raise EstimatorError("box infection probe requires a range-1 model")
     d_s = model.d - 1
+    n = _PROBE_N
     steps = [y for y, _ in model.split_offsets]
     box = list(product(*[range(-n, n)] * d_s))
     current = {(0,) * d_s}
-    for t in range(1, t_max + 1):
+    for t in range(1, _PROBE_T_MAX + 1):
         current = {
             tuple(a + b for a, b in zip(x, y)) for x in current for y in steps
         }
@@ -1226,11 +1209,13 @@ def box_infection_probe(model: NormalizedModel, n: int = 1,
                 for b in box
             ):
                 return n, cand, t
-    raise EstimatorError(f"no box infection parameters found up to t={t_max}")
+    raise EstimatorError(
+        f"no box infection parameters found up to t={_PROBE_T_MAX}")
 
 
-def _leftmost_path(model: NormalizedModel, snapshots, L: int):
-    """Leftmost bottom-to-top open path from stored range-1 states.
+def _leftmost_path(model: NormalizedModel, snapshots, L: int, b: int):
+    """Leftmost bottom-to-top open path of replica b, alive at L, from
+    stored range-1 states.
 
     Keeps only sites that are co-reachable from the top, then greedily takes
     the smallest admissible successor; this is the lexicographically least
@@ -1240,15 +1225,13 @@ def _leftmost_path(model: NormalizedModel, snapshots, L: int):
     occ = []
     for t in range(L + 1):
         st = snapshots[t]
-        row = st.rows[0, 0]
+        row = st.rows[b, 0]
         occ.append({int(st.anchor[0] + j) for j in np.flatnonzero(row)})
     co = [set() for _ in range(L + 1)]
     co[L] = occ[L]
     for t in range(L - 1, -1, -1):
         nxt = co[t + 1]
         co[t] = {x for x in occ[t] if any(x + y in nxt for y in ys)}
-    if not co[0]:
-        return None
     a = min(co[0])
     path = [(a, 0)]
     for t in range(1, L + 1):
@@ -1296,41 +1279,29 @@ def _transfer_bfs(model, seed, p, eps, gam, gam2, probe, L) -> bool:
     return target in frontier
 
 
-_TRANSFER_CHUNK = 8
+_TRANSFER_CHUNK = 64
 
 
 def _transfer_chunk(common, span):
-    model, p, eps, L, w, alpha, beta, shift, probe, master, lane = common
+    model, p, eps, L, boxes, probe, master, lane = common
+    seeds = _rep_seeds(master, lane, *span)
+    # one run per box over the whole span; a replica crosses a box if it
+    # is alive at L, and then every snapshot of that run exists
+    runs = [
+        batch_evolve(model, seeds, p, L, init=init, domain=domain,
+                     snapshot_times=range(L + 1))
+        for init, domain in boxes
+    ]
+    crossed = runs[0].alive_at_T & runs[1].alive_at_T
+    n_pr, v_pr, t_pr = probe
     out = []
-    for i in range(*span):
-        si = _rep_seeds(master, lane, i, i + 1)[0]
-        paths = []
-        for slope, off in ((alpha, -shift), (beta, shift)):
-            g = BlockGeometry((w,), L + 1, (slope,))
-            init = _crossing_source_window(model, g, Fraction(off), half=False)
-            if init is None:
-                paths = None
-                break
-            res = batch_evolve(
-                model, [si], p, L, init=init,
-                domain=TranslatedBlock(g, (Fraction(off), Fraction(0))).mask,
-                snapshot_times=range(L + 1),
-            )
-            if not res.alive_at_T[0]:
-                paths = None
-                break
-            path = _leftmost_path(model, res.snapshots, L)
-            if path is None:
-                paths = None
-                break
-            paths.append(path)
-        if paths is None:
+    for i, si in enumerate(seeds):
+        if not crossed[i]:
             out.append(None)
             continue
-        gam, gam2 = paths
+        gam, gam2 = (_leftmost_path(model, r.snapshots, L, i) for r in runs)
         g2set = set(gam2)
         path_meet = bool(set(gam) & g2set)
-        n_pr, v_pr, t_pr = probe
         hat = {
             (x + v_pr[0] + b, ta + t_pr)
             for x, ta in gam for b in range(-n_pr, n_pr)
@@ -1382,9 +1353,13 @@ def path_crossing_transfer(model: NormalizedModel, p, eps: float, L: int,
         w = max(1, round(eps * L)) if eps > 0 else max(1, round(0.1 * L))
     shift = 2 * w if shift is None else int(shift)
     probe = box_infection_probe(model)
+    # neither box is cut to a half slab, so neither source window is empty
+    boxes = [
+        _tilted_box(model, w, L + 1, slope, Fraction(off), half=False)
+        for slope, off in ((alpha, -shift), (beta, shift))
+    ]
     parts = _run_chunks(
-        _transfer_chunk,
-        (model, p, eps, L, w, alpha, beta, shift, probe, seed, 0),
+        _transfer_chunk, (model, p, eps, L, boxes, probe, seed, 0),
         reps, _TRANSFER_CHUNK, threads,
     )
     records = [item for part in parts for item in part]

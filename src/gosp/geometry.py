@@ -8,7 +8,6 @@ by the dynamics for domain restriction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -92,46 +91,14 @@ def block_mask(
     return out
 
 
-@dataclass(frozen=True)
-class ConvexPolytope:
-    """Rational convex polytope {z : a . z <= b for each half-space}."""
-
-    halfspaces: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-
-    def __post_init__(self):
-        hs = tuple(
-            (tuple(as_fraction(c) for c in a), as_fraction(b))
-            for a, b in self.halfspaces
-        )
-        object.__setattr__(self, "halfspaces", hs)
-
-    @classmethod
-    def interval(cls, lo, hi) -> "ConvexPolytope":
-        """One-dimensional polytope [lo, hi]."""
-        lo = as_fraction(lo)
-        hi = as_fraction(hi)
-        return cls((((Fraction(-1),), -lo), ((Fraction(1),), hi)))
-
-    def contains_point(self, z: Sequence[Fraction]) -> bool:
-        z = tuple(as_fraction(c) for c in z)
-        return all(
-            sum(ai * zi for ai, zi in zip(a, z)) <= b for a, b in self.halfspaces
-        )
-
-
-def cone_mask(polytope: ConvexPolytope, coords: Sequence[np.ndarray], t) -> np.ndarray:
-    """Vectorised cone membership; a . x <= b * t cleared of denominators."""
-    t_arr = np.asarray(t, dtype=np.int64)
-    out = np.broadcast_to(t_arr > 0, np.broadcast_shapes(
-        *(np.shape(c) for c in coords), np.shape(t_arr)
-    )).copy()
-    for a, b in polytope.halfspaces:
-        denom = math.lcm(b.denominator, *(ai.denominator for ai in a))
-        lhs = np.zeros_like(t_arr, shape=out.shape)
-        for ai, xi in zip(a, coords):
-            lhs = lhs + np.asarray(xi, dtype=np.int64) * int(ai * denom)
-        out = out & (lhs <= t_arr * int(b * denom))
-    return out
+def cone_mask(lo, hi, coords: Sequence[np.ndarray], t) -> np.ndarray:
+    """Vectorised membership of (x, t) in the cone over the interval
+    [lo, hi]: t > 0 and lo*t <= x <= hi*t, cleared of denominators."""
+    lo, hi = as_fraction(lo), as_fraction(hi)
+    (x,) = (np.asarray(c, dtype=np.int64) for c in coords)
+    t = np.asarray(t, dtype=np.int64)
+    return ((t > 0) & (x * lo.denominator >= t * lo.numerator)
+            & (x * hi.denominator <= t * hi.numerator))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from gosp.field import FieldSpec
-from gosp.geometry import BlockGeometry, ConvexPolytope, TranslatedBlock
+from gosp.geometry import BlockGeometry, TranslatedBlock
 from gosp.model import NormalizedModel
 
 
@@ -223,12 +223,12 @@ def translated_block_contains(tb: TranslatedBlock, site) -> bool:
     return block_contains(tb.geometry, [c - o for c, o in zip(site, tb.offset)])
 
 
-def cone_contains(polytope: ConvexPolytope, site) -> bool:
-    """Membership of (x, t) in the cone over the polytope: t > 0, x/t inside."""
-    *x, t = site
+def cone_contains(lo: Fraction, hi: Fraction, site) -> bool:
+    """Membership of (x, t) in the cone over [lo, hi]: t > 0, lo <= x/t <= hi."""
+    x, t = site
     if t <= 0:
         return False
-    return polytope.contains_point([Fraction(xi, t) for xi in x])
+    return lo <= Fraction(x, t) <= hi
 
 
 # ---------------------------------------------------------------------------

@@ -147,9 +147,11 @@ def test_edge_speeds_refuses_dead_replicas():
         edge_speeds(TWO_D_OP, 0.0, 20, 4, seed=1)
 
 
-def test_edge_speeds_refuses_uncertified_truncation():
+def test_edge_speeds_refuses_uncertified_truncation(monkeypatch):
+    # margin -0.9 keeps a tenth of the needed half slab
+    monkeypatch.setattr(est, "_EDGE_MARGIN", -0.9)
     with pytest.raises(EdgeTruncationRefused):
-        edge_speeds(TWO_D_OP, 0.8, 300, 2, seed=1, margin=-0.9)
+        edge_speeds(TWO_D_OP, 0.8, 300, 2, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +365,29 @@ def test_transfer_refusals():
                                alpha="1/2", beta="1/2")
 
 
+def test_box_setup_runs_once_per_estimator_call(monkeypatch):
+    # every chunk shares the tilted-box set-up made once per call: one box
+    # for crossing, two for crosspath, however many replicas and chunks
+    calls = []
+    setup = est._tilted_box
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return setup(*args, **kwargs)
+
+    monkeypatch.setattr(est, "_tilted_box", counting)
+    monkeypatch.setattr(est, "_CROSS_CHUNK", 1)
+    monkeypatch.setattr(est, "_TRANSFER_CHUNK", 1)
+    for reps in (1, 6):
+        calls.clear()
+        crossing_probability(TWO_D_OP, 0.7, 20, 0.2, 0, reps, seed=10)
+        assert len(calls) == 1
+        calls.clear()
+        path_crossing_transfer(TWO_D_OP, 1.0, 0.0, 20, reps, seed=2,
+                               alpha="1/2", beta="1/2", shift=0, half_width=3)
+        assert len(calls) == 2
+
+
 def test_reps_beyond_a_seed_lane_refused():
     # replica 2**32 of lane 0 would reuse the seed of replica 0 of lane 1;
     # refused before any chunk runs
@@ -440,10 +465,10 @@ def test_pool_is_sized_to_chunks_and_cores(monkeypatch):
 
 
 def test_batched_outcomes_do_not_depend_on_chunk_size(monkeypatch):
-    # shape, meet, density and goodblock step each chunk's replicas as one
-    # batch; chunks of one replica are the per-replica reference, the
-    # middle sizes leave ragged last chunks, and at two threads several
-    # chunks go through the pool
+    # shape, meet, density, goodblock and crosspath step each chunk's
+    # replicas as one batch; chunks of one replica are the per-replica
+    # reference, the middle sizes leave ragged last chunks, and at two
+    # threads several chunks go through the pool
     v = (Fraction(1, 2),)
 
     def outcomes(threads):
@@ -485,6 +510,16 @@ def test_batched_outcomes_do_not_depend_on_chunk_size(monkeypatch):
     whole = est._shape_chunk(common, (0, 16))
     assert None in whole and whole != sorted(whole, key=lambda x: x is None)
     assert whole == [x for i in range(16) for x in est._shape_chunk(common, (i, i + 1))]
+    # so are a crosspath chunk's records, the Nones of replicas that miss a
+    # box included; the boxes cross, so paths meet in some replicas only
+    boxes = [est._tilted_box(ASYM3, 2, 21, Fraction(slope), Fraction(off),
+                             half=False)
+             for slope, off in (("1/2", -3), ("1/4", 3))]
+    common = (ASYM3, 0.8, 0.1, 20, boxes, box_infection_probe(ASYM3), 2, 0)
+    whole = est._transfer_chunk(common, (0, 16))
+    assert None in whole and len(set(whole) - {None}) > 2
+    assert whole == [x for i in range(16)
+                     for x in est._transfer_chunk(common, (i, i + 1))]
 
 
 def test_per_replica_outcomes_do_not_depend_on_chunk_size(monkeypatch):

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from gosp.geometry import (
     BlockGeometry,
-    ConvexPolytope,
     TranslatedBlock,
     as_fraction,
     bg_target_blocks,
@@ -36,9 +35,9 @@ def _in_block(g, site, offset=None) -> bool:
     return bool(block_mask(g, *_coords(site), offset=offset))
 
 
-def _in_cone(polytope, site) -> bool:
+def _in_cone(lo, hi, site) -> bool:
     """cone_mask at one site."""
-    return bool(cone_mask(polytope, *_coords(site)))
+    return bool(cone_mask(lo, hi, *_coords(site)))
 
 
 def test_block_contains_examples():
@@ -86,20 +85,21 @@ def test_translated_block_invariance():
 
 
 def test_cone_contains_examples():
-    o = ConvexPolytope.interval(-1, 1)
-    assert _in_cone(o, (0, 5))
-    assert not _in_cone(o, (6, 5))
-    assert not _in_cone(o, (0, 0))     # t must be positive
-    o2 = ConvexPolytope.interval("1/5", "3/5")
-    assert _in_cone(o2, (2, 5))
+    assert _in_cone(-1, 1, (0, 5))
+    assert not _in_cone(-1, 1, (6, 5))
+    assert not _in_cone(-1, 1, (0, 0))     # t must be positive
+    assert _in_cone("1/5", "3/5", (2, 5))
+    assert _in_cone("1/5", "3/5", (1, 5))  # both ends are closed
+    assert _in_cone("1/5", "3/5", (3, 5))
+    assert not _in_cone("1/5", "3/5", (4, 5))
 
 
 def test_cone_mask_matches_scalar():
-    o = ConvexPolytope.interval("-1/3", "2/3")
+    lo, hi = Fraction(-1, 3), Fraction(2, 3)
     xs, ts = np.meshgrid(np.arange(-5, 6), np.arange(0, 8), indexing="ij")
-    mask = cone_mask(o, [xs], ts)
+    mask = cone_mask(lo, hi, [xs], ts)
     for x, t, m in zip(xs.ravel(), ts.ravel(), mask.ravel()):
-        assert cone_contains(o, (int(x), int(t))) == bool(m)
+        assert cone_contains(lo, hi, (int(x), int(t))) == bool(m)
 
 
 def test_bg_target_blocks_geometry():

@@ -1,10 +1,12 @@
-"""The README's Library section names only what gosp defines."""
+"""The README's Library section names only what gosp defines, and its
+reproducibility paragraph names every chunk-size test."""
 
 import pkgutil
 import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+ESTIMATOR_TESTS = Path(__file__).resolve().parent / "test_estimators.py"
 
 
 def test_readme_library_names_resolve():
@@ -34,3 +36,12 @@ def test_readme_estimator_names_resolve():
         except (AttributeError, ImportError):
             missing.append(name)
     assert not missing, f"README estimators that gosp does not define: {missing}"
+
+
+def test_readme_names_every_chunk_size_test():
+    tests = re.findall(r"^def (test_\w*do_not_depend_on_chunk_size)\(",
+                       ESTIMATOR_TESTS.read_text(encoding="utf-8"), re.M)
+    assert len(tests) >= 3
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in tests if name not in text]
+    assert not missing, f"chunk-size tests the README does not name: {missing}"
