@@ -1,13 +1,14 @@
 """Monte Carlo estimators for the supercritical-phase observables.
 
 Every estimator is a deterministic function of (model, parameters, master
-seed, replica count): replica i always runs on the derived seed
-``spawn_seed(master, lane + i)``, and aggregation happens once over the
-per-replica arrays in index order, so the reported numbers do not depend on
-the thread count.  Chunk sizes are constants chosen for speed; they only
-group replicas into batches, and a replica's outcome depends on its seed
-alone, so no outcome depends on them either.  tests/test_estimators.py
-checks this for every chunked estimator at two thread counts:
+seed, replica count): replica i of seed lane ``lane`` always runs on the
+derived seed ``spawn_seed(master, lane * 2**32 + i)``, which ``_seeded``
+alone computes, and aggregation happens once over the per-replica arrays in
+index order, so the reported numbers do not depend on the thread count.
+Chunk sizes are constants chosen for speed; they only group replicas into
+batches, and a replica's outcome depends on its seed alone, so no outcome
+depends on them either.  tests/test_estimators.py checks this for every
+chunked estimator at two thread counts:
 test_outcomes_do_not_depend_on_chunk_size for survival and decay,
 test_batched_outcomes_do_not_depend_on_chunk_size for shape, meet, density,
 goodblock and crosspath, and
@@ -31,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product, repeat
+from itertools import chain, product, repeat
 
 import numpy as np
 from scipy import ndimage, stats
@@ -159,22 +160,6 @@ class Estimate:
 _LANE = 1 << 32
 
 
-def _rep_seeds(master: int, lane: int, start: int, stop: int) -> np.ndarray:
-    base = lane * _LANE
-    return spawn_seeds(master, base + start, base + stop)
-
-
-def _spans(start: int, stop: int, chunk: int):
-    # every replica range passes through here before any chunk runs; index
-    # 2**32 would take its seed from the next lane
-    if stop >= _LANE:
-        raise EstimatorError(
-            f"replica index {stop - 1} does not fit a seed lane; at most "
-            f"{_LANE - 1} replicas per run"
-        )
-    return [(i, min(i + chunk, stop)) for i in range(start, stop, chunk)]
-
-
 def _run_spans(worker, common, spans, threads: int) -> list:
     if threads <= 1 or len(spans) <= 1:
         return [worker(common, s) for s in spans]
@@ -185,8 +170,41 @@ def _run_spans(worker, common, spans, threads: int) -> list:
         return list(ex.map(worker, repeat(common), spans, chunksize=1))
 
 
-def _run_chunks(worker, common, n: int, chunk: int, threads: int) -> list:
-    return _run_spans(worker, common, _spans(0, n, chunk), threads)
+def _seeded(common, span):
+    worker, args, master, lane = common
+    base = lane * _LANE
+    return worker(spawn_seeds(master, base + span[0], base + span[1]), *args)
+
+
+def _run_chunks(worker, args, seed: int, stop: int, chunk: int, threads: int,
+                lane: int = 0, start: int = 0) -> list:
+    """``worker(seeds, *args)`` for each chunk of replicas start..stop-1 of
+    seed lane ``lane``, in replica order."""
+    # index 2**32 would take its seed from the next lane
+    if stop >= _LANE:
+        raise EstimatorError(
+            f"replica index {stop - 1} does not fit a seed lane; at most "
+            f"{_LANE - 1} replicas per run"
+        )
+    spans = [(i, min(i + chunk, stop)) for i in range(start, stop, chunk)]
+    return _run_spans(_seeded, (worker, args, seed, lane), spans, threads)
+
+
+@dataclass
+class EventFrequency:
+    """Frequency of an event over the replicas, with its indicator per
+    replica."""
+
+    estimate: Estimate
+    outcomes: np.ndarray
+
+
+def _event_frequency(worker, args, seed: int, reps: int, chunk: int,
+                     threads: int, lane: int = 0) -> EventFrequency:
+    ev = np.concatenate(
+        _run_chunks(worker, args, seed, reps, chunk, threads, lane)
+    )
+    return EventFrequency(Estimate.from_bernoulli(ev.sum(), reps), ev)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +213,10 @@ def _run_chunks(worker, common, n: int, chunk: int, threads: int) -> list:
 _SURVIVAL_CHUNK = 2048
 
 
-def _survival_chunk(common, span):
-    model, p, T, dual, master, lane = common
-    seeds = _rep_seeds(master, lane, *span)
-    res = batch_evolve(model, seeds, p, T, dual=dual)
-    return res.extinction, res.alive_at_T
+def _survival_chunk(seeds, model, p, T, dual):
+    # without an observer, extinction stays -1 exactly for the replicas
+    # alive at T
+    return batch_evolve(model, seeds, p, T, dual=dual).extinction
 
 
 @dataclass
@@ -217,15 +234,12 @@ def survival_curve(model: NormalizedModel, p, T: int, reps: int, seed: int,
     of replicas whose dual from the origin reaches depth T)."""
     if reps < 1:
         raise EstimatorError("reps must be >= 1")
-    parts = _run_chunks(
-        _survival_chunk, (model, p, T, dual, seed, lane), reps,
-        _SURVIVAL_CHUNK, threads,
-    )
-    taus = np.concatenate([t for t, _ in parts])
-    alive = np.concatenate([a for _, a in parts])
+    taus = np.concatenate(_run_chunks(
+        _survival_chunk, (model, p, T, dual), seed, reps, _SURVIVAL_CHUNK,
+        threads, lane,
+    ))
     return SurvivalCurve(
-        estimate=Estimate.from_bernoulli(alive.sum(), reps),
-        taus=taus,
+        estimate=Estimate.from_bernoulli((taus < 0).sum(), reps), taus=taus,
     )
 
 
@@ -235,9 +249,7 @@ def survival_curve(model: NormalizedModel, p, T: int, reps: int, seed: int,
 _EVENT_CHUNK = 1024
 
 
-def _event_chunk(common, span):
-    model, p, T, L_stop, master, lane = common
-    seeds = _rep_seeds(master, lane, *span)
+def _event_chunk(seeds, model, p, T, L_stop):
     reached = np.zeros(len(seeds), dtype=bool)
 
     def stop_at_extent(t, state: BatchState):
@@ -254,14 +266,6 @@ def _event_chunk(common, span):
 
     res = batch_evolve(model, seeds, p, T, per_step=stop_at_extent)
     return res.alive_at_T | reached
-
-
-def _event_freq(model, p, T, L_stop, reps, master, lane, threads) -> Estimate:
-    ev = np.concatenate(_run_chunks(
-        _event_chunk, (model, p, T, L_stop, master, lane), reps,
-        _EVENT_CHUNK, threads,
-    ))
-    return Estimate.from_bernoulli(ev.sum(), reps)
 
 
 @dataclass
@@ -286,8 +290,12 @@ def critical_point(model: NormalizedModel, T: int, L_stop: int, reps: int,
         raise EstimatorError("tol must be positive")
     sweep = []
 
-    def freq(p, lane=0):
-        e = _event_freq(model, p, T, L_stop, reps, seed, lane, threads)
+    def event(p, lane=0):
+        return _event_frequency(_event_chunk, (model, p, T, L_stop), seed,
+                                reps, _EVENT_CHUNK, threads, lane).estimate
+
+    def freq(p):
+        e = event(p)
         sweep.append((p, e))
         return e.mean
 
@@ -303,10 +311,7 @@ def critical_point(model: NormalizedModel, T: int, L_stop: int, reps: int,
         else:
             lo = mid
     p_hat = (lo + hi) / 2
-    stability = [
-        _event_freq(model, p_hat, T, L_stop, reps, seed, lane, threads)
-        for lane in (1, 2, 3)
-    ]
+    stability = [event(p_hat, lane) for lane in (1, 2, 3)]
     return CriticalPoint(
         p_lo=lo, p_hi=hi, p_hat=p_hat, sweep=sweep, stability=stability,
     )
@@ -335,11 +340,9 @@ _SHAPE_DIRECTIONS = ((-1.0,), (1.0,))
 _SHAPE_SURVIVAL_FLOOR = 0.2
 
 
-def _shape_chunk(common, span):
-    model, p, t, T_cond, master, lane, ns = common
+def _shape_chunk(seeds, model, p, t, T_cond, ns):
     # the t-step cone of the origin, one site wider on each side
     lo, hi = dependency_cone(model, (-1,), (2,), t)
-    seeds = _rep_seeds(master, lane, *span)
     alive = batch_evolve(model, seeds, p, T_cond).alive_at_T
     out = [None] * len(seeds)
     if not alive.any():
@@ -412,28 +415,23 @@ def shape_and_time_constants(model: NormalizedModel, p, t: int, reps: int,
         )
     ns = tuple(range(max(2, t // 5), t // 2 + 1, max(1, t // 20)))
     budget = max(reps * 10, 50)
-    common = (model, p, t, T_cond, seed, 0, ns)
-
+    # blocks of attempts run one at a time, and only until the quota is met
+    items = chain.from_iterable(
+        chain.from_iterable(_run_chunks(
+            _shape_chunk, (model, p, t, T_cond, ns), seed,
+            min(start + _SHAPE_BLOCK, budget), _SHAPE_CHUNK, threads,
+            start=start,
+        ))
+        for start in range(0, budget, _SHAPE_BLOCK)
+    )
     collected = []
     attempts = 0
-    done = False
-    for start in range(0, budget, _SHAPE_BLOCK):
-        stop = min(start + _SHAPE_BLOCK, budget)
-        parts = _run_spans(
-            _shape_chunk, common, _spans(start, stop, _SHAPE_CHUNK), threads
-        )
-        for part in parts:
-            for item in part:
-                attempts += 1
-                if item is not None:
-                    collected.append(item)
-                    if len(collected) == reps:
-                        done = True
-                        break
-            if done:
+    for item in items:
+        attempts += 1
+        if item is not None:
+            collected.append(item)
+            if len(collected) == reps:
                 break
-        if done:
-            break
     if len(collected) < reps:
         raise InsufficientSurvivals(
             f"only {len(collected)} of {reps} conditioned replicas obtained "
@@ -463,9 +461,7 @@ _EDGE_CHUNK = 8
 _EDGE_MARGIN = 0.2
 
 
-def _edge_chunk(common, span):
-    model, p, T, side, master, lane = common
-    seeds = _rep_seeds(master, lane, *span)
+def _edge_chunk(seeds, model, p, T, side):
     try:
         return half_slab_edges(model, seeds, p, side, T, _EDGE_MARGIN)
     except TruncationUncertified as exc:
@@ -501,8 +497,7 @@ def edge_speeds(model: NormalizedModel, p, T: int, reps: int, seed: int,
 
     def side_edges(side):
         return np.concatenate(_run_chunks(
-            _edge_chunk, (model, p, T, side, seed, 0), reps,
-            _EDGE_CHUNK, threads,
+            _edge_chunk, (model, p, T, side), seed, reps, _EDGE_CHUNK, threads,
         ))
 
     def reduce(edges, minimise):
@@ -589,9 +584,7 @@ def death_bound_fit(model: NormalizedModel, p, T: int, reps: int,
 _DECAY_CHUNK = 65536
 
 
-def _decay_chunk(common, span):
-    model, p, T, master, lane = common
-    seeds = _rep_seeds(master, lane, *span)
+def _decay_chunk(seeds, model, p, T):
     res = batch_evolve(model, seeds, p, T)
     tau_eff = np.where(res.extinction < 0, T + 1, res.extinction)
     # integer histogram so the merge over chunks is exact in any order
@@ -615,7 +608,7 @@ def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
             raise EstimatorError(f"window {window} must satisfy 1 <= a < b <= T")
     b_max = max(b for _, b in windows)
     hist = sum(_run_chunks(
-        _decay_chunk, (model, p, T, seed, 0), reps, _DECAY_CHUNK, threads,
+        _decay_chunk, (model, p, T), seed, reps, _DECAY_CHUNK, threads,
     ))
     tail = np.cumsum(hist[::-1])[::-1]
 
@@ -645,9 +638,7 @@ def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
 _TORUS_CHUNK = 256
 
 
-def _torus_chunk(common, span):
-    model, p, n, T_max, master, lane = common
-    seeds = _rep_seeds(master, lane, *span)
+def _torus_chunk(seeds, model, p, n, T_max):
     return torus_extinction_batch(model, p, seeds, n, T_max).extinction
 
 
@@ -683,14 +674,15 @@ def torus_stats(model: NormalizedModel, p, sizes, reps: int, T_max: int,
     per_size = []
     for j, n in enumerate(sizes):
         ext = np.concatenate(_run_chunks(
-            _torus_chunk, (model, p, int(n), T_max, seed, 16 + j), reps,
-            _TORUS_CHUNK, threads,
+            _torus_chunk, (model, p, int(n), T_max), seed, reps, _TORUS_CHUNK,
+            threads, lane=16 + j,
         ))
         taus = ext[ext >= 0].astype(float)
         if taus.size < floor:
             raise CensoredMean(
-                f"torus size {n}: only {taus.size} of {reps} replicas died "
-                f"by T_max={T_max}; cannot estimate the mean"
+                f"torus size {n}: {taus.size} of {reps} replicas died by "
+                f"T_max={T_max}, below the floor max(10, reps // 2) = "
+                f"{floor}; cannot estimate the mean"
             )
         est = Estimate.from_samples(taus)
         ks = ratio = None
@@ -719,7 +711,7 @@ def torus_stats(model: NormalizedModel, p, sizes, reps: int, T_max: int,
 _SITE_ROWS = 512
 
 
-def _site_chunk(n_sites: int) -> int:
+def _chunk_reps(n_sites: int) -> int:
     return max(1, _SITE_ROWS // n_sites)
 
 
@@ -734,12 +726,10 @@ def _site_starts(model: NormalizedModel, ext, slab_rows) -> np.ndarray:
     return rows.reshape((n, model.R) + tuple(ext))
 
 
-def _density_chunk(common, span):
-    model, p, n, T_inf, master, lane = common
+def _density_chunk(seeds, model, p, n, T_inf):
     d_s = model.d - 1
     rows = _site_starts(model, (2 * n,) * d_s, range(model.R))
     n_sites = len(rows)
-    seeds = _rep_seeds(master, lane, *span)
     res = batch_evolve(
         model, np.repeat(seeds, n_sites), p, T_inf,
         init=((-n,) * d_s, np.concatenate([rows] * len(seeds))),
@@ -762,8 +752,8 @@ def density_spectrum(model: NormalizedModel, p, n: int, T_inf: int, reps: int,
     if T_inf < 10:
         raise EstimatorError("T_inf must be at least 10")
     samples = np.concatenate(_run_chunks(
-        _density_chunk, (model, p, n, T_inf, seed, 0), reps,
-        _site_chunk(model.R * (2 * n) ** (model.d - 1)), threads,
+        _density_chunk, (model, p, n, T_inf), seed, reps,
+        _chunk_reps(model.R * (2 * n) ** (model.d - 1)), threads,
     ))
     return DensitySpectrum(mean=Estimate.from_samples(samples), samples=samples)
 
@@ -801,25 +791,16 @@ def _tilted_box(model: NormalizedModel, w: int, height: int, slope: Fraction,
 _CROSS_CHUNK = 64
 
 
-def _crossing_chunk(common, span):
-    model, p, L, box, master, lane = common
+def _crossing_chunk(seeds, model, p, L, box):
     if box is None:
-        return np.zeros(span[1] - span[0], dtype=bool)
+        return np.zeros(len(seeds), dtype=bool)
     init, domain = box
-    seeds = _rep_seeds(master, lane, *span)
     return batch_evolve(model, seeds, p, L, init=init, domain=domain).alive_at_T
-
-
-@dataclass
-class CrossingEstimate:
-    estimate: Estimate
-    outcomes: np.ndarray         # crossing indicator per replica
-    w: int                       # box half-width, max(1, round(eps * L))
 
 
 def crossing_probability(model: NormalizedModel, p, L: int, eps: float,
                          slope, reps: int, seed: int, threads: int = 1,
-                         lateral_shift=0) -> CrossingEstimate:
+                         lateral_shift=0) -> EventFrequency:
     """Frequency of a bottom-to-top crossing of the tilted box B(eps*L, L, slope)
     by the process started from the truncated half slab {x <= 0}."""
     if model.d != 2:
@@ -828,13 +809,8 @@ def crossing_probability(model: NormalizedModel, p, L: int, eps: float,
     # box height L+R so the top chain row [L, L+R) lies inside the domain
     box = _tilted_box(model, w, L + model.R, as_fraction(slope),
                       as_fraction(lateral_shift), half=True)
-    ev = np.concatenate(_run_chunks(
-        _crossing_chunk, (model, p, L, box, seed, 0), reps, _CROSS_CHUNK,
-        threads,
-    ))
-    return CrossingEstimate(
-        estimate=Estimate.from_bernoulli(ev.sum(), reps), outcomes=ev, w=w,
-    )
+    return _event_frequency(_crossing_chunk, (model, p, L, box), seed, reps,
+                            _CROSS_CHUNK, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -843,11 +819,10 @@ def crossing_probability(model: NormalizedModel, p, L: int, eps: float,
 _BG_CHUNK = 16
 
 
-def _bg_chunk(common, span):
-    model, p, g, n, master, lane = common
+def _bg_chunk(seeds, model, p, g, n):
     regions = bg_target_blocks(g)
     out = []
-    for si in _rep_seeds(master, lane, *span):
+    for si in seeds:
         # the box's time and place from hashes of the seed, each scaled
         # to its range [0, m) as (h * m) >> 64
         h0, *hx = (int(v) for v in site_hash(si, [np.arange(model.d)], stream=2))
@@ -891,15 +866,9 @@ def _bg_chunk(common, span):
     return np.array(out, dtype=bool)
 
 
-@dataclass
-class BlockEventEstimate:
-    estimate: Estimate
-    outcomes: np.ndarray         # event indicator per replica
-
-
 def bg_event_probability(model: NormalizedModel, p, g: BlockGeometry, n: int,
                          reps: int, seed: int,
-                         threads: int = 1) -> BlockEventEstimate:
+                         threads: int = 1) -> EventFrequency:
     """Frequency that a uniformly placed box (x,t)+B_n, run inside the
     envelope B(4w, 8h, v), fully infects a translated box in one of the two
     displaced target blocks."""
@@ -909,19 +878,14 @@ def bg_event_probability(model: NormalizedModel, p, g: BlockGeometry, n: int,
         raise GeometryInvalid(f"need n < min(w): n={n}, w={g.w}")
     if g.h <= model.R:
         raise GeometryInvalid(f"need block height > R: h={g.h}, R={model.R}")
-    ev = np.concatenate(_run_chunks(
-        _bg_chunk, (model, p, g, n, seed, 0), reps, _BG_CHUNK, threads,
-    ))
-    return BlockEventEstimate(
-        estimate=Estimate.from_bernoulli(ev.sum(), reps), outcomes=ev,
-    )
+    return _event_frequency(_bg_chunk, (model, p, g, n), seed, reps,
+                            _BG_CHUNK, threads)
 
 
 # ---------------------------------------------------------------------------
 # good blocks
 
-def _good_chunk(common, span):
-    model, p, L, C, v, master, lane = common
+def _good_chunk(seeds, model, p, L, C, v):
     R = model.R
     d_s = model.d - 1
     thr = L // C
@@ -960,7 +924,6 @@ def _good_chunk(common, span):
     # u, which is the top chain row R-1 of a run from t0 = u - R + 1
     starts = _site_starts(model, (2 * L,) * d_s, [R - 1])
     n_sites = len(starts)
-    seeds = _rep_seeds(master, lane, *span)
     k = len(seeds)
     site_seeds, starts = np.repeat(seeds, n_sites), np.concatenate([starts] * k)
     e1, e2, e3 = np.ones((3, k), dtype=bool)
@@ -1025,11 +988,10 @@ def good_block_probability(model: NormalizedModel, p, L: int, C: int,
     )
     if len(v) != model.d - 1:
         raise GeometryInvalid("tilt vector has wrong dimension")
-    parts = _run_chunks(
-        _good_chunk, (model, p, L, C, v, seed, 0), reps,
-        _site_chunk((2 * L) ** (model.d - 1)), threads,
-    )
-    flat = [item for part in parts for item in part]
+    flat = list(chain.from_iterable(_run_chunks(
+        _good_chunk, (model, p, L, C, v), seed, reps,
+        _chunk_reps((2 * L) ** (model.d - 1)), threads,
+    )))
     good = sum(1 for e1, e2, e3 in flat if e1 and e2 and e3)
     return GoodBlockEstimate(
         estimate=Estimate.from_bernoulli(good, reps),
@@ -1061,9 +1023,7 @@ def _states_intersect(a: BatchState, b: BatchState) -> np.ndarray:
 _MEET_CHUNK = 32
 
 
-def _meet_chunk(common, span):
-    model, p, t, z, master, lane = common
-    seeds = _rep_seeds(master, lane, *span)
+def _meet_chunk(seeds, model, p, t, z):
     rp = batch_evolve(model, [spawn_seed(s, 0) for s in seeds], p, t,
                       snapshot_times=[t])
     rd = batch_evolve(
@@ -1098,10 +1058,9 @@ def primal_dual_meet(model: NormalizedModel, p, t: int, reps: int, v_hat,
         raise EstimatorError("v_hat has wrong dimension")
     # nearest integer with ties toward minus infinity
     z = tuple(math.ceil(2 * t * c - Fraction(1, 2)) for c in v_hat)
-    parts = _run_chunks(
-        _meet_chunk, (model, p, t, z, seed, 0), reps, _MEET_CHUNK, threads,
-    )
-    flat = [item for part in parts for item in part]
+    flat = list(chain.from_iterable(_run_chunks(
+        _meet_chunk, (model, p, t, z), seed, reps, _MEET_CHUNK, threads,
+    )))
     return MeetEstimate(
         failure=Estimate.from_bernoulli(sum(f for _, f in flat), reps),
         events=flat, both_alive=sum(b for b, _ in flat),
@@ -1116,14 +1075,12 @@ _CONE_CHUNK = 64
 _CONE_MARGIN = 0.02
 
 
-def _cone_chunk(common, span):
-    model, p, lo, hi, T, t0, master, lane = common
+def _cone_chunk(seeds, model, p, lo, hi, T, t0):
     # the cone's lattice sites x in [lo*t, hi*t] at t = t0, ..., t0+R-1
     sites = [
         (x, s) for s in range(model.R)
         for x in range(math.ceil(lo * (t0 + s)), math.floor(hi * (t0 + s)) + 1)
     ]
-    seeds = _rep_seeds(master, lane, *span)
     res = batch_evolve(
         model, seeds, p, T - t0, init=rows_from_sites(model, sites), t0=t0,
         domain=partial(cone_mask, lo, hi),
@@ -1131,16 +1088,9 @@ def _cone_chunk(common, span):
     return res.alive_at_T
 
 
-@dataclass
-class ConeSurvival:
-    estimate: Estimate
-    outcomes: np.ndarray         # survival indicator per replica
-    bounds: tuple[float, float]  # the cone's interval [lo, hi]
-
-
 def restricted_cone_survival(model: NormalizedModel, p, interval, T: int,
                              reps: int, seed: int, threads: int = 1,
-                             t0: int = 50, shape=None) -> ConeSurvival:
+                             t0: int = 50, shape=None) -> EventFrequency:
     """Frequency that some start site of the cone {(x, t): lo*t <= x <= hi*t}
     over ``interval`` = (lo, hi), in the time window [t0, t0+R), percolates
     within the cone to time T.
@@ -1170,14 +1120,8 @@ def restricted_cone_survival(model: NormalizedModel, p, interval, T: int,
             f"cone [{float(o_lo):.3f}, {float(o_hi):.3f}] is not inside the "
             f"shape interval [{u_lo:.3f}, {u_hi:.3f}] with margin {_CONE_MARGIN}"
         )
-    ev = np.concatenate(_run_chunks(
-        _cone_chunk, (model, p, o_lo, o_hi, T, t0, seed, 0), reps,
-        _CONE_CHUNK, threads,
-    ))
-    return ConeSurvival(
-        estimate=Estimate.from_bernoulli(ev.sum(), reps), outcomes=ev,
-        bounds=(float(o_lo), float(o_hi)),
-    )
+    return _event_frequency(_cone_chunk, (model, p, o_lo, o_hi, T, t0), seed,
+                            reps, _CONE_CHUNK, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -1282,9 +1226,7 @@ def _transfer_bfs(model, seed, p, eps, gam, gam2, probe, L) -> bool:
 _TRANSFER_CHUNK = 64
 
 
-def _transfer_chunk(common, span):
-    model, p, eps, L, boxes, probe, master, lane = common
-    seeds = _rep_seeds(master, lane, *span)
+def _transfer_chunk(seeds, model, p, eps, L, boxes, probe):
     # one run per box over the whole span; a replica crosses a box if it
     # is alive at L, and then every snapshot of that run exists
     runs = [
@@ -1330,8 +1272,8 @@ class TransferResult:
 
 
 def path_crossing_transfer(model: NormalizedModel, p, eps: float, L: int,
-                           reps: int, seed: int, threads: int = 1,
-                           alpha=None, beta=None, shift=None,
+                           reps: int, seed: int, threads: int = 1, *,
+                           alpha, beta, shift=None,
                            half_width=None) -> TransferResult:
     """Sample fields where both tilted boxes are crossed, extract leftmost
     crossing paths and test the sprinkled start-to-end transfer.
@@ -1344,8 +1286,6 @@ def path_crossing_transfer(model: NormalizedModel, p, eps: float, L: int,
         raise DimensionNot2("path transfer is defined for d = 2 only")
     if not 0 <= eps <= 1 - p:
         raise EstimatorError(f"eps must lie in [0, 1-p], got {eps}")
-    if alpha is None or beta is None:
-        raise EstimatorError("box slopes alpha and beta are required")
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     if half_width is not None:
         w = int(half_width)
@@ -1358,11 +1298,10 @@ def path_crossing_transfer(model: NormalizedModel, p, eps: float, L: int,
         _tilted_box(model, w, L + 1, slope, Fraction(off), half=False)
         for slope, off in ((alpha, -shift), (beta, shift))
     ]
-    parts = _run_chunks(
-        _transfer_chunk, (model, p, eps, L, boxes, probe, seed, 0),
-        reps, _TRANSFER_CHUNK, threads,
-    )
-    records = [item for part in parts for item in part]
+    records = list(chain.from_iterable(_run_chunks(
+        _transfer_chunk, (model, p, eps, L, boxes, probe), seed, reps,
+        _TRANSFER_CHUNK, threads,
+    )))
     crossed = [r for r in records if r is not None]
     if not crossed:
         raise NoCrossingFound(

@@ -2,7 +2,9 @@
 small-horizon oracles, refusal paths, and invariance under the thread count
 and the chunk sizes."""
 
+import inspect
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,7 @@ from gosp.estimators import (
     survival_curve,
     torus_stats,
 )
+from gosp.field import spawn_seeds
 from gosp.geometry import BlockGeometry
 
 
@@ -204,6 +207,11 @@ def test_torus_stats_p0():
 def test_torus_stats_censored_refusal():
     with pytest.raises(CensoredMean):
         torus_stats(TWO_D_OP, 0.8, [8], 30, 200, seed=8)
+    # every replica dies, yet 5 deaths are below the floor, which the
+    # refusal names
+    with pytest.raises(CensoredMean,
+                       match=r"5 of 5 .*floor max\(10, reps // 2\) = 10"):
+        torus_stats(TWO_D_OP, 0.3, [6], 5, 400, seed=1, regime="sub")
 
 
 def test_torus_stats_rejects_unknown_regime():
@@ -229,7 +237,6 @@ def test_density_trivial():
 def test_crossing_trivial():
     c1 = crossing_probability(TWO_D_OP, 1.0, 20, 0.2, 0, 10, seed=10)
     assert c1.estimate.mean == 1.0
-    assert c1.w == 4
     c0 = crossing_probability(TWO_D_OP, 0.0, 20, 0.2, 0, 10, seed=10)
     assert c0.estimate.mean == 0.0
 
@@ -320,7 +327,6 @@ def test_cone_survival_trivial():
         TWO_D_OP, 1.0, ("1/4", "3/4"), 20, 10, seed=1, t0=5, shape=(0.0, 1.0)
     )
     assert c1.estimate.mean == 1.0
-    assert c1.bounds == (0.25, 0.75)
     c0 = restricted_cone_survival(
         TWO_D_OP, 0.0, ("1/4", "3/4"), 20, 10, seed=1, t0=5, shape=(0.0, 1.0)
     )
@@ -358,7 +364,7 @@ def test_transfer_refusals():
     with pytest.raises(EstimatorError):
         path_crossing_transfer(TWO_D_OP, 0.8, 0.3, 20, 5, seed=2,
                                alpha="1/2", beta="1/2")
-    with pytest.raises(EstimatorError):
+    with pytest.raises(TypeError, match="alpha"):
         path_crossing_transfer(TWO_D_OP, 0.8, 0.1, 20, 5, seed=2)
     with pytest.raises(NoCrossingFound):
         path_crossing_transfer(TWO_D_OP, 0.0, 0.0, 20, 5, seed=2,
@@ -397,6 +403,33 @@ def test_reps_beyond_a_seed_lane_refused():
         edge_speeds(TWO_D_OP, 0.8, 5, 2**32 + 5, seed=1)
 
 
+def _return_seeds(seeds):
+    return seeds
+
+
+def test_replica_seeds_follow_their_lane():
+    # replica i of lane 3 runs on seed index 3 * 2**32 + i, whatever the
+    # threads; chunks of 4 from 5 to 23 leave a ragged last chunk
+    lane, start, stop = 3, 5, 23
+    want = spawn_seeds(11, lane * 2**32 + start, lane * 2**32 + stop)
+    for threads in (1, 2):
+        parts = est._run_chunks(_return_seeds, (), 11, stop, 4, threads,
+                                lane=lane, start=start)
+        assert len(parts) == 5 and len(parts[-1]) == 2
+        assert np.array_equal(np.concatenate(parts), want)
+
+
+def test_chunk_workers_take_seeds_first():
+    # a chunk worker gets its replicas' seeds from _run_chunks and never
+    # derives them itself
+    workers = {name: fn for name, fn in inspect.getmembers(est, inspect.isfunction)
+               if name.startswith("_") and name.endswith("_chunk")}
+    assert len(workers) >= 13
+    firsts = {name: next(iter(inspect.signature(fn).parameters))
+              for name, fn in workers.items()}
+    assert firsts == dict.fromkeys(workers, "seeds")
+
+
 # ---------------------------------------------------------------------------
 # aggregation is independent of the thread count
 
@@ -422,7 +455,7 @@ def test_outcomes_do_not_depend_on_chunk_size(monkeypatch):
     for threads, chunk in itertools.product((1, 2), (1_000, 4_096, 65_536)):
         monkeypatch.setattr(est, "_DECAY_CHUNK", chunk)
         monkeypatch.setattr(est, "_SURVIVAL_CHUNK", chunk)
-        assert len(est._spans(0, reps, chunk)) % 2 == 1
+        assert math.ceil(reps / chunk) % 2 == 1
         hist = subcritical_decay(
             TWO_D_OP, 0.5, 40, reps, seed=21, threads=threads,
             windows=((5, 10), (10, 15)),
@@ -506,20 +539,23 @@ def test_batched_outcomes_do_not_depend_on_chunk_size(monkeypatch):
         assert got == ref
     # a shape chunk's items, the Nones of replicas dead by T_cond included,
     # are those of one-replica chunks in replica order
-    common = (TWO_D_OP, 0.75, 40, 40, 5, 0, (8, 10, 12, 14))
-    whole = est._shape_chunk(common, (0, 16))
+    seeds = spawn_seeds(5, 0, 16)
+    args = (TWO_D_OP, 0.75, 40, 40, (8, 10, 12, 14))
+    whole = est._shape_chunk(seeds, *args)
     assert None in whole and whole != sorted(whole, key=lambda x: x is None)
-    assert whole == [x for i in range(16) for x in est._shape_chunk(common, (i, i + 1))]
+    assert whole == [x for i in range(16)
+                     for x in est._shape_chunk(seeds[i:i + 1], *args)]
     # so are a crosspath chunk's records, the Nones of replicas that miss a
     # box included; the boxes cross, so paths meet in some replicas only
     boxes = [est._tilted_box(ASYM3, 2, 21, Fraction(slope), Fraction(off),
                              half=False)
              for slope, off in (("1/2", -3), ("1/4", 3))]
-    common = (ASYM3, 0.8, 0.1, 20, boxes, box_infection_probe(ASYM3), 2, 0)
-    whole = est._transfer_chunk(common, (0, 16))
+    seeds = spawn_seeds(2, 0, 16)
+    args = (ASYM3, 0.8, 0.1, 20, boxes, box_infection_probe(ASYM3))
+    whole = est._transfer_chunk(seeds, *args)
     assert None in whole and len(set(whole) - {None}) > 2
     assert whole == [x for i in range(16)
-                     for x in est._transfer_chunk(common, (i, i + 1))]
+                     for x in est._transfer_chunk(seeds[i:i + 1], *args)]
 
 
 def test_per_replica_outcomes_do_not_depend_on_chunk_size(monkeypatch):
@@ -572,5 +608,5 @@ def test_shape_chunk_without_survivors(monkeypatch):
         raise AssertionError("hit_and_coupled_regions called")
 
     monkeypatch.setattr(est, "hit_and_coupled_regions", refuse)
-    common = (TWO_D_OP, 0.0, 10, 10, 5, 0, (2, 3, 4, 5))
-    assert est._shape_chunk(common, (0, 6)) == [None] * 6
+    assert est._shape_chunk(spawn_seeds(5, 0, 6), TWO_D_OP, 0.0, 10, 10,
+                            (2, 3, 4, 5)) == [None] * 6
