@@ -506,70 +506,42 @@ def dual_evolve(A, model: NormalizedModel, field: FieldSpec, T: int,
 # ---------------------------------------------------------------------------
 # pointwise reachability
 
-def _domain_ok(domain, x, t) -> bool:
-    return domain is None or bool(domain([np.int64(c) for c in x], np.int64(t)))
+def _occupied(state: BatchState, row: int, x) -> bool:
+    """Does the one-replica state occupy the slab site (x, row)?"""
+    return bool(_grid_occupancy(state.anchor, state.rows[0, row], x,
+                                (1,) * len(x)).any())
 
 
 def reaches(a, b, model: NormalizedModel, field: FieldSpec,
             domain: Callable | None = None) -> bool:
     """True iff there is a path a -> b of open in-domain sites (start exempt).
 
-    Level-by-level forward search pruned, at each time t, to the sites of
-    the backward ``dependency_cone`` of b over its b_t - t remaining steps;
-    reflexive by the empty path.
+    One ``evolve`` run from a on the top row R-1, whose absolute time is
+    a_t, for b_t - a_t steps: the path exists iff b is then on the top row.
+    Reflexive by the empty path.
     """
-    a = tuple(int(c) for c in a)
-    b = tuple(int(c) for c in b)
-    if a == b:
-        return True
-    if b[-1] <= a[-1]:
+    R, T = model.R, int(b[-1]) - int(a[-1])
+    if T < 0:
         return False
-    x_b = b[:-1]
-    levels = {a[-1]: {a[:-1]}}
-    for t in range(a[-1] + 1, b[-1] + 1):
-        lo, hi = dependency_cone(model, x_b, [c + 1 for c in x_b], b[-1] - t,
-                                 backward=True)
-        cand = set()
-        for y, u in model.split_offsets:
-            for x in levels.get(t - u, ()):
-                z = tuple(xi + yi for xi, yi in zip(x, y))
-                if all(l <= zi < h for zi, l, h in zip(z, lo, hi)):
-                    cand.add(z)
-        here = {
-            z for z in cand
-            if field.site_open(z + (t,)) and _domain_ok(domain, z, t)
-        }
-        if here:
-            levels[t] = here
-    return b[:-1] in levels.get(b[-1], set())
+    res = evolve([tuple(a[:-1]) + (R - 1,)], model, field, T, domain=domain,
+                 t0=int(a[-1]) - (R - 1), snapshot_times=[T])
+    return _occupied(res.snapshots[T], R - 1, b[:-1])
 
 
 def dual_reaches(b, a, model: NormalizedModel, field: FieldSpec,
                  domain: Callable | None = None) -> bool:
     """True iff there is a dual path b ~> a: steps reversed, with every path
-    site except the final one required to be open (and in the domain)."""
-    a = tuple(int(c) for c in a)
-    b = tuple(int(c) for c in b)
-    if a == b:
-        return True
-    if a[-1] >= b[-1]:
+    site except the final one required to be open (and in the domain).
+
+    One ``dual_evolve`` run from b on row 0 at absolute time b_t: the dual
+    path exists iff a is on row 0 at depth b_t - a_t.
+    """
+    T = int(b[-1]) - int(a[-1])
+    if T < 0:
         return False
-    x_a = a[:-1]
-    levels = {b[-1]: {b[:-1]}}
-    for t in range(b[-1] - 1, a[-1] - 1, -1):
-        # a dual path ends at a, so its site at t is in a's forward cone
-        lo, hi = dependency_cone(model, x_a, [c + 1 for c in x_a], t - a[-1])
-        cand = set()
-        for y, u in model.split_offsets:
-            for x in levels.get(t + u, ()):
-                if not (field.site_open(x + (t + u,)) and _domain_ok(domain, x, t + u)):
-                    continue
-                z = tuple(xi - yi for xi, yi in zip(x, y))
-                if all(l <= zi < h for zi, l, h in zip(z, lo, hi)):
-                    cand.add(z)
-        if cand:
-            levels[t] = cand
-    return a[:-1] in levels.get(a[-1], set())
+    res = dual_evolve([tuple(b[:-1]) + (0,)], model, field, T, domain=domain,
+                      t0=int(b[-1]), snapshot_times=[T])
+    return _occupied(res.snapshots[T], 0, a[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +566,16 @@ class HitCoupled:
 
 
 def hit_and_coupled_regions(model: NormalizedModel, seeds, p, t: int,
-                            window, prune: bool = True) -> HitCoupled:
+                            window) -> HitCoupled:
     """Compare the origin run and the full-slab run on each seed's field.
 
     ``window`` is a (lo, hi) pair of spatial bounds.  The full-slab run is
     started on the backward ``dependency_cone`` of the window over t steps:
     no site outside it can influence the window at time t, so by additivity
-    the run's restriction to the window is the infinite slab's.  With
-    ``prune`` each step also zeroes the sites outside the backward cone of
-    the steps left, which by the same argument changes nothing in the window.
+    the run's restriction to the window is the infinite slab's.  Its domain
+    is the cone shrinking with the steps left: a site entering at step k
+    reaches the window within t - k hops or never, so by the same argument
+    the domain changes nothing in the window.
     """
     lo = tuple(int(c) for c in window[0])
     hi = tuple(int(c) for c in window[1])
@@ -614,26 +587,14 @@ def hit_and_coupled_regions(model: NormalizedModel, seeds, p, t: int,
         occ = _grid_occupancy(state.anchor, state.rows[:, 0], lo, ext)
         hit_times[occ & (hit_times < 0)] = step_t
 
-    def prune_step(step_t, state: BatchState):
-        # a site of this state reaches time t in at most rem hops, so one
-        # outside the rem-step backward cone of the window never enters it
-        # (step 0 zeroes nothing: the start window is exactly that cone)
-        rem = t - step_t
-        if rem <= 0 or state.rows.shape[2:] == (0,) * d_s:
-            return
-        keep_lo, keep_hi = dependency_cone(model, lo, hi, rem, backward=True)
-        for ax in range(d_s):
-            a = state.anchor[ax]
-            e = state.rows.shape[2 + ax]
-            cut_l = max(keep_lo[ax] - a, 0)
-            cut_h = min(keep_hi[ax] - a, e)
-            sl = [slice(None)] * state.rows.ndim
-            if cut_l > 0:
-                sl[2 + ax] = slice(0, cut_l)
-                state.rows[tuple(sl)] = False
-            if cut_h < e:
-                sl[2 + ax] = slice(max(cut_h, 0), e)
-                state.rows[tuple(sl)] = False
+    def shrinking_cone(coords, t_abs):
+        # the top row at absolute time t_abs enters at step t_abs - R + 1
+        c_lo, c_hi = dependency_cone(model, lo, hi, t - (t_abs - model.R + 1),
+                                     backward=True)
+        m = True
+        for c, l, h in zip(coords, c_lo, c_hi):
+            m = m & (c >= l) & (c < h)
+        return m
 
     snap_o = batch_evolve(
         model, seeds, p, t, snapshot_times=[t], per_step=record_hits,
@@ -642,7 +603,7 @@ def hit_and_coupled_regions(model: NormalizedModel, seeds, p, t: int,
         model, seeds, p, t,
         init=slab_window_rows(
             model, *dependency_cone(model, lo, hi, t, backward=True)),
-        snapshot_times=[t], per_step=prune_step if prune else None,
+        domain=shrinking_cone, snapshot_times=[t],
     ).snapshots[t]
     xi_o = _grid_occupancy(snap_o.anchor, snap_o.rows, lo, ext)
     xi_S = _grid_occupancy(snap_S.anchor, snap_S.rows, lo, ext)

@@ -288,6 +288,8 @@ def critical_point(model: NormalizedModel, T: int, L_stop: int, reps: int,
                    tol: float, seed: int, threads: int = 1) -> CriticalPoint:
     if tol <= 0:
         raise EstimatorError("tol must be positive")
+    if T < 1 or L_stop < 1:
+        raise EstimatorError("T and L_stop must be at least 1")
     sweep = []
 
     def event(p, lane=0):
@@ -1005,21 +1007,6 @@ def good_block_probability(model: NormalizedModel, p, L: int, C: int,
 # ---------------------------------------------------------------------------
 # primal-dual meeting
 
-def _states_intersect(a: BatchState, b: BatchState) -> np.ndarray:
-    """Per row of two batches: do the two states share an occupied site?"""
-    lo = tuple(max(x, y) for x, y in zip(a.anchor, b.anchor))
-    hi = tuple(
-        min(x + e, y + f)
-        for x, e, y, f in zip(a.anchor, a.rows.shape[2:], b.anchor, b.rows.shape[2:])
-    )
-    if any(l >= h for l, h in zip(lo, hi)):
-        return np.zeros(a.batch, dtype=bool)
-    sla = tuple(slice(l - x, h - x) for l, h, x in zip(lo, hi, a.anchor))
-    slb = tuple(slice(l - y, h - y) for l, h, y in zip(lo, hi, b.anchor))
-    both = a.rows[(slice(None),) * 2 + sla] & b.rows[(slice(None),) * 2 + slb]
-    return both.reshape(a.batch, -1).any(axis=1)
-
-
 _MEET_CHUNK = 32
 
 
@@ -1032,7 +1019,9 @@ def _meet_chunk(seeds, model, p, t, z):
         snapshot_times=[t],
     )
     both = rp.alive_at_T & rd.alive_at_T
-    meet = _states_intersect(rp.snapshots[t], rd.snapshots[t])
+    sp, sd = rp.snapshots[t], rd.snapshots[t]
+    meet = sp.rows & _grid_occupancy(sd.anchor, sd.rows, sp.anchor, sp.rows.shape[2:])
+    meet = meet.reshape(len(seeds), -1).any(axis=1)
     return list(zip(both.tolist(), (both & ~meet).tolist()))
 
 

@@ -221,15 +221,16 @@ def test_reaches_matches_oracles_on_drawn_models(model, seed, p):
 
 
 def test_duality_identity():
-    # a path forwards is a dual path backwards through the same open sites
+    # a path forwards is a dual path backwards through the same open sites,
+    # and a domain binds the same sites of both
     for model in (TWO_D_OP, ASYM3, RANGE2):
         for seed in (51, 52):
             f = FieldSpec(seed=seed, p=0.6)
-            for x in range(-6, 7):
-                for t in range(0, 5):
-                    assert reaches((0, 0), (x, t), model, f) == dual_reaches(
-                        (x, t), (0, 0), model, f
-                    )
+            for dom in (None, _untilted(1, 3)):       # x in [-2, 4)
+                for x in range(-6, 7):
+                    for t in range(0, 5):
+                        assert reaches((0, 0), (x, t), model, f, dom) == dual_reaches(
+                            (x, t), (0, 0), model, f, dom)
 
 
 def _untilted(centre, w, h=20):
@@ -245,6 +246,43 @@ def test_reaches_respects_domain():
     dom = _untilted(-2, 4)                  # x in [-6, 2)
     assert not reaches((0, 0), (3, 3), TWO_D_OP, f, domain=dom)
     assert reaches((0, 0), (1, 3), TWO_D_OP, f, domain=dom)
+
+
+def test_reaches_with_shifted_start_times():
+    # starts anywhere in time, gaps shorter than R and negative included
+    rng = np.random.default_rng(71)
+    for _ in range(400):
+        model = [*MODEL_POOL, DRIFT2][rng.integers(len(MODEL_POOL) + 1)]
+        f = FieldSpec(seed=int(rng.integers(2**32)), p=float(rng.uniform(0.5, 1.0)))
+        d_s = model.d - 1
+        a_t = int(rng.integers(-7, 8))
+        a = tuple(int(c) for c in rng.integers(-2, 3, d_s)) + (a_t,)
+        b = (tuple(int(c) for c in rng.integers(-6, 7, d_s))
+             + (a_t + int(rng.integers(-1, 7)),))
+        assert reaches(a, b, model, f) == oracles.path_exists(model, f, a, b)
+        assert dual_reaches(b, a, model, f) == oracles.dual_path_exists(
+            model, f, b, a)
+
+
+def test_reachability_is_one_engine_run(monkeypatch):
+    # each query is one one-replica batch_evolve run, not a search of its own
+    calls = []
+
+    def counted(model, seeds, *args, **kwargs):
+        calls.append(len(seeds))
+        return batch_evolve(model, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(dyn, "batch_evolve", counted)
+    f = FieldSpec(seed=5, p=0.7)
+    for model in (TWO_D_OP, RANGE2, THREE_D):
+        d_s = model.d - 1
+        a = (0,) * (d_s + 1)
+        for t in range(4):
+            b = (1,) + (0,) * (d_s - 1) + (t,)
+            for query, args in ((reaches, (a, b)), (dual_reaches, (b, a))):
+                calls.clear()
+                query(*args, model, f)
+                assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +307,6 @@ def test_hit_coupled_p1_window_saturates():
     assert hc.xi_slab.all()
     # 2dOP's steps are 0 and 1, so x is first occupied at step x
     assert (hc.hit_times == np.arange(1, 6)).all()
-
-
-def test_hit_coupled_pruning_is_exact():
-    a = hit_and_coupled_regions(TWO_D_OP, [19, 20, 21], 0.7, 8, ((-2,), (9,)),
-                                prune=True)
-    b = hit_and_coupled_regions(TWO_D_OP, [19, 20, 21], 0.7, 8, ((-2,), (9,)),
-                                prune=False)
-    for name in ("H", "K", "xi_origin", "xi_slab", "hit_times"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 0.8, 1.0])
@@ -306,21 +335,23 @@ def test_hit_coupled_batch_matches_single_runs(model, p):
 @pytest.mark.parametrize("model", [m for m in MODEL_POOL if m.d == 2] + [DRIFT2],
                          ids=_ids)
 def test_hit_coupled_slab_run_matches_a_wider_window(model):
-    # the pruned slab run from the cone of the window equals, on the window,
-    # a run from a slab window 100 sites wider on each side than any cone
+    # the slab run from the cone of the window, restricted to the cone
+    # shrinking with the steps left, equals on the window an unrestricted
+    # run from a slab window 100 sites wider on each side than any cone
     t, lo, hi = 40, -10, 11
     reach = t * max(abs(y[0]) for y, _ in model.split_offsets) + 100
-    hc = hit_and_coupled_regions(model, list(range(5)), 0.8, t, ((lo,), (hi,)))
-    for seed in range(5):
-        wide = batch_evolve(
-            model, [seed], 0.8, t, snapshot_times=[t],
-            init=slab_window_rows(model, (lo - reach,), (hi + reach,)),
-        ).snapshots[t]
-        got = {(lo + int(x), int(s))
-               for s, x in zip(*np.nonzero(hc.xi_slab[seed]))}
-        want = {(int(wide.anchor[0] + x), int(s))
-                for s, x in zip(*np.nonzero(wide.rows[0]))}
-        assert got == {(x, s) for x, s in want if lo <= x < hi}
+    for p in (0.7, 0.8):
+        hc = hit_and_coupled_regions(model, list(range(5)), p, t, ((lo,), (hi,)))
+        for seed in range(5):
+            wide = batch_evolve(
+                model, [seed], p, t, snapshot_times=[t],
+                init=slab_window_rows(model, (lo - reach,), (hi + reach,)),
+            ).snapshots[t]
+            got = {(lo + int(x), int(s))
+                   for s, x in zip(*np.nonzero(hc.xi_slab[seed]))}
+            want = {(int(wide.anchor[0] + x), int(s))
+                    for s, x in zip(*np.nonzero(wide.rows[0]))}
+            assert got == {(x, s) for x, s in want if lo <= x < hi}
 
 
 # ---------------------------------------------------------------------------

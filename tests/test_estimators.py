@@ -111,6 +111,18 @@ def test_critical_point_bracket():
         critical_point(TWO_D_OP, 12, 12, 100, -1.0, seed=5)
 
 
+@pytest.mark.parametrize("T, L_stop", [(20, 0), (20, -3), (0, 20)])
+def test_critical_point_refuses_an_empty_horizon(monkeypatch, T, L_stop):
+    # with L_stop <= 0 the origin itself has the event, and with T = 0 every
+    # replica is alive at T: bad input, refused before any sweep runs
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(est, "_event_frequency", no_sweep)
+    with pytest.raises(EstimatorError, match="at least 1"):
+        critical_point(TWO_D_OP, T, L_stop, 50, 0.1, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # shape and edge speeds
 
