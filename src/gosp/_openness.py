@@ -1,18 +1,24 @@
-"""Open masks finished from spatial prefix hashes, in native code if it builds.
+"""Open masks and torus runs from spatial prefix hashes, in native code if it builds.
 
 ``open_mask(prefix, t, threshold)`` is open_given_hash(extend_hash(prefix,
 t), threshold): the open mask of the sites whose spatial prefix hashes are
 ``prefix`` at time t, or at each time of an integer array t.  The native
-kernel ``_openness.c`` computes it in one pass over the prefix view; the
+kernel ``open_window`` computes it in one pass over the prefix view; the
 numpy path of ``gosp.field`` is the reference, and runs when there is no
 compiler, the build fails, or the threshold is 2**64 (p = 1).
 
-The kernel is compiled with gcc on first use into a cache directory, under a
-name keyed by the source and the flags, and loaded with ctypes.  Its
-``target_clones`` let the loader pick AVX-512 or AVX2 at load time, so one
-cached library runs on any x86-64 machine.  Loading happens at import, so
-forked pool workers inherit the library and never compile.  ``KIND`` says
-which path runs: "native" or "numpy".
+``torus_extinction`` runs the torus quotient chain of
+``gosp.dynamics.torus_extinction_batch`` one replica at a time in the native
+kernel ``torus_run``, p = 1 included; without the library it returns None
+and the caller runs its numpy loop.
+
+Both kernels live in one C source, ``_openness.c``, compiled with gcc on
+first use into a cache directory, under a name keyed by the source and the
+flags, and loaded with ctypes.  Its ``target_clones`` let the loader pick
+AVX-512 or AVX2 at load time, so one cached library runs on any x86-64
+machine.  Loading happens at import, so forked pool workers inherit the
+library and never compile.  ``KIND`` says which path runs for both
+kernels: "native" or "numpy".
 """
 
 from __future__ import annotations
@@ -74,26 +80,28 @@ def _library_name() -> str:
 
 
 def _load():
-    """The kernel's ctypes function, built if not cached; None if it cannot
-    be built or loaded."""
+    """The library's two ctypes functions, ``open_window`` and ``torus_run``,
+    built if not cached; (None, None) if it cannot be built or loaded."""
     d = _cache_dir()
     if d is None:
-        return None
+        return None, None
     path = os.path.join(d, _library_name())
     try:
         if not os.path.exists(path):
             _compile(path)
-        fn = ctypes.CDLL(path).open_window
+        lib = ctypes.CDLL(path)
     except (OSError, subprocess.CalledProcessError):
-        return None
-    ptr = ctypes.c_void_p
-    fn.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, ctypes.c_int64,
-                   ctypes.c_uint64, ptr]
-    fn.restype = None
-    return fn
+        return None, None
+    ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+    window, torus = lib.open_window, lib.torus_run
+    window.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, i64, u64, ptr]
+    torus.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, u64, u64, u64,
+                      ctypes.c_int, ptr, ptr]
+    window.restype = torus.restype = None
+    return window, torus
 
 
-_kernel = _load()
+_kernel, _torus = _load()
 KIND = "numpy" if _kernel is None else "native"
 
 
@@ -101,6 +109,11 @@ def _numpy_mask(prefix: np.ndarray, t, threshold: int) -> np.ndarray:
     """The numpy reference of ``open_mask``."""
     buf = np.empty(np.shape(t) + prefix.shape, dtype=np.uint64)
     return open_given_hash(extend_hash(prefix, t, buf, np.empty_like(buf)), threshold)
+
+
+def _time_key(t: int) -> int:
+    """The time key u64(t) * C + G of ``gosp.field.extend_hash``."""
+    return ((int(t) & _MASK64) * _KEY_MUL + _KEY_ADD) & _MASK64
 
 
 def open_mask(prefix: np.ndarray, t, threshold: int) -> np.ndarray:
@@ -118,11 +131,37 @@ def open_mask(prefix: np.ndarray, t, threshold: int) -> np.ndarray:
         keys = t.astype(np.uint64).ravel() * _COORD_MUL + _GOLDEN
         nk, keys_at = keys.size, keys.ctypes.data
     else:
-        keys = ctypes.c_uint64(((int(t) & _MASK64) * _KEY_MUL + _KEY_ADD) & _MASK64)
+        keys = ctypes.c_uint64(_time_key(t))
         nk, keys_at = 1, ctypes.addressof(keys)
     nd = prefix.ndim
     dims = (ctypes.c_int64 * (2 * nd))(*prefix.shape, *prefix.strides)
     at = ctypes.addressof(dims)
     _kernel(prefix.ctypes.data, nd, at, at + 8 * nd, keys_at, nk, threshold,
             ctypes.addressof(ctypes.c_char.from_buffer(out)))
+    return out
+
+
+def torus_extinction(prefix: np.ndarray, gather: np.ndarray, R: int,
+                     T_max: int, threshold: int) -> np.ndarray | None:
+    """Extinction steps of the torus quotient chain, one replica per row of
+    the (B, N) prefix table, each run by ``torus_run`` from R full rows for
+    at most T_max steps (-1 if still alive); None without the native
+    library, for the caller's numpy loop.
+
+    Row i of the (G, N) ``gather`` gives, for each site of the new top row,
+    its source through offset i in the flat R*N rows."""
+    if _torus is None:
+        return None
+    prefix = np.ascontiguousarray(prefix, dtype=np.uint64)
+    gather = np.ascontiguousarray(gather, dtype=np.int64)
+    (B, N), G = prefix.shape, len(gather)
+    if gather.shape != (G, N) or not G or gather.min() < 0 or gather.max() >= R * N:
+        raise ValueError(f"gather must be a (G >= 1, {N}) array of indices "
+                         f"into the {R}*{N} flat rows")
+    rows = np.empty((R + 1) * N, dtype=np.uint8)
+    out = np.empty(B, dtype=np.int64)
+    all_open = threshold >= _TWO64
+    _torus(prefix.ctypes.data, B, N, gather.ctypes.data, G, R, T_max,
+           _time_key(R), _KEY_MUL, 0 if all_open else threshold, all_open,
+           rows.ctypes.data, out.ctypes.data)
     return out

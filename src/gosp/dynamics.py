@@ -20,8 +20,9 @@ the threshold test (``open_mask``, one native pass where the kernel builds).
 ``batch_evolve`` steps the primal and dual chains on Z^{d-1}.  The quotient
 chain on the side-n torus has a stepping loop of its own,
 ``torus_extinction_batch``: its window never moves, so each step is a
-gather of the flat rows through one precomputed index per offset, and the
-open masks of up to 256 consecutive steps are finished in one query.
+gather of the flat rows through one precomputed index per offset.  With the
+native library each replica runs alone in C until it dies (``torus_run``);
+the numpy loop, its reference and fallback, steps the batch in lockstep.
 
 All truncations of infinite initial conditions are justified by the cone
 bound of ``dependency_cone``.  A site influences another only through a path
@@ -42,7 +43,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._openness import open_mask
+from ._openness import open_mask, torus_extinction
 from .field import FieldSpec, _as_u64, site_hash, threshold_for
 from .model import NormalizedModel
 
@@ -677,30 +678,44 @@ _BLOCK_SITES = 1 << 16
 _BLOCK_STEPS = 256
 
 
+def check_torus_side(model: NormalizedModel, n: int) -> None:
+    """Raise ``TorusTooSmall`` unless the torus side n exceeds 2*gamma*R."""
+    if n <= 2 * model.gamma * model.R:
+        raise TorusTooSmall(
+            f"torus side {n} must exceed 2*gamma*R = {2 * model.gamma * model.R}"
+        )
+
+
 def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
                            T_max: int) -> BatchResult:
     """Extinction steps of the torus quotient dynamics, one replica per seed,
     each started from the fully occupied slab and run for at most T_max steps.
 
     Each step gathers the new top row from flat rows through one index per
-    offset (``_torus_batch_step``).  Its open mask comes from a block of k
-    consecutive times that one ``BatchOpenness.window`` query finishes from
-    the prefix table; extinct replicas are dropped from the rows, the table
-    and the rest of the block after every step.
+    offset and masks it with the open sites of its time.  With the native
+    library, ``torus_run`` runs each replica on its own from the (B, N)
+    prefix table until it dies, so no replica waits for another.  The numpy
+    loop is the reference and the fallback: it steps the batch in lockstep
+    (``_torus_batch_step``), finishes the open masks of a block of k
+    consecutive times in one ``BatchOpenness.window`` query, and drops
+    extinct replicas from the rows, the table and the rest of the block
+    after every step.
     """
+    check_torus_side(model, n)
     R, d_s = model.R, model.d - 1
-    if n <= 2 * model.gamma * R:
-        raise TorusTooSmall(
-            f"torus side {n} must exceed 2*gamma*R = {2 * model.gamma * R}"
-        )
     B, N = len(seeds), n ** d_s
     cells = np.arange(N).reshape((n,) * d_s)
     gather = np.stack([
         (R - u) * N + np.roll(cells, tuple(y), axis=tuple(range(d_s))).ravel()
         for y, u in model.split_offsets
     ])
-    state = BatchState(0, (0,) * d_s, np.ones((B, R) + (n,) * d_s, dtype=bool))
     openness = BatchOpenness(seeds, p)
+    openness._cover((0,) * d_s, (n,) * d_s)
+    native = torus_extinction(openness.table.reshape(B, N), gather, R, T_max,
+                              openness.threshold)
+    if native is not None:
+        return BatchResult(native, native < 0)
+    state = BatchState(0, (0,) * d_s, np.ones((B, R) + (n,) * d_s, dtype=bool))
     extinction = np.full(B, -1, dtype=np.int64)
     idx = np.arange(B)                  # original replica index of each row
     block = np.empty((0, B, N), dtype=bool)     # open masks of the next steps

@@ -43,6 +43,7 @@ from .dynamics import (
     TruncationUncertified,
     _grid_occupancy,
     batch_evolve,
+    check_torus_side,
     dependency_cone,
     half_slab_edges,
     hit_and_coupled_regions,
@@ -669,6 +670,8 @@ def torus_stats(model: NormalizedModel, p, sizes, reps: int, T_max: int,
                 seed: int, threads: int = 1, regime: str = "auto") -> TorusStats:
     if regime not in ("auto", "sub", "super"):
         raise EstimatorError(f"unknown regime {regime!r}")
+    for n in sizes:
+        check_torus_side(model, int(n))
     if regime == "auto":
         pre = survival_curve(model, p, 100, 200, seed, threads=threads, lane=9)
         regime = "super" if pre.estimate.mean >= 0.2 else "sub"

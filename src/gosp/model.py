@@ -86,9 +86,6 @@ class NeighborhoodSpec:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_mapping(json.load(fh))
 
-    def to_mapping(self) -> dict:
-        return {"d": self.d, "X": [list(o) for o in self.offsets]}
-
 
 @dataclass(frozen=True)
 class NormalizedModel:

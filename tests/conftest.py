@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from gosp import _openness
 from gosp.model import NeighborhoodSpec, validate
 
 # 2dOP in normalised coordinates (the symmetric {-1,+1} steps generate a
@@ -66,5 +68,17 @@ def model_file(tmp_path, model) -> str:
     import json
 
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model.spec.to_mapping()) + "\n")
+    spec = {"d": model.d, "X": [list(o) for o in model.spec.offsets]}
+    path.write_text(json.dumps(spec) + "\n")
     return str(path)
+
+
+@contextmanager
+def numpy_path():
+    """Run the numpy reference of both native kernels inside the block."""
+    saved = _openness._kernel, _openness._torus
+    _openness._kernel = _openness._torus = None
+    try:
+        yield
+    finally:
+        _openness._kernel, _openness._torus = saved

@@ -19,7 +19,8 @@ from hypothesis import assume, given, settings, strategies as st
 import gosp.dynamics as dyn
 import oracles
 from conftest import (
-    ASYM3, DRIFT2, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, snapshot_sites,
+    ASYM3, DRIFT2, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, numpy_path,
+    snapshot_sites,
 )
 from gosp.cli import _rle_encode, _snapshot_records
 from gosp.dynamics import (
@@ -458,15 +459,16 @@ def test_torus_matches_quotient_oracle(model):
 @pytest.mark.parametrize("model, p", [(TWO_D_OP, 0.75), (RANGE2, 0.7)],
                          ids=["2dOP", "range2"])
 def test_torus_block_ends_match_quotient_oracle(model, p, T_max):
-    # one replica finishes its openness in blocks of _BLOCK_STEPS steps:
-    # T_max = 40 stops inside the first block, T_max = 300 inside the second,
-    # and deaths fall inside blocks
+    # the numpy loop finishes one replica's openness in blocks of
+    # _BLOCK_STEPS steps: T_max = 40 stops inside the first block, T_max =
+    # 300 inside the second, and deaths fall inside blocks
     assert T_max % dyn._BLOCK_STEPS and dyn._BLOCK_STEPS < 300
     n = _torus_n(model)
     taus = []
     for seed in range(8):
         f = FieldSpec(seed=seed, p=p)
-        tau = _torus_tau(model, f, n, T_max)
+        with numpy_path():
+            tau = _torus_tau(model, f, n, T_max)
         assert tau == _torus_oracle(model, f, n, T_max)
         taus.append(tau)
     assert None in taus
@@ -477,12 +479,14 @@ def test_torus_block_ends_match_quotient_oracle(model, p, T_max):
                                      (THREE_D, 0.4)],
                          ids=["2dOP", "range2", "3d"])
 def test_torus_batch_matches_single_replicas(model, p):
+    # the numpy loop, which steps the batch in lockstep
     n = _torus_n(model)
     seeds = spawn_seeds(5, 0, 256)
     T_max = 120
-    res = torus_extinction_batch(model, p, seeds, n, T_max)
-    single = [torus_extinction_batch(model, p, [s], n, T_max).extinction[0]
-              for s in seeds]
+    with numpy_path():
+        res = torus_extinction_batch(model, p, seeds, n, T_max)
+        single = [torus_extinction_batch(model, p, [s], n, T_max).extinction[0]
+                  for s in seeds]
     assert res.extinction.tolist() == single
     assert (res.alive_at_T == (res.extinction < 0)).all()
     # replicas die inside the first block of the batch, whose rows and

@@ -13,6 +13,7 @@ import pytest
 import gosp.estimators as est
 import oracles
 from conftest import ASYM3, RANGE2, THREE_D, TWO_D_OP
+from gosp.dynamics import TorusTooSmall
 from gosp.estimators import (
     CensoredMean,
     ConeOutsideShape,
@@ -229,6 +230,21 @@ def test_torus_stats_censored_refusal():
 def test_torus_stats_rejects_unknown_regime():
     with pytest.raises(EstimatorError):
         torus_stats(TWO_D_OP, 0.5, [8], 30, 50, seed=8, regime="mixed")
+
+
+@pytest.mark.parametrize("regime", ["auto", "super"])
+def test_torus_stats_refuses_small_sides_before_any_run(monkeypatch, regime):
+    # a side n <= 2*gamma*R anywhere in ``sizes`` is refused before the
+    # regime pre-run and before the runs of the good sizes ahead of it
+    runs = []
+    monkeypatch.setattr(est, "survival_curve", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(est, "_run_chunks", lambda *a, **k: runs.append(a))
+    for model, sizes, n, bound in ((TWO_D_OP, [12, 2], 2, 2),
+                                   (ASYM3, [6, 5, 4], 4, 4)):
+        with pytest.raises(TorusTooSmall, match=(
+                rf"^torus side {n} must exceed 2\*gamma\*R = {bound}$")):
+            torus_stats(model, 0.7, sizes, 40, 300, seed=8, regime=regime)
+    assert runs == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,34 +6,26 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gosp
 from gosp import _openness
 from gosp.dynamics import batch_evolve, torus_extinction_batch
 from gosp.field import site_hash, spawn_seeds, threshold_for
 
-from conftest import MODEL_POOL, TWO_D_OP, model_file
+from conftest import (
+    ASYM3, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, model_file, numpy_path,
+)
 
 SRC = str(Path(gosp.__file__).resolve().parents[1])
 PS = [0.0, 0.3, 0.5, 0.7, 1.0]
 
 native = pytest.mark.skipif(_openness.KIND != "native",
                             reason="the native kernel did not build here")
-
-
-@contextmanager
-def _numpy_path():
-    saved, _openness._kernel = _openness._kernel, None
-    try:
-        yield
-    finally:
-        _openness._kernel = saved
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +92,50 @@ def test_native_runs_match_numpy_runs(model, p, master, B, T, dual):
                 torus.extinction)
 
     got = runs()
-    with _numpy_path():
+    with numpy_path():
         ref = runs()
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
+
+
+def _torus_extinction(model, p, master, B, extra, T_max):
+    """Extinction steps of B torus replicas on the side 2*gamma*R + 1 +
+    extra, the smallest allowed side plus ``extra``."""
+    n = int(2 * model.gamma * model.R) + 1 + extra
+    seeds = spawn_seeds(master, 0, B)
+    return torus_extinction_batch(model, p, seeds, n, T_max).extinction
+
+
+@native
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(MODEL_POOL), st.sampled_from(PS),
+    st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 4),
+    st.one_of(st.just(1), st.integers(0, 400)),
+)
+# a batch with no replica; one step; replicas alive at T_max on every model,
+# RANGE2 among them, with others dead before it
+@example(TWO_D_OP, 0.5, 1, 0, 0, 50)
+@example(THREE_D, 0.3, 2, 5, 0, 1)
+@example(RANGE2, 0.7, 3, 12, 2, 300)
+@example(ASYM3, 0.7, 4, 12, 0, 300)
+@example(THREE_D, 0.5, 5, 12, 1, 300)
+def test_native_torus_matches_numpy_torus(model, p, master, B, extra, T_max):
+    got = _torus_extinction(model, p, master, B, extra, T_max)
+    with numpy_path():
+        ref = _torus_extinction(model, p, master, B, extra, T_max)
+    assert got.dtype == ref.dtype == np.int64
+    assert np.array_equal(got, ref)
+
+
+@native
+def test_torus_kernel_refuses_gather_outside_the_rows():
+    # indices past either end of the R*N rows, a row of the wrong length and
+    # no offset at all never reach the C loop
+    prefix = np.zeros((2, 4), dtype=np.uint64)
+    for gather in ([[0, 1, 2, 4]], [[-1, 0, 1, 2]], [[0, 1, 2]], np.zeros((0, 4))):
+        with pytest.raises(ValueError, match="gather must be"):
+            _openness.torus_extinction(prefix, np.array(gather), 1, 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +193,20 @@ def test_failed_build_falls_back_to_numpy(tmp_path):
 _BUILD_AND_CHECK = """
 import numpy as np
 from gosp import _openness
+from gosp.dynamics import torus_extinction_batch
 from gosp.field import threshold_for
-assert _openness.KIND == "native"
+from gosp.model import NeighborhoodSpec, validate
+assert _openness.KIND == "native" and _openness._torus is not None
 prefix = np.arange(1, 4001, dtype=np.uint64).reshape(40, 100)[::2, 3:97]
 times = np.arange(-5, 5)
 thr = threshold_for(0.4)
 assert np.array_equal(_openness.open_mask(prefix, times, thr),
                       _openness._numpy_mask(prefix, times, thr))
+model = validate(NeighborhoodSpec(d=2, offsets=((0, 1), (1, 2))))
+seeds = np.arange(30, dtype=np.uint64)
+native = torus_extinction_batch(model, 0.65, seeds, 6, 200).extinction
+_openness._torus = None
+assert np.array_equal(native, torus_extinction_batch(model, 0.65, seeds, 6, 200).extinction)
 """
 
 

@@ -5,6 +5,10 @@
 runner table in ``gosp.cli``; a name it cannot find, or a counting hook
 that no longer reads the shapes it expects, turns the per-layer metrics that
 need it into null without failing the benchmark run.
+
+The native torus loop runs no wrapped name, so a traced torus run reads its
+step time as 0 on the native path; that known gap is a strict xfail, which
+turns into a failure once the tracer sees the loop.
 """
 
 import json
@@ -13,7 +17,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import TWO_D_OP, model_file
+
+from gosp import _openness
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,14 +36,19 @@ print(sorted(tracing.install()))
 # runs tiny plans, given as JSON (plan, threads) pairs, through gosp.cli.run
 # under tracing; the wrappers patch process-wide attributes, hence the
 # subprocess.  The decay chunk is lowered so that a small decay plan still
-# spreads over several chunks in the process pool.
+# spreads over several chunks in the process pool.  With numpy_torus the
+# torus runs its numpy loop, the only one that calls the wrapped
+# ``_torus_batch_step``: the native loop runs no wrapped name.
 _TRACED = """
 import json, os, sys, time
+import gosp._openness
 import gosp.cli as cli
 import gosp.estimators
 sys.path.insert(0, sys.argv[1])
 import tracing
 gosp.estimators._DECAY_CHUNK = 4000
+if sys.argv[5] == "1":
+    gosp._openness._torus = None
 missing = tracing.install()
 model, out, plans = sys.argv[2], sys.argv[3], json.loads(sys.argv[4])
 t0 = time.perf_counter()
@@ -66,11 +78,10 @@ def test_tracing_install_finds_every_name():
     assert _run(_PROBE) == "[]"
 
 
-def _traced_layers(tmp_path, plans):
+def _traced_layers(tmp_path, plans, numpy_torus=False):
     model = model_file(tmp_path, TWO_D_OP)
-    out = json.loads(
-        _run(_TRACED, model, str(tmp_path / "out"), json.dumps(plans))
-    )
+    out = json.loads(_run(_TRACED, model, str(tmp_path / "out"),
+                          json.dumps(plans), str(int(numpy_torus))))
     assert out["broken"] == []
     layers = out["layers"]
     assert [name for name, v in layers.items() if v is None] == []
@@ -79,15 +90,35 @@ def _traced_layers(tmp_path, plans):
     return layers
 
 
-def test_traced_torus_and_survival_plans_have_every_layer(tmp_path):
-    layers = _traced_layers(tmp_path, [
-        ({"estimator": "torus", "p": 0.7, "sizes": [6], "reps": 20,
-          "T_max": 300, "regime": "super"}, 1),
-        ({"estimator": "survival", "p": 0.7, "T": 20, "reps": 50}, 1),
-    ])
+_TORUS_AND_SURVIVAL = [
+    ({"estimator": "torus", "p": 0.7, "sizes": [6], "reps": 20,
+      "T_max": 300, "regime": "super"}, 1),
+    ({"estimator": "survival", "p": 0.7, "T": 20, "reps": 50}, 1),
+]
+
+
+@pytest.fixture(scope="module")
+def torus_and_survival_layers(tmp_path_factory):
+    # the torus on whichever loop the library gives, as the benchmark runs it
+    return _traced_layers(tmp_path_factory.mktemp("traced"), _TORUS_AND_SURVIVAL)
+
+
+def test_traced_torus_and_survival_plans_have_every_layer(torus_and_survival_layers):
+    layers = torus_and_survival_layers
     assert layers["dynamics.steps"] > 0
-    assert layers["dynamics.torus_step_s"] > 0
     assert layers["dynamics.primal_step_s"] > 0
+
+
+@pytest.mark.xfail(_openness.KIND == "native", strict=True,
+                   reason="bench/tracing.py wraps no name inside the native "
+                          "torus loop (ROADMAP item 1)")
+def test_traced_torus_reads_its_step_time(torus_and_survival_layers):
+    assert torus_and_survival_layers["dynamics.torus_step_s"] > 0
+
+
+def test_traced_numpy_torus_reads_its_step_time(tmp_path):
+    layers = _traced_layers(tmp_path, _TORUS_AND_SURVIVAL[:1], numpy_torus=True)
+    assert layers["dynamics.torus_step_s"] > 0
 
 
 def test_traced_dual_and_pooled_decay_plans_have_every_layer(tmp_path):
