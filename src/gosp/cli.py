@@ -451,6 +451,11 @@ def _json_default(o):
     raise TypeError(f"not JSON serialisable: {o!r}")
 
 
+# one encoder for every results.jsonl line; json.dumps would build one per call
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                   default=_json_default)
+
+
 def _atomic_write(path: str, text: str) -> None:
     partial = path + ".partial"
     with open(partial, "w", encoding="utf-8", newline="\n") as fh:
@@ -487,9 +492,7 @@ def run(plan: dict, parallelism: int = 1, out_dir: str = ".") -> dict:
 
     records = sorted(records, key=lambda r: r.get("replica", r.get("index", 0)))
     _atomic_write(os.path.join(out_dir, "results.jsonl"), "".join(
-        json.dumps(rec, sort_keys=True, separators=(",", ":"),
-                   default=_json_default) + "\n"
-        for rec in records
+        _RECORD_ENCODER.encode(rec) + "\n" for rec in records
     ))
 
     buf = io.StringIO()

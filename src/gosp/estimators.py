@@ -35,7 +35,6 @@ from functools import partial
 from itertools import chain, product, repeat
 
 import numpy as np
-from scipy import ndimage, stats
 
 from .dynamics import (
     BatchState,
@@ -666,6 +665,34 @@ class TorusStats:
     slope_vs_log: float | None   # subcritical: slope of mean tau vs log n
 
 
+# Cephes' expm1, copied operation for operation: exp(v) - 1 through libm
+# outside [-0.5, 0.5], a rational function inside.  np.expm1 and np.exp
+# round differently, and the KS distance below must equal the Cephes-based
+# kstest(x, "expon") statistic bit for bit (tests/test_estimators.py).
+_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2,
+            9.9999999999999999991025e-1)
+_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
+            2.2726554820815502876593e-1, 2.0000000000000000000897e0)
+
+
+def _ks_expon(x) -> float:
+    """Kolmogorov-Smirnov distance of the sample x from Exp(1)."""
+    x = np.sort(x)
+    n = x.size
+    v = -x
+    em1 = np.empty_like(v)
+    inner = np.abs(v) <= 0.5
+    em1[~inner] = [math.exp(a) - 1.0 for a in v[~inner].tolist()]
+    w = v[inner]
+    xx = w * w
+    r = w * np.polyval(_EXPM1_P, xx)
+    r = r / (np.polyval(_EXPM1_Q, xx) - r)
+    em1[inner] = r + r
+    cdf = -em1
+    return float(max((np.arange(1.0, n + 1) / n - cdf).max(),
+                     (cdf - np.arange(0.0, n) / n).max()))
+
+
 def torus_stats(model: NormalizedModel, p, sizes, reps: int, T_max: int,
                 seed: int, threads: int = 1, regime: str = "auto") -> TorusStats:
     if regime not in ("auto", "sub", "super"):
@@ -692,7 +719,7 @@ def torus_stats(model: NormalizedModel, p, sizes, reps: int, T_max: int,
         est = Estimate.from_samples(taus)
         ks = ratio = None
         if regime == "super":
-            ks = float(stats.kstest(taus / taus.mean(), "expon").statistic)
+            ks = _ks_expon(taus / taus.mean())
         else:
             ratio = est.mean / math.log(n)
         per_size.append(TorusSizeStats(
@@ -824,6 +851,21 @@ def crossing_probability(model: NormalizedModel, p, L: int, eps: float,
 _BG_CHUNK = 16
 
 
+def _box_full(col, n):
+    """The cells x of the boolean array col whose box [x - n, x + n) on
+    every axis is set in col; cells outside col count as unset."""
+    full = col
+    for ax in range(col.ndim):
+        m = col.shape[ax]
+        a = np.moveaxis(full, ax, -1)
+        # c[..., j] counts the set cells of a before index j - n
+        c = np.cumsum(np.pad(a, [(0, 0)] * (a.ndim - 1) + [(n + 1, n)]),
+                      axis=-1)
+        full = np.moveaxis(c[..., 2 * n:2 * n + m] - c[..., :m] == 2 * n,
+                           -1, ax)
+    return full
+
+
 def _bg_chunk(seeds, model, p, g, n):
     regions = bg_target_blocks(g)
     out = []
@@ -851,9 +893,7 @@ def _bg_chunk(seeds, model, p, g, n):
             if any(e == 0 for e in state.rows.shape[2:]):
                 return
             col = state.rows[0].all(axis=0)
-            full = ndimage.minimum_filter(
-                col.astype(np.uint8), size=2 * n, mode="constant", cval=0
-            ).astype(bool)
+            full = _box_full(col, n)
             if not full.any():
                 return
             pos = np.nonzero(full)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -466,3 +468,39 @@ def test_bad_decay_window_exits_1_before_any_chunk(
         assert "must satisfy 1 <= a < b <= T" in err
         assert not (out / "results.jsonl").exists()
 
+
+
+# ---------------------------------------------------------------------------
+# import path
+
+# imports the package and the CLI, then runs through cli.run the two
+# estimators whose statistics the suite checks against scipy (the
+# supercritical torus KS distance and bgprobe's box minimum)
+_NO_SCIPY = """
+import json, os, sys
+import gosp, gosp.cli as cli
+model, out, plans = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+for i, plan in enumerate(plans):
+    cli.run(cli.validate_plan(dict(plan, model=model, seed=3)), 1,
+            os.path.join(out, str(i)))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_never_imports_scipy(tmp_path, model_path):
+    plans = [
+        {"estimator": "torus", "p": 0.7, "sizes": [6], "reps": 20,
+         "T_max": 300, "regime": "super"},
+        {"estimator": "bgprobe", "p": 0.8, "w": [2], "h": 3, "v": ["0"],
+         "n": 1, "reps": 20},
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, model_path, str(tmp_path / "out"),
+         json.dumps(plans)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "1" / "results.jsonl").exists()

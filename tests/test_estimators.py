@@ -9,6 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes
+from scipy import ndimage, stats
 
 import gosp.estimators as est
 import oracles
@@ -245,6 +248,47 @@ def test_torus_stats_refuses_small_sides_before_any_run(monkeypatch, regime):
                 rf"^torus side {n} must exceed 2\*gamma\*R = {bound}$")):
             torus_stats(model, 0.7, sizes, 40, 300, seed=8, regime=regime)
     assert runs == []
+
+
+# the estimators compute the KS distance and the box minimum themselves;
+# scipy, a test dependency only, is the reference they must equal bit for bit
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3000), scale=st.sampled_from([0.3, 3.0, 60.0, 5000.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, scale=3.0, seed=0)
+@example(n=2000, scale=60.0, seed=11)
+def test_ks_expon_equals_scipy_kstest(n, scale, seed):
+    # integer extinction times t >= 1; the larger spreads put t / mean on
+    # both sides of expm1's branch point |x| = 0.5
+    t = 1 + np.floor(np.random.default_rng(seed).exponential(scale, n))
+    x = t / t.mean()
+    want = float(stats.kstest(x, "expon").statistic)
+    assert est._ks_expon(x).hex() == want.hex()
+
+
+def test_torus_ks_distance_equals_scipy_kstest():
+    for s in torus_stats(TWO_D_OP, 0.7, [6, 8], 40, 2000, seed=8,
+                         regime="super").per_size:
+        want = stats.kstest(s.taus / s.taus.mean(), "expon").statistic
+        assert s.ks_distance.hex() == float(want).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=array_shapes(min_dims=1, max_dims=2, max_side=12),
+       n=st.integers(1, 4), density=st.sampled_from([0.5, 0.8, 0.95, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(1,), n=1, density=1.0, seed=0)
+@example(shape=(3,), n=2, density=1.0, seed=0)
+@example(shape=(3, 5), n=2, density=1.0, seed=0)
+@example(shape=(8, 9), n=2, density=0.95, seed=1)
+def test_box_full_equals_ndimage_minimum_filter(shape, n, density, seed):
+    # dense columns, so that full boxes occur; the short ones (a side
+    # below 2n) have none
+    col = np.random.default_rng(seed).random(shape) < density
+    want = ndimage.minimum_filter(col.astype(np.uint8), size=2 * n,
+                                  mode="constant", cval=0).astype(bool)
+    assert np.array_equal(est._box_full(col, n), want)
 
 
 # ---------------------------------------------------------------------------

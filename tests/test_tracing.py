@@ -136,3 +136,16 @@ def test_traced_dual_and_pooled_decay_plans_have_every_layer(tmp_path):
     assert layers["estimators.pool_starts"] == 1
     # every decay replica takes its first step in a traced kernel
     assert layers["dynamics.replica_steps"] >= 12000
+
+
+def test_traced_pooled_decay_plan_alone_has_every_layer(tmp_path):
+    # the decay plan alone, as decay-sub runs it: no other plan in the
+    # process fills the step and hash metrics, so a decay path the tracer
+    # cannot see turns them into null
+    layers = _traced_layers(tmp_path, [
+        ({"estimator": "survival", "p": 0.5, "T": 20, "reps": 12000,
+          "decay_windows": [[2, 6], [6, 10]]}, 2),
+    ])
+    assert layers["dynamics.primal_step_s"] > 0
+    assert layers["estimators.chunks"] >= 3
+    assert layers["dynamics.replica_steps"] >= 12000
