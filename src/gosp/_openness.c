@@ -15,19 +15,18 @@ static inline uint64_t mix(uint64_t z)
     return z ^ (z >> 31);
 }
 
-/* Fused openness kernel: out[k, i...] = mix(prefix[i...] ^ keys[k]) < threshold,
-   the open masks of the sites whose spatial prefix hashes are ``prefix``,
-   finished with the time keys keys[k] = u64(t_k) * C + G.  ``prefix`` is a
-   strided view: shape and strides (in bytes, as numpy gives them) of its nd
-   axes; ``out`` is contiguous with shape (nk, *shape).  Axes that are
-   contiguous in the view are merged first, so the inner loop runs over the
-   longest span there is. */
+/* Fused openness kernel: out[i...] = mix(prefix[i...] ^ key) < threshold,
+   the open mask at time t, key = u64(t) * C + G, of the sites whose spatial
+   prefix hashes are ``prefix``, a strided view: shape and strides (in bytes,
+   as numpy gives them) of its nd axes; ``out`` is contiguous with the same
+   shape.  Axes that are contiguous in the view are merged first, so the
+   inner loop runs over the longest span there is. */
 #if defined(__x86_64__)
 __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 #endif
 void open_window(const uint64_t *prefix, int nd, const int64_t *shape,
-                 const int64_t *strides, const uint64_t *keys, int64_t nk,
-                 uint64_t threshold, uint8_t *out)
+                 const int64_t *strides, uint64_t key, uint64_t threshold,
+                 uint8_t *out)
 {
     int64_t n[MAXDIM], s[MAXDIM], idx[MAXDIM] = {0}, rows = 1;
     int m = 0;
@@ -52,23 +51,19 @@ void open_window(const uint64_t *prefix, int nd, const int64_t *shape,
     const int64_t len = n[m - 1], step = s[m - 1];
     for (int a = 0; a < m - 1; a++)
         rows *= n[a];
-    for (int64_t k = 0; k < nk; k++) {
-        const uint64_t key = keys[k];
-        const uint64_t *p = prefix;
-        for (int64_t r = 0; r < rows; r++, out += len) {
-            if (step == 1)
-                for (int64_t i = 0; i < len; i++)
-                    out[i] = mix(p[i] ^ key) < threshold;
-            else
-                for (int64_t i = 0; i < len; i++)
-                    out[i] = mix(p[i * step] ^ key) < threshold;
-            for (int a = m - 2; a >= 0; a--) {
-                p += s[a];
-                if (++idx[a] < n[a])
-                    break;
-                p -= s[a] * n[a];
-                idx[a] = 0;
-            }
+    for (int64_t r = 0; r < rows; r++, out += len) {
+        if (step == 1)
+            for (int64_t i = 0; i < len; i++)
+                out[i] = mix(prefix[i] ^ key) < threshold;
+        else
+            for (int64_t i = 0; i < len; i++)
+                out[i] = mix(prefix[i * step] ^ key) < threshold;
+        for (int a = m - 2; a >= 0; a--) {
+            prefix += s[a];
+            if (++idx[a] < n[a])
+                break;
+            prefix -= s[a] * n[a];
+            idx[a] = 0;
         }
     }
 }

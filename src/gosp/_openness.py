@@ -2,10 +2,10 @@
 
 ``open_mask(prefix, t, threshold)`` is open_given_hash(extend_hash(prefix,
 t), threshold): the open mask of the sites whose spatial prefix hashes are
-``prefix`` at time t, or at each time of an integer array t.  The native
-kernel ``open_window`` computes it in one pass over the prefix view; the
-numpy path of ``gosp.field`` is the reference, and runs when there is no
-compiler, the build fails, or the threshold is 2**64 (p = 1).
+``prefix`` at the one time t.  The native kernel ``open_window`` computes
+it in one pass over the prefix view; the numpy path of ``gosp.field`` is
+the reference, and runs when there is no compiler, the build fails, or the
+threshold is 2**64 (p = 1).
 
 ``torus_extinction`` runs the torus quotient chain of
 ``gosp.dynamics.torus_extinction_batch`` one replica at a time in the native
@@ -33,11 +33,10 @@ import tempfile
 
 import numpy as np
 
-from .field import _COORD_MUL, _GOLDEN, _MASK64, _TWO64, extend_hash, open_given_hash
+from .field import _COORD_MUL, _TWO64, _coord_key, extend_hash, open_given_hash
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_openness.c")
 _FLAGS = ("-O3", "-shared", "-fPIC")
-_KEY_MUL, _KEY_ADD = int(_COORD_MUL), int(_GOLDEN)
 
 
 def _cache_dir() -> str | None:
@@ -94,7 +93,7 @@ def _load():
         return None, None
     ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
     window, torus = lib.open_window, lib.torus_run
-    window.argtypes = [ptr, ctypes.c_int, ptr, ptr, ptr, i64, u64, ptr]
+    window.argtypes = [ptr, ctypes.c_int, ptr, ptr, u64, u64, ptr]
     torus.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, u64, u64, u64,
                       ctypes.c_int, ptr, ptr]
     window.restype = torus.restype = None
@@ -107,36 +106,23 @@ KIND = "numpy" if _kernel is None else "native"
 
 def _numpy_mask(prefix: np.ndarray, t, threshold: int) -> np.ndarray:
     """The numpy reference of ``open_mask``."""
-    buf = np.empty(np.shape(t) + prefix.shape, dtype=np.uint64)
-    return open_given_hash(extend_hash(prefix, t, buf, np.empty_like(buf)), threshold)
+    return open_given_hash(extend_hash(prefix, t), threshold)
 
 
-def _time_key(t: int) -> int:
-    """The time key u64(t) * C + G of ``gosp.field.extend_hash``."""
-    return ((int(t) & _MASK64) * _KEY_MUL + _KEY_ADD) & _MASK64
-
-
-def open_mask(prefix: np.ndarray, t, threshold: int) -> np.ndarray:
-    """Open mask of shape (*t.shape, *prefix.shape): site i of ``prefix`` is
-    open at time t iff mix(prefix[i] ^ (u64(t) * C + G)) < threshold."""
+def open_mask(prefix: np.ndarray, t: int, threshold: int) -> np.ndarray:
+    """Open mask of the shape of ``prefix``: site i of ``prefix`` is open at
+    time t iff mix(prefix[i] ^ (u64(t) * C + G)) < threshold."""
     if prefix.dtype != np.uint64:
         raise TypeError(f"prefix hashes must be uint64, not {prefix.dtype}")
     if _kernel is None or threshold >= _TWO64:
         return _numpy_mask(prefix, t, threshold)
-    many = isinstance(t, np.ndarray)
-    out = np.empty((t.shape if many else ()) + prefix.shape, dtype=bool)
+    out = np.empty(prefix.shape, dtype=bool)
     if not out.size:
         return out
-    if many:
-        keys = t.astype(np.uint64).ravel() * _COORD_MUL + _GOLDEN
-        nk, keys_at = keys.size, keys.ctypes.data
-    else:
-        keys = ctypes.c_uint64(_time_key(t))
-        nk, keys_at = 1, ctypes.addressof(keys)
     nd = prefix.ndim
     dims = (ctypes.c_int64 * (2 * nd))(*prefix.shape, *prefix.strides)
     at = ctypes.addressof(dims)
-    _kernel(prefix.ctypes.data, nd, at, at + 8 * nd, keys_at, nk, threshold,
+    _kernel(prefix.ctypes.data, nd, at, at + 8 * nd, _coord_key(t), threshold,
             ctypes.addressof(ctypes.c_char.from_buffer(out)))
     return out
 
@@ -162,6 +148,6 @@ def torus_extinction(prefix: np.ndarray, gather: np.ndarray, R: int,
     out = np.empty(B, dtype=np.int64)
     all_open = threshold >= _TWO64
     _torus(prefix.ctypes.data, B, N, gather.ctypes.data, G, R, T_max,
-           _time_key(R), _KEY_MUL, 0 if all_open else threshold, all_open,
+           _coord_key(R), int(_COORD_MUL), 0 if all_open else threshold, all_open,
            rows.ctypes.data, out.ctypes.data)
     return out

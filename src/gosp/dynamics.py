@@ -22,7 +22,8 @@ chain on the side-n torus has a stepping loop of its own,
 ``torus_extinction_batch``: its window never moves, so each step is a
 gather of the flat rows through one precomputed index per offset.  With the
 native library each replica runs alone in C until it dies (``torus_run``);
-the numpy loop, its reference and fallback, steps the batch in lockstep.
+the numpy loop, its reference and fallback, steps the batch in lockstep
+with one open-mask query per step.
 
 All truncations of infinite initial conditions are justified by the cone
 bound of ``dependency_cone``.  A site influences another only through a path
@@ -254,9 +255,8 @@ class BatchOpenness:
         for i in range(0, len(s), _COVER_ROWS):
             self.table[i:i + _COVER_ROWS] = site_hash(s[i:i + _COVER_ROWS], coords)
 
-    def window(self, lo, shape, t) -> np.ndarray:
-        """Open mask (B, *shape) of the sites (x, t), x in [lo, lo + shape);
-        for an integer array t of k times, the (k, B, *shape) masks of all."""
+    def window(self, lo, shape, t: int) -> np.ndarray:
+        """Open mask (B, *shape) of the sites (x, t), x in [lo, lo + shape)."""
         hi = tuple(l + e for l, e in zip(lo, shape))
         self._cover(lo, hi)
         view = (slice(None),) + tuple(
@@ -672,12 +672,6 @@ def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
 # torus dynamics
 
 
-# a block query finishes the open masks of k steps of B replicas on N sites
-# at once; k*B*N <= _BLOCK_SITES keeps its two uint64 buffers near 1 MB
-_BLOCK_SITES = 1 << 16
-_BLOCK_STEPS = 256
-
-
 def check_torus_side(model: NormalizedModel, n: int) -> None:
     """Raise ``TorusTooSmall`` unless the torus side n exceeds 2*gamma*R."""
     if n <= 2 * model.gamma * model.R:
@@ -696,10 +690,9 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
     library, ``torus_run`` runs each replica on its own from the (B, N)
     prefix table until it dies, so no replica waits for another.  The numpy
     loop is the reference and the fallback: it steps the batch in lockstep
-    (``_torus_batch_step``), finishes the open masks of a block of k
-    consecutive times in one ``BatchOpenness.window`` query, and drops
-    extinct replicas from the rows, the table and the rest of the block
-    after every step.
+    (``_torus_batch_step``) with one ``BatchOpenness.window`` query per
+    step, and drops extinct replicas from the rows and the table after
+    every step.
     """
     check_torus_side(model, n)
     R, d_s = model.R, model.d - 1
@@ -718,16 +711,9 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
     state = BatchState(0, (0,) * d_s, np.ones((B, R) + (n,) * d_s, dtype=bool))
     extinction = np.full(B, -1, dtype=np.int64)
     idx = np.arange(B)                  # original replica index of each row
-    block = np.empty((0, B, N), dtype=bool)     # open masks of the next steps
     while idx.size and state.t < T_max:
-        if not len(block):
-            k = min(_BLOCK_STEPS, T_max - state.t,
-                    max(1, _BLOCK_SITES // (idx.size * N)))
-            times = np.arange(state.t + R, state.t + R + k)
-            block = openness.window((0,) * d_s, (n,) * d_s, times)
-            block = block.reshape(k, idx.size, N)
-        state = _torus_batch_step(state, gather, block[0])
-        block = block[1:]
+        open_top = openness.window((0,) * d_s, (n,) * d_s, state.t + R)
+        state = _torus_batch_step(state, gather, open_top.reshape(idx.size, N))
         alive = state.alive()
         if np.count_nonzero(alive) < idx.size:
             extinction[idx[~alive]] = state.t
@@ -735,5 +721,4 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
             idx = idx[keep]
             state = BatchState(state.t, state.anchor, state.rows[keep])
             openness = openness.take(keep)
-            block = block[:, keep]
     return BatchResult(extinction, extinction < 0)

@@ -158,6 +158,9 @@ class Estimate:
 # replica seeds live in disjoint lanes so auxiliary runs (pre-checks,
 # stability repeats) never share seeds with the main replicas
 _LANE = 1 << 32
+# the survival pre-check of shape and torus: _PRE_REPS replicas of seed lane
+# _PRE_LANE, read as subcritical when they survive below _SURVIVAL_FLOOR
+_PRE_REPS, _PRE_LANE, _SURVIVAL_FLOOR = 200, 9, 0.2
 
 
 def _run_spans(worker, common, spans, threads: int) -> list:
@@ -336,10 +339,8 @@ def _longest_run(mask: np.ndarray):
 
 _SHAPE_CHUNK = 16
 _SHAPE_BLOCK = 32
-# the directions whose time constants are estimated, and the survival
-# frequency of the pre-check below which a shape request is refused
+# the directions whose time constants are estimated
 _SHAPE_DIRECTIONS = ((-1.0,), (1.0,))
-_SHAPE_SURVIVAL_FLOOR = 0.2
 
 
 def _shape_chunk(seeds, model, p, t, T_cond, ns):
@@ -409,11 +410,12 @@ def shape_and_time_constants(model: NormalizedModel, p, t: int, reps: int,
         raise DimensionNot2("shape estimation is implemented for d = 2")
     T_cond = t if T_cond is None else T_cond
     T_pre = min(t, 200)
-    pre = survival_curve(model, p, T_pre, 200, seed, threads=threads, lane=9)
-    if pre.estimate.mean < _SHAPE_SURVIVAL_FLOOR:
+    pre = survival_curve(model, p, T_pre, _PRE_REPS, seed, threads=threads,
+                         lane=_PRE_LANE)
+    if pre.estimate.mean < _SURVIVAL_FLOOR:
         raise SubcriticalRefused(
             f"survival frequency {pre.estimate.mean:.3f} at T={T_pre} is "
-            f"below the floor {_SHAPE_SURVIVAL_FLOOR}"
+            f"below the floor {_SURVIVAL_FLOOR}"
         )
     ns = tuple(range(max(2, t // 5), t // 2 + 1, max(1, t // 20)))
     budget = max(reps * 10, 50)
@@ -700,8 +702,9 @@ def torus_stats(model: NormalizedModel, p, sizes, reps: int, T_max: int,
     for n in sizes:
         check_torus_side(model, int(n))
     if regime == "auto":
-        pre = survival_curve(model, p, 100, 200, seed, threads=threads, lane=9)
-        regime = "super" if pre.estimate.mean >= 0.2 else "sub"
+        pre = survival_curve(model, p, 100, _PRE_REPS, seed, threads=threads,
+                             lane=_PRE_LANE)
+        regime = "super" if pre.estimate.mean >= _SURVIVAL_FLOOR else "sub"
     floor = max(10, reps // 2)
     per_size = []
     for j, n in enumerate(sizes):

@@ -54,31 +54,20 @@ def _mix64(z):
     return z ^ (z >> _S31)
 
 
-def extend_hash(prefix: np.ndarray, c, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """site_hash with the coordinate ``c`` appended to a prefix hash.
+def _coord_key(c: int) -> int:
+    """The key u64(c) * C + G with which a hash is extended by coordinate c."""
+    return ((int(c) & _MASK64) * int(_COORD_MUL) + int(_GOLDEN)) & _MASK64
 
-    ``out`` receives mix(prefix ^ (u64(c) * C + G)), computed in place with
-    ``tmp`` as scratch; both are uint64 arrays of the prefix's shape for a
-    scalar ``c``, and of shape (*c.shape, *prefix.shape) for an integer
-    array ``c``, so an array of k coordinates finishes k copies of the
-    prefix at once.
-    """
-    if isinstance(c, np.ndarray):
-        # reshaped before the arithmetic, which then wraps as array
-        # arithmetic does, without the overflow warning of numpy scalars
-        key = c.astype(np.uint64).reshape(c.shape + (1,) * prefix.ndim)
-        key = key * _COORD_MUL + _GOLDEN
-    else:
-        key = np.uint64(((int(c) & _MASK64) * int(_COORD_MUL) + int(_GOLDEN)) & _MASK64)
-    np.bitwise_xor(prefix, key, out=out)
-    np.right_shift(out, _S30, out=tmp)
-    out ^= tmp
+
+def extend_hash(prefix: np.ndarray, c: int) -> np.ndarray:
+    """site_hash with the coordinate ``c`` appended to a prefix hash: a new
+    array mix(prefix ^ (u64(c) * C + G)) of the prefix's shape."""
+    out = prefix ^ np.uint64(_coord_key(c))
+    out ^= out >> _S30
     out *= _MUL1
-    np.right_shift(out, _S27, out=tmp)
-    out ^= tmp
+    out ^= out >> _S27
     out *= _MUL2
-    np.right_shift(out, _S31, out=tmp)
-    out ^= tmp
+    out ^= out >> _S31
     return out
 
 

@@ -70,13 +70,15 @@ def dual_path_exists(model: NormalizedModel, field: FieldSpec, b, a) -> bool:
 
 
 def infected_times(model: NormalizedModel, field: FieldSpec, starts, t_max,
-                   t0: int = 0):
+                   t0: int = 0, domain=None):
     """Absolute-time levels of the infected set grown from slab starts.
 
     ``starts`` are slab sites (x, s); the returned dict maps absolute time
     to the set of spatial positions infected at that time.  Sites at times
     below t0 + R are exactly the starts (the initial slab is the state, not
-    a source of further within-slab derivations).
+    a source of further within-slab derivations).  With ``domain``, a
+    predicate on space-time sites, a derived site must also satisfy it; the
+    starts are exempt.
     """
     R = model.R
     levels: dict[int, set] = {}
@@ -87,7 +89,8 @@ def infected_times(model: NormalizedModel, field: FieldSpec, starts, t_max,
         for y, u in model.split_offsets:
             for x in levels.get(tau - u, ()):
                 cand.add(tuple(xi + yi for xi, yi in zip(x, y)))
-        here = {x for x in cand if field.site_open(x + (tau,))}
+        here = {x for x in cand if field.site_open(x + (tau,))
+                and (domain is None or domain(x + (tau,)))}
         if here:
             levels[tau] = here
     return levels

@@ -9,6 +9,7 @@ against the rule that only a run with no observer and no snapshots compacts;
 the occupancy reductions are checked against plain numpy.
 """
 
+import contextlib
 import itertools
 from fractions import Fraction
 
@@ -446,33 +447,34 @@ def _torus_n(model):
     return int(3 * model.gamma * model.R) + 3
 
 
-@pytest.mark.parametrize("model", [TWO_D_OP, ASYM3, RANGE2, THREE_D],
-                         ids=lambda m: str(m.spec.offsets))
-def test_torus_matches_quotient_oracle(model):
-    n = _torus_n(model)
-    for seed in (61, 62, 63, 64):
-        f = FieldSpec(seed=seed, p=0.55)
-        assert _torus_tau(model, f, n, 40) == _torus_oracle(model, f, n, 40)
+# (model, p, T_max, seeds, id): p = 0.55 on every torus model, and two
+# supercritical models with replicas alive at T_max
+_TORUS_ORACLE_CASES = [
+    (model, 0.55, 40, range(61, 65), str(model.spec.offsets))
+    for model in (TWO_D_OP, ASYM3, RANGE2, THREE_D)
+] + [
+    (model, p, T_max, range(8), f"{name}-{T_max}")
+    for model, p, name in ((TWO_D_OP, 0.75, "2dOP"), (RANGE2, 0.7, "range2"))
+    for T_max in (40, 300)
+]
 
 
-@pytest.mark.parametrize("T_max", [40, 300])
-@pytest.mark.parametrize("model, p", [(TWO_D_OP, 0.75), (RANGE2, 0.7)],
-                         ids=["2dOP", "range2"])
-def test_torus_block_ends_match_quotient_oracle(model, p, T_max):
-    # the numpy loop finishes one replica's openness in blocks of
-    # _BLOCK_STEPS steps: T_max = 40 stops inside the first block, T_max =
-    # 300 inside the second, and deaths fall inside blocks
-    assert T_max % dyn._BLOCK_STEPS and dyn._BLOCK_STEPS < 300
+@pytest.mark.parametrize("model, p, T_max, seeds, numpy", [
+    pytest.param(*case, numpy, id=name + ("-numpy" if numpy else ""))
+    for *case, name in _TORUS_ORACLE_CASES for numpy in (False, True)
+])
+def test_torus_matches_quotient_oracle(model, p, T_max, seeds, numpy):
+    # the native loop, where it builds, and the numpy loop
     n = _torus_n(model)
     taus = []
-    for seed in range(8):
+    for seed in seeds:
         f = FieldSpec(seed=seed, p=p)
-        with numpy_path():
+        with numpy_path() if numpy else contextlib.nullcontext():
             tau = _torus_tau(model, f, n, T_max)
         assert tau == _torus_oracle(model, f, n, T_max)
         taus.append(tau)
-    assert None in taus
-    assert any(tau is not None and tau % dyn._BLOCK_STEPS for tau in taus)
+    if p >= 0.7:
+        assert None in taus         # a supercritical replica alive at T_max
 
 
 @pytest.mark.parametrize("model, p", [(TWO_D_OP, 0.7), (RANGE2, 0.65),
@@ -489,11 +491,9 @@ def test_torus_batch_matches_single_replicas(model, p):
                   for s in seeds]
     assert res.extinction.tolist() == single
     assert (res.alive_at_T == (res.extinction < 0)).all()
-    # replicas die inside the first block of the batch, whose rows and
-    # remaining open masks are then compacted, and some outlive T_max
-    first = dyn._BLOCK_SITES // (len(seeds) * n ** (model.d - 1))
-    assert 1 < first < T_max
-    assert ((res.extinction > 1) & (res.extinction < first)).any()
+    # replicas die after the first step, so the rows and the prefix table
+    # are compacted midway, and some outlive T_max
+    assert (res.extinction > 1).any()
     assert (res.extinction < 0).any()
 
 
@@ -704,12 +704,6 @@ def test_openness_matches_site_hash(run):
         assert got.dtype == bool and got.shape == (len(rows),) + shape
         for b, r in enumerate(rows):
             assert (got[b] == _field_open(seeds[r], p, lo, shape, t)).all()
-        # a vector of times gives the mask of each time
-        times = np.array([t - 1, t, t + 5])
-        block = openness.window(lo, shape, times)
-        assert block.shape == (3, len(rows)) + shape
-        for j, tj in enumerate(times):
-            assert (block[j] == openness.window(lo, shape, int(tj))).all()
 
 
 # ---------------------------------------------------------------------------

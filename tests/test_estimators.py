@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy import ndimage, stats
 import gosp.estimators as est
 import oracles
 from conftest import ASYM3, RANGE2, THREE_D, TWO_D_OP
-from gosp.dynamics import TorusTooSmall
+from gosp.dynamics import TorusTooSmall, batch_evolve
 from gosp.estimators import (
     CensoredMean,
     ConeOutsideShape,
@@ -44,7 +45,7 @@ from gosp.estimators import (
     survival_curve,
     torus_stats,
 )
-from gosp.field import spawn_seeds
+from gosp.field import FieldSpec, spawn_seeds
 from gosp.geometry import BlockGeometry
 
 
@@ -405,6 +406,31 @@ def test_cone_survival_trivial():
     assert c0.estimate.mean == 0.0
 
 
+def _cone_survives(model, p, seed, lo, hi, T, t0):
+    """Set-based cone survival: the cone's lattice sites at times t0, ...,
+    t0+R-1 start a growth restricted to the cone, alive at time T."""
+    cone = partial(oracles.cone_contains, lo, hi)
+    width = 2 * (t0 + model.R)
+    starts = [(x, s) for s in range(model.R) for x in range(-width, width + 1)
+              if cone((x, t0 + s))]
+    levels = oracles.infected_times(model, FieldSpec(seed=int(seed), p=p),
+                                    starts, T - t0, t0=t0, domain=cone)
+    return any(levels.get(tau) for tau in range(T, T + model.R))
+
+
+@pytest.mark.parametrize("model, lo, hi, p", [
+    (TWO_D_OP, Fraction(1, 4), Fraction(3, 4), 0.65),
+    (TWO_D_OP, Fraction(1, 4), Fraction(3, 4), 0.7),
+    (ASYM3, Fraction(-1, 2), Fraction(1), 0.45),
+    (ASYM3, Fraction(-1, 2), Fraction(1), 0.5),
+], ids=["2dOP-0.65", "2dOP-0.7", "asym3-0.45", "asym3-0.5"])
+def test_cone_chunk_matches_set_growth(model, lo, hi, p):
+    seeds, T, t0 = spawn_seeds(17, 0, 20), 30, 5
+    got = est._cone_chunk(seeds, model, p, lo, hi, T, t0).tolist()
+    assert got == [_cone_survives(model, p, s, lo, hi, T, t0) for s in seeds]
+    assert 0 < sum(got) < len(got)
+
+
 def test_cone_outside_shape_refused():
     with pytest.raises(ConeOutsideShape):
         restricted_cone_survival(
@@ -682,3 +708,14 @@ def test_shape_chunk_without_survivors(monkeypatch):
     monkeypatch.setattr(est, "hit_and_coupled_regions", refuse)
     assert est._shape_chunk(spawn_seeds(5, 0, 6), TWO_D_OP, 0.0, 10, 10,
                             (2, 3, 4, 5)) == [None] * 6
+
+
+def test_shape_chunk_conditions_on_survival_to_a_later_T_cond():
+    # with T_cond = t + 20 the items are those of T_cond = t, except that
+    # replicas dead by T_cond give None; one alive at t dies before T_cond
+    seeds, t, ns = spawn_seeds(5, 0, 16), 10, (2, 3, 4, 5)
+    at_t = est._shape_chunk(seeds, TWO_D_OP, 0.7, t, t, ns)
+    later = est._shape_chunk(seeds, TWO_D_OP, 0.7, t, t + 20, ns)
+    alive = batch_evolve(TWO_D_OP, seeds, 0.7, t + 20).alive_at_T
+    assert later == [item if a else None for item, a in zip(at_t, alive)]
+    assert any(item is not None and not a for item, a in zip(at_t, alive))
