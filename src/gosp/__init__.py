@@ -23,7 +23,6 @@ from .dynamics import (
     batch_evolve,
     reaches,
     dual_reaches,
-    hit_and_coupled_regions,
 )
 from .estimators import (
     Estimate,
@@ -62,7 +61,6 @@ __all__ = [
     "batch_evolve",
     "reaches",
     "dual_reaches",
-    "hit_and_coupled_regions",
     "Estimate",
     "EstimatorError",
     "EstimatorRefused",

@@ -387,8 +387,11 @@ class BatchResult:
     """Summary of a batched run; all arrays are indexed by replica."""
 
     extinction: np.ndarray              # step of first empty state; -1 if none seen
-    alive_at_T: np.ndarray
     snapshots: dict[int, BatchState] | None = None
+
+    @property
+    def alive_at_T(self) -> np.ndarray:
+        return self.extinction < 0
 
 
 def batch_evolve(model: NormalizedModel, seeds, p, T, *,
@@ -442,7 +445,6 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     extinction = np.full(B, -1, dtype=np.int64)
     snapshots = {} if snapshot_times else None
     idx = np.arange(B)                  # original replica index of each row
-    alive_at_T = np.zeros(B, dtype=bool)
 
     def observe(t):
         live = state.live
@@ -471,13 +473,12 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
             state = BatchState(state.t, state.anchor, state.rows[keep])
             alive_prev = alive[keep]
             openness = openness.take(keep)
-    alive_at_T[idx[alive_prev]] = True
     if snapshots is not None:
         # runs that die before a requested snapshot time are recorded empty
         empty = np.zeros((B, model.R) + (0,) * d_s, dtype=bool)
         for t_req in snapshot_times - snapshots.keys():
             snapshots[t_req] = BatchState(t_req, (0,) * d_s, empty)
-    return BatchResult(extinction, alive_at_T, snapshots)
+    return BatchResult(extinction, snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -546,47 +547,22 @@ def dual_reaches(b, a, model: NormalizedModel, field: FieldSpec,
 
 
 # ---------------------------------------------------------------------------
-# hit and coupled regions
+# coupled full-slab run
 
-@dataclass
-class HitCoupled:
-    """H, K and both final states of a batch, restricted to a common window.
+def coupled_slab(model: NormalizedModel, seeds, p, t: int, window) -> np.ndarray:
+    """Occupancy (B, R, *window extent) at step t of the full-slab run on
+    each seed's field, restricted to ``window``, a (lo, hi) pair of spatial
+    bounds: slab site (x, s) of replica b maps to index [b, s, x - lo].
 
-    Arrays have a leading replica axis: H, K, xi_origin and xi_slab have
-    shape (B, R, *window extent), and slab site (x, s) of replica b maps to
-    index [b, s, x - lo] for the window (lo, hi).  ``hit_times`` (B, *window
-    extent) holds the first step at which the origin run occupies (x, 0), or
-    -1 if it never does.
-    """
-
-    H: np.ndarray
-    K: np.ndarray
-    xi_origin: np.ndarray
-    xi_slab: np.ndarray
-    hit_times: np.ndarray
-
-
-def hit_and_coupled_regions(model: NormalizedModel, seeds, p, t: int,
-                            window) -> HitCoupled:
-    """Compare the origin run and the full-slab run on each seed's field.
-
-    ``window`` is a (lo, hi) pair of spatial bounds.  The full-slab run is
-    started on the backward ``dependency_cone`` of the window over t steps:
-    no site outside it can influence the window at time t, so by additivity
-    the run's restriction to the window is the infinite slab's.  Its domain
-    is the cone shrinking with the steps left: a site entering at step k
-    reaches the window within t - k hops or never, so by the same argument
-    the domain changes nothing in the window.
+    The run is started on the backward ``dependency_cone`` of the window
+    over t steps: no site outside it can influence the window at time t, so
+    by additivity the run's restriction to the window is the infinite
+    slab's.  Its domain is the cone shrinking with the steps left: a site
+    entering at step k reaches the window within t - k hops or never, so by
+    the same argument the domain changes nothing in the window.
     """
     lo = tuple(int(c) for c in window[0])
     hi = tuple(int(c) for c in window[1])
-    ext = tuple(h - l for l, h in zip(lo, hi))
-    d_s = model.d - 1
-    hit_times = np.full((len(seeds),) + ext, -1, dtype=np.int64)
-
-    def record_hits(step_t, state: BatchState):
-        occ = _grid_occupancy(state.anchor, state.rows[:, 0], lo, ext)
-        hit_times[occ & (hit_times < 0)] = step_t
 
     def shrinking_cone(coords, t_abs):
         # the top row at absolute time t_abs enters at step t_abs - R + 1
@@ -597,30 +573,21 @@ def hit_and_coupled_regions(model: NormalizedModel, seeds, p, t: int,
             m = m & (c >= l) & (c < h)
         return m
 
-    snap_o = batch_evolve(
-        model, seeds, p, t, snapshot_times=[t], per_step=record_hits,
-    ).snapshots[t]
-    snap_S = batch_evolve(
+    snap = batch_evolve(
         model, seeds, p, t,
         init=slab_window_rows(
             model, *dependency_cone(model, lo, hi, t, backward=True)),
         domain=shrinking_cone, snapshot_times=[t],
     ).snapshots[t]
-    xi_o = _grid_occupancy(snap_o.anchor, snap_o.rows, lo, ext)
-    xi_S = _grid_occupancy(snap_S.anchor, snap_S.rows, lo, ext)
-    # (x, s) lies in H iff the origin run occupied (x, 0) by step t - s
-    last = (t - np.arange(model.R)).reshape((1, -1) + (1,) * d_s)
-    ht = hit_times[:, None]
-    H = (ht >= 0) & (ht <= last)
-    return HitCoupled(H=H, K=xi_o == xi_S, xi_origin=xi_o, xi_slab=xi_S,
-                      hit_times=hit_times)
+    return _grid_occupancy(snap.anchor, snap.rows, lo,
+                           tuple(h - l for l, h in zip(lo, hi)))
 
 
 # ---------------------------------------------------------------------------
 # edge processes (d = 2)
 
 def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
-                    margin: float = 0.2) -> np.ndarray:
+                    margin: float) -> np.ndarray:
     """Frontiers r_0..r_T (side 'right': max occupied x from {x <= 0}) or
     l_0..l_T ('left': min occupied x from {x >= 0}), shape (B, T+1).
 
@@ -707,7 +674,7 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
     native = torus_extinction(openness.table.reshape(B, N), gather, R, T_max,
                               openness.threshold)
     if native is not None:
-        return BatchResult(native, native < 0)
+        return BatchResult(native)
     state = BatchState(0, (0,) * d_s, np.ones((B, R) + (n,) * d_s, dtype=bool))
     extinction = np.full(B, -1, dtype=np.int64)
     idx = np.arange(B)                  # original replica index of each row
@@ -721,4 +688,4 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
             idx = idx[keep]
             state = BatchState(state.t, state.anchor, state.rows[keep])
             openness = openness.take(keep)
-    return BatchResult(extinction, extinction < 0)
+    return BatchResult(extinction)

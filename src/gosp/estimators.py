@@ -43,9 +43,9 @@ from .dynamics import (
     _grid_occupancy,
     batch_evolve,
     check_torus_side,
+    coupled_slab,
     dependency_cone,
     half_slab_edges,
-    hit_and_coupled_regions,
     rows_from_sites,
     slab_window_rows,
     torus_extinction_batch,
@@ -346,21 +346,36 @@ _SHAPE_DIRECTIONS = ((-1.0,), (1.0,))
 def _shape_chunk(seeds, model, p, t, T_cond, ns):
     # the t-step cone of the origin, one site wider on each side
     lo, hi = dependency_cone(model, (-1,), (2,), t)
-    alive = batch_evolve(model, seeds, p, T_cond).alive_at_T
+    ext = (hi[0] - lo[0],)
+    hits = np.full((len(seeds),) + ext, -1, dtype=np.int64)
+
+    def record_hits(step, state):
+        # a hit after step t would change H, the sites hit by time t
+        if step <= t:
+            occ = _grid_occupancy(state.anchor, state.rows[:, 0], lo, ext)
+            hits[occ & (hits < 0)] = step
+
+    # one origin run answers survival to T_cond and gives the state at t
+    res = batch_evolve(model, seeds, p, max(t, T_cond), snapshot_times=[t],
+                       per_step=record_hits)
+    alive = (res.extinction < 0) | (res.extinction > T_cond)
     out = [None] * len(seeds)
     if not alive.any():
         return out
-    hc = hit_and_coupled_regions(model, seeds[alive], p, t, (lo, hi))
+    snap = res.snapshots[t]
+    xi_origin = _grid_occupancy(snap.anchor, snap.rows[alive, 0], lo, ext)
+    xi_slab = coupled_slab(model, seeds[alive], p, t, (lo, hi))[:, 0]
     for j, i in enumerate(np.flatnonzero(alive)):
-        run = _longest_run((hc.H[j] & hc.K[j])[0])
+        hit_times = hits[i]
+        # row 0 of H and K: hit by time t, and both runs agree at t
+        run = _longest_run((hit_times >= 0) & (xi_origin[j] == xi_slab[j]))
         if run is None:
             continue
         a, b = run
-        occ = np.flatnonzero(hc.xi_origin[j, 0])
+        occ = np.flatnonzero(xi_origin[j])
         support = (
             (int(lo[0] + occ[0]), int(lo[0] + occ[-1])) if occ.size else None
         )
-        hit_times = hc.hit_times[j]
         mus = {}
         for dvec in _SHAPE_DIRECTIONS:
             pts = []

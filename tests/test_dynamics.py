@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gosp.dynamics as dyn
+import gosp.estimators as est
 import oracles
 from conftest import (
     ASYM3, DRIFT2, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, numpy_path,
@@ -30,11 +31,11 @@ from gosp.dynamics import (
     TorusTooSmall,
     TruncationUncertified,
     batch_evolve,
+    coupled_slab,
     dual_evolve,
     dual_reaches,
     evolve,
     half_slab_edges,
-    hit_and_coupled_regions,
     reaches,
     rows_from_sites,
     slab_window_rows,
@@ -291,32 +292,31 @@ def test_reachability_is_one_engine_run(monkeypatch):
 # hit and coupled regions
 
 def test_hit_coupled_at_time_zero():
-    hc = hit_and_coupled_regions(TWO_D_OP, [9], 0.8, 0, ((-3,), (4,)))
-    # the two runs agree exactly at the origin before any step is taken
-    assert hc.K.sum() == 1
-    assert hc.K[0, 0, 3]
-    assert hc.H.sum() == 1
-    assert hc.H[0, 0, 3]
-    assert hc.hit_times.tolist() == [[-1, -1, -1, 0, -1, -1, -1]]
+    # before any step the slab run is its start: the whole window, every row
+    for model in (TWO_D_OP, RANGE2):
+        xi = coupled_slab(model, [9], 0.8, 0, ((-3,), (4,)))
+        assert xi.shape == (1, model.R, 7) and xi.all()
 
 
 def test_hit_coupled_p1_window_saturates():
-    hc = hit_and_coupled_regions(TWO_D_OP, [9, 10], 1.0, 6, ((1,), (6,)))
-    # the origin run covers [0, t] at p = 1, so the window is hit and coupled
-    assert hc.H.all()
-    assert hc.K.all()
-    assert hc.xi_origin.all()
-    assert hc.xi_slab.all()
-    # 2dOP's steps are 0 and 1, so x is first occupied at step x
-    assert (hc.hit_times == np.arange(1, 6)).all()
+    # at p = 1 the 2dOP origin run covers [0, t], hitting x at step x, and
+    # the slab run covers the window, so H and K agree on row 0 exactly on
+    # [0, t]; no site left of 0 is ever hit
+    for t in (6, 13):
+        item = (0.0, 1.0, (0, t), {(-1.0,): None, (1.0,): 1.0})
+        for T_cond in (1, t, t + 5):
+            got = est._shape_chunk(spawn_seeds(2, 0, 3), TWO_D_OP, 1.0, t,
+                                   T_cond, (2, 3, 4))
+            assert got == [item] * 3
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 0.8, 1.0])
 @pytest.mark.parametrize("model", [m for m in MODEL_POOL if m.d == 2] + [DRIFT2],
                          ids=_ids)
 def test_hit_coupled_batch_matches_single_runs(model, p):
-    # each row of a batched call equals the B = 1 call on its seed, for
-    # batches that mix replicas dying early with replicas alive at t
+    # each row of a batched slab run, and each item of a batched shape
+    # chunk, equals the B = 1 call on its seed, for batches that mix origin
+    # runs dying early with runs alive at t
     t = 30
     window = dyn.dependency_cone(model, (-1,), (2,), t)
     pool = spawn_seeds(33, 0, 2000)
@@ -326,12 +326,14 @@ def test_hit_coupled_batch_matches_single_runs(model, p):
     assert len(died) == (0 if p == 1 else 6)
     assert p < 0.8 or (len(rest) == 10 and (ext[rest] < 0).all())
     seeds = pool[np.sort(np.concatenate([died, rest]))]
-    hc = hit_and_coupled_regions(model, seeds, p, t, window)
-    assert hc.hit_times.shape == (len(seeds), window[1][0] - window[0][0])
-    for b, seed in enumerate(seeds):
-        one = hit_and_coupled_regions(model, [seed], p, t, window)
-        for name in ("H", "K", "xi_origin", "xi_slab", "hit_times"):
-            assert np.array_equal(getattr(hc, name)[b], getattr(one, name)[0])
+    xi = coupled_slab(model, seeds, p, t, window)
+    assert xi.shape == (len(seeds), model.R, window[1][0] - window[0][0])
+    args = (model, p, t, t // 2, (6, 8, 10, 12, 14))
+    items = est._shape_chunk(seeds, *args)
+    for b in range(len(seeds)):
+        one = seeds[b:b + 1]
+        assert np.array_equal(xi[b], coupled_slab(model, one, p, t, window)[0])
+        assert [items[b]] == est._shape_chunk(one, *args)
 
 
 @pytest.mark.parametrize("model", [m for m in MODEL_POOL if m.d == 2] + [DRIFT2],
@@ -343,14 +345,13 @@ def test_hit_coupled_slab_run_matches_a_wider_window(model):
     t, lo, hi = 40, -10, 11
     reach = t * max(abs(y[0]) for y, _ in model.split_offsets) + 100
     for p in (0.7, 0.8):
-        hc = hit_and_coupled_regions(model, list(range(5)), p, t, ((lo,), (hi,)))
+        xi = coupled_slab(model, list(range(5)), p, t, ((lo,), (hi,)))
         for seed in range(5):
             wide = batch_evolve(
                 model, [seed], p, t, snapshot_times=[t],
                 init=slab_window_rows(model, (lo - reach,), (hi + reach,)),
             ).snapshots[t]
-            got = {(lo + int(x), int(s))
-                   for s, x in zip(*np.nonzero(hc.xi_slab[seed]))}
+            got = {(lo + int(x), int(s)) for s, x in zip(*np.nonzero(xi[seed]))}
             want = {(int(wide.anchor[0] + x), int(s))
                     for s, x in zip(*np.nonzero(wide.rows[0]))}
             assert got == {(x, s) for x, s in want if lo <= x < hi}

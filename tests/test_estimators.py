@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes
 from scipy import ndimage, stats
 
+import gosp.dynamics as dyn
 import gosp.estimators as est
 import oracles
 from conftest import ASYM3, RANGE2, THREE_D, TWO_D_OP
@@ -699,15 +700,41 @@ def test_per_replica_outcomes_do_not_depend_on_chunk_size(monkeypatch):
         assert got == ref
 
 
-def test_shape_chunk_without_survivors(monkeypatch):
-    # at p = 0 no replica survives the pre-run, so the chunk is all None
-    # and never computes hit and coupled regions
-    def refuse(*args, **kwargs):
-        raise AssertionError("hit_and_coupled_regions called")
+def _count_runs(monkeypatch):
+    """Record (replicas, steps) of every engine run, the slab run's too."""
+    runs, run = [], dyn.batch_evolve
 
-    monkeypatch.setattr(est, "hit_and_coupled_regions", refuse)
+    def counted(model, seeds, p, T, **kwargs):
+        runs.append((len(seeds), T))
+        return run(model, seeds, p, T, **kwargs)
+
+    monkeypatch.setattr(dyn, "batch_evolve", counted)
+    monkeypatch.setattr(est, "batch_evolve", counted)
+    return runs
+
+
+def test_shape_chunk_without_survivors(monkeypatch):
+    # at p = 0 no replica survives, so the chunk is all None and its one
+    # origin run starts no slab run
+    def refuse(*args, **kwargs):
+        raise AssertionError("coupled_slab called")
+
+    monkeypatch.setattr(est, "coupled_slab", refuse)
+    runs = _count_runs(monkeypatch)
     assert est._shape_chunk(spawn_seeds(5, 0, 6), TWO_D_OP, 0.0, 10, 10,
                             (2, 3, 4, 5)) == [None] * 6
+    assert runs == [(6, 10)]
+
+
+@pytest.mark.parametrize("T_cond", [1, 10, 30])
+def test_shape_chunk_runs_the_origin_once_and_the_slab_on_survivors(
+        monkeypatch, T_cond):
+    seeds, t = spawn_seeds(5, 0, 16), 10
+    survivors = int(batch_evolve(TWO_D_OP, seeds, 0.7, T_cond).alive_at_T.sum())
+    assert 0 < survivors < len(seeds)
+    runs = _count_runs(monkeypatch)
+    est._shape_chunk(seeds, TWO_D_OP, 0.7, t, T_cond, (2, 3, 4, 5))
+    assert runs == [(len(seeds), max(t, T_cond)), (survivors, t)]
 
 
 def test_shape_chunk_conditions_on_survival_to_a_later_T_cond():
@@ -719,3 +746,58 @@ def test_shape_chunk_conditions_on_survival_to_a_later_T_cond():
     alive = batch_evolve(TWO_D_OP, seeds, 0.7, t + 20).alive_at_T
     assert later == [item if a else None for item, a in zip(at_t, alive)]
     assert any(item is not None and not a for item, a in zip(at_t, alive))
+
+
+def _shape_item(model, p, seed, t, T_cond, ns):
+    """Set-based shape chunk item: the origin growth gives survival to
+    T_cond, the row-0 hit times up to t and the support at t; a slab growth
+    from a window wider than the cone gives the slab run's row 0 at t."""
+    field, R = FieldSpec(seed=int(seed), p=p), model.R
+    levels = oracles.infected_times(model, field, [(0, 0)], max(t, T_cond))
+    if not any(levels.get(tau) for tau in range(T_cond, T_cond + R)):
+        return None
+    # the t-step cone of the origin, one site wider on each side
+    lo = -1 + t * min(0, model.spatial_min[0])
+    hi = 2 + t * max(0, model.spatial_max[0])
+    reach = t * max(abs(y[0]) for y, _ in model.split_offsets) + 5
+    slab = {x for x, s in oracles.slab_state(
+        model, field,
+        [(x, s) for s in range(R) for x in range(lo - reach, hi + reach)], t)
+        if s == 0}
+    at_t = {x for (x,) in levels.get(t, ())}
+    hit = {}
+    for step in range(t + 1):
+        for (x,) in levels.get(step, ()):
+            hit.setdefault(x, step)
+    # the longest run of sites hit by t on which both runs agree at t,
+    # the leftmost of equal ones
+    run, a = None, None
+    for x in range(lo, hi + 1):
+        if x < hi and x in hit and (x in at_t) == (x in slab):
+            a = x if a is None else a
+        elif a is not None:
+            if run is None or x - a > run[1] - run[0] + 1:
+                run = (a, x - 1)
+            a = None
+    if run is None:
+        return None
+    a, b = run
+    mus = {}
+    for d in (-1.0, 1.0):
+        pts = [(n, hit[round(n * d)]) for n in ns if round(n * d) in hit]
+        mus[(d,)] = (sum(n * tn for n, tn in pts) / sum(n * n for n, _ in pts)
+                     if len(pts) >= 3 else None)
+    support = (min(at_t), max(at_t)) if at_t else None
+    return (a / t, b / t, support, mus)
+
+
+@pytest.mark.parametrize("model, p", [(TWO_D_OP, 0.7), (ASYM3, 0.5)],
+                         ids=["2dOP", "asym3"])
+def test_shape_chunk_matches_set_growth(model, p):
+    seeds, t, ns = spawn_seeds(19, 0, 20), 12, (2, 3, 4, 5, 6)
+    items = []
+    for T_cond in (1, t, t + 10):
+        got = est._shape_chunk(seeds, model, p, t, T_cond, ns)
+        assert got == [_shape_item(model, p, s, t, T_cond, ns) for s in seeds]
+        items += got
+    assert None in items and any(item is not None for item in items)
