@@ -1,9 +1,10 @@
-/* Native kernels of gosp, loaded by gosp._openness: open_window finishes
-   open masks from spatial prefix hashes, and torus_run runs the torus
-   quotient chain of gosp.dynamics one replica at a time.  mix is the
-   splitmix64 finalizer of gosp.field._mix64 and a site is open at time t
-   iff mix(prefix ^ (u64(t) * C + G)) < threshold. */
+/* Native kernels of gosp, loaded by gosp._openness: chain_step takes one
+   step of the slab chain or its dual for a batch of replicas, and torus_run
+   runs the torus quotient chain of gosp.dynamics one replica at a time.
+   mix is the splitmix64 finalizer of gosp.field._mix64 and a site is open
+   at time t iff mix(prefix ^ (u64(t) * C + G)) < threshold. */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define MAXDIM 64
@@ -15,57 +16,221 @@ static inline uint64_t mix(uint64_t z)
     return z ^ (z >> 31);
 }
 
-/* Fused openness kernel: out[i...] = mix(prefix[i...] ^ key) < threshold,
-   the open mask at time t, key = u64(t) * C + G, of the sites whose spatial
-   prefix hashes are ``prefix``, a strided view: shape and strides (in bytes,
-   as numpy gives them) of its nd axes; ``out`` is contiguous with the same
-   shape.  Axes that are contiguous in the view are merged first, so the
-   inner loop runs over the longest span there is. */
+/* Row-major element strides s of an nd-axis box of shape n. */
+static void strides_of(int64_t nd, const int64_t *n, int64_t *s)
+{
+    s[nd - 1] = 1;
+    for (int64_t a = nd - 2; a >= 0; a--)
+        s[a] = s[a + 1] * n[a + 1];
+}
+
+/* Offset of the point x under element strides s. */
+static int64_t flat(int64_t nd, const int64_t *x, const int64_t *s)
+{
+    int64_t off = 0;
+    for (int64_t a = 0; a < nd; a++)
+        off += x[a] * s[a];
+    return off;
+}
+
+/* Offset, under element strides s, of line o of an nd-axis box of shape n:
+   the lines run along the last axis and are counted in row-major order. */
+static inline int64_t line_at(int64_t o, int64_t nd, const int64_t *n,
+                              const int64_t *s)
+{
+    int64_t off = 0;
+    for (int64_t a = nd - 2; a >= 0; a--) {
+        off += o % n[a] * s[a];
+        o /= n[a];
+    }
+    return off;
+}
+
+/* d[i] &= whether the site of prefix hash h[i] is open at the time of key,
+   and m[i] if m is given. */
+static inline void mask_span(uint8_t *restrict d, const uint64_t *restrict h,
+                             const uint8_t *restrict m, int64_t n,
+                             uint64_t key, uint64_t threshold, int all_open)
+{
+    if (all_open) {
+        if (m)
+            for (int64_t i = 0; i < n; i++)
+                d[i] &= m[i];
+    } else if (m) {
+        for (int64_t i = 0; i < n; i++)
+            d[i] &= m[i] & (mix(h[i] ^ key) < threshold);
+    } else {
+        for (int64_t i = 0; i < n; i++)
+            d[i] &= mix(h[i] ^ key) < threshold;
+    }
+}
+
+/* c[i] |= d[i]; whether any d[i] is set. */
+static inline uint8_t occupy_span(const uint8_t *restrict d,
+                                  uint8_t *restrict c, int64_t n)
+{
+    uint8_t any = 0;
+    for (int64_t i = 0; i < n; i++) {
+        c[i] |= d[i];
+        any |= d[i];
+    }
+    return any;
+}
+
+/* One step of the slab chain (dual: of its dual) for B replicas, the step
+   of gosp.dynamics.batch_evolve.  rows is the (B, R, *ext) state and out
+   the contiguous (B, R, *uni) next state over the union window uni of the
+   old window, at old_at in it, and the new row's window win, at win_at.
+   geometry holds ext, win, uni, old_at and win_at, nd values each; then
+   the element strides of rows (2 + nd) and of prefix (1 + nd), the last
+   axis of both contiguous; then the time keys (R for the dual, else 1).
+
+   The new row (row R-1; dual: row 0) is the OR of G source rows: sources
+   holds, per offset, the source row and the place of its window in win.
+   The other rows move one row away from it.  The primal new row is then
+   ANDed with the open mask of its time key over win, and with the
+   contiguous (*win) domain mask if given; the dual instead masks each
+   source row r over ext, with key r and the contiguous (R, *ext) domain
+   mask, in a scratch copy.  prefix is the (B, *win) (dual:
+   (B, *ext)) view of the prefix table; all_open (p = 1) skips the open
+   test.  alive[b] says whether replica b occupies any site, and box gets
+   the bounds lo (nd values) and hi (nd values) in uni of the cells that
+   any replica occupies in any row.  Returns 0, or -1 if out of memory.
+
+   Boxes are walked line by line along their last axis; line_at gives a
+   line's offset, so any nd works, and for nd = 1 a box is one line. */
+static inline __attribute__((always_inline)) int
+step(const uint8_t *rows, int64_t B, int64_t R, int64_t nd,
+     const int64_t *geometry, const int64_t *sources, int64_t G,
+     const uint64_t *prefix, uint64_t threshold, int all_open,
+     const uint8_t *domain, int dual, uint8_t *out, uint8_t *alive,
+     int64_t *box)
+{
+    const int64_t *ext = geometry, *win = ext + nd, *uni = win + nd;
+    const int64_t *rst = geometry + 5 * nd, *sr = rst + 2;
+    const int64_t *pst = rst + 2 + nd, *sp = pst + 1;
+    const uint64_t *keys = (const uint64_t *)(pst + 1 + nd);
+    int64_t se[MAXDIM], su[MAXDIM], E = 1, W = 1, U = 1;
+    strides_of(nd, ext, se);
+    strides_of(nd, uni, su);
+    for (int64_t a = 0; a < nd; a++) {
+        E *= ext[a];
+        W *= win[a];
+        U *= uni[a];
+    }
+    const int64_t len = ext[nd - 1], lines = E / len;
+    const int64_t wlen = win[nd - 1], wlines = W / wlen;
+    const int64_t old0 = flat(nd, uni + nd, su), win0 = flat(nd, uni + 2 * nd, su);
+    /* the per-cell occupancy, then the dual's scratch */
+    uint8_t *cells = calloc((size_t)(U + (dual ? R * E : 0)), 1);
+    if (!cells)
+        return -1;
+    uint8_t *scratch = cells + U;
+    memset(out, 0, (size_t)(B * R * U));
+    for (int64_t b = 0; b < B; b++) {
+        const uint8_t *rb = rows + b * rst[0];
+        const uint64_t *pb = prefix + b * pst[0];
+        uint8_t *ob = out + b * R * U, any = 0;
+        /* the old rows move one row away from the new one */
+        for (int64_t r = 0; r < R - 1; r++) {
+            uint8_t *d = ob + (dual ? r + 1 : r) * U + old0;
+            const uint8_t *s = rb + (dual ? r : r + 1) * rst[1];
+            for (int64_t o = 0; o < lines; o++) {
+                const int64_t at = line_at(o, nd, ext, su);
+                memcpy(d + at, s + line_at(o, nd, ext, sr), (size_t)len);
+                any |= occupy_span(d + at, cells + old0 + at, len);
+            }
+        }
+        /* the source rows: the dual's masked in scratch, the primal's as
+           they are */
+        const uint8_t *src = rb;
+        const int64_t *ss = sr;
+        int64_t rs = rst[1];
+        if (dual) {
+            for (int64_t r = 0; r < R; r++)
+                for (int64_t o = 0; o < lines; o++) {
+                    uint8_t *d = scratch + r * E + o * len;
+                    memcpy(d, rb + r * rst[1] + line_at(o, nd, ext, sr), (size_t)len);
+                    mask_span(d, pb + line_at(o, nd, ext, sp),
+                              domain ? domain + r * E + o * len : NULL, len,
+                              keys[r], threshold, all_open);
+                }
+            src = scratch;
+            ss = se;
+            rs = E;
+        }
+        /* the new row: the OR of the sources through every offset */
+        uint8_t *nb = ob + (dual ? 0 : R - 1) * U + win0;
+        for (int64_t g = 0; g < G; g++) {
+            const int64_t *sg = sources + g * (1 + nd);
+            uint8_t *d = nb + flat(nd, sg + 1, su);
+            const uint8_t *s = src + sg[0] * rs;
+            for (int64_t o = 0; o < lines; o++) {
+                uint8_t *restrict dl = d + line_at(o, nd, ext, su);
+                const uint8_t *restrict sl = s + line_at(o, nd, ext, ss);
+                for (int64_t i = 0; i < len; i++)
+                    dl[i] |= sl[i];
+            }
+        }
+        for (int64_t o = 0; o < wlines; o++) {
+            const int64_t at = line_at(o, nd, win, su);
+            if (!dual)
+                mask_span(nb + at, pb + line_at(o, nd, win, sp),
+                          domain ? domain + o * wlen : NULL, wlen, keys[0],
+                          threshold, all_open);
+            any |= occupy_span(nb + at, cells + win0 + at, wlen);
+        }
+        alive[b] = any;
+    }
+    /* the bounding box of the occupied cells, line by line of uni */
+    const int64_t ulen = uni[nd - 1];
+    for (int64_t a = 0; a < nd; a++) {
+        box[a] = uni[a];
+        box[nd + a] = 0;
+    }
+    for (int64_t o = 0; o < U / ulen; o++) {
+        const uint8_t *l = cells + o * ulen;
+        int64_t i = 0, j = ulen;
+        while (i < ulen && !l[i])
+            i++;
+        if (i == ulen)
+            continue;
+        while (!l[j - 1])
+            j--;
+        box[nd - 1] = i < box[nd - 1] ? i : box[nd - 1];
+        box[2 * nd - 1] = j > box[2 * nd - 1] ? j : box[2 * nd - 1];
+        int64_t q = o;
+        for (int64_t a = nd - 2; a >= 0; a--) {
+            const int64_t x = q % uni[a];
+            q /= uni[a];
+            box[a] = x < box[a] ? x : box[a];
+            box[nd + a] = x + 1 > box[nd + a] ? x + 1 : box[nd + a];
+        }
+    }
+    free(cells);
+    return 0;
+}
+
+/* chain_step for d = 2 and R = 1, the common case, is compiled apart
+   with nd, R and dual known, which halves its cost per replica on tiny
+   windows. */
 #if defined(__x86_64__)
 __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 #endif
-void open_window(const uint64_t *prefix, int nd, const int64_t *shape,
-                 const int64_t *strides, uint64_t key, uint64_t threshold,
-                 uint8_t *out)
+int chain_step(const uint8_t *rows, int64_t B, int64_t R, int64_t nd,
+               const int64_t *geometry, const int64_t *sources, int64_t G,
+               const uint64_t *prefix, uint64_t threshold, int all_open,
+               const uint8_t *domain, int dual, uint8_t *out, uint8_t *alive,
+               int64_t *box)
 {
-    int64_t n[MAXDIM], s[MAXDIM], idx[MAXDIM] = {0}, rows = 1;
-    int m = 0;
-    for (int a = 0; a < nd; a++) {
-        if (shape[a] == 0)
-            return;
-        if (shape[a] == 1)
-            continue;
-        const int64_t stride = strides[a] / (int64_t)sizeof(uint64_t);
-        if (m && s[m - 1] == stride * shape[a]) {
-            n[m - 1] *= shape[a];
-            s[m - 1] = stride;
-        } else {
-            n[m] = shape[a];
-            s[m++] = stride;
-        }
-    }
-    if (!m) {
-        n[0] = 1;
-        s[m++] = 1;
-    }
-    const int64_t len = n[m - 1], step = s[m - 1];
-    for (int a = 0; a < m - 1; a++)
-        rows *= n[a];
-    for (int64_t r = 0; r < rows; r++, out += len) {
-        if (step == 1)
-            for (int64_t i = 0; i < len; i++)
-                out[i] = mix(prefix[i] ^ key) < threshold;
-        else
-            for (int64_t i = 0; i < len; i++)
-                out[i] = mix(prefix[i * step] ^ key) < threshold;
-        for (int a = m - 2; a >= 0; a--) {
-            prefix += s[a];
-            if (++idx[a] < n[a])
-                break;
-            prefix -= s[a] * n[a];
-            idx[a] = 0;
-        }
-    }
+    if (nd == 1 && R == 1 && !dual)
+        return step(rows, B, 1, 1, geometry, sources, G, prefix, threshold,
+                    all_open, domain, 0, out, alive, box);
+    if (nd == 1 && R == 1)
+        return step(rows, B, 1, 1, geometry, sources, G, prefix, threshold,
+                    all_open, domain, 1, out, alive, box);
+    return step(rows, B, R, nd, geometry, sources, G, prefix, threshold,
+                all_open, domain, dual, out, alive, box);
 }
 
 /* Torus quotient chain, one replica at a time: extinction[b] is the step

@@ -1,11 +1,14 @@
-"""Open masks and torus runs from spatial prefix hashes, in native code if it builds.
+"""The native step and torus kernels, and the numpy open-mask finish.
 
-``open_mask(prefix, t, threshold)`` is open_given_hash(extend_hash(prefix,
-t), threshold): the open mask of the sites whose spatial prefix hashes are
-``prefix`` at the one time t.  The native kernel ``open_window`` computes
-it in one pass over the prefix view; the numpy path of ``gosp.field`` is
-the reference, and runs when there is no compiler, the build fails, or the
-threshold is 2**64 (p = 1).
+``chain_step`` takes one step of ``gosp.dynamics.batch_evolve``, primal or
+dual, for any d and R, in one call of the native kernel of the same name:
+the OR of the source rows through each offset, the open test finished from
+the ``BatchOpenness`` prefix table, the domain mask, the slab shift into
+the union window, which replicas are occupied, and the bounding box of the
+cells they occupy, from which ``_trim`` only slices.  Without the
+library it returns None and the caller runs its numpy step body, which is
+the reference; that body finishes the prefix hashes with ``open_mask``,
+open_given_hash(extend_hash(prefix, t), threshold) in numpy.
 
 ``torus_extinction`` runs the torus quotient chain of
 ``gosp.dynamics.torus_extinction_batch`` one replica at a time in the native
@@ -18,7 +21,8 @@ flags, and loaded with ctypes.  Its ``target_clones`` let the loader pick
 AVX-512 or AVX2 at load time, so one cached library runs on any x86-64
 machine.  Loading happens at import, so forked pool workers inherit the
 library and never compile.  ``KIND`` says which path runs for both
-kernels: "native" or "numpy".
+kernels: "native" or "numpy"; the library is not built when there is no
+compiler or the build fails.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ def _library_name() -> str:
 
 
 def _load():
-    """The library's two ctypes functions, ``open_window`` and ``torus_run``,
+    """The library's two ctypes functions, ``chain_step`` and ``torus_run``,
     built if not cached; (None, None) if it cannot be built or loaded."""
     d = _cache_dir()
     if d is None:
@@ -91,22 +95,18 @@ def _load():
         lib = ctypes.CDLL(path)
     except (OSError, subprocess.CalledProcessError):
         return None, None
-    ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
-    window, torus = lib.open_window, lib.torus_run
-    window.argtypes = [ptr, ctypes.c_int, ptr, ptr, u64, u64, ptr]
-    torus.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, u64, u64, u64,
-                      ctypes.c_int, ptr, ptr]
-    window.restype = torus.restype = None
-    return window, torus
+    ptr, i64, u64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_int
+    step, torus = lib.chain_step, lib.torus_run
+    step.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, u64, i32, ptr, i32,
+                     ptr, ptr, ptr]
+    torus.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, u64, u64, u64, i32,
+                      ptr, ptr]
+    step.restype, torus.restype = ctypes.c_int, None
+    return step, torus
 
 
-_kernel, _torus = _load()
-KIND = "numpy" if _kernel is None else "native"
-
-
-def _numpy_mask(prefix: np.ndarray, t, threshold: int) -> np.ndarray:
-    """The numpy reference of ``open_mask``."""
-    return open_given_hash(extend_hash(prefix, t), threshold)
+_step, _torus = _load()
+KIND = "numpy" if _step is None else "native"
 
 
 def open_mask(prefix: np.ndarray, t: int, threshold: int) -> np.ndarray:
@@ -114,17 +114,62 @@ def open_mask(prefix: np.ndarray, t: int, threshold: int) -> np.ndarray:
     time t iff mix(prefix[i] ^ (u64(t) * C + G)) < threshold."""
     if prefix.dtype != np.uint64:
         raise TypeError(f"prefix hashes must be uint64, not {prefix.dtype}")
-    if _kernel is None or threshold >= _TWO64:
-        return _numpy_mask(prefix, t, threshold)
-    out = np.empty(prefix.shape, dtype=bool)
-    if not out.size:
-        return out
-    nd = prefix.ndim
-    dims = (ctypes.c_int64 * (2 * nd))(*prefix.shape, *prefix.strides)
-    at = ctypes.addressof(dims)
-    _kernel(prefix.ctypes.data, nd, at, at + 8 * nd, _coord_key(t), threshold,
-            ctypes.addressof(ctypes.c_char.from_buffer(out)))
-    return out
+    return open_given_hash(extend_hash(prefix, t), threshold)
+
+
+def _address(a: np.ndarray) -> int:
+    """Address of a writable contiguous array's data, faster than
+    ``a.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+def chain_step(rows: np.ndarray, sources: np.ndarray, prefix: np.ndarray,
+               times, threshold: int, domain: np.ndarray | None, dual: bool,
+               win, uni, old_at, win_at):
+    """One ``chain_step`` of the (B, R, *ext) rows into the union window
+    ``uni``: the next rows (B, R, *uni), which replicas are occupied (B,)
+    and the bounds (lo, hi) in ``uni`` of the cells that any replica
+    occupies; None without the native library, for the caller's numpy
+    step.
+
+    The old window sits at ``old_at`` in ``uni`` and the new row's window,
+    of shape ``win``, at ``win_at``.  Row g of the contiguous (G, 1 + nd)
+    ``sources`` is a source row and the place of its window in ``win``.
+    The primal new row is masked with the open sites at ``times[0]`` of its
+    ``prefix`` window and with ``domain`` (*win); the dual masks source row
+    r with those at ``times[r]`` of the old window and with ``domain`` (R,
+    *ext).  ``domain`` must be contiguous.
+    """
+    if _step is None:
+        return None
+    B, R, *ext = rows.shape
+    nd = len(ext)
+    if prefix.dtype != np.uint64 or prefix.strides[-1] != 8:
+        raise TypeError("prefix hashes must be uint64 with a contiguous last axis")
+    masked = tuple(ext) if dual else tuple(win)
+    if prefix.shape != (B, *masked):
+        raise ValueError(f"prefix of shape {prefix.shape} for {B} replicas "
+                         f"of window {masked}")
+    dom_shape = (R, *masked) if dual else masked
+    if domain is not None and (domain.shape != dom_shape or domain.dtype != bool
+                               or not domain.flags.c_contiguous):
+        raise ValueError(f"domain must be a contiguous bool array of shape {dom_shape}")
+    if rows.dtype != bool or rows.strides[-1] != 1:
+        rows = np.ascontiguousarray(rows, dtype=bool)
+    geometry = np.array(
+        [*ext, *win, *uni, *old_at, *win_at, *rows.strides,
+         *[s // 8 for s in prefix.strides], *map(_coord_key, times)],
+        dtype=np.uint64)
+    out = np.empty((B, R) + tuple(uni), dtype=bool)
+    alive = np.empty(B, dtype=bool)
+    box = np.empty(2 * nd, dtype=np.int64)
+    all_open = threshold >= _TWO64
+    if _step(rows.ctypes.data, B, R, nd, _address(geometry), sources.ctypes.data,
+             len(sources), prefix.ctypes.data, 0 if all_open else threshold,
+             all_open, None if domain is None else domain.ctypes.data, dual,
+             _address(out), _address(alive), _address(box)):
+        raise MemoryError("chain_step could not allocate its scratch")
+    return out, alive, (box[:nd].tolist(), box[nd:].tolist())
 
 
 def torus_extinction(prefix: np.ndarray, gather: np.ndarray, R: int,

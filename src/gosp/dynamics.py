@@ -15,7 +15,14 @@ Openness comes from one ``BatchOpenness`` per batch.  By the prefix identity
 of the field, site_hash(seed, [*x, t]) = mix(site_hash(seed, x) ^ (u64(t) * C
 + G)), so the time-independent spatial prefix of each replica and site is
 hashed once into a table and every step finishes it with a single mix and
-the threshold test (``open_mask``, one native pass where the kernel builds).
+the threshold test.
+
+Each step of ``batch_evolve`` (``_batch_step``, ``_dual_batch_step``) is one
+call of the native kernel ``chain_step`` of ``gosp._openness``: the shift-OR
+through the offsets, the open and domain masks, the slab shift and the
+occupancy that ``_trim`` needs, for any d and R.  The numpy body of each
+step is the reference; it runs only without the library, finishing the
+prefix hashes with ``open_mask``.
 
 ``batch_evolve`` steps the primal and dual chains on Z^{d-1}.  The quotient
 chain on the side-n torus has a stepping loop of its own,
@@ -38,13 +45,14 @@ of interest.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from ._openness import open_mask, torus_extinction
+from ._openness import chain_step, open_mask, torus_extinction
 from .field import FieldSpec, _as_u64, site_hash, threshold_for
 from .model import NormalizedModel
 
@@ -99,6 +107,8 @@ class BatchState:
 
 
 def _window_coords(anchor, shape):
+    if len(shape) == 1:                 # np.indices costs microseconds more
+        return [np.arange(anchor[0], anchor[0] + shape[0], dtype=np.int64)]
     grids = np.indices(shape, dtype=np.int64)
     return [g + a for g, a in zip(grids, anchor)]
 
@@ -124,13 +134,11 @@ def _replica_last(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(rows.shape[0], -1).T.copy()
 
 
-def _trim(rows: np.ndarray, anchor):
-    """Shrink the spatial window to the occupied bounding box.
-
-    Returns the trimmed rows, their anchor and which replicas are occupied,
-    all from one pass that ORs the rows into per-replica and per-cell
-    occupancy.
-    """
+def _occupancy(rows: np.ndarray):
+    """Which replicas the rows occupy, and the (lo, hi) bounds of the cells
+    that any of them occupies, from one pass that ORs the rows into
+    per-replica and per-cell occupancy: the numpy counterpart of what
+    ``chain_step`` returns."""
     B, R, ext = rows.shape[0], rows.shape[1], rows.shape[2:]
     d_s = len(ext)
     if _narrow(rows):
@@ -141,14 +149,26 @@ def _trim(rows: np.ndarray, anchor):
         for r in range(1, R):
             occ = occ | rows[:, r]
         alive, cells = _any(occ, axis=tuple(range(1, occ.ndim))), _any(occ, axis=0)
-    if not alive.any():
-        sl = (slice(None), slice(None)) + (slice(0, 0),) * d_s
-        return rows[sl], anchor, alive
     lo, hi = [], []
-    for ax in range(d_s):
-        nz = np.flatnonzero(_any(cells, axis=tuple(i for i in range(d_s) if i != ax)))
-        lo.append(int(nz[0]))
-        hi.append(int(nz[-1]) + 1)
+    if alive.any():
+        for ax in range(d_s):
+            nz = np.flatnonzero(_any(cells, axis=tuple(i for i in range(d_s) if i != ax)))
+            lo.append(int(nz[0]))
+            hi.append(int(nz[-1]) + 1)
+    return alive, (lo, hi)
+
+
+def _trim(rows: np.ndarray, anchor, occupancy=None):
+    """Shrink the spatial window to the occupied bounding box.
+
+    Returns the trimmed rows, their anchor and which replicas are occupied.
+    ``occupancy`` is the (alive, (lo, hi)) pair of ``_occupancy``, which
+    ``chain_step`` also gives; given it, ``_trim`` only slices.
+    """
+    alive, (lo, hi) = _occupancy(rows) if occupancy is None else occupancy
+    if not alive.any():
+        sl = (slice(None), slice(None)) + (slice(0, 0),) * (rows.ndim - 2)
+        return rows[sl], anchor, alive
     sl = (slice(None), slice(None)) + tuple(slice(l, h) for l, h in zip(lo, hi))
     return rows[sl], tuple(a + l for a, l in zip(anchor, lo)), alive
 
@@ -255,18 +275,30 @@ class BatchOpenness:
         for i in range(0, len(s), _COVER_ROWS):
             self.table[i:i + _COVER_ROWS] = site_hash(s[i:i + _COVER_ROWS], coords)
 
-    def window(self, lo, shape, t: int) -> np.ndarray:
-        """Open mask (B, *shape) of the sites (x, t), x in [lo, lo + shape)."""
+    def prefix(self, lo, shape) -> np.ndarray:
+        """The (B, *shape) view of the prefix table over [lo, lo + shape)."""
         hi = tuple(l + e for l, e in zip(lo, shape))
         self._cover(lo, hi)
-        view = (slice(None),) + tuple(
+        return self.table[(slice(None),) + tuple(
             slice(l - b, h - b) for l, h, b in zip(lo, hi, self.lo)
-        )
-        return open_mask(self.table[view], t, self.threshold)
+        )]
+
+    def window(self, lo, shape, t: int) -> np.ndarray:
+        """Open mask (B, *shape) of the sites (x, t), x in [lo, lo + shape)."""
+        return open_mask(self.prefix(lo, shape), t, self.threshold)
 
 
 # ---------------------------------------------------------------------------
 # stepping kernels
+
+def _union(state: BatchState, lo, shape):
+    """Anchor and extent of the smallest box holding both the state's window
+    and the window [lo, lo + shape)."""
+    ext = state.rows.shape[2:]
+    ulo = tuple(min(l, a) for l, a in zip(lo, state.anchor))
+    uhi = tuple(max(l + s, a + e) for l, s, a, e in zip(lo, shape, state.anchor, ext))
+    return ulo, tuple(h - l for l, h in zip(ulo, uhi))
+
 
 def _shift_in(state: BatchState, new: np.ndarray, lo, dual: bool) -> BatchState:
     """The next state: ``new``, the (B, *shape) new row at ``lo``, becomes
@@ -274,9 +306,8 @@ def _shift_in(state: BatchState, new: np.ndarray, lo, dual: bool) -> BatchState:
     other end, and the union window of both is trimmed."""
     B, R, *ext = state.rows.shape
     shape = new.shape[1:]
-    ulo = tuple(min(l, a) for l, a in zip(lo, state.anchor))
-    uhi = tuple(max(l + s, a + e) for l, s, a, e in zip(lo, shape, state.anchor, ext))
-    rows = np.zeros((B, R) + tuple(h - l for l, h in zip(ulo, uhi)), dtype=bool)
+    ulo, uni = _union(state, lo, shape)
+    rows = np.zeros((B, R) + uni, dtype=bool)
     head, tail = slice(None, -1), slice(1, None)
     src, dst, row = (head, tail, 0) if dual else (tail, head, R - 1)
     if R > 1 and all(e > 0 for e in ext):
@@ -288,27 +319,78 @@ def _shift_in(state: BatchState, new: np.ndarray, lo, dual: bool) -> BatchState:
     return BatchState(state.t + 1, anchor, rows, live)
 
 
+@functools.cache
+def _sources(model: NormalizedModel, dual: bool) -> np.ndarray:
+    """Per offset (y, u), the row that feeds the new row through it and the
+    place of that row's window in the new row's window: row R-u at y -
+    spatial_min for the primal, row u-1 at spatial_max - y for the dual."""
+    mins, maxs = model.spatial_min, model.spatial_max
+    out = np.array([
+        (u - 1,) + tuple(mx - yi for yi, mx in zip(y, maxs)) if dual
+        else (model.R - u,) + tuple(yi - mn for yi, mn in zip(y, mins))
+        for y, u in model.split_offsets
+    ], dtype=np.int64)
+    out.flags.writeable = False         # every step of the model shares it
+    return out
+
+
+def _domain_mask(domain, lo, shape, t_abs) -> np.ndarray:
+    """The contiguous (*shape) mask of the domain at time t_abs over the
+    window [lo, lo + shape)."""
+    m = np.asarray(domain(_window_coords(lo, shape), t_abs))
+    if m.shape != shape:
+        m = np.broadcast_to(m, shape)
+    return np.ascontiguousarray(m, dtype=bool)
+
+
+def _native_step(state, model, prefix, times, threshold, domain, lo, shape,
+                 dual: bool) -> BatchState | None:
+    """The step by the native ``chain_step``, or None without the library."""
+    ulo, uni = _union(state, lo, shape)
+    got = chain_step(
+        state.rows, _sources(model, dual), prefix, times, threshold, domain,
+        dual, shape, uni, tuple(a - l for a, l in zip(state.anchor, ulo)),
+        tuple(l - u for l, u in zip(lo, ulo)),
+    )
+    if got is None:
+        return None
+    rows, alive, box = got
+    rows, anchor, live = _trim(rows, ulo, (alive, box))
+    return BatchState(state.t + 1, anchor, rows, live)
+
+
 def _batch_step(state: BatchState, model: NormalizedModel,
                 openness: BatchOpenness, domain, t0: int) -> BatchState:
-    """Primal slab-shift step; the new top row sits at absolute time t0+t+R."""
+    """Primal slab-shift step; the new top row sits at absolute time t0+t+R.
+
+    The new top row is the OR of the old rows through each offset, masked
+    with the open sites and the domain; ``chain_step`` does it all in one
+    native call, and the numpy body below is its reference."""
     R = model.R
     mins, maxs = model.spatial_min, model.spatial_max
     ext = state.rows.shape[2:]
     lo = tuple(a + mn for a, mn in zip(state.anchor, mins))
     shape = tuple(e + (mx - mn) for e, mx, mn in zip(ext, maxs, mins))
-    acc = np.zeros((state.batch,) + shape, dtype=bool)
-    if all(e > 0 for e in ext):
-        for y, u in model.split_offsets:
-            src = state.rows[:, R - u]
-            sl = tuple(
-                slice(yi - mn, yi - mn + e) for yi, mn, e in zip(y, mins, ext)
-            )
-            acc[(slice(None),) + sl] |= src
+    if not all(e > 0 for e in ext):
+        return _shift_in(state, np.zeros((state.batch,) + shape, dtype=bool),
+                         lo, dual=False)
     t_abs = t0 + state.t + R
-    if acc.any():
-        acc &= openness.window(lo, shape, t_abs)
-        if domain is not None:
-            acc &= domain(_window_coords(lo, shape), t_abs)
+    prefix = openness.prefix(lo, shape)
+    dom = None if domain is None else _domain_mask(domain, lo, shape, t_abs)
+    nxt = _native_step(state, model, prefix, [t_abs], openness.threshold, dom,
+                       lo, shape, dual=False)
+    if nxt is not None:
+        return nxt
+    acc = np.zeros((state.batch,) + shape, dtype=bool)
+    for y, u in model.split_offsets:
+        src = state.rows[:, R - u]
+        sl = tuple(
+            slice(yi - mn, yi - mn + e) for yi, mn, e in zip(y, mins, ext)
+        )
+        acc[(slice(None),) + sl] |= src
+    acc &= open_mask(prefix, t_abs, openness.threshold)
+    if dom is not None:
+        acc &= dom
     return _shift_in(state, acc, lo, dual=False)
 
 
@@ -319,28 +401,38 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
     Row r of the dual state at depth tau sits at absolute time t0 - tau + r;
     a site extends only if it is itself open (and in the domain), while newly
     inserted sites carry no openness requirement until they extend in turn.
+    ``chain_step`` does the step in one native call, and the numpy body
+    below is its reference.
     """
     R = model.R
     mins, maxs = model.spatial_min, model.spatial_max
     ext = state.rows.shape[2:]
     lo = tuple(a - mx for a, mx in zip(state.anchor, maxs))
     shape = tuple(e + (mx - mn) for e, mx, mn in zip(ext, maxs, mins))
+    if not all(e > 0 for e in ext):
+        return _shift_in(state, np.zeros((state.batch,) + shape, dtype=bool),
+                         lo, dual=True)
+    times = [t0 - state.t + r for r in range(R)]
+    prefix = openness.prefix(state.anchor, ext)
+    dom = None if domain is None else np.stack(
+        [_domain_mask(domain, state.anchor, ext, t) for t in times])
+    nxt = _native_step(state, model, prefix, times, openness.threshold, dom,
+                       lo, shape, dual=True)
+    if nxt is not None:
+        return nxt
     acc = np.zeros((state.batch,) + shape, dtype=bool)
-    if all(e > 0 for e in ext) and state.rows.any():
-        coords = _window_coords(state.anchor, ext) if domain is not None else None
-        occ_open = np.empty_like(state.rows)
-        for r in range(R):
-            t_abs = t0 - state.t + r
-            m = state.rows[:, r] & openness.window(state.anchor, ext, t_abs)
-            if domain is not None:
-                m &= domain(coords, t_abs)
-            occ_open[:, r] = m
-        for y, u in model.split_offsets:
-            src = occ_open[:, u - 1]
-            sl = tuple(
-                slice(mx - yi, mx - yi + e) for yi, mx, e in zip(y, maxs, ext)
-            )
-            acc[(slice(None),) + sl] |= src
+    occ_open = np.empty_like(state.rows)
+    for r, t_abs in enumerate(times):
+        m = state.rows[:, r] & open_mask(prefix, t_abs, openness.threshold)
+        if dom is not None:
+            m &= dom[r]
+        occ_open[:, r] = m
+    for y, u in model.split_offsets:
+        src = occ_open[:, u - 1]
+        sl = tuple(
+            slice(mx - yi, mx - yi + e) for yi, mx, e in zip(y, maxs, ext)
+        )
+        acc[(slice(None),) + sl] |= src
     return _shift_in(state, acc, lo, dual=True)
 
 
@@ -586,6 +678,20 @@ def coupled_slab(model: NormalizedModel, seeds, p, t: int, window) -> np.ndarray
 # ---------------------------------------------------------------------------
 # edge processes (d = 2)
 
+def _half_slab_cut(model: NormalizedModel, side: str, reach):
+    """Domain of a truncated half slab: the sites outside the cone of the
+    omitted sources.  ``reach(k)`` is the (lo, hi) x-range of the k-step
+    ``dependency_cone`` of the nearest omitted source, beyond which (side
+    'right': left of hi) the omitted sources occupy nothing after k steps;
+    the top row at absolute time t_abs enters at step t_abs - R + 1."""
+    def cut(coords, t_abs):
+        lo, hi = reach(t_abs - model.R + 1)
+        (x,) = coords
+        return x >= hi if side == "right" else x < lo
+
+    return cut
+
+
 def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
                     margin: float) -> np.ndarray:
     """Frontiers r_0..r_T (side 'right': max occupied x from {x <= 0}) or
@@ -598,6 +704,16 @@ def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
     (mirrored for 'left').  Every replica and step is checked as the run
     goes, and TruncationUncertified is raised at the first step where the
     check fails, an empty frontier included.
+
+    The run also drops every site inside that cone (``_half_slab_cut``).
+    A site entering at step k inside the k-step cone has all its
+    descendants inside the cone of the steps after, since each step makes
+    at most one hop; conversely every path to a site right of the t-step
+    cone stays right of the k-step cone at each step k <= t.  By additivity
+    the cut run therefore occupies exactly the truncated run's sites right
+    of the cone, so every certified frontier, and every refusal, is the
+    same with or without the cut; only the window, which would otherwise
+    keep the cone's sites, shrinks.
     """
     if model.d != 2:
         raise DimensionNot2("edge processes are defined for d = 2 only")
@@ -611,27 +727,38 @@ def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
         init = slab_window_rows(model, (0,), (trunc + 1,))
         nearest = ((trunc + 1,), (trunc + 2,))
     edges = np.empty((len(seeds), T + 1), dtype=np.int64)
+    (lo0,), (hi0,) = nearest
+    (lo1,), (hi1,) = dependency_cone(model, *nearest, 1)
+
+    def reach(k):
+        # the k-step cone of the nearest omitted source grows by as much at
+        # every step
+        return lo0 + k * (lo1 - lo0), hi0 + k * (hi1 - hi0)
 
     def frontier(t, state: BatchState):
-        occ = state.rows.any(axis=1)
-        ok = occ.any(axis=1)
-        if ok.all():
-            (reach_lo,), (reach_hi,) = dependency_cone(model, *nearest, t)
+        occ = state.rows[:, 0] if model.R == 1 else state.rows.any(axis=1)
+        ok = occ.any(axis=1) if state.live is None else state.live
+        if occ.shape[1]:
+            # a replica is certified iff it occupies a site outside the
+            # cone, which the cut leaves as it is
+            reach_lo, reach_hi = reach(t)
             if side == "right":
-                edges[:, t] = state.anchor[0] + occ.shape[1] - 1 - np.argmax(
-                    occ[:, ::-1], axis=1
-                )
-                ok = edges[:, t] >= reach_hi
+                # bytes.rfind finds each row's last occupied cell without
+                # the copy that a reversed argmax makes
+                edges[:, t] = state.anchor[0] + np.array(
+                    [row.tobytes().rfind(1) for row in occ])
+                ok = ok & (edges[:, t] >= reach_hi)
             else:
                 edges[:, t] = state.anchor[0] + np.argmax(occ, axis=1)
-                ok = edges[:, t] < reach_lo
+                ok = ok & (edges[:, t] < reach_lo)
         if not ok.all():
             raise TruncationUncertified(
                 f"{side} frontier of replica {np.argmin(ok)} at step {t} is not "
                 f"certified by the truncation at {trunc} (margin {margin})"
             )
 
-    batch_evolve(model, seeds, p, T, init=init, per_step=frontier)
+    batch_evolve(model, seeds, p, T, init=init, per_step=frontier,
+                 domain=_half_slab_cut(model, side, reach))
     return edges
 
 

@@ -76,9 +76,9 @@ def model_file(tmp_path, model) -> str:
 @contextmanager
 def numpy_path():
     """Run the numpy reference of both native kernels inside the block."""
-    saved = _openness._kernel, _openness._torus
-    _openness._kernel = _openness._torus = None
+    saved = _openness._step, _openness._torus
+    _openness._step = _openness._torus = None
     try:
         yield
     finally:
-        _openness._kernel, _openness._torus = saved
+        _openness._step, _openness._torus = saved

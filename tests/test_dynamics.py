@@ -21,7 +21,7 @@ import gosp.dynamics as dyn
 import gosp.estimators as est
 import oracles
 from conftest import (
-    ASYM3, DRIFT2, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, numpy_path,
+    ASYM3, DRIFT2, MODEL_POOL, RANGE2, SYM3, THREE_D, TWO_D_OP, numpy_path,
     snapshot_sites,
 )
 from gosp.cli import _rle_encode, _snapshot_records
@@ -390,6 +390,40 @@ def test_edge_track_refuses_too_narrow_truncation(side):
     # than the cone at p = 0.8, falls within reach of the omitted sources
     with pytest.raises(TruncationUncertified):
         _edge_track(TWO_D_OP, 0.8, side, 300, margin=-0.9)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("model", [TWO_D_OP, ASYM3, SYM3, RANGE2, DRIFT2], ids=_ids)
+def test_half_slab_cut_changes_no_frontier(monkeypatch, model, side):
+    # the run without the cut of the omitted sources' cone certifies the
+    # same frontiers, and refuses at the same replica and step when the
+    # margin is too small; the cut drops sites at most steps
+    seeds = spawn_seeds(11, 0, 6)
+    cut, dropped = dyn._half_slab_cut, []
+
+    def counting_cut(*args):
+        domain = cut(*args)
+
+        def counted(coords, t):
+            mask = domain(coords, t)
+            dropped.append(int(np.size(mask) - np.count_nonzero(mask)))
+            return mask
+
+        return counted
+
+    def edges(margin, make_cut):
+        monkeypatch.setattr(dyn, "_half_slab_cut", make_cut)
+        try:
+            return half_slab_edges(model, seeds, 0.75, side, 60, margin)
+        except TruncationUncertified as exc:
+            return str(exc)
+
+    for margin in (0.2, -0.9):
+        dropped.clear()
+        got, ref = edges(margin, counting_cut), edges(margin, lambda *args: None)
+        assert type(got) is type(ref) and np.array_equal(got, ref)
+        assert np.count_nonzero(dropped) > len(dropped) / 2
+    assert isinstance(got, str) and "is not certified" in got
 
 
 def test_edge_track_requires_d2():

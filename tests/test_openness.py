@@ -1,11 +1,14 @@
-"""The native openness kernel against the numpy reference, and its build."""
+"""The native kernels against their numpy references, and their build."""
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +16,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gosp
+import gosp.dynamics as dyn
 from gosp import _openness
-from gosp.dynamics import batch_evolve, torus_extinction_batch
-from gosp.field import site_hash, spawn_seeds, threshold_for
+from gosp.dynamics import batch_evolve, coupled_slab, torus_extinction_batch
+from gosp.field import spawn_seeds
+from gosp.geometry import BlockGeometry, TranslatedBlock, cone_mask
 
 from conftest import (
-    ASYM3, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, model_file, numpy_path,
+    ASYM3, DRIFT2, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, model_file, numpy_path,
 )
 
 SRC = str(Path(gosp.__file__).resolve().parents[1])
@@ -32,23 +37,24 @@ native = pytest.mark.skipif(_openness.KIND != "native",
 # equivalence
 
 @st.composite
-def _prefix_views(draw):
-    """A view of a (B, *box) prefix table: a sub-box with a step per axis,
-    the box at negative coordinates or not."""
-    d_s = draw(st.sampled_from([1, 2]))
-    B = draw(st.integers(1, 5))
-    seeds = np.array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=B, max_size=B)),
-                     dtype=np.uint64)
-    box = tuple(draw(st.lists(st.integers(0, 9), min_size=d_s, max_size=d_s)))
-    lo = draw(st.lists(st.integers(-50, 10), min_size=d_s, max_size=d_s))
-    coords = [g + l for g, l in zip(np.indices(box, dtype=np.int64), lo)]
-    table = site_hash(seeds.reshape((-1,) + (1,) * d_s), coords)
-    view = []
-    for n in table.shape:
-        a = draw(st.integers(0, n))
-        b = draw(st.integers(a, n))
-        view.append(slice(a, b, draw(st.integers(1, 3))))
-    return table[tuple(view)]
+def _states(draw):
+    """A state of a drawn model: B replicas of random rows, some of them
+    empty, at a negative or positive anchor, possibly as a strided view
+    like the trimmed rows a step leaves."""
+    model = draw(st.sampled_from(MODEL_POOL + [DRIFT2]))
+    d_s = model.d - 1
+    B = draw(st.integers(1, 6))
+    ext = tuple(draw(st.integers(1, 12 if d_s == 1 else 5)) for _ in range(d_s))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.random((B, model.R) + ext) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+    rows[rng.random(B) < 0.2] = False
+    if draw(st.booleans()):
+        big = np.zeros((B, model.R) + tuple(e + 3 for e in ext), dtype=bool)
+        view = (slice(None), slice(None)) + tuple(slice(1, 1 + e) for e in ext)
+        big[view] = rows
+        rows = big[view]
+    anchor = tuple(draw(st.integers(-60, 60)) for _ in range(d_s))
+    return model, dyn.BatchState(draw(st.integers(0, 5)), anchor, rows)
 
 
 _times = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-300, 300))
@@ -56,42 +62,122 @@ _times = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-300, 300))
 
 @native
 @settings(max_examples=300, deadline=None)
-@given(_prefix_views(), _times, st.sampled_from(PS))
-def test_native_mask_matches_numpy(prefix, t, p):
-    # negative coordinates and times wrap as u64; views are strided sub-boxes,
-    # possibly empty
-    got = _openness.open_mask(prefix, t, threshold_for(p))
-    ref = _openness._numpy_mask(prefix, t, threshold_for(p))
-    assert got.dtype == ref.dtype == bool
-    assert got.shape == ref.shape == prefix.shape
-    assert np.array_equal(got, ref)
+@given(_states(), _times, st.sampled_from(PS), st.booleans(), st.booleans())
+def test_native_step_matches_numpy_step(case, t0, p, dual, masked):
+    # one step of each kernel from a drawn state: negative coordinates and
+    # times wrap as u64, and the domain is a checkerboard in space and time
+    model, state = case
+    seeds = spawn_seeds(t0 & 0xFFFF, 0, state.batch)
+
+    def domain(coords, t):
+        return (sum(coords) + t % 2) % 2 == 0
+
+    kernel = dyn._dual_batch_step if dual else dyn._batch_step
+
+    def step():
+        return kernel(state, model, dyn.BatchOpenness(seeds, p),
+                      domain if masked else None, t0)
+
+    got = step()
+    with numpy_path():
+        ref = step()
+    assert got.t == ref.t and got.anchor == ref.anchor
+    assert got.rows.dtype == ref.rows.dtype == bool
+    assert np.array_equal(got.rows, ref.rows)
+    assert np.array_equal(got.live, ref.live)
+    assert np.array_equal(got.live, got.alive())
+
+
+def _domains(model):
+    """The engine's domains, as the estimators build them."""
+    d_s = model.d - 1
+    block = TranslatedBlock(BlockGeometry((6,) * d_s, 9, (Fraction(1, 2),) * d_s),
+                            (Fraction(-1),) * d_s + (Fraction(1),))
+    out = {"none": None, "block": block.mask}
+    if d_s == 1:
+        out["cone"] = partial(cone_mask, Fraction(-1, 3), Fraction(4, 5))
+    return out
 
 
 @native
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(MODEL_POOL), st.sampled_from(PS),
+    st.sampled_from(MODEL_POOL + [DRIFT2]), st.sampled_from(PS),
     st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 15),
-    st.booleans(),
+    st.booleans(), st.sampled_from(["none", "block", "cone"]),
+    st.integers(0, 15),
 )
-def test_native_runs_match_numpy_runs(model, p, master, B, T, dual):
-    # the dual queries negative times; the torus runs whole replicas in C
-    # against the numpy loop's one query per step
+@example(THREE_D, 0.5, 1, 1, 10, False, "block", 3)
+@example(RANGE2, 1.0, 2, 1, 12, True, "none", 20)
+@example(DRIFT2, 0.0, 3, 7, 5, False, "cone", 1)
+@example(RANGE2, 0.7, 4, 30, 15, True, "none", 6)
+@example(DRIFT2, 0.5, 5, 9, 12, True, "block", 4)
+def test_native_runs_match_numpy_runs(model, p, master, B, T, dual, dom, clear_at):
+    # every state an observer sees, one that clears every third replica at
+    # clear_at, snapshots, every domain kind and the coupled slab's
+    # shrinking cone; the dual queries negative times; the torus runs whole
+    # replicas in C against the numpy loop's one query per step
     seeds = spawn_seeds(master, 0, B)
+    domain = _domains(model).get(dom)
+    d_s = model.d - 1
 
     def runs():
-        res = batch_evolve(model, seeds, p, T, dual=dual, snapshot_times=[T])
+        seen = []
+
+        def observer(t, state):
+            seen.append((t, state.anchor, state.rows.copy()))
+            if t == clear_at:
+                state.rows[::3] = False
+
+        # the dual runs backwards from time T, through the domains' times
+        t0 = T if dual else 0
+        res = batch_evolve(model, seeds, p, T, t0=t0, dual=dual, domain=domain,
+                           per_step=observer, snapshot_times=[0, T // 2, T])
+        plain = batch_evolve(model, seeds, p, T, t0=t0, dual=dual, domain=domain)
+        coupled = coupled_slab(model, seeds, p, T, ((-2,) * d_s, (3,) * d_s))
         n = int(3 * model.gamma * model.R) + 3
         torus = torus_extinction_batch(model, p, seeds, n, 3 * T)
-        snap = res.snapshots[T]
-        return (res.extinction, res.alive_at_T, snap.anchor, snap.rows,
-                torus.extinction)
+        snaps = [(s.anchor, s.rows) for _, s in sorted(res.snapshots.items())]
+        return (res.extinction, plain.extinction, coupled, torus.extinction,
+                seen, snaps)
 
     got = runs()
     with numpy_path():
         ref = runs()
-    for a, b in zip(got, ref):
+    for a, b in zip(got[:4], ref[:4]):
         assert np.array_equal(a, b)
+    for seen_a, seen_b in zip(got[4:], ref[4:]):
+        assert len(seen_a) == len(seen_b)
+        for a, b in zip(seen_a, seen_b):
+            assert a[:-1] == b[:-1] and np.array_equal(a[-1], b[-1])
+
+
+@native
+@pytest.mark.parametrize("dual", [False, True])
+def test_native_steps_never_run_the_numpy_body(monkeypatch, dual):
+    # with the library loaded, every step of a run takes one chain_step
+    # call, through a domain, snapshots and an observer that clears rows
+    def numpy_body(*args):
+        raise AssertionError("a step ran its numpy body")
+
+    monkeypatch.setattr(dyn, "open_mask", numpy_body)
+    monkeypatch.setattr(dyn, "_shift_in", numpy_body)
+    calls = []
+    step = dyn.chain_step
+    monkeypatch.setattr(dyn, "chain_step", lambda *a: calls.append(1) or step(*a))
+
+    def clear(t, state):
+        if t == 5:
+            state.rows[::2] = False
+
+    for model in (TWO_D_OP, RANGE2, THREE_D):
+        calls.clear()
+        # the dual runs backwards from time 9, through the block's times
+        res = batch_evolve(model, spawn_seeds(3, 0, 40), 0.7, 20, dual=dual,
+                           t0=9 if dual else 0, domain=_domains(model)["block"],
+                           per_step=clear, snapshot_times=[10])
+        steps = int(np.where(res.extinction < 0, 20, res.extinction).max())
+        assert len(calls) == steps > 5
 
 
 def _torus_extinction(model, p, master, B, extra, T_max):
@@ -189,20 +275,18 @@ def test_failed_build_falls_back_to_numpy(tmp_path):
 _BUILD_AND_CHECK = """
 import numpy as np
 from gosp import _openness
-from gosp.dynamics import torus_extinction_batch
-from gosp.field import threshold_for
+from gosp.dynamics import batch_evolve, torus_extinction_batch
 from gosp.model import NeighborhoodSpec, validate
 assert _openness.KIND == "native" and _openness._torus is not None
-prefix = np.arange(1, 4001, dtype=np.uint64).reshape(40, 100)[::2, 3:97]
-thr = threshold_for(0.4)
-for t in range(-5, 5):
-    assert np.array_equal(_openness.open_mask(prefix, t, thr),
-                          _openness._numpy_mask(prefix, t, thr))
 model = validate(NeighborhoodSpec(d=2, offsets=((0, 1), (1, 2))))
 seeds = np.arange(30, dtype=np.uint64)
-native = torus_extinction_batch(model, 0.65, seeds, 6, 200).extinction
-_openness._torus = None
-assert np.array_equal(native, torus_extinction_batch(model, 0.65, seeds, 6, 200).extinction)
+runs = [batch_evolve(model, seeds, 0.65, 60, dual=dual).extinction
+        for dual in (False, True)]
+torus = torus_extinction_batch(model, 0.65, seeds, 6, 200).extinction
+_openness._step = _openness._torus = None
+assert all(np.array_equal(a, batch_evolve(model, seeds, 0.65, 60, dual=dual).extinction)
+           for a, dual in zip(runs, (False, True)))
+assert np.array_equal(torus, torus_extinction_batch(model, 0.65, seeds, 6, 200).extinction)
 """
 
 
@@ -256,3 +340,13 @@ def test_pool_workers_never_build(tmp_path):
         env=_env(cache), capture_output=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+def test_source_builds_without_warnings(tmp_path):
+    proc = subprocess.run(
+        ["gcc", *_openness._FLAGS, "-Wall", "-Wextra", "-Werror",
+         _openness._SOURCE, "-o", str(tmp_path / "kernels.so")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
