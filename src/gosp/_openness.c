@@ -16,6 +16,50 @@ static inline uint64_t mix(uint64_t z)
     return z ^ (z >> 31);
 }
 
+/* Prefix hashes of B replicas over an nd-axis grid of shape n, the chain of
+   gosp.field.site_hash: out[b, i_0, ..., i_{nd-1}] is heads[b] mixed with
+   keys[0][i_0], then keys[1][i_1] and so on, one mix(h ^ key) per axis,
+   where keys holds the n[0] keys of axis 0, then the n[1] keys of axis 1,
+   and so on.  Partial hashes are kept per axis, so each site costs one mix
+   and each line of the last axis about one more. */
+#if defined(__x86_64__)
+__attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+#endif
+void prefix_hash(const uint64_t *heads, int64_t B, int64_t nd,
+                 const int64_t *n, const uint64_t *keys, uint64_t *out)
+{
+    const uint64_t *k[MAXDIM];
+    uint64_t h[MAXDIM + 1];
+    int64_t at[MAXDIM], lines = 1;
+    for (int64_t a = 0; a < nd; a++) {
+        k[a] = a ? k[a - 1] + n[a - 1] : keys;
+        lines *= a < nd - 1 ? n[a] : 1;
+        if (!n[a])
+            return;
+    }
+    const int64_t len = n[nd - 1];
+    const uint64_t *restrict last = k[nd - 1];
+    for (int64_t b = 0; b < B; b++) {
+        h[0] = heads[b];
+        for (int64_t a = 0; a < nd - 1; a++) {
+            at[a] = 0;
+            h[a + 1] = mix(h[a] ^ k[a][0]);
+        }
+        for (int64_t o = 0; o < lines; o++, out += len) {
+            const uint64_t p = h[nd - 1];
+            uint64_t *restrict d = out;
+            for (int64_t i = 0; i < len; i++)
+                d[i] = mix(p ^ last[i]);
+            /* the next line: step the lowest axis that has not run out */
+            int64_t a = nd - 2;
+            while (a >= 0 && ++at[a] == n[a])
+                at[a--] = 0;
+            for (a = a < 0 ? 0 : a; a < nd - 1; a++)
+                h[a + 1] = mix(h[a] ^ k[a][at[a]]);
+        }
+    }
+}
+
 /* Row-major element strides s of an nd-axis box of shape n. */
 static void strides_of(int64_t nd, const int64_t *n, int64_t *s)
 {

@@ -1,4 +1,10 @@
-"""The native step and torus kernels, and the numpy open-mask finish.
+"""The native prefix-hash, step and torus kernels.
+
+``prefix_hash`` hashes a column of seeds over a coordinate grid, the shape
+of a ``BatchOpenness`` prefix table, in one call of the native kernel of
+the same name; ``gosp.field.site_hash`` calls it for that shape only, and
+without the library it returns None and ``site_hash`` runs its numpy
+chain, which is the reference.
 
 ``chain_step`` takes one step of ``gosp.dynamics.batch_evolve``, primal or
 dual, for any d and R, in one call of the native kernel of the same name:
@@ -7,22 +13,24 @@ the ``BatchOpenness`` prefix table, the domain mask, the slab shift into
 the union window, which replicas are occupied, and the bounding box of the
 cells they occupy, from which ``_trim`` only slices.  Without the
 library it returns None and the caller runs its numpy step body, which is
-the reference; that body finishes the prefix hashes with ``open_mask``,
-open_given_hash(extend_hash(prefix, t), threshold) in numpy.
+the reference; that body finishes the prefix hashes with
+``gosp.field.open_mask`` in numpy.
 
 ``torus_extinction`` runs the torus quotient chain of
 ``gosp.dynamics.torus_extinction_batch`` one replica at a time in the native
 kernel ``torus_run``, p = 1 included; without the library it returns None
 and the caller runs its numpy loop.
 
-Both kernels live in one C source, ``_openness.c``, compiled with gcc on
-first use into a cache directory, under a name keyed by the source and the
-flags, and loaded with ctypes.  Its ``target_clones`` let the loader pick
-AVX-512 or AVX2 at load time, so one cached library runs on any x86-64
-machine.  Loading happens at import, so forked pool workers inherit the
-library and never compile.  ``KIND`` says which path runs for both
-kernels: "native" or "numpy"; the library is not built when there is no
-compiler or the build fails.
+The kernels take hashes and coordinate keys, u64(c) * C + G, that their
+callers derive in ``gosp.field``; this module imports nothing from gosp,
+so ``gosp.field`` can import it.  All three live in one C source,
+``_openness.c``, compiled with gcc on first use into a cache directory,
+under a name keyed by the source and the flags, and loaded with ctypes.
+Its ``target_clones`` let the loader pick AVX-512 or AVX2 at load time, so
+one cached library runs on any x86-64 machine.  Loading happens at import,
+so forked pool workers inherit the library and never compile.  ``KIND``
+says which path runs for all three kernels: "native" or "numpy"; the
+library is not built when there is no compiler or the build fails.
 """
 
 from __future__ import annotations
@@ -36,8 +44,6 @@ import subprocess
 import tempfile
 
 import numpy as np
-
-from .field import _COORD_MUL, _TWO64, _coord_key, extend_hash, open_given_hash
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_openness.c")
 _FLAGS = ("-O3", "-shared", "-fPIC")
@@ -83,38 +89,35 @@ def _library_name() -> str:
 
 
 def _load():
-    """The library's two ctypes functions, ``chain_step`` and ``torus_run``,
-    built if not cached; (None, None) if it cannot be built or loaded."""
+    """The library's three ctypes functions, ``prefix_hash``, ``chain_step``
+    and ``torus_run``, built if not cached; three Nones if it cannot be
+    built or loaded."""
     d = _cache_dir()
     if d is None:
-        return None, None
+        return None, None, None
     path = os.path.join(d, _library_name())
     try:
         if not os.path.exists(path):
             _compile(path)
         lib = ctypes.CDLL(path)
     except (OSError, subprocess.CalledProcessError):
-        return None, None
+        return None, None, None
     ptr, i64, u64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_int
-    step, torus = lib.chain_step, lib.torus_run
+    hash_, step, torus = lib.prefix_hash, lib.chain_step, lib.torus_run
+    hash_.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     step.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, u64, i32, ptr, i32,
                      ptr, ptr, ptr]
     torus.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, u64, u64, u64, i32,
                       ptr, ptr]
-    step.restype, torus.restype = ctypes.c_int, None
-    return step, torus
+    hash_.restype = torus.restype = None
+    step.restype = ctypes.c_int
+    return hash_, step, torus
 
 
-_step, _torus = _load()
+_hash, _step, _torus = _load()
 KIND = "numpy" if _step is None else "native"
-
-
-def open_mask(prefix: np.ndarray, t: int, threshold: int) -> np.ndarray:
-    """Open mask of the shape of ``prefix``: site i of ``prefix`` is open at
-    time t iff mix(prefix[i] ^ (u64(t) * C + G)) < threshold."""
-    if prefix.dtype != np.uint64:
-        raise TypeError(f"prefix hashes must be uint64, not {prefix.dtype}")
-    return open_given_hash(extend_hash(prefix, t), threshold)
+# a threshold of 2**64 (p = 1) opens every site and does not fit a u64
+_ALL_OPEN = 1 << 64
 
 
 def _address(a: np.ndarray) -> int:
@@ -123,8 +126,27 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
+def prefix_hash(heads: np.ndarray, keys) -> np.ndarray | None:
+    """The (B, *shape) prefix hashes of the B ``heads`` over a grid, with
+    ``keys`` one uint64 key array per axis, of the axis's length: site i of
+    replica b is heads[b] mixed with keys[0][i_0], then with keys[1][i_1]
+    and so on, one mix(h ^ key) per axis, the chain of
+    ``gosp.field.site_hash``; None without the native library."""
+    if _hash is None:
+        return None
+    if not keys:
+        raise ValueError("a grid needs at least one axis")
+    heads = np.ascontiguousarray(heads, dtype=np.uint64)
+    shape = np.array([len(k) for k in keys], dtype=np.int64)
+    flat = np.concatenate(keys).astype(np.uint64, copy=False)
+    out = np.empty((len(heads), *shape.tolist()), dtype=np.uint64)
+    _hash(heads.ctypes.data, len(heads), len(shape), shape.ctypes.data,
+          flat.ctypes.data, out.ctypes.data)
+    return out
+
+
 def chain_step(rows: np.ndarray, sources: np.ndarray, prefix: np.ndarray,
-               times, threshold: int, domain: np.ndarray | None, dual: bool,
+               keys, threshold: int, domain: np.ndarray | None, dual: bool,
                win, uni, old_at, win_at):
     """One ``chain_step`` of the (B, R, *ext) rows into the union window
     ``uni``: the next rows (B, R, *uni), which replicas are occupied (B,)
@@ -135,10 +157,11 @@ def chain_step(rows: np.ndarray, sources: np.ndarray, prefix: np.ndarray,
     The old window sits at ``old_at`` in ``uni`` and the new row's window,
     of shape ``win``, at ``win_at``.  Row g of the contiguous (G, 1 + nd)
     ``sources`` is a source row and the place of its window in ``win``.
-    The primal new row is masked with the open sites at ``times[0]`` of its
-    ``prefix`` window and with ``domain`` (*win); the dual masks source row
-    r with those at ``times[r]`` of the old window and with ``domain`` (R,
-    *ext).  ``domain`` must be contiguous.
+    The primal new row is masked with the open sites at the time of key
+    ``keys[0]`` of its ``prefix`` window and with ``domain`` (*win); the
+    dual masks source row r with those at the time of ``keys[r]`` of the
+    old window and with ``domain`` (R, *ext).  ``domain`` must be
+    contiguous.
     """
     if _step is None:
         return None
@@ -158,12 +181,12 @@ def chain_step(rows: np.ndarray, sources: np.ndarray, prefix: np.ndarray,
         rows = np.ascontiguousarray(rows, dtype=bool)
     geometry = np.array(
         [*ext, *win, *uni, *old_at, *win_at, *rows.strides,
-         *[s // 8 for s in prefix.strides], *map(_coord_key, times)],
+         *[s // 8 for s in prefix.strides], *keys],
         dtype=np.uint64)
     out = np.empty((B, R) + tuple(uni), dtype=bool)
     alive = np.empty(B, dtype=bool)
     box = np.empty(2 * nd, dtype=np.int64)
-    all_open = threshold >= _TWO64
+    all_open = threshold >= _ALL_OPEN
     if _step(rows.ctypes.data, B, R, nd, _address(geometry), sources.ctypes.data,
              len(sources), prefix.ctypes.data, 0 if all_open else threshold,
              all_open, None if domain is None else domain.ctypes.data, dual,
@@ -173,14 +196,16 @@ def chain_step(rows: np.ndarray, sources: np.ndarray, prefix: np.ndarray,
 
 
 def torus_extinction(prefix: np.ndarray, gather: np.ndarray, R: int,
-                     T_max: int, threshold: int) -> np.ndarray | None:
+                     T_max: int, threshold: int, key0: int,
+                     key_step: int) -> np.ndarray | None:
     """Extinction steps of the torus quotient chain, one replica per row of
     the (B, N) prefix table, each run by ``torus_run`` from R full rows for
     at most T_max steps (-1 if still alive); None without the native
     library, for the caller's numpy loop.
 
     Row i of the (G, N) ``gather`` gives, for each site of the new top row,
-    its source through offset i in the flat R*N rows."""
+    its source through offset i in the flat R*N rows.  The top row of step
+    t is open at the time of key ``key0 + t * key_step`` (mod 2**64)."""
     if _torus is None:
         return None
     prefix = np.ascontiguousarray(prefix, dtype=np.uint64)
@@ -191,8 +216,8 @@ def torus_extinction(prefix: np.ndarray, gather: np.ndarray, R: int,
                          f"into the {R}*{N} flat rows")
     rows = np.empty((R + 1) * N, dtype=np.uint8)
     out = np.empty(B, dtype=np.int64)
-    all_open = threshold >= _TWO64
+    all_open = threshold >= _ALL_OPEN
     _torus(prefix.ctypes.data, B, N, gather.ctypes.data, G, R, T_max,
-           _coord_key(R), int(_COORD_MUL), 0 if all_open else threshold, all_open,
+           key0, key_step, 0 if all_open else threshold, all_open,
            rows.ctypes.data, out.ctypes.data)
     return out

@@ -81,7 +81,8 @@ _P_T_REPS = {"p": _NUM01, "T": _POSINT, "reps": _POSINT}
 # estimator -> parameter schemas ("required", "optional"; keys mirror the CLI
 # flags exactly) and further JSON-schema keywords of the whole config
 _PARAMS = {}
-# estimator -> runner(model, cfg, threads) -> (summary rows, result records)
+# estimator -> runner(model, cfg, threads) -> (summary rows, result records:
+# a list of dicts, or per-replica columns from _replicas)
 _RUNNERS = {}
 
 
@@ -161,12 +162,13 @@ def _row(cfg, name, T, e, reps=None, p=None):
 
 
 def _replicas(**columns):
-    """Records {"replica": i, key: columns[key][i], ...}; array columns are
-    turned into Python values with ``tolist``."""
-    values = [c.tolist() if isinstance(c, np.ndarray) else c
+    """Per-replica records as columns: record i is {"replica": i, key:
+    columns[key][i], ...}; array columns are turned into Python values with
+    ``tolist``."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else list(c)
               for c in columns.values()]
-    return [dict(zip(columns, row), replica=i)
-            for i, row in enumerate(zip(*values))]
+    n = min(map(len, values))
+    return {"replica": range(n), **{k: v[:n] for k, v in zip(columns, values)}}
 
 
 def _taus(taus):
@@ -210,8 +212,9 @@ def _run_simulate(model, cfg, threads):
         dual=dual, snapshot_times=snaps,
     )
     records = _replicas(tau=_taus(res.extinction))
-    for b, rec in enumerate(records if snaps else ()):
-        rec["snapshots"] = _snapshot_records(res.snapshots, b)
+    if snaps:
+        records["snapshots"] = [_snapshot_records(res.snapshots, b)
+                                for b in records["replica"]]
     e = est.Estimate.from_bernoulli(int(res.alive_at_T.sum()), cfg["reps"])
     return [_row(cfg, "simulate.dual" if dual else "simulate", cfg["T"], e)], records
 
@@ -318,13 +321,12 @@ def _run_torus(model, cfg, threads):
         model, cfg["p"], cfg["sizes"], cfg["reps"], cfg["T_max"], cfg["seed"],
         threads=threads, regime=cfg.get("regime", "auto"),
     )
-    rows, records = [], []
-    for n, s in zip(map(int, cfg["sizes"]), r.per_size):
-        rows.append(_row(cfg, f"torus[n={n}]", cfg["T_max"], s.mean_tau))
-        records += _replicas(n=[n] * len(s.taus), tau=_taus(s.taus))
+    sizes = list(zip(map(int, cfg["sizes"]), r.per_size))
+    rows = [_row(cfg, f"torus[n={n}]", cfg["T_max"], s.mean_tau) for n, s in sizes]
+    tables = [_replicas(n=[n] * len(s.taus), tau=_taus(s.taus)) for n, s in sizes]
+    records = {k: [v for t in tables for v in t[k]] for k in ("replica", "n", "tau")}
     # "index" orders the sizes; run() sorts by replica, interleaving them
-    for k, rec in enumerate(records):
-        rec["index"] = k
+    records["index"] = range(len(records["replica"]))
     return rows, records
 
 
@@ -456,6 +458,42 @@ _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                    default=_json_default)
 
 
+def _column_lines(columns: dict) -> str:
+    """The results.jsonl lines of per-replica columns, sorted by replica
+    (stably), each the ``_RECORD_ENCODER`` text of its record.
+
+    A column is encoded in one call, as a JSON array split at its commas;
+    a column with a comma in some value's text (a list, a string) is
+    encoded value by value instead.  One format string, with the keys in
+    sorted order, makes each line."""
+    order = np.argsort(columns["replica"], kind="stable")
+    if np.any(order[1:] < order[:-1]):
+        columns = {k: [v[i] for i in order] for k, v in columns.items()}
+    n, keys = len(order), sorted(columns)
+    if not n:
+        return ""
+    cells = []
+    for k in keys:
+        values = list(columns[k])
+        text = _RECORD_ENCODER.encode(values)[1:-1].split(",")
+        if len(text) != n:
+            text = [_RECORD_ENCODER.encode(v) for v in values]
+        cells.append(text)
+    line = "{" + ",".join(_RECORD_ENCODER.encode(k).replace("%", "%%") + ":%s"
+                          for k in keys) + "}\n"
+    return "".join(line % row for row in zip(*cells))
+
+
+def _jsonl(records) -> str:
+    """results.jsonl: per-replica columns (a dict) or records (a list of
+    dicts, sorted by replica, else index), one ``_RECORD_ENCODER`` line
+    each."""
+    if isinstance(records, dict):
+        return _column_lines(records)
+    records = sorted(records, key=lambda r: r.get("replica", r.get("index", 0)))
+    return "".join(_RECORD_ENCODER.encode(rec) + "\n" for rec in records)
+
+
 def _atomic_write(path: str, text: str) -> None:
     partial = path + ".partial"
     with open(partial, "w", encoding="utf-8", newline="\n") as fh:
@@ -490,10 +528,7 @@ def run(plan: dict, parallelism: int = 1, out_dir: str = ".") -> dict:
     rows, records = _RUNNERS[plan["estimator"]](model, plan, parallelism)
     wall = time.perf_counter() - t_start
 
-    records = sorted(records, key=lambda r: r.get("replica", r.get("index", 0)))
-    _atomic_write(os.path.join(out_dir, "results.jsonl"), "".join(
-        _RECORD_ENCODER.encode(rec) + "\n" for rec in records
-    ))
+    _atomic_write(os.path.join(out_dir, "results.jsonl"), _jsonl(records))
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
@@ -504,7 +539,7 @@ def run(plan: dict, parallelism: int = 1, out_dir: str = ".") -> dict:
     reps = plan.get("reps")
     timing = {"wall_s": wall, "per_replica_s": (wall / reps) if reps else None}
     _write_manifest(manifest_path, plan, timing)
-    return {"rows": rows, "records": records, "timing": timing}
+    return {"rows": rows, "timing": timing}
 
 
 # ---------------------------------------------------------------------------

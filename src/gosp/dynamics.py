@@ -52,8 +52,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._openness import chain_step, open_mask, torus_extinction
-from .field import FieldSpec, _as_u64, site_hash, threshold_for
+from ._openness import chain_step, torus_extinction
+from .field import (_COORD_MUL, FieldSpec, _as_u64, _coord_key, open_mask,
+                    site_hash, threshold_for)
 from .model import NormalizedModel
 
 
@@ -269,7 +270,11 @@ class BatchOpenness:
         self.lo, self.hi = tuple(lo), tuple(hi)
         shape = tuple(h - l for l, h in zip(lo, hi))
         s = self.seeds.reshape((-1,) + (1,) * len(shape))
-        coords = _window_coords(lo, shape)
+        # one coordinate array per axis, varying along that axis only: the
+        # grid that site_hash hashes in one native call
+        d = len(shape)
+        coords = [np.arange(l, h, dtype=np.int64).reshape((-1,) + (1,) * (d - a - 1))
+                  for a, (l, h) in enumerate(zip(lo, hi))]
         self.table = None           # free the old box before hashing the new
         self.table = np.empty((len(s),) + shape, dtype=np.uint64)
         for i in range(0, len(s), _COVER_ROWS):
@@ -348,8 +353,9 @@ def _native_step(state, model, prefix, times, threshold, domain, lo, shape,
     """The step by the native ``chain_step``, or None without the library."""
     ulo, uni = _union(state, lo, shape)
     got = chain_step(
-        state.rows, _sources(model, dual), prefix, times, threshold, domain,
-        dual, shape, uni, tuple(a - l for a, l in zip(state.anchor, ulo)),
+        state.rows, _sources(model, dual), prefix, [_coord_key(t) for t in times],
+        threshold, domain, dual, shape, uni,
+        tuple(a - l for a, l in zip(state.anchor, ulo)),
         tuple(l - u for l, u in zip(lo, ulo)),
     )
     if got is None:
@@ -799,7 +805,7 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
     openness = BatchOpenness(seeds, p)
     openness._cover((0,) * d_s, (n,) * d_s)
     native = torus_extinction(openness.table.reshape(B, N), gather, R, T_max,
-                              openness.threshold)
+                              openness.threshold, _coord_key(R), int(_COORD_MUL))
     if native is not None:
         return BatchResult(native)
     state = BatchState(0, (0,) * d_s, np.ones((B, R) + (n,) * d_s, dtype=bool))

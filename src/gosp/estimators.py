@@ -213,7 +213,7 @@ def _event_frequency(worker, args, seed: int, reps: int, chunk: int,
 # ---------------------------------------------------------------------------
 # survival curves
 
-_SURVIVAL_CHUNK = 2048
+_SURVIVAL_CHUNK = 4096
 
 
 def _survival_chunk(seeds, model, p, T, dual):

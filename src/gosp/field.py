@@ -17,6 +17,11 @@ across machines.  Chaining gives the prefix identity
 (mix = ``_mix64``, C = ``_COORD_MUL``, G = ``_GOLDEN``, arithmetic mod 2^64),
 so a hash over the spatial coordinates, which does not depend on time, can be
 computed once and finished for each time by ``extend_hash`` with one mix.
+
+``site_hash`` runs in numpy, the reference, except for a column of seeds
+over a grid of coordinates, the shape of a ``BatchOpenness`` prefix table,
+which the native kernel ``prefix_hash`` of ``gosp._openness`` hashes in
+one call when its library is loaded.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from . import _openness
 
 MIXER_ID = "splitmix64-chain-v1"
 
@@ -71,6 +78,14 @@ def extend_hash(prefix: np.ndarray, c: int) -> np.ndarray:
     return out
 
 
+def open_mask(prefix: np.ndarray, t: int, threshold: int) -> np.ndarray:
+    """Open mask of the shape of ``prefix``: site i of ``prefix`` is open at
+    time t iff mix(prefix[i] ^ (u64(t) * C + G)) < threshold."""
+    if prefix.dtype != np.uint64:
+        raise TypeError(f"prefix hashes must be uint64, not {prefix.dtype}")
+    return open_given_hash(extend_hash(prefix, t), threshold)
+
+
 def _as_u64(values) -> np.ndarray:
     if isinstance(values, np.ndarray):
         if values.dtype == np.uint64:
@@ -95,12 +110,32 @@ def site_hash(seed, coords, stream: int = 0) -> np.ndarray:
     other); ``seed`` may itself be an array for batched runs with distinct
     seeds.  ``stream`` selects an independent substream (used for the
     sprinkle field).
+
+    A (B, 1, ..., 1) column of seeds over a grid, coordinate array a of
+    shape (n_a, 1, ..., 1) spanning axis a of the d grid axes (the last d
+    axes of the result), is hashed by the native ``prefix_hash`` when the
+    library is loaded; every other call, and that one without the library,
+    runs the numpy chain, which gives the same bits.
     """
     with np.errstate(over="ignore"):
         h = _mix64(_as_u64(seed) + _GOLDEN * np.uint64((stream + 1) & _MASK64))
-        for c in coords:
-            h = _mix64(h ^ (_as_u64(c) * _COORD_MUL + _GOLDEN))
+        keys = (_as_u64(c) * _COORD_MUL + _GOLDEN for c in coords)
+        if _openness._hash is not None and _is_grid(h, coords):
+            return _openness.prefix_hash(h.ravel(), [k.ravel() for k in keys])
+        for k in keys:
+            h = _mix64(h ^ k)
     return h
+
+
+def _is_grid(heads: np.ndarray, coords) -> bool:
+    """Whether ``heads`` is a (B, 1, ..., 1) column with one axis per
+    coordinate array, and coordinate array a an integer array of shape
+    (n_a, 1, ..., 1) that spans axis a of the grid."""
+    d = len(coords)
+    return d > 0 and heads.shape[1:] == (1,) * d and all(
+        isinstance(c, np.ndarray) and c.dtype.kind in "iu"
+        and c.shape == (c.size,) + (1,) * (d - a - 1)
+        for a, c in enumerate(coords))
 
 
 def threshold_for(p: float) -> int:

@@ -75,10 +75,11 @@ def model_file(tmp_path, model) -> str:
 
 @contextmanager
 def numpy_path():
-    """Run the numpy reference of both native kernels inside the block."""
-    saved = _openness._step, _openness._torus
-    _openness._step = _openness._torus = None
+    """Run the numpy reference of all three native kernels inside the
+    block."""
+    saved = _openness._hash, _openness._step, _openness._torus
+    _openness._hash = _openness._step = _openness._torus = None
     try:
         yield
     finally:
-        _openness._step, _openness._torus = saved
+        _openness._hash, _openness._step, _openness._torus = saved

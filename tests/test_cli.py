@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gosp.cli as cli
 from conftest import TWO_D_OP, model_file
 from gosp import estimators as est
 from gosp.cli import (
@@ -226,6 +229,49 @@ def test_density_a_values_exits_1_before_manifest(tmp_path, model_path, form):
         argv = ["density", "--config", str(cfg)]
     assert main(argv + ["--out", str(out)]) == 1
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# results.jsonl written by column
+
+def _record_lines(columns) -> str:
+    """The per-record writer: one dict per replica, sorted by replica
+    (stably), one ``_RECORD_ENCODER`` line each."""
+    records = [{k: v[i] for k, v in columns.items()}
+               for i in range(len(columns["replica"]))]
+    records.sort(key=lambda r: r["replica"])
+    return "".join(cli._RECORD_ENCODER.encode(r) + "\n" for r in records)
+
+
+_VALUES = st.one_of(
+    st.integers(-2**70, 2**70), st.none(), st.booleans(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]),
+    st.text(st.sampled_from(',"\\ :%a\u00e9\u20ac\U0001f600\n')),
+    st.lists(st.integers(-9, 9), max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=3), st.data())
+def test_column_writer_matches_record_lines(sizes, data):
+    # the replica column runs 0..c-1 once per size c, as torus records do
+    # before run() sorts them; one size is every other estimator's column
+    replica = [i for c in sizes for i in range(c)]
+    columns = {"replica": replica}
+    for key in data.draw(st.sets(st.sampled_from(["tau", "index", "u,lo", "p%"]),
+                                 max_size=3)):
+        columns[key] = data.draw(st.lists(_VALUES, min_size=len(replica),
+                                          max_size=len(replica)))
+    assert cli._jsonl(columns) == _record_lines(columns)
+
+
+def test_torus_columns_match_record_lines(model_path):
+    # two sizes, whose rows run() interleaves by replica
+    plan = validate_plan({"estimator": "torus", "model": model_path, "seed": 8,
+                          "p": 0.5, "sizes": [6, 8], "reps": 30, "T_max": 100})
+    _, columns = cli._RUNNERS["torus"](cli.load_model(model_path), plan, 1)
+    assert columns["replica"][:31] == list(range(30)) + [0]
+    assert cli._jsonl(columns) == _record_lines(columns)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ from gosp.estimators import (
     survival_curve,
     torus_stats,
 )
-from gosp.field import FieldSpec, spawn_seeds
-from gosp.geometry import BlockGeometry
+from gosp.field import FieldSpec, spawn_seed, spawn_seeds
+from gosp.geometry import BlockGeometry, TranslatedBlock
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,29 @@ def test_critical_point_refuses_an_empty_horizon(monkeypatch, T, L_stop):
     monkeypatch.setattr(est, "_event_frequency", no_sweep)
     with pytest.raises(EstimatorError, match="at least 1"):
         critical_point(TWO_D_OP, T, L_stop, 50, 0.1, seed=1)
+
+
+def _pc_event(model, p, seed, T, L_stop):
+    """Set-based pc event: the origin's slab state at some step t <= T
+    holds a site at sup-norm distance >= L_stop, or the state at T is
+    non-empty."""
+    levels = oracles.infected_times(model, FieldSpec(seed=int(seed), p=p),
+                                    [(0,) * model.d], T)
+    states = [{x for s in range(model.R) for x in levels.get(t + s, ())}
+              for t in range(T + 1)]
+    far = any(max(map(abs, x)) >= L_stop for state in states for x in state)
+    return far or bool(states[T])
+
+
+@pytest.mark.parametrize("model, p", [(TWO_D_OP, 0.6), (ASYM3, 0.45)],
+                         ids=["2dOP", "asym3"])
+def test_event_chunk_matches_set_growth(model, p):
+    seeds, T, L_stop = spawn_seeds(23, 0, 20), 30, 8
+    got = est._event_chunk(seeds, model, p, T, L_stop).tolist()
+    assert got == [_pc_event(model, p, s, T, L_stop) for s in seeds]
+    # some replicas have the event only by distance, dead before T
+    alive = batch_evolve(model, seeds, p, T).alive_at_T.tolist()
+    assert 0 < sum(got) < len(got) and sum(got) > sum(alive)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +328,20 @@ def test_density_trivial():
         density_spectrum(TWO_D_OP, 0.5, 4, 5, 5, seed=9)
 
 
+@pytest.mark.parametrize("model, p", [(TWO_D_OP, 0.65), (ASYM3, 0.5)],
+                         ids=["2dOP", "asym3"])
+def test_density_chunk_matches_set_growth(model, p):
+    # Y_n of a replica: the fraction of the start sites (x, s), x in
+    # [-n, n), whose dual alone survives to depth T_inf
+    seeds, n, T_inf = spawn_seeds(29, 0, 6), 3, 15
+    survives = [[bool(oracles.dual_slab_state(model, FieldSpec(seed=int(si), p=p),
+                                              [(x, s)], T_inf))
+                 for s in range(model.R) for x in range(-n, n)] for si in seeds]
+    got = est._density_chunk(seeds, model, p, n, T_inf).tolist()
+    assert got == [sum(f) / len(f) for f in survives]
+    assert 0 < sum(map(sum, survives)) < sum(map(len, survives))
+
+
 # ---------------------------------------------------------------------------
 # crossing and block events
 
@@ -313,6 +350,30 @@ def test_crossing_trivial():
     assert c1.estimate.mean == 1.0
     c0 = crossing_probability(TWO_D_OP, 0.0, 20, 0.2, 0, 10, seed=10)
     assert c0.estimate.mean == 0.0
+
+
+@pytest.mark.parametrize("model, p, slope, shift", [
+    (TWO_D_OP, 0.65, Fraction(1, 2), Fraction(0)),
+    (ASYM3, 0.45, Fraction(0), Fraction(-1, 2)),
+], ids=["2dOP", "asym3"])
+def test_crossing_chunk_matches_set_growth(model, p, slope, shift):
+    # growth from the half slab x <= 0, far wider than the chunk's
+    # truncation, inside the shifted box, alive at the top chain row
+    L, w = 20, 4
+    block = TranslatedBlock(BlockGeometry((w,), L + model.R, (slope,)),
+                            (shift, Fraction(0)))
+    inside = partial(oracles.translated_block_contains, block)
+    starts = [(x, s) for s in range(model.R) for x in range(-8 * L, 1)]
+    box = est._tilted_box(model, w, L + model.R, slope, shift, half=True)
+    seeds = spawn_seeds(31, 0, 20)
+    got = est._crossing_chunk(seeds, model, p, L, box).tolist()
+    want = []
+    for si in seeds:
+        levels = oracles.infected_times(model, FieldSpec(seed=int(si), p=p),
+                                        starts, L, domain=inside)
+        want.append(any(levels.get(tau) for tau in range(L, L + model.R)))
+    assert got == want
+    assert 0 < sum(got) < len(got)
 
 
 def test_bg_event_trivial():
@@ -386,6 +447,27 @@ def test_meet_trivial():
     m0 = primal_dual_meet(TWO_D_OP, 0.0, 10, 8, (Fraction(1, 2),), seed=4)
     assert m0.both_alive == 0
     assert m0.failure.mean == 0.0
+
+
+@pytest.mark.parametrize("model, p, z", [(TWO_D_OP, 0.7, (6,)), (ASYM3, 0.6, (-4,))],
+                         ids=["2dOP", "asym3"])
+def test_meet_chunk_matches_set_growth(model, p, z):
+    # the primal from the origin on the seed's substream 0 and the dual from
+    # z at time 2t on substream 1, both at time t: (both alive, both alive
+    # with disjoint states)
+    seeds, t = spawn_seeds(37, 0, 24), 12
+    want = []
+    for si in seeds:
+        primal = oracles.slab_state(
+            model, FieldSpec(seed=spawn_seed(int(si), 0), p=p), [(0,) * model.d], t)
+        dual = oracles.dual_slab_state(
+            model, FieldSpec(seed=spawn_seed(int(si), 1), p=p), [z + (0,)], t,
+            t0=2 * t)
+        both = bool(primal) and bool(dual)
+        want.append((both, both and not (primal & dual)))
+    got = est._meet_chunk(seeds, model, p, t, z)
+    assert got == want
+    assert set(got) == {(False, False), (True, False), (True, True)}
 
 
 def test_meet_rejects_bad_vhat():

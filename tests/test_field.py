@@ -1,10 +1,14 @@
 """Counter-mode hash field: purity, coupling, uniformity, sprinkling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from conftest import numpy_path
+from gosp import _openness
 from gosp.field import (
     FieldSpec,
     FieldError,
@@ -126,3 +130,37 @@ def test_extend_hash_is_the_prefix_identity(seed, base, xs, c, stream):
     prefix = site_hash(seed, coords, stream=stream)
     full = site_hash(seed, coords + [np.int64(c)], stream=stream)
     assert (extend_hash(prefix, c) == full).all()
+
+
+def _grid_coords(axes):
+    """One int64 coordinate array per (start, length) axis, varying along
+    its own axis of the grid only, as ``BatchOpenness`` asks for them."""
+    d = len(axes)
+    return [np.arange(lo, lo + n, dtype=np.int64).reshape((-1,) + (1,) * (d - a - 1))
+            for a, (lo, n) in enumerate(axes)]
+
+
+_STARTS = st.one_of(st.integers(-50, 50), st.integers(-2**63, -2**63 + 8),
+                    st.integers(2**63 - 16, 2**63 - 9))
+
+
+@pytest.mark.skipif(_openness.KIND != "native", reason="native library not loaded")
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=5), st.integers(0, 2),
+       st.lists(st.tuples(_STARTS, st.integers(0, 7)), min_size=1, max_size=3))
+# no replica; an empty grid axis; coordinates at both ends of int64 and
+# seeds above 2**63
+@example([], 0, [(0, 3), (1, 2)])
+@example([1, 2], 1, [(0, 3), (5, 0), (1, 2)])
+@example([2**64 - 1, 2**63], 2, [(-2**63, 3), (2**63 - 4, 3)])
+def test_native_site_hash_matches_numpy(seeds, stream, axes):
+    column = np.array(seeds, dtype=np.uint64).reshape((-1,) + (1,) * len(axes))
+    coords = _grid_coords(axes)
+    with mock.patch.object(_openness, "prefix_hash", wraps=_openness.prefix_hash) as native:
+        got = site_hash(column, coords, stream=stream)
+    assert native.call_count == 1
+    with numpy_path():
+        want = site_hash(column, coords, stream=stream)
+    assert got.dtype == want.dtype == np.uint64
+    assert got.shape == want.shape == (len(seeds),) + tuple(n for _, n in axes)
+    assert np.array_equal(got, want)

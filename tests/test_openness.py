@@ -217,7 +217,7 @@ def test_torus_kernel_refuses_gather_outside_the_rows():
     prefix = np.zeros((2, 4), dtype=np.uint64)
     for gather in ([[0, 1, 2, 4]], [[-1, 0, 1, 2]], [[0, 1, 2]], np.zeros((0, 4))):
         with pytest.raises(ValueError, match="gather must be"):
-            _openness.torus_extinction(prefix, np.array(gather), 1, 10, 0)
+            _openness.torus_extinction(prefix, np.array(gather), 1, 10, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +276,18 @@ _BUILD_AND_CHECK = """
 import numpy as np
 from gosp import _openness
 from gosp.dynamics import batch_evolve, torus_extinction_batch
+from gosp.field import site_hash
 from gosp.model import NeighborhoodSpec, validate
-assert _openness.KIND == "native" and _openness._torus is not None
+assert _openness.KIND == "native" and None not in (_openness._hash, _openness._torus)
 model = validate(NeighborhoodSpec(d=2, offsets=((0, 1), (1, 2))))
 seeds = np.arange(30, dtype=np.uint64)
+grid = (seeds.reshape(-1, 1, 1), [np.arange(-3, 4).reshape(-1, 1), np.arange(5)])
+hashes = site_hash(*grid)
 runs = [batch_evolve(model, seeds, 0.65, 60, dual=dual).extinction
         for dual in (False, True)]
 torus = torus_extinction_batch(model, 0.65, seeds, 6, 200).extinction
-_openness._step = _openness._torus = None
+_openness._hash = _openness._step = _openness._torus = None
+assert np.array_equal(hashes, site_hash(*grid))
 assert all(np.array_equal(a, batch_evolve(model, seeds, 0.65, 60, dual=dual).extinction)
            for a, dual in zip(runs, (False, True)))
 assert np.array_equal(torus, torus_extinction_batch(model, 0.65, seeds, 6, 200).extinction)
