@@ -11,10 +11,14 @@ dual, for any d and R, in one call of the native kernel of the same name:
 the OR of the source rows through each offset, the open test finished from
 the ``BatchOpenness`` prefix table, the domain mask, the slab shift into
 the union window, which replicas are occupied, and the bounding box of the
-cells they occupy, from which ``_trim`` only slices.  Without the
-library it returns None and the caller runs its numpy step body, which is
-the reference; that body finishes the prefix hashes with
-``gosp.field.open_mask`` in numpy.
+cells they occupy, from which ``_trim`` only slices.  In a compacting run
+it also drops the dead replicas in the same call: the survivors' rows fill
+the first slots of the output, their prefix-table rows, seeds and original
+indices move down in place, and each replica that died gets its
+extinction step.  Without the library it returns None and the caller runs
+its numpy step body, which is the reference; that body finishes the
+prefix hashes with ``gosp.field.open_mask`` in numpy and compacts in
+numpy.
 
 ``torus_extinction`` runs the torus quotient chain of
 ``gosp.dynamics.torus_extinction_batch`` one replica at a time in the native
@@ -88,6 +92,14 @@ def _library_name() -> str:
     return f"gosp-openness-{hashlib.sha256(key).hexdigest()[:16]}.so"
 
 
+class _Drop(ctypes.Structure):
+    """The C ``struct drop`` of a compacting ``chain_step``."""
+
+    _fields_ = [("t", ctypes.c_int64), ("cells", ctypes.c_int64),
+                ("table", ctypes.c_void_p), ("seeds", ctypes.c_void_p),
+                ("index", ctypes.c_void_p), ("extinction", ctypes.c_void_p)]
+
+
 def _load():
     """The library's three ctypes functions, ``prefix_hash``, ``chain_step``
     and ``torus_run``, built if not cached; three Nones if it cannot be
@@ -106,11 +118,11 @@ def _load():
     hash_, step, torus = lib.prefix_hash, lib.chain_step, lib.torus_run
     hash_.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     step.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, u64, i32, ptr, i32,
-                     ptr, ptr, ptr]
+                     ptr, ptr, ptr, ctypes.POINTER(_Drop)]
     torus.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, u64, u64, u64, i32,
                       ptr, ptr]
     hash_.restype = torus.restype = None
-    step.restype = ctypes.c_int
+    step.restype = i64
     return hash_, step, torus
 
 
@@ -147,12 +159,21 @@ def prefix_hash(heads: np.ndarray, keys) -> np.ndarray | None:
 
 def chain_step(rows: np.ndarray, sources: np.ndarray, prefix: np.ndarray,
                keys, threshold: int, domain: np.ndarray | None, dual: bool,
-               win, uni, old_at, win_at):
+               win, uni, old_at, win_at, drop=None):
     """One ``chain_step`` of the (B, R, *ext) rows into the union window
     ``uni``: the next rows (B, R, *uni), which replicas are occupied (B,)
     and the bounds (lo, hi) in ``uni`` of the cells that any replica
     occupies; None without the native library, for the caller's numpy
     step.
+
+    ``drop``, the (t, table, seeds, index, extinction) of a compacting run,
+    drops the replicas that die: the next rows and the occupied flags are
+    then those of the n survivors, all occupied, in replica order.  Their
+    rows of the contiguous (B, ...) prefix ``table``, of which ``prefix``
+    is a view, and of the (B,) ``seeds`` and original ``index`` move down
+    to rows 0..n-1 in place, and each replica that died gets
+    ``extinction[index] = t`` unless it already has one.  ``index`` must
+    hold distinct indices into ``extinction``.
 
     The old window sits at ``old_at`` in ``uni`` and the new row's window,
     of shape ``win``, at ``win_at``.  Row g of the contiguous (G, 1 + nd)
@@ -183,15 +204,27 @@ def chain_step(rows: np.ndarray, sources: np.ndarray, prefix: np.ndarray,
         [*ext, *win, *uni, *old_at, *win_at, *rows.strides,
          *[s // 8 for s in prefix.strides], *keys],
         dtype=np.uint64)
+    if drop is not None:
+        t, *arrays = drop
+        table, seeds, index, extinction = arrays
+        if ([a.dtype for a in arrays] != [np.uint64, np.uint64, np.int64, np.int64]
+                or not len(table) == len(seeds) == len(index) == B
+                or not all(a.flags.c_contiguous for a in arrays)):
+            raise ValueError(f"a compacting step needs the contiguous table, seeds "
+                             f"and index of its {B} replicas and the extinction array")
+        drop = _Drop(t, table[0].size, *map(_address, arrays))
     out = np.empty((B, R) + tuple(uni), dtype=bool)
     alive = np.empty(B, dtype=bool)
     box = np.empty(2 * nd, dtype=np.int64)
     all_open = threshold >= _ALL_OPEN
-    if _step(rows.ctypes.data, B, R, nd, _address(geometry), sources.ctypes.data,
-             len(sources), prefix.ctypes.data, 0 if all_open else threshold,
-             all_open, None if domain is None else domain.ctypes.data, dual,
-             _address(out), _address(alive), _address(box)):
+    n = _step(rows.ctypes.data, B, R, nd, _address(geometry), sources.ctypes.data,
+              len(sources), prefix.ctypes.data, 0 if all_open else threshold,
+              all_open, None if domain is None else domain.ctypes.data, dual,
+              _address(out), _address(alive), _address(box), drop)
+    if n < 0:
         raise MemoryError("chain_step could not allocate its scratch")
+    if drop is not None:
+        out, alive = out[:n], alive[:n]
     return out, alive, (box[:nd].tolist(), box[nd:].tolist())
 
 

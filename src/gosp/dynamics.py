@@ -20,9 +20,10 @@ the threshold test.
 Each step of ``batch_evolve`` (``_batch_step``, ``_dual_batch_step``) is one
 call of the native kernel ``chain_step`` of ``gosp._openness``: the shift-OR
 through the offsets, the open and domain masks, the slab shift and the
-occupancy that ``_trim`` needs, for any d and R.  The numpy body of each
-step is the reference; it runs only without the library, finishing the
-prefix hashes with ``open_mask``.
+occupancy that ``_trim`` needs, for any d and R, and in a compacting run
+the dropping of the replicas that died.  The numpy body of each step is the
+reference; it runs only without the library, finishing the prefix hashes
+with ``open_mask`` and dropping the dead replicas in numpy.
 
 ``batch_evolve`` steps the primal and dual chains on Z^{d-1}.  The quotient
 chain on the side-n torus has a stepping loop of its own,
@@ -44,7 +45,6 @@ of interest.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -94,8 +94,14 @@ class BatchState:
     anchor: tuple[int, ...]
     rows: np.ndarray
     # which replicas were occupied when a step kernel made ``rows``; None
-    # if unknown, and stale once the rows are changed in place
+    # if unknown, and stale once the rows are changed in place.  In a
+    # compacting run the step dropped the others, so every row is live
     live: np.ndarray | None = None
+    # in a compacting run (and the numpy torus loop) only: the original
+    # replica index of each row, and the whole batch's extinction steps,
+    # which a step writes for the replicas it drops
+    index: np.ndarray | None = None
+    extinction: np.ndarray | None = None
 
     @property
     def batch(self) -> int:
@@ -234,18 +240,22 @@ class BatchOpenness:
     """
 
     def __init__(self, seeds, p, cone=None):
-        self.seeds = _as_u64(seeds)
+        # a copy, since compaction moves the seeds in place (_as_u64 may
+        # return the caller's array)
+        self.seeds = _as_u64(seeds).copy()
         self.threshold = threshold_for(p)
         self.cone = cone
         self.lo = self.hi = self.table = None
 
-    def take(self, keep) -> "BatchOpenness":
-        """The openness of the rows ``keep`` (row-sliced table, same box)."""
-        out = copy.copy(self)
-        out.seeds = self.seeds[keep]
+    def keep(self, kept) -> None:
+        """Keep only the rows ``kept``, an increasing index array, moved down
+        in place (same box): what a compacting ``chain_step`` does in C."""
+        n = len(kept)
+        self.seeds[:n] = self.seeds[kept]
+        self.seeds = self.seeds[:n]
         if self.table is not None:
-            out.table = self.table[keep]
-        return out
+            self.table[:n] = self.table[kept]
+            self.table = self.table[:n]
 
     def _cover(self, lo, hi) -> None:
         """Grow the box, and rebuild the table, to contain [lo, hi)."""
@@ -305,10 +315,12 @@ def _union(state: BatchState, lo, shape):
     return ulo, tuple(h - l for l, h in zip(ulo, uhi))
 
 
-def _shift_in(state: BatchState, new: np.ndarray, lo, dual: bool) -> BatchState:
+def _shift_in(state: BatchState, new: np.ndarray, lo, openness: BatchOpenness,
+              dual: bool) -> BatchState:
     """The next state: ``new``, the (B, *shape) new row at ``lo``, becomes
     the top row (row 0 for the dual), the old rows move one row towards the
-    other end, and the union window of both is trimmed."""
+    other end, and the union window of both is trimmed; a compacting run
+    then drops its dead replicas (``_drop_dead``)."""
     B, R, *ext = state.rows.shape
     shape = new.shape[1:]
     ulo, uni = _union(state, lo, shape)
@@ -321,7 +333,28 @@ def _shift_in(state: BatchState, new: np.ndarray, lo, dual: bool) -> BatchState:
     sl = tuple(slice(l_ - l, l_ - l + s) for l_, l, s in zip(lo, ulo, shape))
     rows[(slice(None), row) + sl] = new
     rows, anchor, live = _trim(rows, ulo)
-    return BatchState(state.t + 1, anchor, rows, live)
+    if state.index is None:
+        return BatchState(state.t + 1, anchor, rows, live)
+    return _drop_dead(state, rows, anchor, live, openness)
+
+
+def _drop_dead(state: BatchState, rows, anchor, live,
+               openness: BatchOpenness) -> BatchState:
+    """The next state of a compacting run from the next rows of all of its
+    replicas: only the replicas ``live``, whose table rows, seeds and
+    indices move down in place, with extinction written for the others
+    unless they have one; the numpy reference of what ``chain_step`` does
+    with ``drop``."""
+    index, extinction = state.index, state.extinction
+    if live.all():
+        return BatchState(state.t + 1, anchor, rows, live, index, extinction)
+    keep = np.flatnonzero(live)
+    dead = index[~live]
+    extinction[dead[extinction[dead] < 0]] = state.t + 1
+    index[:len(keep)] = index[keep]
+    openness.keep(keep)
+    return BatchState(state.t + 1, anchor, rows[keep], live[keep],
+                      index[:len(keep)], extinction)
 
 
 @functools.cache
@@ -348,21 +381,29 @@ def _domain_mask(domain, lo, shape, t_abs) -> np.ndarray:
     return np.ascontiguousarray(m, dtype=bool)
 
 
-def _native_step(state, model, prefix, times, threshold, domain, lo, shape,
+def _native_step(state, model, openness, prefix, times, domain, lo, shape,
                  dual: bool) -> BatchState | None:
-    """The step by the native ``chain_step``, or None without the library."""
+    """The step by the native ``chain_step``, or None without the library;
+    in a compacting run it drops the dead replicas in the same call."""
     ulo, uni = _union(state, lo, shape)
+    drop = None if state.index is None else (
+        state.t + 1, openness.table, openness.seeds, state.index, state.extinction)
     got = chain_step(
         state.rows, _sources(model, dual), prefix, [_coord_key(t) for t in times],
-        threshold, domain, dual, shape, uni,
+        openness.threshold, domain, dual, shape, uni,
         tuple(a - l for a, l in zip(state.anchor, ulo)),
-        tuple(l - u for l, u in zip(lo, ulo)),
+        tuple(l - u for l, u in zip(lo, ulo)), drop,
     )
     if got is None:
         return None
     rows, alive, box = got
     rows, anchor, live = _trim(rows, ulo, (alive, box))
-    return BatchState(state.t + 1, anchor, rows, live)
+    if drop is None:
+        return BatchState(state.t + 1, anchor, rows, live)
+    n = len(rows)                       # the kernel moved the survivors down
+    openness.seeds, openness.table = openness.seeds[:n], openness.table[:n]
+    return BatchState(state.t + 1, anchor, rows, live, state.index[:n],
+                      state.extinction)
 
 
 def _batch_step(state: BatchState, model: NormalizedModel,
@@ -379,12 +420,12 @@ def _batch_step(state: BatchState, model: NormalizedModel,
     shape = tuple(e + (mx - mn) for e, mx, mn in zip(ext, maxs, mins))
     if not all(e > 0 for e in ext):
         return _shift_in(state, np.zeros((state.batch,) + shape, dtype=bool),
-                         lo, dual=False)
+                         lo, openness, dual=False)
     t_abs = t0 + state.t + R
     prefix = openness.prefix(lo, shape)
     dom = None if domain is None else _domain_mask(domain, lo, shape, t_abs)
-    nxt = _native_step(state, model, prefix, [t_abs], openness.threshold, dom,
-                       lo, shape, dual=False)
+    nxt = _native_step(state, model, openness, prefix, [t_abs], dom, lo, shape,
+                       dual=False)
     if nxt is not None:
         return nxt
     acc = np.zeros((state.batch,) + shape, dtype=bool)
@@ -397,7 +438,7 @@ def _batch_step(state: BatchState, model: NormalizedModel,
     acc &= open_mask(prefix, t_abs, openness.threshold)
     if dom is not None:
         acc &= dom
-    return _shift_in(state, acc, lo, dual=False)
+    return _shift_in(state, acc, lo, openness, dual=False)
 
 
 def _dual_batch_step(state: BatchState, model: NormalizedModel,
@@ -417,13 +458,13 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
     shape = tuple(e + (mx - mn) for e, mx, mn in zip(ext, maxs, mins))
     if not all(e > 0 for e in ext):
         return _shift_in(state, np.zeros((state.batch,) + shape, dtype=bool),
-                         lo, dual=True)
+                         lo, openness, dual=True)
     times = [t0 - state.t + r for r in range(R)]
     prefix = openness.prefix(state.anchor, ext)
     dom = None if domain is None else np.stack(
         [_domain_mask(domain, state.anchor, ext, t) for t in times])
-    nxt = _native_step(state, model, prefix, times, openness.threshold, dom,
-                       lo, shape, dual=True)
+    nxt = _native_step(state, model, openness, prefix, times, dom, lo, shape,
+                       dual=True)
     if nxt is not None:
         return nxt
     acc = np.zeros((state.batch,) + shape, dtype=bool)
@@ -439,7 +480,7 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
             slice(mx - yi, mx - yi + e) for yi, mx, e in zip(y, maxs, ext)
         )
         acc[(slice(None),) + sl] |= src
-    return _shift_in(state, acc, lo, dual=True)
+    return _shift_in(state, acc, lo, openness, dual=True)
 
 
 def _torus_batch_step(state: BatchState, gather: np.ndarray,
@@ -513,8 +554,9 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     ``state.rows`` holding every replica in replica order.  Rows it clears
     in place end those replicas at t (their extinction step is t); an
     exception it raises ends the run.  A run with neither an observer nor
-    snapshots, whose states nobody sees, drops extinct replicas from its
-    working arrays.
+    snapshots, whose states nobody sees, compacts: each step drops the
+    replicas that die in it from the rows, the prefix table and the seeds,
+    and writes their extinction step itself.
     """
     snapshot_times = set(snapshot_times)
     if any(not 0 <= t <= T for t in snapshot_times):
@@ -542,7 +584,8 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
 
     extinction = np.full(B, -1, dtype=np.int64)
     snapshots = {} if snapshot_times else None
-    idx = np.arange(B)                  # original replica index of each row
+    if compact:
+        state.index, state.extinction = np.arange(B, dtype=np.int64), extinction
 
     def observe(t):
         live = state.live
@@ -563,14 +606,9 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
         else:
             state = _batch_step(state, model, openness, domain, t0)
         alive = observe(t)
-        extinction[idx[alive_prev & ~alive]] = t
+        if not compact:             # a compacting step wrote it itself
+            extinction[alive_prev & ~alive] = t
         alive_prev = alive
-        if compact and t < T and alive.any() and not alive.all():
-            keep = np.flatnonzero(alive)
-            idx = idx[keep]
-            state = BatchState(state.t, state.anchor, state.rows[keep])
-            alive_prev = alive[keep]
-            openness = openness.take(keep)
     if snapshots is not None:
         # runs that die before a requested snapshot time are recorded empty
         empty = np.zeros((B, model.R) + (0,) * d_s, dtype=bool)
@@ -808,17 +846,11 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
                               openness.threshold, _coord_key(R), int(_COORD_MUL))
     if native is not None:
         return BatchResult(native)
-    state = BatchState(0, (0,) * d_s, np.ones((B, R) + (n,) * d_s, dtype=bool))
     extinction = np.full(B, -1, dtype=np.int64)
-    idx = np.arange(B)                  # original replica index of each row
-    while idx.size and state.t < T_max:
+    state = BatchState(0, (0,) * d_s, np.ones((B, R) + (n,) * d_s, dtype=bool),
+                       index=np.arange(B, dtype=np.int64), extinction=extinction)
+    while state.batch and state.t < T_max:
         open_top = openness.window((0,) * d_s, (n,) * d_s, state.t + R)
-        state = _torus_batch_step(state, gather, open_top.reshape(idx.size, N))
-        alive = state.alive()
-        if np.count_nonzero(alive) < idx.size:
-            extinction[idx[~alive]] = state.t
-            keep = np.flatnonzero(alive)
-            idx = idx[keep]
-            state = BatchState(state.t, state.anchor, state.rows[keep])
-            openness = openness.take(keep)
+        nxt = _torus_batch_step(state, gather, open_top.reshape(state.batch, N))
+        state = _drop_dead(state, nxt.rows, nxt.anchor, nxt.alive(), openness)
     return BatchResult(extinction)

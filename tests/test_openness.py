@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -62,30 +63,63 @@ _times = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-300, 300))
 
 @native
 @settings(max_examples=300, deadline=None)
-@given(_states(), _times, st.sampled_from(PS), st.booleans(), st.booleans())
-def test_native_step_matches_numpy_step(case, t0, p, dual, masked):
+@given(_states(), _times, st.sampled_from(PS), st.booleans(), st.booleans(),
+       st.booleans())
+def test_native_step_matches_numpy_step(case, t0, p, dual, masked, compacting):
     # one step of each kernel from a drawn state: negative coordinates and
-    # times wrap as u64, and the domain is a checkerboard in space and time
+    # times wrap as u64, and the domain is a checkerboard in space and time;
+    # a compacting step drops the dead replicas in place, and writes the
+    # extinction of those that have none yet into a larger array through a
+    # shuffled index
     model, state = case
-    seeds = spawn_seeds(t0 & 0xFFFF, 0, state.batch)
+    B = state.batch
+    seeds = spawn_seeds(t0 & 0xFFFF, 0, B)
+    rng = np.random.default_rng(t0 & 0xFFFF)
+    index = rng.permutation(B + 3)[:B]
+    extinction = rng.choice([-1, 0, 3], B + 3)
 
     def domain(coords, t):
         return (sum(coords) + t % 2) % 2 == 0
 
     kernel = dyn._dual_batch_step if dual else dyn._batch_step
 
-    def step():
-        return kernel(state, model, dyn.BatchOpenness(seeds, p),
-                      domain if masked else None, t0)
+    def step(compacting):
+        openness = dyn.BatchOpenness(seeds.copy(), p)
+        start = dyn.BatchState(state.t, state.anchor, state.rows)
+        if compacting:
+            start.index, start.extinction = index.copy(), extinction.copy()
+        nxt = kernel(start, model, openness, domain if masked else None, t0)
+        return nxt, openness
 
-    got = step()
+    got, got_open = step(compacting)
     with numpy_path():
-        ref = step()
+        ref, ref_open = step(compacting)
     assert got.t == ref.t and got.anchor == ref.anchor
     assert got.rows.dtype == ref.rows.dtype == bool
     assert np.array_equal(got.rows, ref.rows)
     assert np.array_equal(got.live, ref.live)
     assert np.array_equal(got.live, got.alive())
+    if not compacting:
+        assert got.index is None and len(got.rows) == B
+        return
+    assert len(got.rows) == len(ref.rows) and got.live.all()
+    assert np.array_equal(got.index, ref.index)
+    assert np.array_equal(got.extinction, ref.extinction)
+    assert np.array_equal(got_open.seeds, ref_open.seeds)
+    assert np.array_equal(got_open.table, ref_open.table)
+    # the step of the whole batch, kept to its survivors in replica order,
+    # each with its own table row and seed
+    with numpy_path():
+        full, full_open = step(False)
+    kept = np.flatnonzero(full.live)
+    assert ref.anchor == full.anchor and np.array_equal(ref.rows, full.rows[kept])
+    assert np.array_equal(ref.index, index[kept])
+    assert np.array_equal(ref_open.seeds, seeds[kept])
+    assert np.array_equal(ref_open.table, full_open.table[kept])
+    dead = index[~full.live]
+    expect = extinction.copy()
+    expect[dead[expect[dead] < 0]] = state.t + 1
+    assert np.array_equal(ref.extinction, expect)
 
 
 def _domains(model):
@@ -116,10 +150,16 @@ def test_native_runs_match_numpy_runs(model, p, master, B, T, dual, dom, clear_a
     # every state an observer sees, one that clears every third replica at
     # clear_at, snapshots, every domain kind and the coupled slab's
     # shrinking cone; the dual queries negative times; the torus runs whole
-    # replicas in C against the numpy loop's one query per step
+    # replicas in C against the numpy loop's one query per step.  Two
+    # compacting runs besides: one from per-replica rows, every other one
+    # empty at t = 0, and one whose horizon is the last extinction step of
+    # the plain run, so that replicas die exactly at T
     seeds = spawn_seeds(master, 0, B)
     domain = _domains(model).get(dom)
     d_s = model.d - 1
+    rng = np.random.default_rng(master)
+    start = rng.random((B, model.R) + (3,) * d_s) < 0.5
+    start[::2] = False
 
     def runs():
         seen = []
@@ -134,22 +174,46 @@ def test_native_runs_match_numpy_runs(model, p, master, B, T, dual, dom, clear_a
         res = batch_evolve(model, seeds, p, T, t0=t0, dual=dual, domain=domain,
                            per_step=observer, snapshot_times=[0, T // 2, T])
         plain = batch_evolve(model, seeds, p, T, t0=t0, dual=dual, domain=domain)
+        empty = batch_evolve(model, seeds, p, T, t0=t0, dual=dual, domain=domain,
+                             init=((-1,) * d_s, start))
+        last = int(plain.extinction.max())
+        at_T = batch_evolve(model, seeds, p, last, t0=t0, dual=dual, domain=domain)
         coupled = coupled_slab(model, seeds, p, T, ((-2,) * d_s, (3,) * d_s))
         n = int(3 * model.gamma * model.R) + 3
         torus = torus_extinction_batch(model, p, seeds, n, 3 * T)
         snaps = [(s.anchor, s.rows) for _, s in sorted(res.snapshots.items())]
-        return (res.extinction, plain.extinction, coupled, torus.extinction,
-                seen, snaps)
+        return (res.extinction, plain.extinction, empty.extinction, at_T.extinction,
+                coupled, torus.extinction, seen, snaps)
 
     got = runs()
     with numpy_path():
         ref = runs()
-    for a, b in zip(got[:4], ref[:4]):
+    for a, b in zip(got[:6], ref[:6]):
         assert np.array_equal(a, b)
-    for seen_a, seen_b in zip(got[4:], ref[4:]):
+    plain, empty, at_T = got[1:4]
+    assert (empty[::2] == 0).all()
+    assert np.array_equal(at_T == plain.max(), plain == plain.max())
+    for seen_a, seen_b in zip(got[6:], ref[6:]):
         assert len(seen_a) == len(seen_b)
         for a, b in zip(seen_a, seen_b):
             assert a[:-1] == b[:-1] and np.array_equal(a[-1], b[-1])
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_compacting_run_leaves_the_callers_seeds(dual):
+    # the steps move the survivors' seeds down in place, on a copy: the
+    # caller's uint64 array, which BatchOpenness may hold as it is, keeps
+    # its order on both paths
+    seeds = spawn_seeds(8, 0, 200)
+    before = seeds.copy()
+    runs = []
+    for path in (contextlib.nullcontext, numpy_path):
+        with path():
+            runs.append(batch_evolve(TWO_D_OP, seeds, 0.6, 40, dual=dual).extinction)
+        assert np.array_equal(seeds, before)
+    assert np.array_equal(*runs)
+    # replicas die at several steps, and some live to T
+    assert len(np.unique(runs[0])) > 3 and (runs[0] < 0).any()
 
 
 @native
@@ -178,6 +242,24 @@ def test_native_steps_never_run_the_numpy_body(monkeypatch, dual):
                            per_step=clear, snapshot_times=[10])
         steps = int(np.where(res.extinction < 0, 20, res.extinction).max())
         assert len(calls) == steps > 5
+
+
+@native
+def test_compacting_step_refuses_mismatched_bookkeeping():
+    # a wrong dtype, a missing row or a strided array never reaches the
+    # kernel's in-place moves
+    rows, sources = np.ones((2, 1, 3), dtype=bool), np.array([[0, 0], [0, 1]])
+    table = np.zeros((2, 4), dtype=np.uint64)
+    good = [1, table, np.zeros(2, np.uint64), np.arange(2), np.full(2, -1)]
+    for i, bad in [(3, np.arange(2, dtype=np.int32)), (2, np.zeros(1, np.uint64)),
+                   (1, np.zeros((2, 8), np.uint64)[:, ::2]), (4, np.full(2, -1.0))]:
+        drop = tuple(bad if j == i else a for j, a in enumerate(good))
+        with pytest.raises(ValueError, match="a compacting step needs"):
+            _openness.chain_step(rows, sources, table, [0], 5, None, False, (4,),
+                                 (4,), (0,), (0,), drop)
+    out, alive, _ = _openness.chain_step(rows, sources, table, [0], 0, None, False,
+                                         (4,), (4,), (0,), (0,), tuple(good))
+    assert out.shape == (0, 1, 4) and good[4].tolist() == [1, 1]
 
 
 def _torus_extinction(model, p, master, B, extra, T_max):
@@ -285,6 +367,8 @@ grid = (seeds.reshape(-1, 1, 1), [np.arange(-3, 4).reshape(-1, 1), np.arange(5)]
 hashes = site_hash(*grid)
 runs = [batch_evolve(model, seeds, 0.65, 60, dual=dual).extinction
         for dual in (False, True)]
+# compacting runs: replicas die at several steps, and some live to T
+assert all(len(set(a.tolist())) > 3 and (a < 0).any() for a in runs)
 torus = torus_extinction_batch(model, 0.65, seeds, 6, 200).extinction
 _openness._hash = _openness._step = _openness._torus = None
 assert np.array_equal(hashes, site_hash(*grid))
