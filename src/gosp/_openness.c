@@ -121,10 +121,9 @@ static inline uint8_t occupy_span(const uint8_t *restrict d,
     return any;
 }
 
-/* The bookkeeping of a compacting run, whose dead replicas a step drops:
-   the step t, the (B, cells) prefix table of which prefix is a view, the
-   replicas' seeds and original indices, and the whole batch's extinction
-   steps. */
+/* The bookkeeping that moves with the replicas a step keeps: the step t,
+   the (B, cells) prefix table of which prefix is a view, the replicas'
+   seeds and original indices, and the whole batch's extinction steps. */
 struct drop {
     int64_t t, cells;
     uint64_t *table, *seeds;
@@ -147,17 +146,14 @@ struct drop {
    source row r over ext, with key r and the contiguous (R, *ext) domain
    mask, in a scratch copy.  prefix is the (B, *win) (dual:
    (B, *ext)) view of the prefix table; all_open (p = 1) skips the open
-   test.  alive[b] says whether replica b occupies any site, and box gets
-   the bounds lo (nd values) and hi (nd values) in uni of the cells that
-   any replica occupies in any row.
+   test.  box gets the bounds lo (nd values) and hi (nd values) in uni of
+   the cells that any replica occupies in any row.
 
-   With drop, the dead replicas leave: each survivor's rows go to the next
-   free slot n of out, and its alive flag to alive[n]; its table row, seed
-   and index move down to row n, which only ever lies at or below the row
-   being read, and each replica that dies gets extinction[index] = t unless
-   it already has one (a replica empty from the start).  Returns the number
-   of replicas in out: the survivors with drop, else B; or -1 if out of
-   memory.
+   The dead replicas leave: each survivor's rows go to the next free slot
+   n of out, and its table row, seed and index move down to row n, which
+   only ever lies at or below the row being read; each replica that dies
+   gets extinction[index] = t.  Returns the number n of survivors in out,
+   or -1 if out of memory.
 
    Boxes are walked line by line along their last axis; line_at gives a
    line's offset, so any nd works, and for nd = 1 a box is one line. */
@@ -165,8 +161,8 @@ static inline __attribute__((always_inline)) int64_t
 step(const uint8_t *rows, int64_t B, int64_t R, int64_t nd,
      const int64_t *geometry, const int64_t *sources, int64_t G,
      const uint64_t *prefix, uint64_t threshold, int all_open,
-     const uint8_t *domain, int dual, uint8_t *out, uint8_t *alive,
-     int64_t *box, const struct drop *drop)
+     const uint8_t *domain, int dual, uint8_t *out, int64_t *box,
+     const struct drop *drop)
 {
     const int64_t *ext = geometry, *win = ext + nd, *uni = win + nd;
     const int64_t *rst = geometry + 5 * nd, *sr = rst + 2;
@@ -193,7 +189,7 @@ step(const uint8_t *rows, int64_t B, int64_t R, int64_t nd,
     for (int64_t b = 0; b < B; b++) {
         const uint8_t *rb = rows + b * rst[0];
         const uint64_t *pb = prefix + b * pst[0];
-        /* with drop, a dead replica leaves its slot all zero to the next */
+        /* a dead replica leaves its slot all zero to the next */
         uint8_t *ob = out + n * R * U, any = 0;
         /* the old rows move one row away from the new one */
         for (int64_t r = 0; r < R - 1; r++) {
@@ -244,20 +240,17 @@ step(const uint8_t *rows, int64_t B, int64_t R, int64_t nd,
                           threshold, all_open);
             any |= occupy_span(nb + at, cells + win0 + at, wlen);
         }
-        alive[n] = any;
-        if (!drop) {
-            n++;
-        } else if (any) {
-            if (n < b) {
-                memmove(drop->table + n * drop->cells, drop->table + b * drop->cells,
-                        (size_t)drop->cells * sizeof(uint64_t));
-                drop->seeds[n] = drop->seeds[b];
-                drop->index[n] = drop->index[b];
-            }
-            n++;
-        } else if (drop->extinction[drop->index[b]] < 0) {
+        if (!any) {
             drop->extinction[drop->index[b]] = drop->t;
+            continue;
         }
+        if (n < b) {
+            memmove(drop->table + n * drop->cells, drop->table + b * drop->cells,
+                    (size_t)drop->cells * sizeof(uint64_t));
+            drop->seeds[n] = drop->seeds[b];
+            drop->index[n] = drop->index[b];
+        }
+        n++;
     }
     /* the bounding box of the occupied cells, line by line of uni */
     const int64_t ulen = uni[nd - 1];
@@ -297,17 +290,17 @@ __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 int64_t chain_step(const uint8_t *rows, int64_t B, int64_t R, int64_t nd,
                    const int64_t *geometry, const int64_t *sources, int64_t G,
                    const uint64_t *prefix, uint64_t threshold, int all_open,
-                   const uint8_t *domain, int dual, uint8_t *out, uint8_t *alive,
-                   int64_t *box, const struct drop *drop)
+                   const uint8_t *domain, int dual, uint8_t *out, int64_t *box,
+                   const struct drop *drop)
 {
     if (nd == 1 && R == 1 && !dual)
         return step(rows, B, 1, 1, geometry, sources, G, prefix, threshold,
-                    all_open, domain, 0, out, alive, box, drop);
+                    all_open, domain, 0, out, box, drop);
     if (nd == 1 && R == 1)
         return step(rows, B, 1, 1, geometry, sources, G, prefix, threshold,
-                    all_open, domain, 1, out, alive, box, drop);
+                    all_open, domain, 1, out, box, drop);
     return step(rows, B, R, nd, geometry, sources, G, prefix, threshold,
-                all_open, domain, dual, out, alive, box, drop);
+                all_open, domain, dual, out, box, drop);
 }
 
 /* Torus quotient chain, one replica at a time: extinction[b] is the step

@@ -10,15 +10,14 @@ chain, which is the reference.
 dual, for any d and R, in one call of the native kernel of the same name:
 the OR of the source rows through each offset, the open test finished from
 the ``BatchOpenness`` prefix table, the domain mask, the slab shift into
-the union window, which replicas are occupied, and the bounding box of the
-cells they occupy, from which ``_trim`` only slices.  In a compacting run
-it also drops the dead replicas in the same call: the survivors' rows fill
-the first slots of the output, their prefix-table rows, seeds and original
-indices move down in place, and each replica that died gets its
-extinction step.  Without the library it returns None and the caller runs
-its numpy step body, which is the reference; that body finishes the
-prefix hashes with ``gosp.field.open_mask`` in numpy and compacts in
-numpy.
+the union window, the dropping of the replicas that died, and the
+bounding box of the cells the others occupy, from which ``_trim`` only
+slices.  The survivors' rows fill the first slots of the output, their
+prefix-table rows, seeds and original indices move down in place, and each
+replica that died gets its extinction step.  Without the library it
+returns None and the caller runs its numpy step body, which is the
+reference; that body finishes the prefix hashes with
+``gosp.field.open_mask`` in numpy and compacts in numpy.
 
 ``torus_extinction`` runs the torus quotient chain of
 ``gosp.dynamics.torus_extinction_batch`` one replica at a time in the native
@@ -42,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import subprocess
@@ -92,8 +92,9 @@ def _library_name() -> str:
     return f"gosp-openness-{hashlib.sha256(key).hexdigest()[:16]}.so"
 
 
-class _Drop(ctypes.Structure):
-    """The C ``struct drop`` of a compacting ``chain_step``."""
+class Drop(ctypes.Structure):
+    """The C ``struct drop`` of ``chain_step``: the step and the arrays that
+    move with the replicas it keeps.  Build it with ``drop_struct``."""
 
     _fields_ = [("t", ctypes.c_int64), ("cells", ctypes.c_int64),
                 ("table", ctypes.c_void_p), ("seeds", ctypes.c_void_p),
@@ -118,7 +119,7 @@ def _load():
     hash_, step, torus = lib.prefix_hash, lib.chain_step, lib.torus_run
     hash_.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
     step.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, u64, i32, ptr, i32,
-                     ptr, ptr, ptr, ctypes.POINTER(_Drop)]
+                     ptr, ptr, ctypes.POINTER(Drop)]
     torus.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, u64, u64, u64, i32,
                       ptr, ptr]
     hash_.restype = torus.restype = None
@@ -157,23 +158,36 @@ def prefix_hash(heads: np.ndarray, keys) -> np.ndarray | None:
     return out
 
 
+def drop_struct(table: np.ndarray, seeds: np.ndarray, index: np.ndarray,
+                extinction: np.ndarray) -> Drop:
+    """The ``Drop`` over the contiguous (B, ...) prefix ``table``, the (B,)
+    ``seeds`` and original ``index`` of B replicas, and the extinction
+    array, which ``index`` must index without repeats.  A step moves rows
+    down within these buffers, so the struct holds until one of them is
+    reallocated; it keeps them alive as ``arrays``."""
+    arrays = (table, seeds, index, extinction)
+    if ([a.dtype for a in arrays] != [np.uint64, np.uint64, np.int64, np.int64]
+            or not len(table) == len(seeds) == len(index)
+            or not all(a.flags.c_contiguous and a.flags.writeable for a in arrays)):
+        raise ValueError("a chain_step needs the contiguous table, seeds and "
+                         "index of its replicas and the extinction array")
+    drop = Drop(0, math.prod(table.shape[1:]), *(a.ctypes.data for a in arrays))
+    drop.arrays = arrays
+    return drop
+
+
 def chain_step(rows: np.ndarray, sources: np.ndarray, prefix: np.ndarray,
                keys, threshold: int, domain: np.ndarray | None, dual: bool,
-               win, uni, old_at, win_at, drop=None):
-    """One ``chain_step`` of the (B, R, *ext) rows into the union window
-    ``uni``: the next rows (B, R, *uni), which replicas are occupied (B,)
-    and the bounds (lo, hi) in ``uni`` of the cells that any replica
-    occupies; None without the native library, for the caller's numpy
-    step.
+               win, uni, old_at, win_at, drop: Drop, t: int):
+    """Step t of the (B, R, *ext) rows into the union window ``uni``: the
+    next rows (n, R, *uni) of the n replicas that survive it, in replica
+    order, and the bounds (lo, hi) in ``uni`` of the cells that they
+    occupy; None without the native library, for the caller's numpy step.
 
-    ``drop``, the (t, table, seeds, index, extinction) of a compacting run,
-    drops the replicas that die: the next rows and the occupied flags are
-    then those of the n survivors, all occupied, in replica order.  Their
-    rows of the contiguous (B, ...) prefix ``table``, of which ``prefix``
-    is a view, and of the (B,) ``seeds`` and original ``index`` move down
-    to rows 0..n-1 in place, and each replica that died gets
-    ``extinction[index] = t`` unless it already has one.  ``index`` must
-    hold distinct indices into ``extinction``.
+    The survivors' rows of the prefix table, of which ``prefix`` is a view,
+    and their seeds and original indices move down to rows 0..n-1 of the
+    arrays of ``drop``, built for at least B replicas, in place, and each
+    replica that died gets ``extinction[index] = t``.
 
     The old window sits at ``old_at`` in ``uni`` and the new row's window,
     of shape ``win``, at ``win_at``.  Row g of the contiguous (G, 1 + nd)
@@ -204,28 +218,19 @@ def chain_step(rows: np.ndarray, sources: np.ndarray, prefix: np.ndarray,
         [*ext, *win, *uni, *old_at, *win_at, *rows.strides,
          *[s // 8 for s in prefix.strides], *keys],
         dtype=np.uint64)
-    if drop is not None:
-        t, *arrays = drop
-        table, seeds, index, extinction = arrays
-        if ([a.dtype for a in arrays] != [np.uint64, np.uint64, np.int64, np.int64]
-                or not len(table) == len(seeds) == len(index) == B
-                or not all(a.flags.c_contiguous for a in arrays)):
-            raise ValueError(f"a compacting step needs the contiguous table, seeds "
-                             f"and index of its {B} replicas and the extinction array")
-        drop = _Drop(t, table[0].size, *map(_address, arrays))
+    if B > len(drop.arrays[1]):
+        raise ValueError(f"a drop built for {len(drop.arrays[1])} replicas, not {B}")
+    drop.t = t
     out = np.empty((B, R) + tuple(uni), dtype=bool)
-    alive = np.empty(B, dtype=bool)
     box = np.empty(2 * nd, dtype=np.int64)
     all_open = threshold >= _ALL_OPEN
     n = _step(rows.ctypes.data, B, R, nd, _address(geometry), sources.ctypes.data,
               len(sources), prefix.ctypes.data, 0 if all_open else threshold,
               all_open, None if domain is None else domain.ctypes.data, dual,
-              _address(out), _address(alive), _address(box), drop)
+              _address(out), _address(box), drop)
     if n < 0:
         raise MemoryError("chain_step could not allocate its scratch")
-    if drop is not None:
-        out, alive = out[:n], alive[:n]
-    return out, alive, (box[:nd].tolist(), box[nd:].tolist())
+    return out[:n], (box[:nd].tolist(), box[nd:].tolist())
 
 
 def torus_extinction(prefix: np.ndarray, gather: np.ndarray, R: int,

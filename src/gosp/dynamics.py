@@ -20,10 +20,10 @@ the threshold test.
 Each step of ``batch_evolve`` (``_batch_step``, ``_dual_batch_step``) is one
 call of the native kernel ``chain_step`` of ``gosp._openness``: the shift-OR
 through the offsets, the open and domain masks, the slab shift and the
-occupancy that ``_trim`` needs, for any d and R, and in a compacting run
-the dropping of the replicas that died.  The numpy body of each step is the
-reference; it runs only without the library, finishing the prefix hashes
-with ``open_mask`` and dropping the dead replicas in numpy.
+occupancy that ``_trim`` needs, for any d and R, and the dropping of the
+replicas that died.  The numpy body of each step is the reference; it runs
+only without the library, finishing the prefix hashes with ``open_mask``
+and dropping the dead replicas in numpy.
 
 ``batch_evolve`` steps the primal and dual chains on Z^{d-1}.  The quotient
 chain on the side-n torus has a stepping loop of its own,
@@ -52,7 +52,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._openness import chain_step, torus_extinction
+from ._openness import chain_step, drop_struct, torus_extinction
 from .field import (_COORD_MUL, FieldSpec, _as_u64, _coord_key, open_mask,
                     site_hash, threshold_for)
 from .model import NormalizedModel
@@ -88,20 +88,15 @@ class BatchState:
 
     ``t`` counts chain steps from the start of the run; for primal evolution
     it is offset by the start time t0 of the run when querying the field.
+    ``index`` gives the original replica of each row of a run's state,
+    whose rows are those of its live replicas only, so that a step never
+    meets an empty window.
     """
 
     t: int
     anchor: tuple[int, ...]
     rows: np.ndarray
-    # which replicas were occupied when a step kernel made ``rows``; None
-    # if unknown, and stale once the rows are changed in place.  In a
-    # compacting run the step dropped the others, so every row is live
-    live: np.ndarray | None = None
-    # in a compacting run (and the numpy torus loop) only: the original
-    # replica index of each row, and the whole batch's extinction steps,
-    # which a step writes for the replicas it drops
     index: np.ndarray | None = None
-    extinction: np.ndarray | None = None
 
     @property
     def batch(self) -> int:
@@ -165,19 +160,24 @@ def _occupancy(rows: np.ndarray):
     return alive, (lo, hi)
 
 
-def _trim(rows: np.ndarray, anchor, occupancy=None):
-    """Shrink the spatial window to the occupied bounding box.
-
-    Returns the trimmed rows, their anchor and which replicas are occupied.
-    ``occupancy`` is the (alive, (lo, hi)) pair of ``_occupancy``, which
-    ``chain_step`` also gives; given it, ``_trim`` only slices.
-    """
-    alive, (lo, hi) = _occupancy(rows) if occupancy is None else occupancy
-    if not alive.any():
-        sl = (slice(None), slice(None)) + (slice(0, 0),) * (rows.ndim - 2)
-        return rows[sl], anchor, alive
+def _trim(rows: np.ndarray, anchor, box):
+    """Shrink the spatial window of the live ``rows`` to ``box``, the
+    (lo, hi) bounds of the cells they occupy, which ``_occupancy`` and
+    ``chain_step`` give; with no rows the window is empty.  Returns the
+    trimmed rows and their anchor."""
+    lo, hi = box if len(rows) else ([0] * (rows.ndim - 2),) * 2
     sl = (slice(None), slice(None)) + tuple(slice(l, h) for l, h in zip(lo, hi))
-    return rows[sl], tuple(a + l for a, l in zip(anchor, lo)), alive
+    return rows[sl], tuple(a + l for a, l in zip(anchor, lo))
+
+
+def _keep(rows: np.ndarray, live: np.ndarray, t: int,
+          openness: BatchOpenness) -> np.ndarray:
+    """The rows of the replicas ``live``; the others leave the batch with
+    extinction step t (``BatchOpenness.keep``)."""
+    if live.all():
+        return rows
+    openness.keep(live, t)
+    return rows[live]
 
 
 def _grid_occupancy(anchor, rows, zlo, shape):
@@ -237,6 +237,12 @@ class BatchOpenness:
     time coordinate (``open_mask``: one mix per site).  The box grows,
     doubling per axis, only when a query window leaves it, and never past
     ``cone``, a (lo, hi) box holding every window the run can query.
+
+    It also holds what moves with the table rows when replicas die: the
+    seeds, each row's original replica ``index`` and the whole batch's
+    ``extinction`` steps, and ``drop``, the ``chain_step`` struct over the
+    four, built anew only with the table, since dropping replicas moves
+    rows down within the same buffers.
     """
 
     def __init__(self, seeds, p, cone=None):
@@ -245,17 +251,25 @@ class BatchOpenness:
         self.seeds = _as_u64(seeds).copy()
         self.threshold = threshold_for(p)
         self.cone = cone
-        self.lo = self.hi = self.table = None
+        self.lo = self.hi = self.table = self.drop = None
+        self.index = np.arange(len(self.seeds), dtype=np.int64)
+        self.extinction = np.full(len(self.seeds), -1, dtype=np.int64)
 
-    def keep(self, kept) -> None:
-        """Keep only the rows ``kept``, an increasing index array, moved down
-        in place (same box): what a compacting ``chain_step`` does in C."""
-        n = len(kept)
-        self.seeds[:n] = self.seeds[kept]
-        self.seeds = self.seeds[:n]
-        if self.table is not None:
-            self.table[:n] = self.table[kept]
-            self.table = self.table[:n]
+    def keep(self, live, t: int) -> None:
+        """Keep only the rows ``live``, a bool mask, moved down in place, and
+        give the others extinction step t: a ``chain_step``'s drop in numpy."""
+        self.extinction[self.index[~live]] = t
+        kept = np.flatnonzero(live)
+        for a in (self.seeds, self.index, self.table):
+            if a is not None:
+                a[:len(kept)] = a[kept]
+        self.resize(len(kept))
+
+    def resize(self, n: int) -> None:
+        """Keep the first n rows, as a ``chain_step`` leaves them."""
+        if n < len(self.seeds):
+            self.seeds, self.index = self.seeds[:n], self.index[:n]
+            self.table = None if self.table is None else self.table[:n]
 
     def _cover(self, lo, hi) -> None:
         """Grow the box, and rebuild the table, to contain [lo, hi)."""
@@ -285,10 +299,13 @@ class BatchOpenness:
         d = len(shape)
         coords = [np.arange(l, h, dtype=np.int64).reshape((-1,) + (1,) * (d - a - 1))
                   for a, (l, h) in enumerate(zip(lo, hi))]
-        self.table = None           # free the old box before hashing the new
+        # free the old box, which the old struct holds too, before hashing
+        # the new
+        self.table = self.drop = None
         self.table = np.empty((len(s),) + shape, dtype=np.uint64)
         for i in range(0, len(s), _COVER_ROWS):
             self.table[i:i + _COVER_ROWS] = site_hash(s[i:i + _COVER_ROWS], coords)
+        self.drop = drop_struct(self.table, self.seeds, self.index, self.extinction)
 
     def prefix(self, lo, shape) -> np.ndarray:
         """The (B, *shape) view of the prefix table over [lo, lo + shape)."""
@@ -319,42 +336,22 @@ def _shift_in(state: BatchState, new: np.ndarray, lo, openness: BatchOpenness,
               dual: bool) -> BatchState:
     """The next state: ``new``, the (B, *shape) new row at ``lo``, becomes
     the top row (row 0 for the dual), the old rows move one row towards the
-    other end, and the union window of both is trimmed; a compacting run
-    then drops its dead replicas (``_drop_dead``)."""
+    other end, the replicas that died leave (``_keep``), and the union
+    window of both is trimmed."""
     B, R, *ext = state.rows.shape
     shape = new.shape[1:]
     ulo, uni = _union(state, lo, shape)
     rows = np.zeros((B, R) + uni, dtype=bool)
     head, tail = slice(None, -1), slice(1, None)
     src, dst, row = (head, tail, 0) if dual else (tail, head, R - 1)
-    if R > 1 and all(e > 0 for e in ext):
+    if R > 1:
         sl = tuple(slice(a - l, a - l + e) for a, l, e in zip(state.anchor, ulo, ext))
         rows[(slice(None), dst) + sl] = state.rows[:, src]
     sl = tuple(slice(l_ - l, l_ - l + s) for l_, l, s in zip(lo, ulo, shape))
     rows[(slice(None), row) + sl] = new
-    rows, anchor, live = _trim(rows, ulo)
-    if state.index is None:
-        return BatchState(state.t + 1, anchor, rows, live)
-    return _drop_dead(state, rows, anchor, live, openness)
-
-
-def _drop_dead(state: BatchState, rows, anchor, live,
-               openness: BatchOpenness) -> BatchState:
-    """The next state of a compacting run from the next rows of all of its
-    replicas: only the replicas ``live``, whose table rows, seeds and
-    indices move down in place, with extinction written for the others
-    unless they have one; the numpy reference of what ``chain_step`` does
-    with ``drop``."""
-    index, extinction = state.index, state.extinction
-    if live.all():
-        return BatchState(state.t + 1, anchor, rows, live, index, extinction)
-    keep = np.flatnonzero(live)
-    dead = index[~live]
-    extinction[dead[extinction[dead] < 0]] = state.t + 1
-    index[:len(keep)] = index[keep]
-    openness.keep(keep)
-    return BatchState(state.t + 1, anchor, rows[keep], live[keep],
-                      index[:len(keep)], extinction)
+    live, box = _occupancy(rows)
+    rows, anchor = _trim(_keep(rows, live, state.t + 1, openness), ulo, box)
+    return BatchState(state.t + 1, anchor, rows, openness.index)
 
 
 @functools.cache
@@ -383,27 +380,21 @@ def _domain_mask(domain, lo, shape, t_abs) -> np.ndarray:
 
 def _native_step(state, model, openness, prefix, times, domain, lo, shape,
                  dual: bool) -> BatchState | None:
-    """The step by the native ``chain_step``, or None without the library;
-    in a compacting run it drops the dead replicas in the same call."""
+    """The step by the native ``chain_step``, which drops the dead replicas
+    in the same call; None without the library."""
     ulo, uni = _union(state, lo, shape)
-    drop = None if state.index is None else (
-        state.t + 1, openness.table, openness.seeds, state.index, state.extinction)
     got = chain_step(
         state.rows, _sources(model, dual), prefix, [_coord_key(t) for t in times],
         openness.threshold, domain, dual, shape, uni,
         tuple(a - l for a, l in zip(state.anchor, ulo)),
-        tuple(l - u for l, u in zip(lo, ulo)), drop,
+        tuple(l - u for l, u in zip(lo, ulo)), openness.drop, state.t + 1,
     )
     if got is None:
         return None
-    rows, alive, box = got
-    rows, anchor, live = _trim(rows, ulo, (alive, box))
-    if drop is None:
-        return BatchState(state.t + 1, anchor, rows, live)
-    n = len(rows)                       # the kernel moved the survivors down
-    openness.seeds, openness.table = openness.seeds[:n], openness.table[:n]
-    return BatchState(state.t + 1, anchor, rows, live, state.index[:n],
-                      state.extinction)
+    rows, box = got
+    openness.resize(len(rows))          # the kernel moved the survivors down
+    rows, anchor = _trim(rows, ulo, box)
+    return BatchState(state.t + 1, anchor, rows, openness.index)
 
 
 def _batch_step(state: BatchState, model: NormalizedModel,
@@ -418,9 +409,6 @@ def _batch_step(state: BatchState, model: NormalizedModel,
     ext = state.rows.shape[2:]
     lo = tuple(a + mn for a, mn in zip(state.anchor, mins))
     shape = tuple(e + (mx - mn) for e, mx, mn in zip(ext, maxs, mins))
-    if not all(e > 0 for e in ext):
-        return _shift_in(state, np.zeros((state.batch,) + shape, dtype=bool),
-                         lo, openness, dual=False)
     t_abs = t0 + state.t + R
     prefix = openness.prefix(lo, shape)
     dom = None if domain is None else _domain_mask(domain, lo, shape, t_abs)
@@ -456,9 +444,6 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
     ext = state.rows.shape[2:]
     lo = tuple(a - mx for a, mx in zip(state.anchor, maxs))
     shape = tuple(e + (mx - mn) for e, mx, mn in zip(ext, maxs, mins))
-    if not all(e > 0 for e in ext):
-        return _shift_in(state, np.zeros((state.batch,) + shape, dtype=bool),
-                         lo, openness, dual=True)
     times = [t0 - state.t + r for r in range(R)]
     prefix = openness.prefix(state.anchor, ext)
     dom = None if domain is None else np.stack(
@@ -548,15 +533,19 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     mask of the sites (coords, t) a path may step on (for example
     ``TranslatedBlock.mask`` or ``partial(cone_mask, lo, hi)``).
 
+    Each step drops the replicas that die in it from the rows, the prefix
+    table and the seeds, and writes their extinction step; replicas empty
+    from the start end at step 0.  A snapshot is scattered back to all B
+    replicas in replica order, a dead one empty.
+
     ``per_step(t, state)`` is the observer hook.  It is called for t = 0,
-    1, ... in order, up to T or until every replica is extinct, each time
-    before the snapshot at t is taken and before the alive check, with
-    ``state.rows`` holding every replica in replica order.  Rows it clears
-    in place end those replicas at t (their extinction step is t); an
-    exception it raises ends the run.  A run with neither an observer nor
-    snapshots, whose states nobody sees, compacts: each step drops the
-    replicas that die in it from the rows, the prefix table and the seeds,
-    and writes their extinction step itself.
+    1, ... in order, up to T or until every replica has ended, the last
+    time with no rows, each time before the snapshot at t is taken.  It
+    sees the live replicas only: ``state.rows`` holds their rows in replica
+    order and ``state.index`` the original replica of each, through which
+    it writes its per-replica results.  It returns None or a bool mask over
+    the rows of the replicas it ends at t, which get extinction step t and
+    leave the run; an exception it raises ends the run.
     """
     snapshot_times = set(snapshot_times)
     if any(not 0 <= t <= T for t in snapshot_times):
@@ -573,48 +562,43 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
         np.broadcast_to(rows1, (B,) + rows1.shape).copy()
         if rows1.ndim == model.d else np.array(rows1, dtype=bool)
     )
-    state = BatchState(0, anchor, rows)
     # every window a T-step run queries lies in its cone (the dual's
     # influence runs backwards)
     hi = tuple(a + e for a, e in zip(anchor, rows.shape[2:]))
     openness = BatchOpenness(
         seeds, p, cone=dependency_cone(model, anchor, hi, T, backward=dual),
     )
-    compact = per_step is None and not snapshot_times
-
-    extinction = np.full(B, -1, dtype=np.int64)
+    rows = _keep(rows, BatchState(0, anchor, rows).alive(), 0, openness)
+    state = BatchState(0, anchor, rows, openness.index)
     snapshots = {} if snapshot_times else None
-    if compact:
-        state.index, state.extinction = np.arange(B, dtype=np.int64), extinction
 
     def observe(t):
-        live = state.live
-        if per_step is not None:
-            per_step(t, state)
-            live = None             # the observer may have cleared rows
+        nonlocal state
+        ended = None if per_step is None else per_step(t, state)
+        if ended is not None:
+            if np.shape(ended) != (state.batch,) or np.asarray(ended).dtype != bool:
+                raise ValueError(f"per_step must return None or a bool mask "
+                                 f"of the {state.batch} rows")
+            rows = _keep(state.rows, ~ended, t, openness)
+            state = BatchState(t, state.anchor, rows, openness.index)
         if t in snapshot_times:
-            snapshots[t] = BatchState(t, state.anchor, state.rows.copy())
-        return state.alive() if live is None else live
+            full = np.zeros((B,) + state.rows.shape[1:], dtype=bool)
+            full[state.index] = state.rows
+            snapshots[t] = BatchState(t, state.anchor, full)
 
-    alive_prev = observe(0)
-    extinction[~alive_prev] = 0
+    observe(0)
+    step = _dual_batch_step if dual else _batch_step
     for t in range(1, T + 1):
-        if not alive_prev.any():
+        if not state.batch:
             break
-        if dual:
-            state = _dual_batch_step(state, model, openness, domain, t0)
-        else:
-            state = _batch_step(state, model, openness, domain, t0)
-        alive = observe(t)
-        if not compact:             # a compacting step wrote it itself
-            extinction[alive_prev & ~alive] = t
-        alive_prev = alive
+        state = step(state, model, openness, domain, t0)
+        observe(t)
     if snapshots is not None:
         # runs that die before a requested snapshot time are recorded empty
         empty = np.zeros((B, model.R) + (0,) * d_s, dtype=bool)
         for t_req in snapshot_times - snapshots.keys():
             snapshots[t_req] = BatchState(t_req, (0,) * d_s, empty)
-    return BatchResult(extinction, snapshots)
+    return BatchResult(openness.extinction, snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -781,20 +765,20 @@ def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
 
     def frontier(t, state: BatchState):
         occ = state.rows[:, 0] if model.R == 1 else state.rows.any(axis=1)
-        ok = occ.any(axis=1) if state.live is None else state.live
-        if occ.shape[1]:
-            # a replica is certified iff it occupies a site outside the
+        ok = np.zeros(len(seeds), dtype=bool)     # by replica; a dead one fails
+        if state.batch:
+            # a live replica is certified iff it occupies a site outside the
             # cone, which the cut leaves as it is
             reach_lo, reach_hi = reach(t)
             if side == "right":
                 # bytes.rfind finds each row's last occupied cell without
                 # the copy that a reversed argmax makes
-                edges[:, t] = state.anchor[0] + np.array(
-                    [row.tobytes().rfind(1) for row in occ])
-                ok = ok & (edges[:, t] >= reach_hi)
+                front = state.anchor[0] + np.array([row.tobytes().rfind(1) for row in occ])
+                ok[state.index] = front >= reach_hi
             else:
-                edges[:, t] = state.anchor[0] + np.argmax(occ, axis=1)
-                ok = ok & (edges[:, t] < reach_lo)
+                front = state.anchor[0] + np.argmax(occ, axis=1)
+                ok[state.index] = front < reach_lo
+            edges[state.index, t] = front
         if not ok.all():
             raise TruncationUncertified(
                 f"{side} frontier of replica {np.argmin(ok)} at step {t} is not "
@@ -830,7 +814,7 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
     loop is the reference and the fallback: it steps the batch in lockstep
     (``_torus_batch_step``) with one ``BatchOpenness.window`` query per
     step, and drops extinct replicas from the rows and the table after
-    every step.
+    every step (``_keep``).
     """
     check_torus_side(model, n)
     R, d_s = model.R, model.d - 1
@@ -846,11 +830,9 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
                               openness.threshold, _coord_key(R), int(_COORD_MUL))
     if native is not None:
         return BatchResult(native)
-    extinction = np.full(B, -1, dtype=np.int64)
-    state = BatchState(0, (0,) * d_s, np.ones((B, R) + (n,) * d_s, dtype=bool),
-                       index=np.arange(B, dtype=np.int64), extinction=extinction)
+    state = BatchState(0, (0,) * d_s, np.ones((B, R) + (n,) * d_s, dtype=bool))
     while state.batch and state.t < T_max:
         open_top = openness.window((0,) * d_s, (n,) * d_s, state.t + R)
-        nxt = _torus_batch_step(state, gather, open_top.reshape(state.batch, N))
-        state = _drop_dead(state, nxt.rows, nxt.anchor, nxt.alive(), openness)
-    return BatchResult(extinction)
+        state = _torus_batch_step(state, gather, open_top.reshape(state.batch, N))
+        state.rows = _keep(state.rows, state.alive(), state.t, openness)
+    return BatchResult(openness.extinction)

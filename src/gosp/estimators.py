@@ -217,8 +217,7 @@ _SURVIVAL_CHUNK = 4096
 
 
 def _survival_chunk(seeds, model, p, T, dual):
-    # without an observer, extinction stays -1 exactly for the replicas
-    # alive at T
+    # extinction stays -1 exactly for the replicas alive at T
     return batch_evolve(model, seeds, p, T, dual=dual).extinction
 
 
@@ -257,15 +256,15 @@ def _event_chunk(seeds, model, p, T, L_stop):
 
     def stop_at_extent(t, state: BatchState):
         # a replica with an occupied site at sup-norm distance >= L_stop has
-        # the event; clearing its rows ends it here
+        # the event; returning it ends it here
         occ = state.rows.any(axis=1)
         big = np.zeros(len(occ), dtype=bool)
         for ax, a in enumerate(state.anchor):
             proj = occ.any(axis=tuple(i for i in range(1, occ.ndim) if i != 1 + ax))
             far = np.abs(np.arange(a, a + proj.shape[1])) >= L_stop
             big |= (proj & far).any(axis=1)
-        state.rows[big] = False
-        reached[big] = True
+        reached[state.index[big]] = True
+        return big
 
     res = batch_evolve(model, seeds, p, T, per_step=stop_at_extent)
     return res.alive_at_T | reached
@@ -353,7 +352,9 @@ def _shape_chunk(seeds, model, p, t, T_cond, ns):
         # a hit after step t would change H, the sites hit by time t
         if step <= t:
             occ = _grid_occupancy(state.anchor, state.rows[:, 0], lo, ext)
-            hits[occ & (hits < 0)] = step
+            mine = hits[state.index]
+            mine[occ & (mine < 0)] = step
+            hits[state.index] = mine
 
     # one origin run answers survival to T_cond and gives the state at t
     res = batch_evolve(model, seeds, p, max(t, T_cond), snapshot_times=[t],

@@ -4,9 +4,10 @@ The engine is checked against the naive set-based references in oracles.py
 on every model of the shared pool, plus exact deterministic examples at
 p = 0 and p = 1.  Truncations are also checked on DRIFT2, whose spatial
 steps do not straddle 0, and reachability on randomly drawn models.
-Compaction is checked against uncompacted and single-replica runs, and
-against the rule that only a run with no observer and no snapshots compacts;
-the occupancy reductions are checked against plain numpy.
+Compaction is checked against single-replica runs, observers that write
+through ``state.index`` against the runs of each seed alone, and every run
+against the rule that a step steps only the replicas alive before it; the
+occupancy reductions are checked against plain numpy.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gosp.dynamics as dyn
 import gosp.estimators as est
@@ -111,22 +112,30 @@ def _hook_run(**kw):
     return batch_evolve(TWO_D_OP, [1, 2, 3], 1.0, 6, init=((0,), rows), **kw)
 
 
-def test_observer_sees_every_step_and_ends_cleared_rows():
+def test_observer_sees_live_rows_and_ends_returned_rows():
+    # the hook sees the live replicas through state.index; the row it
+    # returns at t = 3 ends replica 1 there
     seen = []
 
     def hook(t, state):
         seen.append(t)
-        for b in range(3):
-            occ = np.flatnonzero(state.rows[b, 0]) + state.anchor[0]
-            assert list(occ) == ([] if b == 1 and t > 3 else list(range(b, b + t + 1)))
+        assert state.index.tolist() == ([0, 2] if t > 3 else [0, 1, 2])
+        for b, row in zip(state.index, state.rows):
+            occ = np.flatnonzero(row[0]) + state.anchor[0]
+            assert list(occ) == list(range(b, b + t + 1))
         if t == 3:
-            state.rows[1] = False
+            return state.index == 1
 
     res = _hook_run(per_step=hook, snapshot_times=[3])
     assert seen == list(range(7))
     assert list(res.extinction) == [-1, 3, -1]
     assert list(res.alive_at_T) == [True, False, True]
-    assert not res.snapshots[3].rows[1].any()     # taken after the hook
+    snap = res.snapshots[3].rows                  # taken after the hook
+    assert snap.shape[0] == 3 and not snap[1].any() and snap[[0, 2]].any(axis=(1, 2)).all()
+    # row numbers or a scalar in place of a mask are refused
+    for bad in (np.array([1]), True, np.zeros(2, dtype=bool)):
+        with pytest.raises(ValueError, match="None or a bool mask of the 3 rows"):
+            _hook_run(per_step=lambda t, state, bad=bad: bad)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +433,23 @@ def test_half_slab_cut_changes_no_frontier(monkeypatch, model, side):
         assert type(got) is type(ref) and np.array_equal(got, ref)
         assert np.count_nonzero(dropped) > len(dropped) / 2
     assert isinstance(got, str) and "is not certified" in got
+
+
+@pytest.mark.parametrize("side, message", [
+    ("right", "right frontier of replica 3 at step 28 is not certified by the "
+              "truncation at 91 (margin 0.5)"),
+    ("left", "left frontier of replica 1 at step 40 is not certified by the "
+             "truncation at 91 (margin 0.5)"),
+], ids=["right", "left"])
+def test_edge_refusal_names_the_replica_that_died(side, message):
+    # at p = 0.6 the half slab dies out: of five replicas, replica 3 (right)
+    # or 1 (left) dies first while the others are certified.  The refusal
+    # names it and its step, as the run that stepped every dead row did
+    seeds = spawn_seeds(0, 0, 5)
+    for path in (contextlib.nullcontext, numpy_path):
+        with path(), pytest.raises(TruncationUncertified) as exc:
+            half_slab_edges(TWO_D_OP, seeds, 0.6, side, 60, 0.5)
+        assert str(exc.value) == message
 
 
 def test_edge_track_requires_d2():
@@ -733,7 +759,7 @@ def test_openness_matches_site_hash(run):
     for k, (lo, shape, t) in enumerate(queries):
         if k == keep_at and any(keep):
             kept = np.flatnonzero(keep)
-            openness.keep(kept)
+            openness.keep(np.array(keep), t)
             rows = [rows[i] for i in kept]
         got = openness.window(lo, shape, t)
         assert got.dtype == bool and got.shape == (len(rows),) + shape
@@ -754,24 +780,61 @@ def test_openness_matches_site_hash(run):
     st.booleans(),
 )
 def test_compaction_is_exact(model, p, master, B, T, dual):
-    # dropping extinct replicas changes nothing: each row of a compacted
-    # run equals the row of the full batch, which a no-op observer keeps
-    # from compacting, and a B = 1 run of its seed
+    # dropping extinct replicas changes nothing: each replica of a batch
+    # ends as the B = 1 run of its seed does
     seeds = spawn_seeds(master, 0, B)
-    full = batch_evolve(model, seeds, p, T, dual=dual, per_step=lambda t, s: None)
     comp = batch_evolve(model, seeds, p, T, dual=dual)
-    assert np.array_equal(comp.extinction, full.extinction)
-    assert np.array_equal(comp.alive_at_T, full.alive_at_T)
     for i, s in enumerate(seeds):
         one = batch_evolve(model, [s], p, T, dual=dual)
         assert one.extinction[0] == comp.extinction[i]
         assert one.alive_at_T[0] == comp.alive_at_T[i]
 
 
+def _writing_observer(end_at, out):
+    # writes each live replica's occupied sites at t, in absolute
+    # coordinates, through state.index into out[replica][t]; ends a replica
+    # at step end_at[replica] or once it occupies more than 40 sites
+    def observe(t, state):
+        ended = end_at[state.index] == t
+        for i, b in enumerate(state.index):
+            sites = np.argwhere(state.rows[i])
+            sites[:, 1:] += state.anchor
+            out[b][t] = sorted(map(tuple, sites.tolist()))
+            ended[i] |= len(sites) > 40
+        return ended
+
+    return observe
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(MODEL_POOL), st.sampled_from([0.3, 0.5, 0.7]), _seeds,
+       st.integers(1, 10), st.integers(0, 20), st.booleans())
+# replicas die, and the window then outgrows the prefix box, whose new table
+# gets a new struct for the survivors
+@example(TWO_D_OP, 0.7, 1, 8, 20, False)
+@example(TWO_D_OP, 0.7, 1, 8, 20, True)
+def test_observer_writes_through_index_as_each_seed_alone(model, p, master, B, T,
+                                                          dual):
+    # an observer that writes per-replica results through state.index and
+    # ends some replicas gets, for each replica, what it gets on a run of
+    # that seed alone, and so does the replica's extinction step
+    seeds = spawn_seeds(master, 0, B)
+    end_at = np.random.default_rng(master).integers(1, T + 3, B)
+    out = [{} for _ in range(B)]
+    res = batch_evolve(model, seeds, p, T, dual=dual,
+                       per_step=_writing_observer(end_at, out))
+    for i, s in enumerate(seeds):
+        alone = [{}]
+        one = batch_evolve(model, [s], p, T, dual=dual,
+                           per_step=_writing_observer(end_at[i:i + 1], alone))
+        assert one.extinction[0] == res.extinction[i]
+        assert alone[0] == out[i]
+
+
 @pytest.mark.parametrize("dual", [False, True])
 def test_compaction_is_derived(monkeypatch, dual):
-    # a run that no observer or snapshot sees drops its extinct replicas;
-    # one that has either keeps stepping all B rows
+    # every run, observed, snapshotted or neither, drops its extinct
+    # replicas
     kernel = "_dual_batch_step" if dual else "_batch_step"
     step, sizes = getattr(dyn, kernel), []
 
@@ -785,13 +848,10 @@ def test_compaction_is_derived(monkeypatch, dual):
     for kw in ({}, {"per_step": lambda t, state: None}, {"snapshot_times": [3]}):
         sizes.clear()
         ext = batch_evolve(TWO_D_OP, seeds, 0.5, T, dual=dual, **kw).extinction
-        if kw:
-            assert sizes == [B] * len(sizes)
-        else:
-            # step t steps the replicas alive at t - 1
-            assert sizes == [int(((ext < 0) | (ext >= t)).sum())
-                             for t in range(1, len(sizes) + 1)]
-            assert sizes[-1] < B
+        # step t steps the replicas alive at t - 1
+        assert sizes == [int(((ext < 0) | (ext >= t)).sum())
+                         for t in range(1, len(sizes) + 1)]
+        assert sizes[-1] < B
 
 
 def test_snapshot_time_outside_horizon_refused(monkeypatch):
@@ -838,14 +898,15 @@ def test_occupancy_matches_plain_numpy(case):
     expect_alive = rows.any(axis=tuple(range(1, rows.ndim)))
     state = dyn.BatchState(0, anchor, rows)
     assert np.array_equal(state.alive(), expect_alive)
-    trimmed, lo, alive = dyn._trim(rows, anchor)
+    # the live rows, trimmed to the box that _occupancy finds
+    alive, occupied = dyn._occupancy(rows)
     assert np.array_equal(alive, expect_alive)
+    trimmed, lo = dyn._trim(rows[alive], anchor, occupied)
     nz = np.nonzero(rows)
     if not nz[0].size:
-        assert trimmed.shape == rows.shape[:2] + (0,) * d_s and lo == anchor
+        assert trimmed.shape == (0, rows.shape[1]) + (0,) * d_s and lo == anchor
         return
     box = [(int(c.min()), int(c.max()) + 1) for c in nz[2:]]
     assert lo == tuple(a + b for a, (b, _) in zip(anchor, box))
-    assert np.array_equal(
-        trimmed, rows[(slice(None), slice(None)) + tuple(slice(*b) for b in box)]
-    )
+    assert np.array_equal(trimmed, rows[expect_alive][
+        (slice(None), slice(None)) + tuple(slice(*b) for b in box)])

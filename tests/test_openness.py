@@ -63,14 +63,12 @@ _times = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-300, 300))
 
 @native
 @settings(max_examples=300, deadline=None)
-@given(_states(), _times, st.sampled_from(PS), st.booleans(), st.booleans(),
-       st.booleans())
-def test_native_step_matches_numpy_step(case, t0, p, dual, masked, compacting):
+@given(_states(), _times, st.sampled_from(PS), st.booleans(), st.booleans())
+def test_native_step_matches_numpy_step(case, t0, p, dual, masked):
     # one step of each kernel from a drawn state: negative coordinates and
     # times wrap as u64, and the domain is a checkerboard in space and time;
-    # a compacting step drops the dead replicas in place, and writes the
-    # extinction of those that have none yet into a larger array through a
-    # shuffled index
+    # the step drops the dead replicas in place, and writes their extinction
+    # into a larger array through a shuffled index
     model, state = case
     B = state.batch
     seeds = spawn_seeds(t0 & 0xFFFF, 0, B)
@@ -83,43 +81,37 @@ def test_native_step_matches_numpy_step(case, t0, p, dual, masked, compacting):
 
     kernel = dyn._dual_batch_step if dual else dyn._batch_step
 
-    def step(compacting):
-        openness = dyn.BatchOpenness(seeds.copy(), p)
-        start = dyn.BatchState(state.t, state.anchor, state.rows)
-        if compacting:
-            start.index, start.extinction = index.copy(), extinction.copy()
+    def step(sel):
+        openness = dyn.BatchOpenness(seeds[sel], p)
+        openness.index, openness.extinction = index[sel].copy(), extinction.copy()
+        start = dyn.BatchState(state.t, state.anchor, state.rows[sel], openness.index)
         nxt = kernel(start, model, openness, domain if masked else None, t0)
         return nxt, openness
 
-    got, got_open = step(compacting)
+    got, got_open = step(slice(None))
     with numpy_path():
-        ref, ref_open = step(compacting)
+        ref, ref_open = step(slice(None))
     assert got.t == ref.t and got.anchor == ref.anchor
     assert got.rows.dtype == ref.rows.dtype == bool
-    assert np.array_equal(got.rows, ref.rows)
-    assert np.array_equal(got.live, ref.live)
-    assert np.array_equal(got.live, got.alive())
-    if not compacting:
-        assert got.index is None and len(got.rows) == B
-        return
-    assert len(got.rows) == len(ref.rows) and got.live.all()
-    assert np.array_equal(got.index, ref.index)
-    assert np.array_equal(got.extinction, ref.extinction)
-    assert np.array_equal(got_open.seeds, ref_open.seeds)
-    assert np.array_equal(got_open.table, ref_open.table)
-    # the step of the whole batch, kept to its survivors in replica order,
-    # each with its own table row and seed
-    with numpy_path():
-        full, full_open = step(False)
-    kept = np.flatnonzero(full.live)
-    assert ref.anchor == full.anchor and np.array_equal(ref.rows, full.rows[kept])
-    assert np.array_equal(ref.index, index[kept])
-    assert np.array_equal(ref_open.seeds, seeds[kept])
-    assert np.array_equal(ref_open.table, full_open.table[kept])
-    dead = index[~full.live]
-    expect = extinction.copy()
-    expect[dead[expect[dead] < 0]] = state.t + 1
-    assert np.array_equal(ref.extinction, expect)
+    assert np.array_equal(got.rows, ref.rows) and got.alive().all()
+    assert got.index is got_open.index and ref.index is ref_open.index
+    for name in ("index", "extinction", "seeds", "table"):
+        assert np.array_equal(getattr(got_open, name), getattr(ref_open, name))
+    # each survivor, in replica order, is the step of its replica alone,
+    # with its own seed and table row; each other replica ends at t + 1
+    expect, j = extinction.copy(), 0
+    for b in range(B):
+        with numpy_path():
+            one, one_open = step([b])
+        if not one.batch:
+            expect[index[b]] = state.t + 1
+            continue
+        assert ref.index[j] == index[b] and ref_open.seeds[j] == seeds[b]
+        assert np.array_equal(ref_open.table[j], one_open.table[0])
+        assert np.array_equal(ref.rows[j], dyn._grid_occupancy(
+            one.anchor, one.rows[0], ref.anchor, ref.rows.shape[2:]))
+        j += 1
+    assert j == ref.batch and np.array_equal(ref_open.extinction, expect)
 
 
 def _domains(model):
@@ -147,11 +139,11 @@ def _domains(model):
 @example(RANGE2, 0.7, 4, 30, 15, True, "none", 6)
 @example(DRIFT2, 0.5, 5, 9, 12, True, "block", 4)
 def test_native_runs_match_numpy_runs(model, p, master, B, T, dual, dom, clear_at):
-    # every state an observer sees, one that clears every third replica at
+    # every state an observer sees, one that ends every third replica at
     # clear_at, snapshots, every domain kind and the coupled slab's
     # shrinking cone; the dual queries negative times; the torus runs whole
     # replicas in C against the numpy loop's one query per step.  Two
-    # compacting runs besides: one from per-replica rows, every other one
+    # unobserved runs besides: one from per-replica rows, every other one
     # empty at t = 0, and one whose horizon is the last extinction step of
     # the plain run, so that replicas die exactly at T
     seeds = spawn_seeds(master, 0, B)
@@ -165,9 +157,9 @@ def test_native_runs_match_numpy_runs(model, p, master, B, T, dual, dom, clear_a
         seen = []
 
         def observer(t, state):
-            seen.append((t, state.anchor, state.rows.copy()))
+            seen.append((t, state.anchor, state.index.copy(), state.rows.copy()))
             if t == clear_at:
-                state.rows[::3] = False
+                return state.index % 3 == 0
 
         # the dual runs backwards from time T, through the domains' times
         t0 = T if dual else 0
@@ -181,7 +173,7 @@ def test_native_runs_match_numpy_runs(model, p, master, B, T, dual, dom, clear_a
         coupled = coupled_slab(model, seeds, p, T, ((-2,) * d_s, (3,) * d_s))
         n = int(3 * model.gamma * model.R) + 3
         torus = torus_extinction_batch(model, p, seeds, n, 3 * T)
-        snaps = [(s.anchor, s.rows) for _, s in sorted(res.snapshots.items())]
+        snaps = [(t, s.anchor, s.rows) for t, s in sorted(res.snapshots.items())]
         return (res.extinction, plain.extinction, empty.extinction, at_T.extinction,
                 coupled, torus.extinction, seen, snaps)
 
@@ -190,13 +182,16 @@ def test_native_runs_match_numpy_runs(model, p, master, B, T, dual, dom, clear_a
         ref = runs()
     for a, b in zip(got[:6], ref[:6]):
         assert np.array_equal(a, b)
-    plain, empty, at_T = got[1:4]
+    observed, plain, empty, at_T = got[:4]
     assert (empty[::2] == 0).all()
     assert np.array_equal(at_T == plain.max(), plain == plain.max())
+    # the replicas the observer returned end at the step it returned them
+    ended = [i for t, _, index, _ in got[6] if t == clear_at for i in index if i % 3 == 0]
+    assert (observed[ended] == clear_at).all()
     for seen_a, seen_b in zip(got[6:], ref[6:]):
         assert len(seen_a) == len(seen_b)
         for a, b in zip(seen_a, seen_b):
-            assert a[:-1] == b[:-1] and np.array_equal(a[-1], b[-1])
+            assert a[:2] == b[:2] and all(map(np.array_equal, a[2:], b[2:]))
 
 
 @pytest.mark.parametrize("dual", [False, True])
@@ -220,7 +215,7 @@ def test_compacting_run_leaves_the_callers_seeds(dual):
 @pytest.mark.parametrize("dual", [False, True])
 def test_native_steps_never_run_the_numpy_body(monkeypatch, dual):
     # with the library loaded, every step of a run takes one chain_step
-    # call, through a domain, snapshots and an observer that clears rows
+    # call, through a domain, snapshots and an observer that ends rows
     def numpy_body(*args):
         raise AssertionError("a step ran its numpy body")
 
@@ -230,36 +225,42 @@ def test_native_steps_never_run_the_numpy_body(monkeypatch, dual):
     step = dyn.chain_step
     monkeypatch.setattr(dyn, "chain_step", lambda *a: calls.append(1) or step(*a))
 
-    def clear(t, state):
+    def end_even(t, state):
         if t == 5:
-            state.rows[::2] = False
+            ended.extend(state.index[state.index % 2 == 0])
+            return state.index % 2 == 0
 
     for model in (TWO_D_OP, RANGE2, THREE_D):
         calls.clear()
+        ended = []
         # the dual runs backwards from time 9, through the block's times
         res = batch_evolve(model, spawn_seeds(3, 0, 40), 0.7, 20, dual=dual,
                            t0=9 if dual else 0, domain=_domains(model)["block"],
-                           per_step=clear, snapshot_times=[10])
+                           per_step=end_even, snapshot_times=[10])
         steps = int(np.where(res.extinction < 0, 20, res.extinction).max())
         assert len(calls) == steps > 5
+        assert ended and (res.extinction[ended] == 5).all()
 
 
 @native
 def test_compacting_step_refuses_mismatched_bookkeeping():
-    # a wrong dtype, a missing row or a strided array never reaches the
-    # kernel's in-place moves
+    # a wrong dtype, a missing row or a strided array never makes the
+    # struct of the kernel's in-place moves, and a struct built for fewer
+    # replicas never reaches the kernel
     rows, sources = np.ones((2, 1, 3), dtype=bool), np.array([[0, 0], [0, 1]])
     table = np.zeros((2, 4), dtype=np.uint64)
-    good = [1, table, np.zeros(2, np.uint64), np.arange(2), np.full(2, -1)]
-    for i, bad in [(3, np.arange(2, dtype=np.int32)), (2, np.zeros(1, np.uint64)),
-                   (1, np.zeros((2, 8), np.uint64)[:, ::2]), (4, np.full(2, -1.0))]:
-        drop = tuple(bad if j == i else a for j, a in enumerate(good))
-        with pytest.raises(ValueError, match="a compacting step needs"):
-            _openness.chain_step(rows, sources, table, [0], 5, None, False, (4,),
-                                 (4,), (0,), (0,), drop)
-    out, alive, _ = _openness.chain_step(rows, sources, table, [0], 0, None, False,
-                                         (4,), (4,), (0,), (0,), tuple(good))
-    assert out.shape == (0, 1, 4) and good[4].tolist() == [1, 1]
+    good = [table, np.zeros(2, np.uint64), np.arange(2), np.full(2, -1)]
+    for i, bad in [(2, np.arange(2, dtype=np.int32)), (1, np.zeros(1, np.uint64)),
+                   (0, np.zeros((2, 8), np.uint64)[:, ::2]), (3, np.full(2, -1.0))]:
+        with pytest.raises(ValueError, match="a chain_step needs"):
+            _openness.drop_struct(*(bad if j == i else a for j, a in enumerate(good)))
+    short = _openness.drop_struct(table[:1], *(a[:1] for a in good[1:3]), good[3])
+    with pytest.raises(ValueError, match="built for 1 replicas, not 2"):
+        _openness.chain_step(rows, sources, table, [0], 0, None, False,
+                             (4,), (4,), (0,), (0,), short, 1)
+    out, _ = _openness.chain_step(rows, sources, table, [0], 0, None, False,
+                                  (4,), (4,), (0,), (0,), _openness.drop_struct(*good), 1)
+    assert out.shape == (0, 1, 4) and good[3].tolist() == [1, 1]
 
 
 def _torus_extinction(model, p, master, B, extra, T_max):
