@@ -121,33 +121,49 @@ static inline uint8_t occupy_span(const uint8_t *restrict d,
     return any;
 }
 
-/* The bookkeeping that moves with the replicas a step keeps: the step t,
-   the (B, cells) prefix table of which prefix is a view, the replicas'
-   seeds and original indices, and the whole batch's extinction steps. */
-struct drop {
-    int64_t t, cells;
+/* What chain_step keeps through a whole run of gosp.dynamics.batch_evolve,
+   bound once by gosp._openness.chain_step: R, nd, whether the chain is the
+   dual, the G sources (per offset, the source row and the place of its
+   window in win), the threshold of the open test (all_open: p = 1, which
+   skips it), the frame and box buffers, and the bookkeeping that moves
+   with the replicas a step keeps: the prefix table of cells entries per
+   replica, the replicas' seeds and original indices, and the whole
+   batch's extinction steps.
+
+   The frame holds one step: the addresses of rows, of the domain mask (0
+   for none) and of out, B, the step t, and the offset of the prefix
+   window in the table; then ext, win and uni, nd values each; the element
+   strides of rows (2 + nd), its last axis contiguous; and the time keys
+   (R for the dual, else 1).  What follows is bound with the run: old_at
+   and win_at, nd values each, which are the same at every step, and the
+   element strides of the contiguous table (1 + nd), bound with it. */
+struct step {
+    int64_t R, nd, dual, all_open;
+    uint64_t threshold;
+    const int64_t *sources;
+    int64_t G;
+    int64_t *frame, *box;
+    int64_t cells;
     uint64_t *table, *seeds;
     int64_t *index, *extinction;
 };
 
 /* One step of the slab chain (dual: of its dual) for B replicas, the step
-   of gosp.dynamics.batch_evolve.  rows is the (B, R, *ext) state and out
-   the contiguous (B, R, *uni) next state over the union window uni of the
-   old window, at old_at in it, and the new row's window win, at win_at.
-   geometry holds ext, win, uni, old_at and win_at, nd values each; then
-   the element strides of rows (2 + nd) and of prefix (1 + nd), the last
-   axis of both contiguous; then the time keys (R for the dual, else 1).
+   of gosp.dynamics.batch_evolve, as the frame of run gives it.  rows is the
+   (B, R, *ext) state and out the contiguous (B, R, *uni) next state over
+   the union window uni of the old window, at old_at in it, and the new
+   row's window win, at win_at.
 
-   The new row (row R-1; dual: row 0) is the OR of G source rows: sources
-   holds, per offset, the source row and the place of its window in win.
-   The other rows move one row away from it.  The primal new row is then
-   ANDed with the open mask of its time key over win, and with the
-   contiguous (*win) domain mask if given; the dual instead masks each
-   source row r over ext, with key r and the contiguous (R, *ext) domain
-   mask, in a scratch copy.  prefix is the (B, *win) (dual:
-   (B, *ext)) view of the prefix table; all_open (p = 1) skips the open
-   test.  box gets the bounds lo (nd values) and hi (nd values) in uni of
-   the cells that any replica occupies in any row.
+   The new row (row R-1; dual: row 0) is the OR of the G source rows
+   through the offsets; the other rows move one row away from it.  The
+   primal new row is then ANDed with the open mask of its time key over
+   win, and with the contiguous (*win) domain mask if given; the dual
+   instead masks each source row r over ext, with key r and the contiguous
+   (R, *ext) domain mask, in a scratch copy.  The prefix hashes are the
+   (B, *win) (dual: (B, *ext)) window of the table at the frame's offset.
+   box gets the bounds lo (nd values) and hi (nd values) in uni of the
+   cells that any replica occupies in any row, then the offset of lo in
+   out.
 
    The dead replicas leave: each survivor's rows go to the next free slot
    n of out, and its table row, seed and index move down to row n, which
@@ -158,16 +174,24 @@ struct drop {
    Boxes are walked line by line along their last axis; line_at gives a
    line's offset, so any nd works, and for nd = 1 a box is one line. */
 static inline __attribute__((always_inline)) int64_t
-step(const uint8_t *rows, int64_t B, int64_t R, int64_t nd,
-     const int64_t *geometry, const int64_t *sources, int64_t G,
-     const uint64_t *prefix, uint64_t threshold, int all_open,
-     const uint8_t *domain, int dual, uint8_t *out, int64_t *box,
-     const struct drop *drop)
+step(const struct step *run, int64_t R, int64_t nd, int dual)
 {
-    const int64_t *ext = geometry, *win = ext + nd, *uni = win + nd;
-    const int64_t *rst = geometry + 5 * nd, *sr = rst + 2;
-    const int64_t *pst = rst + 2 + nd, *sp = pst + 1;
-    const uint64_t *keys = (const uint64_t *)(pst + 1 + nd);
+    /* every field is read once: the byte stores below may alias them */
+    const int64_t *f = run->frame;
+    const uint8_t *rows = (const uint8_t *)f[0], *domain = (const uint8_t *)f[1];
+    uint8_t *out = (uint8_t *)f[2];
+    const int64_t B = f[3], t = f[4], G = run->G, width = run->cells;
+    const int64_t *ext = f + 6, *win = ext + nd, *uni = win + nd;
+    const int64_t *rst = uni + nd, *sr = rst + 2;
+    const uint64_t *keys = (const uint64_t *)(sr + nd);
+    const int64_t *old_at = sr + nd + (dual ? R : 1), *win_at = old_at + nd;
+    const int64_t *pst = win_at + nd, *sp = pst + 1;
+    const int64_t *sources = run->sources;
+    const uint64_t threshold = run->threshold;
+    const int all_open = (int)run->all_open;
+    uint64_t *table = run->table, *seeds = run->seeds;
+    int64_t *index = run->index, *extinction = run->extinction, *box = run->box;
+    const uint64_t *prefix = table + f[5];
     int64_t se[MAXDIM], su[MAXDIM], E = 1, W = 1, U = 1;
     strides_of(nd, ext, se);
     strides_of(nd, uni, su);
@@ -178,7 +202,7 @@ step(const uint8_t *rows, int64_t B, int64_t R, int64_t nd,
     }
     const int64_t len = ext[nd - 1], lines = E / len;
     const int64_t wlen = win[nd - 1], wlines = W / wlen;
-    const int64_t old0 = flat(nd, uni + nd, su), win0 = flat(nd, uni + 2 * nd, su);
+    const int64_t old0 = flat(nd, old_at, su), win0 = flat(nd, win_at, su);
     /* the per-cell occupancy, then the dual's scratch */
     uint8_t *cells = calloc((size_t)(U + (dual ? R * E : 0)), 1);
     if (!cells)
@@ -241,14 +265,14 @@ step(const uint8_t *rows, int64_t B, int64_t R, int64_t nd,
             any |= occupy_span(nb + at, cells + win0 + at, wlen);
         }
         if (!any) {
-            drop->extinction[drop->index[b]] = drop->t;
+            extinction[index[b]] = t;
             continue;
         }
         if (n < b) {
-            memmove(drop->table + n * drop->cells, drop->table + b * drop->cells,
-                    (size_t)drop->cells * sizeof(uint64_t));
-            drop->seeds[n] = drop->seeds[b];
-            drop->index[n] = drop->index[b];
+            memmove(table + n * width, table + b * width,
+                    (size_t)width * sizeof(uint64_t));
+            seeds[n] = seeds[b];
+            index[n] = index[b];
         }
         n++;
     }
@@ -277,30 +301,23 @@ step(const uint8_t *rows, int64_t B, int64_t R, int64_t nd,
             box[nd + a] = x + 1 > box[nd + a] ? x + 1 : box[nd + a];
         }
     }
+    /* where the rows trimmed to the box start in out */
+    box[2 * nd] = flat(nd, box, su);
     free(cells);
     return n;
 }
 
-/* chain_step for d = 2 and R = 1, the common case, is compiled apart
-   with nd, R and dual known, which halves its cost per replica on tiny
-   windows. */
+/* One step of gosp.dynamics.batch_evolve as the frame of run gives it.
+   The d = 2, R = 1 case, the common one, is compiled apart with nd, R and
+   dual known, which halves its cost per replica on tiny windows. */
 #if defined(__x86_64__)
 __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 #endif
-int64_t chain_step(const uint8_t *rows, int64_t B, int64_t R, int64_t nd,
-                   const int64_t *geometry, const int64_t *sources, int64_t G,
-                   const uint64_t *prefix, uint64_t threshold, int all_open,
-                   const uint8_t *domain, int dual, uint8_t *out, int64_t *box,
-                   const struct drop *drop)
+int64_t chain_step(const struct step *run)
 {
-    if (nd == 1 && R == 1 && !dual)
-        return step(rows, B, 1, 1, geometry, sources, G, prefix, threshold,
-                    all_open, domain, 0, out, box, drop);
-    if (nd == 1 && R == 1)
-        return step(rows, B, 1, 1, geometry, sources, G, prefix, threshold,
-                    all_open, domain, 1, out, box, drop);
-    return step(rows, B, R, nd, geometry, sources, G, prefix, threshold,
-                all_open, domain, dual, out, box, drop);
+    if (run->nd == 1 && run->R == 1)
+        return run->dual ? step(run, 1, 1, 1) : step(run, 1, 1, 0);
+    return step(run, run->R, run->nd, (int)run->dual);
 }
 
 /* Torus quotient chain, one replica at a time: extinction[b] is the step

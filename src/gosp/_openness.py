@@ -6,15 +6,20 @@ the same name; ``gosp.field.site_hash`` calls it for that shape only, and
 without the library it returns None and ``site_hash`` runs its numpy
 chain, which is the reference.
 
-``chain_step`` takes one step of ``gosp.dynamics.batch_evolve``, primal or
-dual, for any d and R, in one call of the native kernel of the same name:
-the OR of the source rows through each offset, the open test finished from
-the ``BatchOpenness`` prefix table, the domain mask, the slab shift into
-the union window, the dropping of the replicas that died, and the
-bounding box of the cells the others occupy, from which ``_trim`` only
-slices.  The survivors' rows fill the first slots of the output, their
-prefix-table rows, seeds and original indices move down in place, and each
-replica that died gets its extinction step.  Without the library it
+The native kernel ``chain_step`` takes one step of
+``gosp.dynamics.batch_evolve``, primal or dual, for any d and R, in one
+call: the OR of the source rows through each offset, the open test
+finished from the ``BatchOpenness`` prefix table, the domain mask, the
+slab shift into the union window, the dropping of the replicas that died,
+and the bounding box of the cells the others occupy, from which ``_trim``
+only slices.  The survivors' rows fill the first slots of the output,
+their prefix-table rows, seeds and original indices move down in place,
+and each replica that died gets its extinction step.  ``chain_step`` here
+binds the kernel to one run, as a ``ChainStep``: the model's sources, R,
+the threshold, where the old window and the new row sit in their union,
+and the replicas' bookkeeping go into a ``Step`` struct once, the prefix
+table each time it is reallocated, and each step packs only its integers
+into a fixed frame buffer and makes one call.  Without the library it
 returns None and the caller runs its numpy step body, which is the
 reference; that body finishes the prefix hashes with
 ``gosp.field.open_mask`` in numpy and compacts in numpy.
@@ -44,8 +49,10 @@ import hashlib
 import math
 import os
 import platform
+import struct
 import subprocess
 import tempfile
+from operator import add, le, mul, sub
 
 import numpy as np
 
@@ -92,11 +99,15 @@ def _library_name() -> str:
     return f"gosp-openness-{hashlib.sha256(key).hexdigest()[:16]}.so"
 
 
-class Drop(ctypes.Structure):
-    """The C ``struct drop`` of ``chain_step``: the step and the arrays that
-    move with the replicas it keeps.  Build it with ``drop_struct``."""
+class Step(ctypes.Structure):
+    """The C ``struct step`` of ``chain_step``: what a run binds once.
+    Build it through ``chain_step``."""
 
-    _fields_ = [("t", ctypes.c_int64), ("cells", ctypes.c_int64),
+    _fields_ = [("R", ctypes.c_int64), ("nd", ctypes.c_int64),
+                ("dual", ctypes.c_int64), ("all_open", ctypes.c_int64),
+                ("threshold", ctypes.c_uint64), ("sources", ctypes.c_void_p),
+                ("G", ctypes.c_int64), ("frame", ctypes.c_void_p),
+                ("box", ctypes.c_void_p), ("cells", ctypes.c_int64),
                 ("table", ctypes.c_void_p), ("seeds", ctypes.c_void_p),
                 ("index", ctypes.c_void_p), ("extinction", ctypes.c_void_p)]
 
@@ -118,8 +129,7 @@ def _load():
     ptr, i64, u64, i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_int
     hash_, step, torus = lib.prefix_hash, lib.chain_step, lib.torus_run
     hash_.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
-    step.argtypes = [ptr, i64, i64, i64, ptr, ptr, i64, ptr, u64, i32, ptr, i32,
-                     ptr, ptr, ctypes.POINTER(Drop)]
+    step.argtypes = [ptr]
     torus.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, u64, u64, u64, i32,
                       ptr, ptr]
     hash_.restype = torus.restype = None
@@ -131,12 +141,17 @@ _hash, _step, _torus = _load()
 KIND = "numpy" if _step is None else "native"
 # a threshold of 2**64 (p = 1) opens every site and does not fit a u64
 _ALL_OPEN = 1 << 64
+# the C kernels' bound on the number of axes
+_MAXDIM = 64
 
 
 def _address(a: np.ndarray) -> int:
-    """Address of a writable contiguous array's data, faster than
-    ``a.ctypes.data``."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    """Address of a contiguous array's data, faster than ``a.ctypes.data``
+    when the array is writable."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except TypeError:                   # read-only
+        return a.ctypes.data
 
 
 def prefix_hash(heads: np.ndarray, keys) -> np.ndarray | None:
@@ -158,79 +173,147 @@ def prefix_hash(heads: np.ndarray, keys) -> np.ndarray | None:
     return out
 
 
-def drop_struct(table: np.ndarray, seeds: np.ndarray, index: np.ndarray,
-                extinction: np.ndarray) -> Drop:
-    """The ``Drop`` over the contiguous (B, ...) prefix ``table``, the (B,)
-    ``seeds`` and original ``index`` of B replicas, and the extinction
-    array, which ``index`` must index without repeats.  A step moves rows
-    down within these buffers, so the struct holds until one of them is
-    reallocated; it keeps them alive as ``arrays``."""
-    arrays = (table, seeds, index, extinction)
-    if ([a.dtype for a in arrays] != [np.uint64, np.uint64, np.int64, np.int64]
-            or not len(table) == len(seeds) == len(index)
-            or not all(a.flags.c_contiguous and a.flags.writeable for a in arrays)):
-        raise ValueError("a chain_step needs the contiguous table, seeds and "
-                         "index of its replicas and the extinction array")
-    drop = Drop(0, math.prod(table.shape[1:]), *(a.ctypes.data for a in arrays))
-    drop.arrays = arrays
-    return drop
+class ChainStep:
+    """``chain_step`` bound to one run of ``gosp.dynamics.batch_evolve``:
+    what does not change between steps is bound once, in a ``Step``, and
+    the prefix table by ``bind`` each time it is reallocated, so a call
+    packs only its step's integers into the frame."""
+
+    def __init__(self, sources, shift, R: int, dual: bool, threshold: int,
+                 seeds: np.ndarray, index: np.ndarray, extinction: np.ndarray):
+        arrays = (sources, seeds, index, extinction)
+        nd = sources.shape[-1] - 1 if sources.ndim == 2 else 0
+        if ([a.dtype for a in arrays] != [np.int64, np.uint64, np.int64, np.int64]
+                or not len(sources) or not 1 <= nd <= _MAXDIM or len(shift) != nd
+                or not 0 <= sources.min() <= sources[:, 0].max() < R
+                or len(seeds) != len(index)
+                or not all(a.flags.c_contiguous for a in arrays)
+                or not all(a.flags.writeable for a in arrays[1:])):
+            raise ValueError("a chain_step needs the contiguous (G >= 1, 1 + nd) "
+                             "sources of its R rows, and the seeds and index of "
+                             "its replicas and the extinction array")
+        self.R, self.nd, self.dual = R, nd, dual
+        # the new row's window starts ``shift`` from the old window and is
+        # wider by the sources' reach; in their union the two sit at old_at
+        # and win_at, and the union is wider than the old window by grow
+        self._spread = sources[:, 1:].max(axis=0).tolist()
+        self._old_at = [max(-s, 0) for s in shift]
+        win_at = [max(s, 0) for s in shift]
+        self._grow = [max(o, w + s) for o, w, s in zip(self._old_at, win_at, self._spread)]
+        # a step's words, then what is bound with the run and the table
+        # (see struct step)
+        keys, words = (R if dual else 1), 8 + 4 * nd
+        self._frame = np.zeros(words + keys + 3 * nd + 1, dtype=np.int64)
+        self._pack = struct.Struct(f"<{words}q{keys}Q").pack_into
+        self._frame[words + keys:words + keys + 2 * nd] = self._old_at + win_at
+        self._strides = words + keys + 2 * nd
+        # lo, hi and where the rows trimmed to them start in out
+        self._box = np.zeros(2 * nd + 1, dtype=np.int64)
+        self._arrays = arrays
+        all_open = threshold >= _ALL_OPEN
+        self._struct = Step(R, nd, dual, all_open, 0 if all_open else threshold,
+                            sources.ctypes.data, len(sources), self._frame.ctypes.data,
+                            self._box.ctypes.data, 0, None,
+                            *(a.ctypes.data for a in arrays[1:]))
+        self._at = ctypes.addressof(self._struct)
+        self._call = _step
+        self.capacity, self._box_shape = 0, ()
+        self.table = None
+        # the rows the last step returned, as the caller trimmed them, and
+        # their address
+        self.last, self._last_at = None, 0
+
+    def bind(self, table: np.ndarray | None) -> None:
+        """Bind the contiguous (B, *box) prefix ``table`` of the first B
+        replicas, or None to let the old one go.  A step moves rows down
+        within it, so it holds until the table is reallocated."""
+        if table is None:
+            self.table, self.capacity, self._struct.table = None, 0, None
+            self._box_shape = ()
+            return
+        if (table.dtype != np.uint64 or table.ndim != 1 + self.nd
+                or not table.flags.c_contiguous or not table.flags.writeable
+                or len(table) > len(self._arrays[1])):
+            raise ValueError("a chain_step needs the contiguous uint64 prefix table "
+                             "of its replicas")
+        self.table, self.capacity = table, len(table)
+        self._box_shape = table.shape[1:]
+        self._struct.cells = math.prod(self._box_shape)
+        self._struct.table = table.ctypes.data
+        self._frame[self._strides:] = strides = [n // 8 for n in table.strides]
+        self._table_strides = strides[1:]
+
+    def __call__(self, rows: np.ndarray, anchor, keys, place,
+                 domain: np.ndarray | None, t: int):
+        """Step t of the (B, R, *ext) ``rows`` at ``anchor``: the next rows
+        (n, R, *uni) of the n replicas that survive it, in replica order,
+        the anchor of uni, the union of the old window and the new row's,
+        and the bounds (lo, hi) in uni of the cells that they occupy.
+
+        The open sites are read at the time of key ``keys[0]`` over the new
+        row's window (dual: of ``keys[r]`` for source row r, over the old
+        window) from the table's window that starts at ``place`` in its
+        box; the contiguous bool ``domain`` has that window's shape (dual:
+        (R, *ext)).  The survivors' table rows, seeds and original
+        indices move down to rows 0..n-1 in place, and each replica that
+        died gets ``extinction[index] = t``.  The caller that trims the
+        rows to the bounds hands them back as ``last``: the next step then
+        finds them at the address it wrote them to.
+        """
+        B, R, *ext = rows.shape
+        if B > self.capacity:
+            raise ValueError(f"a chain_step bound to {self.capacity} replicas, not {B}")
+        if R != self.R:
+            raise ValueError(f"a chain_step of {self.R} rows, not {R}")
+        if rows is self.last:
+            at = self._last_at
+        else:
+            if rows.dtype != bool or rows.strides[-1] != 1:
+                rows = np.ascontiguousarray(rows, dtype=bool)
+            at = rows.ctypes.data
+        win = tuple(map(add, ext, self._spread))
+        uni = tuple(map(add, ext, self._grow))
+        masked = ext if self.dual else win
+        if min(place) < 0 or not all(map(le, map(add, place, masked), self._box_shape)):
+            raise ValueError(f"a window of shape {tuple(masked)} at {tuple(place)} "
+                             f"leaves the table's box {self._box_shape}")
+        if domain is None:
+            mask = 0
+        else:
+            shape = (R, *ext) if self.dual else masked
+            if (domain.shape != shape or domain.dtype != bool
+                    or not domain.flags.c_contiguous):
+                raise ValueError(f"domain must be a contiguous bool array of shape {shape}")
+            mask = _address(domain)
+        out = np.empty((B, R, *uni), dtype=bool)
+        out_at = ctypes.addressof(ctypes.c_char.from_buffer(out))
+        self._pack(self._frame, 0, at, mask, out_at, B, t,
+                   sum(map(mul, place, self._table_strides)), *ext, *win, *uni,
+                   *rows.strides, *keys)
+        n = self._call(self._at)
+        if n < 0:
+            raise MemoryError("chain_step could not allocate its scratch")
+        box = self._box.tolist()
+        self.last, self._last_at = None, out_at + box.pop()
+        return (out[:n], tuple(map(sub, anchor, self._old_at)),
+                (box[:self.nd], box[self.nd:]))
 
 
-def chain_step(rows: np.ndarray, sources: np.ndarray, prefix: np.ndarray,
-               keys, threshold: int, domain: np.ndarray | None, dual: bool,
-               win, uni, old_at, win_at, drop: Drop, t: int):
-    """Step t of the (B, R, *ext) rows into the union window ``uni``: the
-    next rows (n, R, *uni) of the n replicas that survive it, in replica
-    order, and the bounds (lo, hi) in ``uni`` of the cells that they
-    occupy; None without the native library, for the caller's numpy step.
+def chain_step(sources: np.ndarray, shift, R: int, dual: bool, threshold: int,
+               seeds: np.ndarray, index: np.ndarray,
+               extinction: np.ndarray) -> ChainStep | None:
+    """The ``ChainStep`` of a run of the chain (``dual``: its dual) with R
+    rows, whose open sites are those under ``threshold``, over the (B,)
+    ``seeds`` and original ``index`` of its B replicas and the extinction
+    array, which ``index`` must index without repeats; None without the
+    native library, for the caller's numpy steps.
 
-    The survivors' rows of the prefix table, of which ``prefix`` is a view,
-    and their seeds and original indices move down to rows 0..n-1 of the
-    arrays of ``drop``, built for at least B replicas, in place, and each
-    replica that died gets ``extinction[index] = t``.
-
-    The old window sits at ``old_at`` in ``uni`` and the new row's window,
-    of shape ``win``, at ``win_at``.  Row g of the contiguous (G, 1 + nd)
-    ``sources`` is a source row and the place of its window in ``win``.
-    The primal new row is masked with the open sites at the time of key
-    ``keys[0]`` of its ``prefix`` window and with ``domain`` (*win); the
-    dual masks source row r with those at the time of ``keys[r]`` of the
-    old window and with ``domain`` (R, *ext).  ``domain`` must be
-    contiguous.
-    """
+    Row g of the contiguous (G, 1 + nd) ``sources`` is, per offset, the
+    source row and the place of its window in the new row's window, which
+    starts ``shift`` (nd integers) from the old window."""
     if _step is None:
         return None
-    B, R, *ext = rows.shape
-    nd = len(ext)
-    if prefix.dtype != np.uint64 or prefix.strides[-1] != 8:
-        raise TypeError("prefix hashes must be uint64 with a contiguous last axis")
-    masked = tuple(ext) if dual else tuple(win)
-    if prefix.shape != (B, *masked):
-        raise ValueError(f"prefix of shape {prefix.shape} for {B} replicas "
-                         f"of window {masked}")
-    dom_shape = (R, *masked) if dual else masked
-    if domain is not None and (domain.shape != dom_shape or domain.dtype != bool
-                               or not domain.flags.c_contiguous):
-        raise ValueError(f"domain must be a contiguous bool array of shape {dom_shape}")
-    if rows.dtype != bool or rows.strides[-1] != 1:
-        rows = np.ascontiguousarray(rows, dtype=bool)
-    geometry = np.array(
-        [*ext, *win, *uni, *old_at, *win_at, *rows.strides,
-         *[s // 8 for s in prefix.strides], *keys],
-        dtype=np.uint64)
-    if B > len(drop.arrays[1]):
-        raise ValueError(f"a drop built for {len(drop.arrays[1])} replicas, not {B}")
-    drop.t = t
-    out = np.empty((B, R) + tuple(uni), dtype=bool)
-    box = np.empty(2 * nd, dtype=np.int64)
-    all_open = threshold >= _ALL_OPEN
-    n = _step(rows.ctypes.data, B, R, nd, _address(geometry), sources.ctypes.data,
-              len(sources), prefix.ctypes.data, 0 if all_open else threshold,
-              all_open, None if domain is None else domain.ctypes.data, dual,
-              _address(out), _address(box), drop)
-    if n < 0:
-        raise MemoryError("chain_step could not allocate its scratch")
-    return out[:n], (box[:nd].tolist(), box[nd:].tolist())
+    return ChainStep(sources, shift, R, dual, threshold, seeds, index, extinction)
 
 
 def torus_extinction(prefix: np.ndarray, gather: np.ndarray, R: int,

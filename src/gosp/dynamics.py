@@ -21,9 +21,13 @@ Each step of ``batch_evolve`` (``_batch_step``, ``_dual_batch_step``) is one
 call of the native kernel ``chain_step`` of ``gosp._openness``: the shift-OR
 through the offsets, the open and domain masks, the slab shift and the
 occupancy that ``_trim`` needs, for any d and R, and the dropping of the
-replicas that died.  The numpy body of each step is the reference; it runs
-only without the library, finishing the prefix hashes with ``open_mask``
-and dropping the dead replicas in numpy.
+replicas that died.  The run binds the kernel once, through
+``BatchOpenness.bind``, to everything that stays put between steps; the
+table is bound again only when ``_cover`` reallocates it, so a step passes
+the kernel only its rows, its time keys, the place of its window in the
+table and its domain mask.  The numpy body of each step is the reference;
+it runs only without the library, finishing the prefix hashes with
+``open_mask`` and dropping the dead replicas in numpy.
 
 ``batch_evolve`` steps the primal and dual chains on Z^{d-1}.  The quotient
 chain on the side-n torus has a stepping loop of its own,
@@ -45,14 +49,14 @@ of interest.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from operator import add, le, sub
 from typing import Callable, Iterable
 
 import numpy as np
 
-from ._openness import chain_step, drop_struct, torus_extinction
+from ._openness import chain_step, torus_extinction
 from .field import (_COORD_MUL, FieldSpec, _as_u64, _coord_key, open_mask,
                     site_hash, threshold_for)
 from .model import NormalizedModel
@@ -108,13 +112,6 @@ class BatchState:
         return _any(self.rows, axis=tuple(range(1, self.rows.ndim)))
 
 
-def _window_coords(anchor, shape):
-    if len(shape) == 1:                 # np.indices costs microseconds more
-        return [np.arange(anchor[0], anchor[0] + shape[0], dtype=np.int64)]
-    grids = np.indices(shape, dtype=np.int64)
-    return [g + a for g, a in zip(grids, anchor)]
-
-
 # A reduction over short rows costs about 20-30 ns a row however short
 # they are.  So a batch of at least _NARROW_MIN_B replicas that span at
 # most _NARROW_CELLS cells each is reduced from a copy with the replica axis
@@ -166,8 +163,7 @@ def _trim(rows: np.ndarray, anchor, box):
     ``chain_step`` give; with no rows the window is empty.  Returns the
     trimmed rows and their anchor."""
     lo, hi = box if len(rows) else ([0] * (rows.ndim - 2),) * 2
-    sl = (slice(None), slice(None)) + tuple(slice(l, h) for l, h in zip(lo, hi))
-    return rows[sl], tuple(a + l for a, l in zip(anchor, lo))
+    return rows[(slice(None),) * 2 + tuple(map(slice, lo, hi))], tuple(map(add, anchor, lo))
 
 
 def _keep(rows: np.ndarray, live: np.ndarray, t: int,
@@ -240,9 +236,9 @@ class BatchOpenness:
 
     It also holds what moves with the table rows when replicas die: the
     seeds, each row's original replica ``index`` and the whole batch's
-    ``extinction`` steps, and ``drop``, the ``chain_step`` struct over the
-    four, built anew only with the table, since dropping replicas moves
-    rows down within the same buffers.
+    ``extinction`` steps, and ``chain``, the ``chain_step`` that ``bind``
+    binds to them for a run; dropping replicas moves rows down within the
+    same buffers, so only a new table is bound again.
     """
 
     def __init__(self, seeds, p, cone=None):
@@ -251,9 +247,20 @@ class BatchOpenness:
         self.seeds = _as_u64(seeds).copy()
         self.threshold = threshold_for(p)
         self.cone = cone
-        self.lo = self.hi = self.table = self.drop = None
+        self.lo = self.hi = self.table = self.chain = None
         self.index = np.arange(len(self.seeds), dtype=np.int64)
         self.extinction = np.full(len(self.seeds), -1, dtype=np.int64)
+
+    def bind(self, model: NormalizedModel, dual: bool) -> None:
+        """Bind ``chain_step`` to the batch for a run of the model's chain
+        (``dual``: its dual) as ``chain``; None without the library."""
+        # the new row's window starts at spatial_min from the old window's
+        # anchor, the dual's at -spatial_max
+        shift = tuple(-m for m in model.spatial_max) if dual else model.spatial_min
+        self.chain = chain_step(_sources(model, dual), shift, model.R, dual,
+                                self.threshold, self.seeds, self.index, self.extinction)
+        if self.chain is not None and self.table is not None:
+            self.chain.bind(self.table)
 
     def keep(self, live, t: int) -> None:
         """Keep only the rows ``live``, a bool mask, moved down in place, and
@@ -273,9 +280,7 @@ class BatchOpenness:
 
     def _cover(self, lo, hi) -> None:
         """Grow the box, and rebuild the table, to contain [lo, hi)."""
-        if self.lo is not None and all(
-            b <= l and h <= e for l, h, b, e in zip(lo, hi, self.lo, self.hi)
-        ):
+        if self.lo is not None and all(map(le, self.lo, lo)) and all(map(le, hi, self.hi)):
             return
         if self.lo is not None:
             # a side that grows at least doubles the width, clipped to the
@@ -294,18 +299,38 @@ class BatchOpenness:
         self.lo, self.hi = tuple(lo), tuple(hi)
         shape = tuple(h - l for l, h in zip(lo, hi))
         s = self.seeds.reshape((-1,) + (1,) * len(shape))
-        # one coordinate array per axis, varying along that axis only: the
-        # grid that site_hash hashes in one native call
+        # the box's coordinates, one read-only array per axis, of which
+        # every window's coordinates are views
+        self.axes = [np.arange(l, h, dtype=np.int64) for l, h in zip(lo, hi)]
+        for x in self.axes:
+            x.flags.writeable = False
+        # each varying along its own axis only: the grid that site_hash
+        # hashes in one native call
         d = len(shape)
-        coords = [np.arange(l, h, dtype=np.int64).reshape((-1,) + (1,) * (d - a - 1))
-                  for a, (l, h) in enumerate(zip(lo, hi))]
-        # free the old box, which the old struct holds too, before hashing
-        # the new
-        self.table = self.drop = None
+        coords = [x.reshape((-1,) + (1,) * (d - a - 1)) for a, x in enumerate(self.axes)]
+        # free the old box, which the chain holds too, before hashing the
+        # new
+        self.table = None
+        if self.chain is not None:
+            self.chain.bind(None)
         self.table = np.empty((len(s),) + shape, dtype=np.uint64)
         for i in range(0, len(s), _COVER_ROWS):
             self.table[i:i + _COVER_ROWS] = site_hash(s[i:i + _COVER_ROWS], coords)
-        self.drop = drop_struct(self.table, self.seeds, self.index, self.extinction)
+        if self.chain is not None:
+            self.chain.bind(self.table)
+
+    def place(self, lo, shape) -> tuple[int, ...]:
+        """Where the window [lo, lo + shape) starts in the table's box,
+        grown to cover it first."""
+        self._cover(lo, tuple(map(add, lo, shape)))
+        return tuple(map(sub, lo, self.lo))
+
+    def coords(self, lo, shape) -> list[np.ndarray]:
+        """The coordinates of the sites of the window [lo, lo + shape),
+        which the table covers: one read-only array per axis, of the
+        window's shape, with no copy."""
+        views = [x[l - b:l - b + n] for x, l, b, n in zip(self.axes, lo, self.lo, shape)]
+        return views if len(views) == 1 else np.meshgrid(*views, indexing="ij", copy=False)
 
     def prefix(self, lo, shape) -> np.ndarray:
         """The (B, *shape) view of the prefix table over [lo, lo + shape)."""
@@ -354,46 +379,37 @@ def _shift_in(state: BatchState, new: np.ndarray, lo, openness: BatchOpenness,
     return BatchState(state.t + 1, anchor, rows, openness.index)
 
 
-@functools.cache
 def _sources(model: NormalizedModel, dual: bool) -> np.ndarray:
     """Per offset (y, u), the row that feeds the new row through it and the
     place of that row's window in the new row's window: row R-u at y -
     spatial_min for the primal, row u-1 at spatial_max - y for the dual."""
     mins, maxs = model.spatial_min, model.spatial_max
-    out = np.array([
+    return np.array([
         (u - 1,) + tuple(mx - yi for yi, mx in zip(y, maxs)) if dual
         else (model.R - u,) + tuple(yi - mn for yi, mn in zip(y, mins))
         for y, u in model.split_offsets
     ], dtype=np.int64)
-    out.flags.writeable = False         # every step of the model shares it
-    return out
 
 
-def _domain_mask(domain, lo, shape, t_abs) -> np.ndarray:
+def _domain_mask(domain, coords, shape, t_abs) -> np.ndarray:
     """The contiguous (*shape) mask of the domain at time t_abs over the
-    window [lo, lo + shape)."""
-    m = np.asarray(domain(_window_coords(lo, shape), t_abs))
+    sites ``coords`` of a window of that shape."""
+    m = np.asarray(domain(coords, t_abs))
     if m.shape != shape:
         m = np.broadcast_to(m, shape)
     return np.ascontiguousarray(m, dtype=bool)
 
 
-def _native_step(state, model, openness, prefix, times, domain, lo, shape,
-                 dual: bool) -> BatchState | None:
-    """The step by the native ``chain_step``, which drops the dead replicas
-    in the same call; None without the library."""
-    ulo, uni = _union(state, lo, shape)
-    got = chain_step(
-        state.rows, _sources(model, dual), prefix, [_coord_key(t) for t in times],
-        openness.threshold, domain, dual, shape, uni,
-        tuple(a - l for a, l in zip(state.anchor, ulo)),
-        tuple(l - u for l, u in zip(lo, ulo)), openness.drop, state.t + 1,
-    )
-    if got is None:
-        return None
-    rows, box = got
+def _native_step(state, openness, place, times, domain) -> BatchState:
+    """The step by the run's ``chain_step``, which drops the dead replicas
+    in the same call, reading the open sites of ``times`` from the prefix
+    table's window at ``place``."""
+    chain = openness.chain
+    rows, ulo, box = chain(state.rows, state.anchor, [_coord_key(t) for t in times],
+                           place, domain, state.t + 1)
     openness.resize(len(rows))          # the kernel moved the survivors down
     rows, anchor = _trim(rows, ulo, box)
+    chain.last = rows                   # found by address at the next step
     return BatchState(state.t + 1, anchor, rows, openness.index)
 
 
@@ -407,15 +423,15 @@ def _batch_step(state: BatchState, model: NormalizedModel,
     R = model.R
     mins, maxs = model.spatial_min, model.spatial_max
     ext = state.rows.shape[2:]
-    lo = tuple(a + mn for a, mn in zip(state.anchor, mins))
-    shape = tuple(e + (mx - mn) for e, mx, mn in zip(ext, maxs, mins))
+    lo = tuple(map(add, state.anchor, mins))
+    shape = tuple(map(add, ext, map(sub, maxs, mins)))
     t_abs = t0 + state.t + R
+    place = openness.place(lo, shape)       # the table now covers the window
+    dom = None if domain is None else _domain_mask(
+        domain, openness.coords(lo, shape), shape, t_abs)
+    if openness.chain is not None:
+        return _native_step(state, openness, place, [t_abs], dom)
     prefix = openness.prefix(lo, shape)
-    dom = None if domain is None else _domain_mask(domain, lo, shape, t_abs)
-    nxt = _native_step(state, model, openness, prefix, [t_abs], dom, lo, shape,
-                       dual=False)
-    if nxt is not None:
-        return nxt
     acc = np.zeros((state.batch,) + shape, dtype=bool)
     for y, u in model.split_offsets:
         src = state.rows[:, R - u]
@@ -440,18 +456,20 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
     below is its reference.
     """
     R = model.R
-    mins, maxs = model.spatial_min, model.spatial_max
     ext = state.rows.shape[2:]
-    lo = tuple(a - mx for a, mx in zip(state.anchor, maxs))
-    shape = tuple(e + (mx - mn) for e, mx, mn in zip(ext, maxs, mins))
     times = [t0 - state.t + r for r in range(R)]
+    place = openness.place(state.anchor, ext)   # the table now covers the window
+    if domain is not None:
+        coords = openness.coords(state.anchor, ext)
+        dom = np.stack([_domain_mask(domain, coords, ext, t) for t in times])
+    else:
+        dom = None
+    if openness.chain is not None:
+        return _native_step(state, openness, place, times, dom)
+    mins, maxs = model.spatial_min, model.spatial_max
+    lo = tuple(map(sub, state.anchor, maxs))
+    shape = tuple(map(add, ext, map(sub, maxs, mins)))
     prefix = openness.prefix(state.anchor, ext)
-    dom = None if domain is None else np.stack(
-        [_domain_mask(domain, state.anchor, ext, t) for t in times])
-    nxt = _native_step(state, model, openness, prefix, times, dom, lo, shape,
-                       dual=True)
-    if nxt is not None:
-        return nxt
     acc = np.zeros((state.batch,) + shape, dtype=bool)
     occ_open = np.empty_like(state.rows)
     for r, t_abs in enumerate(times):
@@ -568,6 +586,7 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     openness = BatchOpenness(
         seeds, p, cone=dependency_cone(model, anchor, hi, T, backward=dual),
     )
+    openness.bind(model, dual)
     rows = _keep(rows, BatchState(0, anchor, rows).alive(), 0, openness)
     state = BatchState(0, anchor, rows, openness.index)
     snapshots = {} if snapshot_times else None
@@ -763,27 +782,32 @@ def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
         # every step
         return lo0 + k * (lo1 - lo0), hi0 + k * (hi1 - hi0)
 
+    def certified(front, t):
+        # a live replica is certified iff it occupies a site outside the
+        # cone, which the cut leaves as it is
+        reach_lo, reach_hi = reach(t)
+        return front >= reach_hi if side == "right" else front < reach_lo
+
     def frontier(t, state: BatchState):
-        occ = state.rows[:, 0] if model.R == 1 else state.rows.any(axis=1)
-        ok = np.zeros(len(seeds), dtype=bool)     # by replica; a dead one fails
+        front = []
         if state.batch:
-            # a live replica is certified iff it occupies a site outside the
-            # cone, which the cut leaves as it is
-            reach_lo, reach_hi = reach(t)
-            if side == "right":
-                # bytes.rfind finds each row's last occupied cell without
-                # the copy that a reversed argmax makes
-                front = state.anchor[0] + np.array([row.tobytes().rfind(1) for row in occ])
-                ok[state.index] = front >= reach_hi
-            else:
-                front = state.anchor[0] + np.argmax(occ, axis=1)
-                ok[state.index] = front < reach_lo
-            edges[state.index, t] = front
-        if not ok.all():
+            occ = state.rows[:, 0] if model.R == 1 else state.rows.any(axis=1)
+            # bytes.rfind (find) gives each row's last (first) occupied
+            # cell, which a live row has, from one copy of the rows, with
+            # no reversed copy or argmax
+            w, flat, a = occ.shape[1], occ.tobytes(), state.anchor[0]
+            find = flat.rfind if side == "right" else flat.find
+            front = [find(1, i, i + w) + a - i for i in range(0, len(flat), w)]
+        # the nearest frontier decides, unless a replica has died
+        if len(front) < len(seeds) or front and not certified(
+                min(front) if side == "right" else max(front), t):
+            ok = np.zeros(len(seeds), dtype=bool)     # by replica; a dead one fails
+            ok[state.index] = certified(np.array(front, dtype=np.int64), t)
             raise TruncationUncertified(
                 f"{side} frontier of replica {np.argmin(ok)} at step {t} is not "
                 f"certified by the truncation at {trunc} (margin {margin})"
             )
+        edges[:, t] = front             # all alive, so in replica order
 
     batch_evolve(model, seeds, p, T, init=init, per_step=frontier,
                  domain=_half_slab_cut(model, side, reach))

@@ -84,6 +84,7 @@ def test_native_step_matches_numpy_step(case, t0, p, dual, masked):
     def step(sel):
         openness = dyn.BatchOpenness(seeds[sel], p)
         openness.index, openness.extinction = index[sel].copy(), extinction.copy()
+        openness.bind(model, dual)
         start = dyn.BatchState(state.t, state.anchor, state.rows[sel], openness.index)
         nxt = kernel(start, model, openness, domain if masked else None, t0)
         return nxt, openness
@@ -214,16 +215,17 @@ def test_compacting_run_leaves_the_callers_seeds(dual):
 @native
 @pytest.mark.parametrize("dual", [False, True])
 def test_native_steps_never_run_the_numpy_body(monkeypatch, dual):
-    # with the library loaded, every step of a run takes one chain_step
-    # call, through a domain, snapshots and an observer that ends rows
+    # with the library loaded, every step of a run takes exactly one call
+    # of the native kernel, through a domain, snapshots and an observer
+    # that ends rows
     def numpy_body(*args):
         raise AssertionError("a step ran its numpy body")
 
     monkeypatch.setattr(dyn, "open_mask", numpy_body)
     monkeypatch.setattr(dyn, "_shift_in", numpy_body)
     calls = []
-    step = dyn.chain_step
-    monkeypatch.setattr(dyn, "chain_step", lambda *a: calls.append(1) or step(*a))
+    kernel = _openness._step
+    monkeypatch.setattr(_openness, "_step", lambda run: calls.append(1) or kernel(run))
 
     def end_even(t, state):
         if t == 5:
@@ -244,23 +246,106 @@ def test_native_steps_never_run_the_numpy_body(monkeypatch, dual):
 
 @native
 def test_compacting_step_refuses_mismatched_bookkeeping():
-    # a wrong dtype, a missing row or a strided array never makes the
-    # struct of the kernel's in-place moves, and a struct built for fewer
-    # replicas never reaches the kernel
+    # a wrong dtype, a missing row, a strided array or sources outside the
+    # rows never bind the struct of the kernel's in-place moves; a table
+    # bound for fewer replicas, rows of another R, a window outside the
+    # table's box and a domain of the wrong shape, dtype or layout never
+    # reach the kernel
     rows, sources = np.ones((2, 1, 3), dtype=bool), np.array([[0, 0], [0, 1]])
     table = np.zeros((2, 4), dtype=np.uint64)
-    good = [table, np.zeros(2, np.uint64), np.arange(2), np.full(2, -1)]
-    for i, bad in [(2, np.arange(2, dtype=np.int32)), (1, np.zeros(1, np.uint64)),
-                   (0, np.zeros((2, 8), np.uint64)[:, ::2]), (3, np.full(2, -1.0))]:
+    good = [np.zeros(2, np.uint64), np.arange(2), np.full(2, -1)]
+
+    def bound(seeds, index, extinction, table=table, sources=sources, shift=(0,)):
+        chain = _openness.chain_step(sources, shift, 1, False, 0, seeds, index, extinction)
+        chain.bind(table)
+        return chain
+
+    for i, bad in [(1, np.arange(2, dtype=np.int32)), (0, np.zeros(1, np.uint64)),
+                   (0, np.zeros(4, np.uint64)[::2]), (2, np.full(2, -1.0))]:
         with pytest.raises(ValueError, match="a chain_step needs"):
-            _openness.drop_struct(*(bad if j == i else a for j, a in enumerate(good)))
-    short = _openness.drop_struct(table[:1], *(a[:1] for a in good[1:3]), good[3])
-    with pytest.raises(ValueError, match="built for 1 replicas, not 2"):
-        _openness.chain_step(rows, sources, table, [0], 0, None, False,
-                             (4,), (4,), (0,), (0,), short, 1)
-    out, _ = _openness.chain_step(rows, sources, table, [0], 0, None, False,
-                                  (4,), (4,), (0,), (0,), _openness.drop_struct(*good), 1)
-    assert out.shape == (0, 1, 4) and good[3].tolist() == [1, 1]
+            bound(*(bad if j == i else a for j, a in enumerate(good)))
+    for kw in [{"table": np.zeros((2, 8), np.uint64)[:, ::2]},
+               {"table": table.astype(np.int64)}, {"table": np.zeros((3, 4), np.uint64)},
+               {"sources": sources.astype(np.int32)}, {"sources": np.array([[1, 0]])},
+               {"sources": np.array([[0, -1]])}, {"sources": np.zeros((0, 2), np.int64)},
+               {"shift": (0, 0)}]:
+        with pytest.raises(ValueError, match="a chain_step needs"):
+            bound(*good, **kw)
+    with pytest.raises(ValueError, match="bound to 1 replicas, not 2"):
+        bound(*good, table=table[:1])(rows, (0,), [0], (0,), None, 1)
+    with pytest.raises(ValueError, match="of 1 rows, not 2"):
+        bound(*good)(np.ones((2, 2, 3), dtype=bool), (0,), [0], (0,), None, 1)
+    for domain in (np.ones(3, dtype=bool), np.ones(4, dtype=np.uint8),
+                   np.ones(8, dtype=bool)[::2]):
+        with pytest.raises(ValueError, match="domain must be a contiguous bool array"):
+            bound(*good)(rows, (0,), [0], (0,), domain, 1)
+    for place in ((-1,), (1,)):
+        with pytest.raises(ValueError, match=r"leaves the table's box \(4,\)"):
+            bound(*good)(rows, (0,), [0], place, None, 1)
+    out, anchor, _ = bound(*good)(rows, (0,), [0], (0,), None, 1)
+    assert out.shape == (0, 1, 4) and anchor == (0,) and good[2].tolist() == [1, 1]
+
+
+def _sparse_domain(coords, t):
+    """A domain that drops a sparse, shifting set of sites."""
+    return (sum((3 + 4 * a) * c for a, c in enumerate(coords)) + t) % 11 != 0
+
+
+@native
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MODEL_POOL), st.booleans(), st.sampled_from([0.7, 0.85, 1.0]),
+    st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(6, 30),
+    st.lists(st.integers(0, 30), max_size=3), st.integers(0, 30),
+)
+@example(TWO_D_OP, False, 1.0, 1, 5, 20, [3, 9], 7)
+@example(THREE_D, True, 1.0, 2, 4, 12, [2], 5)
+@example(RANGE2, False, 0.85, 3, 12, 30, [0, 4, 5], 30)
+def test_native_runs_rederive_their_pointers(model, dual, p, master, B, T, end_at, snap):
+    # the kernel finds the rows it stepped last at the address it wrote
+    # them to, and every other rows, such as those _keep copied when the
+    # observer ended some, through numpy; its table, until _cover
+    # reallocates it as the windows outgrow the box: native and numpy runs
+    # agree through observers that end rows at drawn steps, snapshots and a
+    # domain, and a run at p = 1 that lives to T outgrows its first box
+    seeds = spawn_seeds(master, 0, B)
+    tables = []
+    bind = _openness.ChainStep.bind
+
+    def counting_bind(self, table):
+        if table is not None:
+            tables.append(table.shape)
+        bind(self, table)
+
+    def run():
+        seen = []
+
+        def observer(t, state):
+            seen.append((t, state.anchor, state.index.copy(), state.rows.copy()))
+            if t in end_at:
+                return state.index % 3 == t % 3
+
+        res = batch_evolve(model, seeds, p, T, t0=T if dual else 0, dual=dual,
+                           domain=_sparse_domain, per_step=observer,
+                           snapshot_times=[min(snap, T), T])
+        snaps = [(t, s.anchor, s.rows) for t, s in sorted(res.snapshots.items())]
+        return res.extinction, snaps, seen
+
+    _openness.ChainStep.bind = counting_bind
+    try:
+        got = run()
+    finally:
+        _openness.ChainStep.bind = bind
+    with numpy_path():
+        ref = run()
+    assert np.array_equal(got[0], ref[0])
+    for a, b in zip(got[1:], ref[1:]):
+        # lists of (t, anchor, *arrays)
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x[:2] == y[:2] and all(map(np.array_equal, x[2:], y[2:]))
+    if p == 1.0 and (got[0] < 0).any():
+        assert len(tables) >= 2
 
 
 def _torus_extinction(model, p, master, B, extra, T_max):

@@ -149,3 +149,15 @@ def test_traced_pooled_decay_plan_alone_has_every_layer(tmp_path):
     assert layers["dynamics.primal_step_s"] > 0
     assert layers["estimators.chunks"] >= 3
     assert layers["dynamics.replica_steps"] >= 12000
+
+
+def test_traced_edges_plan_has_every_layer(tmp_path):
+    # the edge plan, as edges-wide runs it: each half slab steps T times
+    # through the traced primal kernel, which trims once per step
+    T = 40
+    layers = _traced_layers(tmp_path, [
+        ({"estimator": "edges", "p": 0.8, "T": T, "reps": 4}, 1),
+    ])
+    assert layers["dynamics.steps"] == 2 * T
+    assert layers["dynamics.trim_s"] > 0
+    assert layers["dynamics.primal_step_s"] > 0
