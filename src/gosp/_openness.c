@@ -90,23 +90,26 @@ static inline int64_t line_at(int64_t o, int64_t nd, const int64_t *n,
     return off;
 }
 
-/* d[i] &= whether the site of prefix hash h[i] is open at the time of key,
-   and m[i] if m is given. */
-static inline void mask_span(uint8_t *restrict d, const uint64_t *restrict h,
-                             const uint8_t *restrict m, int64_t n,
+/* Line o, of n[nd - 1] cells at d, of an nd-axis box of shape n (see
+   line_at): each cell inside the box [lo, hi) of the same axes is ANDed
+   with whether the site of its prefix hash h[i] is open at the time of
+   key, and every other cell is cleared. */
+static inline void mask_line(uint8_t *restrict d, const uint64_t *restrict h,
+                             int64_t o, int64_t nd, const int64_t *n,
+                             const int64_t *lo, const int64_t *hi,
                              uint64_t key, uint64_t threshold, int all_open)
 {
-    if (all_open) {
-        if (m)
-            for (int64_t i = 0; i < n; i++)
-                d[i] &= m[i];
-    } else if (m) {
-        for (int64_t i = 0; i < n; i++)
-            d[i] &= m[i] & (mix(h[i] ^ key) < threshold);
-    } else {
-        for (int64_t i = 0; i < n; i++)
+    int64_t a = lo[nd - 1], b = hi[nd - 1];
+    for (int64_t k = nd - 2; k >= 0; o /= n[k--])
+        if (o % n[k] < lo[k] || o % n[k] >= hi[k])
+            a = b = 0;
+    if (a > 0)
+        memset(d, 0, (size_t)a);
+    if (!all_open)
+        for (int64_t i = a; i < b; i++)
             d[i] &= mix(h[i] ^ key) < threshold;
-    }
+    if (b < n[nd - 1])
+        memset(d + b, 0, (size_t)(n[nd - 1] - b));
 }
 
 /* c[i] |= d[i]; whether any d[i] is set. */
@@ -125,24 +128,26 @@ static inline uint8_t occupy_span(const uint8_t *restrict d,
    bound once by gosp._openness.chain_step: R, nd, whether the chain is the
    dual, the G sources (per offset, the source row and the place of its
    window in win), the threshold of the open test (all_open: p = 1, which
-   skips it), the frame and box buffers, and the bookkeeping that moves
+   skips it), the frame and bounds buffers, and the bookkeeping that moves
    with the replicas a step keeps: the prefix table of cells entries per
    replica, the replicas' seeds and original indices, and the whole
    batch's extinction steps.
 
-   The frame holds one step: the addresses of rows, of the domain mask (0
-   for none) and of out, B, the step t, and the offset of the prefix
-   window in the table; then ext, win and uni, nd values each; the element
-   strides of rows (2 + nd), its last axis contiguous; and the time keys
-   (R for the dual, else 1).  What follows is bound with the run: old_at
-   and win_at, nd values each, which are the same at every step, and the
-   element strides of the contiguous table (1 + nd), bound with it. */
+   The frame holds one step: the addresses of rows and of out, B, the step
+   t, and the offset of the prefix window in the table; then ext, win and
+   uni, nd values each; the element strides of rows (2 + nd), its last axis
+   contiguous; the domain's box in the masked window, its nd lower then its
+   nd upper bounds (the dual: one box per source row, in the old window);
+   and the time keys (R for the dual, else 1).  What follows is bound with
+   the run: old_at and win_at, nd values each, which are the same at every
+   step, and the element strides of the contiguous table (1 + nd), bound
+   with it. */
 struct step {
     int64_t R, nd, dual, all_open;
     uint64_t threshold;
     const int64_t *sources;
     int64_t G;
-    int64_t *frame, *box;
+    int64_t *frame, *bounds;
     int64_t cells;
     uint64_t *table, *seeds;
     int64_t *index, *extinction;
@@ -156,20 +161,20 @@ struct step {
 
    The new row (row R-1; dual: row 0) is the OR of the G source rows
    through the offsets; the other rows move one row away from it.  The
-   primal new row is then ANDed with the open mask of its time key over
-   win, and with the contiguous (*win) domain mask if given; the dual
-   instead masks each source row r over ext, with key r and the contiguous
-   (R, *ext) domain mask, in a scratch copy.  The prefix hashes are the
-   (B, *win) (dual: (B, *ext)) window of the table at the frame's offset.
-   box gets the bounds lo (nd values) and hi (nd values) in uni of the
-   cells that any replica occupies in any row, then the offset of lo in
-   out.
+   primal new row is then ANDed with the open mask of its time key inside
+   the domain's box in win and cleared outside it; the dual instead masks
+   each source row r so, with key r and its own box in ext, in a scratch
+   copy.  The prefix hashes are the (B, *win) (dual: (B, *ext)) window of
+   the table at the frame's offset.  bounds gets the bounds lo (nd values)
+   and hi (nd values) in uni of the cells that any replica occupies in any
+   row, then the offset of lo in out.
 
    The dead replicas leave: each survivor's rows go to the next free slot
    n of out, and its table row, seed and index move down to row n, which
    only ever lies at or below the row being read; each replica that dies
    gets extinction[index] = t.  Returns the number n of survivors in out,
-   or -1 if out of memory.
+   -1 if out of memory, or -2, before anything is written, if a box is not
+   0 <= lo <= hi <= its window on every axis.
 
    Boxes are walked line by line along their last axis; line_at gives a
    line's offset, so any nd works, and for nd = 1 a box is one line. */
@@ -178,20 +183,25 @@ step(const struct step *run, int64_t R, int64_t nd, int dual)
 {
     /* every field is read once: the byte stores below may alias them */
     const int64_t *f = run->frame;
-    const uint8_t *rows = (const uint8_t *)f[0], *domain = (const uint8_t *)f[1];
-    uint8_t *out = (uint8_t *)f[2];
-    const int64_t B = f[3], t = f[4], G = run->G, width = run->cells;
-    const int64_t *ext = f + 6, *win = ext + nd, *uni = win + nd;
-    const int64_t *rst = uni + nd, *sr = rst + 2;
-    const uint64_t *keys = (const uint64_t *)(sr + nd);
-    const int64_t *old_at = sr + nd + (dual ? R : 1), *win_at = old_at + nd;
+    const uint8_t *rows = (const uint8_t *)f[0];
+    uint8_t *out = (uint8_t *)f[1];
+    const int64_t B = f[2], t = f[3], G = run->G, width = run->cells;
+    const int64_t *ext = f + 5, *win = ext + nd, *uni = win + nd;
+    const int64_t *rst = uni + nd, *sr = rst + 2, *bx = sr + nd;
+    const int64_t boxes = dual ? R : 1;
+    const uint64_t *keys = (const uint64_t *)(bx + 2 * nd * boxes);
+    const int64_t *old_at = (const int64_t *)(keys + boxes), *win_at = old_at + nd;
     const int64_t *pst = win_at + nd, *sp = pst + 1;
     const int64_t *sources = run->sources;
     const uint64_t threshold = run->threshold;
     const int all_open = (int)run->all_open;
     uint64_t *table = run->table, *seeds = run->seeds;
-    int64_t *index = run->index, *extinction = run->extinction, *box = run->box;
-    const uint64_t *prefix = table + f[5];
+    int64_t *index = run->index, *extinction = run->extinction, *bounds = run->bounds;
+    const uint64_t *prefix = table + f[4];
+    for (int64_t i = 0; i < 2 * nd * boxes; i++)
+        if (bx[i] < 0 || bx[i] > (dual ? ext : win)[i % nd]
+            || (i % (2 * nd) < nd && bx[i] > bx[i + nd]))
+            return -2;
     int64_t se[MAXDIM], su[MAXDIM], E = 1, W = 1, U = 1;
     strides_of(nd, ext, se);
     strides_of(nd, uni, su);
@@ -235,9 +245,8 @@ step(const struct step *run, int64_t R, int64_t nd, int dual)
                 for (int64_t o = 0; o < lines; o++) {
                     uint8_t *d = scratch + r * E + o * len;
                     memcpy(d, rb + r * rst[1] + line_at(o, nd, ext, sr), (size_t)len);
-                    mask_span(d, pb + line_at(o, nd, ext, sp),
-                              domain ? domain + r * E + o * len : NULL, len,
-                              keys[r], threshold, all_open);
+                    mask_line(d, pb + line_at(o, nd, ext, sp), o, nd, ext, bx + 2 * nd * r,
+                              bx + 2 * nd * r + nd, keys[r], threshold, all_open);
                 }
             src = scratch;
             ss = se;
@@ -259,9 +268,8 @@ step(const struct step *run, int64_t R, int64_t nd, int dual)
         for (int64_t o = 0; o < wlines; o++) {
             const int64_t at = line_at(o, nd, win, su);
             if (!dual)
-                mask_span(nb + at, pb + line_at(o, nd, win, sp),
-                          domain ? domain + o * wlen : NULL, wlen, keys[0],
-                          threshold, all_open);
+                mask_line(nb + at, pb + line_at(o, nd, win, sp), o, nd, win, bx,
+                          bx + nd, keys[0], threshold, all_open);
             any |= occupy_span(nb + at, cells + win0 + at, wlen);
         }
         if (!any) {
@@ -279,8 +287,8 @@ step(const struct step *run, int64_t R, int64_t nd, int dual)
     /* the bounding box of the occupied cells, line by line of uni */
     const int64_t ulen = uni[nd - 1];
     for (int64_t a = 0; a < nd; a++) {
-        box[a] = uni[a];
-        box[nd + a] = 0;
+        bounds[a] = uni[a];
+        bounds[nd + a] = 0;
     }
     for (int64_t o = 0; o < U / ulen; o++) {
         const uint8_t *l = cells + o * ulen;
@@ -291,18 +299,18 @@ step(const struct step *run, int64_t R, int64_t nd, int dual)
             continue;
         while (!l[j - 1])
             j--;
-        box[nd - 1] = i < box[nd - 1] ? i : box[nd - 1];
-        box[2 * nd - 1] = j > box[2 * nd - 1] ? j : box[2 * nd - 1];
+        bounds[nd - 1] = i < bounds[nd - 1] ? i : bounds[nd - 1];
+        bounds[2 * nd - 1] = j > bounds[2 * nd - 1] ? j : bounds[2 * nd - 1];
         int64_t q = o;
         for (int64_t a = nd - 2; a >= 0; a--) {
             const int64_t x = q % uni[a];
             q /= uni[a];
-            box[a] = x < box[a] ? x : box[a];
-            box[nd + a] = x + 1 > box[nd + a] ? x + 1 : box[nd + a];
+            bounds[a] = x < bounds[a] ? x : bounds[a];
+            bounds[nd + a] = x + 1 > bounds[nd + a] ? x + 1 : bounds[nd + a];
         }
     }
-    /* where the rows trimmed to the box start in out */
-    box[2 * nd] = flat(nd, box, su);
+    /* where the rows trimmed to the bounds start in out */
+    bounds[2 * nd] = flat(nd, bounds, su);
     free(cells);
     return n;
 }

@@ -9,20 +9,21 @@ chain, which is the reference.
 The native kernel ``chain_step`` takes one step of
 ``gosp.dynamics.batch_evolve``, primal or dual, for any d and R, in one
 call: the OR of the source rows through each offset, the open test
-finished from the ``BatchOpenness`` prefix table, the domain mask, the
-slab shift into the union window, the dropping of the replicas that died,
-and the bounding box of the cells the others occupy, from which ``_trim``
-only slices.  The survivors' rows fill the first slots of the output,
-their prefix-table rows, seeds and original indices move down in place,
-and each replica that died gets its extinction step.  ``chain_step`` here
-binds the kernel to one run, as a ``ChainStep``: the model's sources, R,
-the threshold, where the old window and the new row sit in their union,
-and the replicas' bookkeeping go into a ``Step`` struct once, the prefix
-table each time it is reallocated, and each step packs only its integers
-into a fixed frame buffer and makes one call.  Without the library it
-returns None and the caller runs its numpy step body, which is the
-reference; that body finishes the prefix hashes with
-``gosp.field.open_mask`` in numpy and compacts in numpy.
+finished from the ``BatchOpenness`` prefix table inside the domain's box
+and the clearing of the sites outside it, the slab shift into the union
+window, the dropping of the replicas that died, and the bounding box of
+the cells the others occupy, from which ``_trim`` only slices.  The
+survivors' rows fill the first slots of the output, their prefix-table
+rows, seeds and original indices move down in place, and each replica that
+died gets its extinction step.  ``chain_step`` here binds the kernel to
+one run, as a ``ChainStep``: the model's sources, R, the threshold, where
+the old window and the new row sit in their union, and the replicas'
+bookkeeping go into a ``Step`` struct once, the prefix table each time it
+is reallocated, and each step packs only its integers into a fixed frame
+buffer and makes one call.  Without the library it returns None and the
+caller runs its numpy step body, which is the reference; that body
+finishes the prefix hashes with ``gosp.field.open_mask`` in numpy and
+compacts in numpy.
 
 ``torus_extinction`` runs the torus quotient chain of
 ``gosp.dynamics.torus_extinction_batch`` one replica at a time in the native
@@ -107,7 +108,7 @@ class Step(ctypes.Structure):
                 ("dual", ctypes.c_int64), ("all_open", ctypes.c_int64),
                 ("threshold", ctypes.c_uint64), ("sources", ctypes.c_void_p),
                 ("G", ctypes.c_int64), ("frame", ctypes.c_void_p),
-                ("box", ctypes.c_void_p), ("cells", ctypes.c_int64),
+                ("bounds", ctypes.c_void_p), ("cells", ctypes.c_int64),
                 ("table", ctypes.c_void_p), ("seeds", ctypes.c_void_p),
                 ("index", ctypes.c_void_p), ("extinction", ctypes.c_void_p)]
 
@@ -143,15 +144,6 @@ KIND = "numpy" if _step is None else "native"
 _ALL_OPEN = 1 << 64
 # the C kernels' bound on the number of axes
 _MAXDIM = 64
-
-
-def _address(a: np.ndarray) -> int:
-    """Address of a contiguous array's data, faster than ``a.ctypes.data``
-    when the array is writable."""
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    except TypeError:                   # read-only
-        return a.ctypes.data
 
 
 def prefix_hash(heads: np.ndarray, keys) -> np.ndarray | None:
@@ -200,20 +192,22 @@ class ChainStep:
         self._old_at = [max(-s, 0) for s in shift]
         win_at = [max(s, 0) for s in shift]
         self._grow = [max(o, w + s) for o, w, s in zip(self._old_at, win_at, self._spread)]
-        # a step's words, then what is bound with the run and the table
-        # (see struct step)
-        keys, words = (R if dual else 1), 8 + 4 * nd
+        # a step's words, its boxes among them, then what is bound with the
+        # run and the table (see struct step)
+        keys = R if dual else 1
+        self._box_len = 2 * nd * keys
+        words = 7 + 4 * nd + self._box_len
         self._frame = np.zeros(words + keys + 3 * nd + 1, dtype=np.int64)
         self._pack = struct.Struct(f"<{words}q{keys}Q").pack_into
         self._frame[words + keys:words + keys + 2 * nd] = self._old_at + win_at
         self._strides = words + keys + 2 * nd
         # lo, hi and where the rows trimmed to them start in out
-        self._box = np.zeros(2 * nd + 1, dtype=np.int64)
+        self._bounds = np.zeros(2 * nd + 1, dtype=np.int64)
         self._arrays = arrays
         all_open = threshold >= _ALL_OPEN
         self._struct = Step(R, nd, dual, all_open, 0 if all_open else threshold,
                             sources.ctypes.data, len(sources), self._frame.ctypes.data,
-                            self._box.ctypes.data, 0, None,
+                            self._bounds.ctypes.data, 0, None,
                             *(a.ctypes.data for a in arrays[1:]))
         self._at = ctypes.addressof(self._struct)
         self._call = _step
@@ -243,8 +237,7 @@ class ChainStep:
         self._frame[self._strides:] = strides = [n // 8 for n in table.strides]
         self._table_strides = strides[1:]
 
-    def __call__(self, rows: np.ndarray, anchor, keys, place,
-                 domain: np.ndarray | None, t: int):
+    def __call__(self, rows: np.ndarray, anchor, keys, place, box, t: int):
         """Step t of the (B, R, *ext) ``rows`` at ``anchor``: the next rows
         (n, R, *uni) of the n replicas that survive it, in replica order,
         the anchor of uni, the union of the old window and the new row's,
@@ -253,18 +246,23 @@ class ChainStep:
         The open sites are read at the time of key ``keys[0]`` over the new
         row's window (dual: of ``keys[r]`` for source row r, over the old
         window) from the table's window that starts at ``place`` in its
-        box; the contiguous bool ``domain`` has that window's shape (dual:
-        (R, *ext)).  The survivors' table rows, seeds and original
-        indices move down to rows 0..n-1 in place, and each replica that
-        died gets ``extinction[index] = t``.  The caller that trims the
-        rows to the bounds hands them back as ``last``: the next step then
-        finds them at the address it wrote them to.
+        box.  ``box`` holds the domain's box in that window, its nd lower
+        then its nd upper bounds (dual: one such box per source row, R
+        boxes in all): the sites outside it are cleared and only those
+        inside are tested.  The survivors' table rows, seeds and original indices
+        move down to rows 0..n-1 in place, and each replica that died gets
+        ``extinction[index] = t``.  The caller that trims the rows to the
+        bounds hands them back as ``last``: the next step then finds them
+        at the address it wrote them to.
         """
         B, R, *ext = rows.shape
         if B > self.capacity:
             raise ValueError(f"a chain_step bound to {self.capacity} replicas, not {B}")
         if R != self.R:
             raise ValueError(f"a chain_step of {self.R} rows, not {R}")
+        if len(box) != self._box_len:
+            raise ValueError(f"a chain_step's box holds {self._box_len} ints, "
+                             f"not {len(box)}")
         if rows is self.last:
             at = self._last_at
         else:
@@ -277,26 +275,21 @@ class ChainStep:
         if min(place) < 0 or not all(map(le, map(add, place, masked), self._box_shape)):
             raise ValueError(f"a window of shape {tuple(masked)} at {tuple(place)} "
                              f"leaves the table's box {self._box_shape}")
-        if domain is None:
-            mask = 0
-        else:
-            shape = (R, *ext) if self.dual else masked
-            if (domain.shape != shape or domain.dtype != bool
-                    or not domain.flags.c_contiguous):
-                raise ValueError(f"domain must be a contiguous bool array of shape {shape}")
-            mask = _address(domain)
         out = np.empty((B, R, *uni), dtype=bool)
         out_at = ctypes.addressof(ctypes.c_char.from_buffer(out))
-        self._pack(self._frame, 0, at, mask, out_at, B, t,
+        self._pack(self._frame, 0, at, out_at, B, t,
                    sum(map(mul, place, self._table_strides)), *ext, *win, *uni,
-                   *rows.strides, *keys)
+                   *rows.strides, *box, *keys)
         n = self._call(self._at)
+        if n == -2:
+            raise ValueError(f"a box {list(box)} that is not 0 <= lo <= hi <= "
+                             f"{tuple(masked)} per axis")
         if n < 0:
             raise MemoryError("chain_step could not allocate its scratch")
-        box = self._box.tolist()
-        self.last, self._last_at = None, out_at + box.pop()
+        bounds = self._bounds.tolist()
+        self.last, self._last_at = None, out_at + bounds.pop()
         return (out[:n], tuple(map(sub, anchor, self._old_at)),
-                (box[:self.nd], box[self.nd:]))
+                (bounds[:self.nd], bounds[self.nd:]))
 
 
 def chain_step(sources: np.ndarray, shift, R: int, dual: bool, threshold: int,

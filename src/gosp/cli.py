@@ -2,7 +2,8 @@
 
 Every run produces three artifacts in the output directory: a pretty-printed
 ``manifest.json`` (written before any result, so a crash never leaves results
-without a manifest), a ``results.jsonl`` stream with one record per replica
+without a manifest, and again when the run ends, with how it ended), a
+``results.jsonl`` stream with one record per replica
 or sweep point, and a ``summary.csv`` table with a fixed header.  Result
 streams are deterministic functions of (config, master seed, replica count)
 and independent of ``--threads``; files are written with a ``.partial``
@@ -501,7 +502,8 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(partial, path)
 
 
-def _write_manifest(path: str, plan: dict, timing) -> None:
+def _write_manifest(path: str, plan: dict, status: str, timing=None,
+                    reason=None) -> None:
     with open(plan["model"], "rb") as fh:
         model_hash = hashlib.sha256(fh.read()).hexdigest()
     manifest = {
@@ -512,6 +514,8 @@ def _write_manifest(path: str, plan: dict, timing) -> None:
         "mixer": MIXER_ID,
         "openness": OPENNESS_KIND,
         "version": __version__,
+        "status": status,
+        "reason": reason,
         "timing": timing,
     }
     _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True,
@@ -519,26 +523,34 @@ def _write_manifest(path: str, plan: dict, timing) -> None:
 
 
 def run(plan: dict, parallelism: int = 1, out_dir: str = ".") -> dict:
-    """Execute a validated plan and write manifest, JSONL and CSV artifacts."""
+    """Execute a validated plan and write manifest, JSONL and CSV artifacts.
+    The manifest's ``status`` is "running", then "ok", or "refused" or
+    "error" with the exception's class and message, which is raised again."""
     model = load_model(plan["model"])
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_manifest(manifest_path, plan, None)
-    t_start = time.perf_counter()
-    rows, records = _RUNNERS[plan["estimator"]](model, plan, parallelism)
-    wall = time.perf_counter() - t_start
+    _write_manifest(manifest_path, plan, "running")
+    try:
+        t_start = time.perf_counter()
+        rows, records = _RUNNERS[plan["estimator"]](model, plan, parallelism)
+        wall = time.perf_counter() - t_start
 
-    _atomic_write(os.path.join(out_dir, "results.jsonl"), _jsonl(records))
+        _atomic_write(os.path.join(out_dir, "results.jsonl"), _jsonl(records))
 
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _atomic_write(os.path.join(out_dir, "summary.csv"), buf.getvalue())
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        _atomic_write(os.path.join(out_dir, "summary.csv"), buf.getvalue())
+    except BaseException as exc:
+        status = "refused" if isinstance(exc, est.EstimatorRefused) else "error"
+        _write_manifest(manifest_path, plan, status,
+                        reason={"class": type(exc).__name__, "message": str(exc)})
+        raise
 
     reps = plan.get("reps")
     timing = {"wall_s": wall, "per_replica_s": (wall / reps) if reps else None}
-    _write_manifest(manifest_path, plan, timing)
+    _write_manifest(manifest_path, plan, "ok", timing)
     return {"rows": rows, "timing": timing}
 
 

@@ -17,17 +17,23 @@ of the field, site_hash(seed, [*x, t]) = mix(site_hash(seed, x) ^ (u64(t) * C
 hashed once into a table and every step finishes it with a single mix and
 the threshold test.
 
+A domain is a box per time: ``domain(t)`` gives the half-open integer
+bounds (lo, hi) of the sites x that a path may step on at time t, empty
+when lo >= hi on some axis.  Each step clips the box to the window it
+masks (``_clip``): the sites outside are cleared, and only those inside
+are tested for openness.
+
 Each step of ``batch_evolve`` (``_batch_step``, ``_dual_batch_step``) is one
 call of the native kernel ``chain_step`` of ``gosp._openness``: the shift-OR
-through the offsets, the open and domain masks, the slab shift and the
-occupancy that ``_trim`` needs, for any d and R, and the dropping of the
-replicas that died.  The run binds the kernel once, through
+through the offsets, the open test inside the domain's box, the slab shift
+and the occupancy that ``_trim`` needs, for any d and R, and the dropping of
+the replicas that died.  The run binds the kernel once, through
 ``BatchOpenness.bind``, to everything that stays put between steps; the
 table is bound again only when ``_cover`` reallocates it, so a step passes
 the kernel only its rows, its time keys, the place of its window in the
-table and its domain mask.  The numpy body of each step is the reference;
-it runs only without the library, finishing the prefix hashes with
-``open_mask`` and dropping the dead replicas in numpy.
+table and its clipped box.  The numpy body of each step is the reference;
+it runs only without the library, clipping by slicing, finishing the prefix
+hashes with ``open_mask`` and dropping the dead replicas in numpy.
 
 ``batch_evolve`` steps the primal and dual chains on Z^{d-1}.  The quotient
 chain on the side-n torus has a stepping loop of its own,
@@ -299,15 +305,11 @@ class BatchOpenness:
         self.lo, self.hi = tuple(lo), tuple(hi)
         shape = tuple(h - l for l, h in zip(lo, hi))
         s = self.seeds.reshape((-1,) + (1,) * len(shape))
-        # the box's coordinates, one read-only array per axis, of which
-        # every window's coordinates are views
-        self.axes = [np.arange(l, h, dtype=np.int64) for l, h in zip(lo, hi)]
-        for x in self.axes:
-            x.flags.writeable = False
-        # each varying along its own axis only: the grid that site_hash
-        # hashes in one native call
+        # the box's coordinates, each varying along its own axis only: the
+        # grid that site_hash hashes in one native call
         d = len(shape)
-        coords = [x.reshape((-1,) + (1,) * (d - a - 1)) for a, x in enumerate(self.axes)]
+        coords = [np.arange(l, h, dtype=np.int64).reshape((-1,) + (1,) * (d - a - 1))
+                  for a, (l, h) in enumerate(zip(lo, hi))]
         # free the old box, which the chain holds too, before hashing the
         # new
         self.table = None
@@ -324,13 +326,6 @@ class BatchOpenness:
         grown to cover it first."""
         self._cover(lo, tuple(map(add, lo, shape)))
         return tuple(map(sub, lo, self.lo))
-
-    def coords(self, lo, shape) -> list[np.ndarray]:
-        """The coordinates of the sites of the window [lo, lo + shape),
-        which the table covers: one read-only array per axis, of the
-        window's shape, with no copy."""
-        views = [x[l - b:l - b + n] for x, l, b, n in zip(self.axes, lo, self.lo, shape)]
-        return views if len(views) == 1 else np.meshgrid(*views, indexing="ij", copy=False)
 
     def prefix(self, lo, shape) -> np.ndarray:
         """The (B, *shape) view of the prefix table over [lo, lo + shape)."""
@@ -391,24 +386,27 @@ def _sources(model: NormalizedModel, dual: bool) -> np.ndarray:
     ], dtype=np.int64)
 
 
-def _domain_mask(domain, coords, shape, t_abs) -> np.ndarray:
-    """The contiguous (*shape) mask of the domain at time t_abs over the
-    sites ``coords`` of a window of that shape."""
-    m = np.asarray(domain(coords, t_abs))
-    if m.shape != shape:
-        m = np.broadcast_to(m, shape)
-    return np.ascontiguousarray(m, dtype=bool)
+def _clip(domain, t: int, lo, shape) -> list[int]:
+    """The box of ``domain`` at time t clipped to the window [lo, lo +
+    shape), in the window's coordinates: its lower then its upper bounds,
+    with lower <= upper on every axis, so an empty box stays empty; the
+    whole window with no domain."""
+    if domain is None:
+        return [0] * len(shape) + list(shape)
+    d_lo, d_hi = domain(t)
+    a = [min(max(b - w, 0), n) for b, w, n in zip(d_lo, lo, shape)]
+    return a + [min(max(b - w, x), n) for b, w, x, n in zip(d_hi, lo, a, shape)]
 
 
-def _native_step(state, openness, place, times, domain) -> BatchState:
+def _native_step(state, openness, place, times, box) -> BatchState:
     """The step by the run's ``chain_step``, which drops the dead replicas
-    in the same call, reading the open sites of ``times`` from the prefix
-    table's window at ``place``."""
+    in the same call, reading the open sites of ``times`` inside ``box``
+    from the prefix table's window at ``place``."""
     chain = openness.chain
-    rows, ulo, box = chain(state.rows, state.anchor, [_coord_key(t) for t in times],
-                           place, domain, state.t + 1)
+    rows, ulo, bounds = chain(state.rows, state.anchor, [_coord_key(t) for t in times],
+                              place, box, state.t + 1)
     openness.resize(len(rows))          # the kernel moved the survivors down
-    rows, anchor = _trim(rows, ulo, box)
+    rows, anchor = _trim(rows, ulo, bounds)
     chain.last = rows                   # found by address at the next step
     return BatchState(state.t + 1, anchor, rows, openness.index)
 
@@ -418,8 +416,9 @@ def _batch_step(state: BatchState, model: NormalizedModel,
     """Primal slab-shift step; the new top row sits at absolute time t0+t+R.
 
     The new top row is the OR of the old rows through each offset, masked
-    with the open sites and the domain; ``chain_step`` does it all in one
-    native call, and the numpy body below is its reference."""
+    with the open sites inside the domain's box and cleared outside it;
+    ``chain_step`` does it all in one native call, and the numpy body below
+    is its reference."""
     R = model.R
     mins, maxs = model.spatial_min, model.spatial_max
     ext = state.rows.shape[2:]
@@ -427,10 +426,9 @@ def _batch_step(state: BatchState, model: NormalizedModel,
     shape = tuple(map(add, ext, map(sub, maxs, mins)))
     t_abs = t0 + state.t + R
     place = openness.place(lo, shape)       # the table now covers the window
-    dom = None if domain is None else _domain_mask(
-        domain, openness.coords(lo, shape), shape, t_abs)
+    box = _clip(domain, t_abs, lo, shape)
     if openness.chain is not None:
-        return _native_step(state, openness, place, [t_abs], dom)
+        return _native_step(state, openness, place, [t_abs], box)
     prefix = openness.prefix(lo, shape)
     acc = np.zeros((state.batch,) + shape, dtype=bool)
     for y, u in model.split_offsets:
@@ -439,10 +437,10 @@ def _batch_step(state: BatchState, model: NormalizedModel,
             slice(yi - mn, yi - mn + e) for yi, mn, e in zip(y, mins, ext)
         )
         acc[(slice(None),) + sl] |= src
-    acc &= open_mask(prefix, t_abs, openness.threshold)
-    if dom is not None:
-        acc &= dom
-    return _shift_in(state, acc, lo, openness, dual=False)
+    new = np.zeros_like(acc)
+    sl = (slice(None),) + tuple(map(slice, box[:len(shape)], box[len(shape):]))
+    new[sl] = acc[sl] & open_mask(prefix[sl], t_abs, openness.threshold)
+    return _shift_in(state, new, lo, openness, dual=False)
 
 
 def _dual_batch_step(state: BatchState, model: NormalizedModel,
@@ -450,33 +448,28 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
     """Dual step: extend occupied open sites backwards by one slab row.
 
     Row r of the dual state at depth tau sits at absolute time t0 - tau + r;
-    a site extends only if it is itself open (and in the domain), while newly
-    inserted sites carry no openness requirement until they extend in turn.
-    ``chain_step`` does the step in one native call, and the numpy body
-    below is its reference.
+    a site extends only if it is itself open (and inside the domain's box at
+    its time), while newly inserted sites carry no openness requirement
+    until they extend in turn.  ``chain_step`` does the step in one native
+    call, and the numpy body below is its reference.
     """
     R = model.R
     ext = state.rows.shape[2:]
     times = [t0 - state.t + r for r in range(R)]
     place = openness.place(state.anchor, ext)   # the table now covers the window
-    if domain is not None:
-        coords = openness.coords(state.anchor, ext)
-        dom = np.stack([_domain_mask(domain, coords, ext, t) for t in times])
-    else:
-        dom = None
+    boxes = [_clip(domain, t, state.anchor, ext) for t in times]
     if openness.chain is not None:
-        return _native_step(state, openness, place, times, dom)
+        return _native_step(state, openness, place, times, sum(boxes, []))
     mins, maxs = model.spatial_min, model.spatial_max
     lo = tuple(map(sub, state.anchor, maxs))
     shape = tuple(map(add, ext, map(sub, maxs, mins)))
     prefix = openness.prefix(state.anchor, ext)
     acc = np.zeros((state.batch,) + shape, dtype=bool)
-    occ_open = np.empty_like(state.rows)
-    for r, t_abs in enumerate(times):
-        m = state.rows[:, r] & open_mask(prefix, t_abs, openness.threshold)
-        if dom is not None:
-            m &= dom[r]
-        occ_open[:, r] = m
+    occ_open = np.zeros_like(state.rows)
+    for r, (t_abs, box) in enumerate(zip(times, boxes)):
+        sl = (slice(None),) + tuple(map(slice, box[:len(ext)], box[len(ext):]))
+        occ_open[:, r][sl] = state.rows[:, r][sl] & open_mask(
+            prefix[sl], t_abs, openness.threshold)
     for y, u in model.split_offsets:
         src = occ_open[:, u - 1]
         sl = tuple(
@@ -547,9 +540,10 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
 
     ``init`` is a shared (anchor, rows) pair with rows of shape (R, *extent)
     or a per-replica (B, R, *extent) array; default is a single occupied site
-    at the origin of row 0.  ``domain(coords, t)``, if given, is the boolean
-    mask of the sites (coords, t) a path may step on (for example
-    ``TranslatedBlock.mask`` or ``partial(cone_mask, lo, hi)``).
+    at the origin of row 0.  ``domain(t)``, if given, is the box (lo, hi)
+    of the sites x, lo <= x < hi per axis, that a path may step on at time
+    t, in exact integers (for example ``TranslatedBlock.box`` or
+    ``partial(cone_box, lo, hi)``); it is empty when lo >= hi on some axis.
 
     Each step drops the replicas that die in it from the rows, the prefix
     table and the seeds, and writes their extinction step; replicas empty
@@ -703,14 +697,9 @@ def coupled_slab(model: NormalizedModel, seeds, p, t: int, window) -> np.ndarray
     lo = tuple(int(c) for c in window[0])
     hi = tuple(int(c) for c in window[1])
 
-    def shrinking_cone(coords, t_abs):
+    def shrinking_cone(t_abs):
         # the top row at absolute time t_abs enters at step t_abs - R + 1
-        c_lo, c_hi = dependency_cone(model, lo, hi, t - (t_abs - model.R + 1),
-                                     backward=True)
-        m = True
-        for c, l, h in zip(coords, c_lo, c_hi):
-            m = m & (c >= l) & (c < h)
-        return m
+        return dependency_cone(model, lo, hi, t - (t_abs - model.R + 1), backward=True)
 
     snap = batch_evolve(
         model, seeds, p, t,
@@ -725,16 +714,17 @@ def coupled_slab(model: NormalizedModel, seeds, p, t: int, window) -> np.ndarray
 # ---------------------------------------------------------------------------
 # edge processes (d = 2)
 
-def _half_slab_cut(model: NormalizedModel, side: str, reach):
+def _half_slab_cut(model: NormalizedModel, side: str, reach, bound: int):
     """Domain of a truncated half slab: the sites outside the cone of the
     omitted sources.  ``reach(k)`` is the (lo, hi) x-range of the k-step
     ``dependency_cone`` of the nearest omitted source, beyond which (side
-    'right': left of hi) the omitted sources occupy nothing after k steps;
-    the top row at absolute time t_abs enters at step t_abs - R + 1."""
-    def cut(coords, t_abs):
+    'right': right of hi) the omitted sources occupy nothing after k steps;
+    the top row at absolute time t_abs enters at step t_abs - R + 1.  The
+    box's other side is ``bound``, the far side of the run's own
+    ``dependency_cone``, which every window of the run lies within."""
+    def cut(t_abs):
         lo, hi = reach(t_abs - model.R + 1)
-        (x,) = coords
-        return x >= hi if side == "right" else x < lo
+        return ((hi,), (bound,)) if side == "right" else ((bound,), (lo,))
 
     return cut
 
@@ -768,11 +758,9 @@ def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     trunc = int(math.ceil(model.gamma * T * (1 + margin))) + 1
     if side == "right":
-        init = slab_window_rows(model, (-trunc,), (1,))
-        nearest = ((-trunc - 1,), (-trunc,))
+        start, nearest = ((-trunc,), (1,)), ((-trunc - 1,), (-trunc,))
     else:
-        init = slab_window_rows(model, (0,), (trunc + 1,))
-        nearest = ((trunc + 1,), (trunc + 2,))
+        start, nearest = ((0,), (trunc + 1,)), ((trunc + 1,), (trunc + 2,))
     edges = np.empty((len(seeds), T + 1), dtype=np.int64)
     (lo0,), (hi0,) = nearest
     (lo1,), (hi1,) = dependency_cone(model, *nearest, 1)
@@ -809,8 +797,11 @@ def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
             )
         edges[:, t] = front             # all alive, so in replica order
 
-    batch_evolve(model, seeds, p, T, init=init, per_step=frontier,
-                 domain=_half_slab_cut(model, side, reach))
+    # the run's own cone closes the cut's open side
+    (c_lo,), (c_hi,) = dependency_cone(model, *start, T)
+    cut = _half_slab_cut(model, side, reach, c_hi if side == "right" else c_lo)
+    batch_evolve(model, seeds, p, T, init=slab_window_rows(model, *start),
+                 per_step=frontier, domain=cut)
     return edges
 
 

@@ -56,7 +56,7 @@ from .geometry import (
     TranslatedBlock,
     as_fraction,
     bg_target_blocks,
-    cone_mask,
+    cone_box,
 )
 from .model import NormalizedModel
 
@@ -836,7 +836,7 @@ def _tilted_box(model: NormalizedModel, w: int, height: int, slope: Fraction,
     if lo >= hi:
         return None
     return (slab_window_rows(model, (lo,), (hi,)),
-            TranslatedBlock(g, (shift, Fraction(0))).mask)
+            TranslatedBlock(g, (shift, Fraction(0))).box)
 
 
 _CROSS_CHUNK = 64
@@ -868,6 +868,11 @@ def crossing_probability(model: NormalizedModel, p, L: int, eps: float,
 # renormalisation block event
 
 _BG_CHUNK = 16
+
+
+def _slices(box, anchor):
+    """Slices selecting the integer box (lo, hi) of an array at ``anchor``."""
+    return tuple(slice(max(l - a, 0), max(h - a, 0)) for l, h, a in zip(*box, anchor))
 
 
 def _box_full(col, n):
@@ -915,16 +920,12 @@ def _bg_chunk(seeds, model, p, g, n):
             full = _box_full(col, n)
             if not full.any():
                 return
-            pos = np.nonzero(full)
-            coords = [pp + a for pp, a in zip(pos, state.anchor)]
-            hit = regions.target_plus.mask(coords, s_abs)
-            hit |= regions.target_minus.mask(coords, s_abs)
-            if hit.any():
-                success = True
+            success = any(full[_slices(target.box(s_abs), state.anchor)].any()
+                          for target in (regions.target_plus, regions.target_minus))
 
         batch_evolve(
             model, [si], p, 8 * g.h - t, init=init, t0=t,
-            domain=regions.envelope.mask, per_step=scan,
+            domain=regions.envelope.box, per_step=scan,
         )
         out.append(success)
     return np.array(out, dtype=bool)
@@ -972,13 +973,13 @@ def _good_chunk(seeds, model, p, L, C, v):
     zhi = tuple(math.ceil(b) + 2 for b in bounds_hi)
     shape = tuple(h - l for l, h in zip(zlo, zhi))
 
-    grids = np.indices((R,) + shape, dtype=np.int64)
-    r_grid = grids[0]
-    z_grid = [g_ + l for g_, l in zip(grids[1:], zlo)]
-
     def region_mask(block_g, off_spatial):
+        # the (R, *shape) mask of the block over the grid, row r at time r
         tb = TranslatedBlock(block_g, tuple(off_spatial) + (Fraction(0),))
-        return tb.mask(z_grid, r_grid)
+        out = np.zeros((R,) + shape, dtype=bool)
+        for r in range(R):
+            out[(r,) + _slices(tb.box(r), zlo)] = True
+        return out
 
     # initial window for the slab runs: the backward cone of the grid over
     # s_time steps holds that over C*L <= s_time, so both snapshots are exact
@@ -1134,7 +1135,7 @@ def _cone_chunk(seeds, model, p, lo, hi, T, t0):
     ]
     res = batch_evolve(
         model, seeds, p, T - t0, init=rows_from_sites(model, sites), t0=t0,
-        domain=partial(cone_mask, lo, hi),
+        domain=partial(cone_box, lo, hi),
     )
     return res.alive_at_T
 

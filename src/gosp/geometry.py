@@ -1,18 +1,18 @@
 """Space-time regions: tilted blocks and cones.
 
-All membership tests are exact: tilt vectors are restricted to rationals and
-decisions reduce to integer comparisons, so no floating point enters any
-membership decision.  The masks operate on numpy integer arrays and are used
-by the dynamics for domain restriction.
+At each time t every region here is an axis-aligned box of lattice sites,
+which ``TranslatedBlock.box(t)`` and ``cone_box(lo, hi, t)`` return as
+half-open integer bounds (lo, hi); these are the domains of the dynamics.
+The bounds are exact: tilt vectors and offsets are rationals, and each bound
+is a ceiling or floor of a rational, so no floating point enters any
+membership decision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
 
 
 def as_fraction(value) -> Fraction:
@@ -59,46 +59,13 @@ class BlockGeometry:
         )
 
 
-def block_mask(
-    g: BlockGeometry,
-    coords: Sequence[np.ndarray],
-    t,
-    offset: Sequence[Fraction] | None = None,
-) -> np.ndarray:
-    """Vectorised block membership for sites (coords, t) - offset.
-
-    ``offset`` is a rational space-time translation of the block; ``t`` may
-    be a scalar or an array broadcastable against the coordinate arrays.
-    """
-    d = g.spatial_dim + 1
-    off = (
-        tuple(as_fraction(c) for c in offset)
-        if offset is not None
-        else (Fraction(0),) * d
-    )
-    t_rel_num = np.asarray(t, dtype=np.int64) * off[-1].denominator - off[-1].numerator
-    # t - off_t in [0, h)
-    out = (t_rel_num >= 0) & (t_rel_num < g.h * off[-1].denominator)
-    for xi, wi, vi, oi in zip(coords, g.w, g.v, off):
-        # (xi - oi) - (t - ot) * vi in [-wi, wi), all over a common denominator
-        num = (
-            (np.asarray(xi, dtype=np.int64) * oi.denominator - oi.numerator)
-            * (vi.denominator * off[-1].denominator)
-            - t_rel_num * (vi.numerator * oi.denominator)
-        )
-        scale = wi * vi.denominator * oi.denominator * off[-1].denominator
-        out = out & (num >= -scale) & (num < scale)
-    return out
-
-
-def cone_mask(lo, hi, coords: Sequence[np.ndarray], t) -> np.ndarray:
-    """Vectorised membership of (x, t) in the cone over the interval
-    [lo, hi]: t > 0 and lo*t <= x <= hi*t, cleared of denominators."""
-    lo, hi = as_fraction(lo), as_fraction(hi)
-    (x,) = (np.asarray(c, dtype=np.int64) for c in coords)
-    t = np.asarray(t, dtype=np.int64)
-    return ((t > 0) & (x * lo.denominator >= t * lo.numerator)
-            & (x * hi.denominator <= t * hi.numerator))
+def cone_box(lo, hi, t: int):
+    """The sites x of the cone over the interval [lo, hi] at time t, where
+    t > 0 and lo*t <= x <= hi*t, as the half-open box
+    ((ceil(lo*t),), (floor(hi*t) + 1,)); empty at t <= 0."""
+    if t <= 0:
+        return (0,), (0,)
+    return (math.ceil(as_fraction(lo) * t),), (math.floor(as_fraction(hi) * t) + 1,)
 
 
 @dataclass(frozen=True)
@@ -108,8 +75,19 @@ class TranslatedBlock:
     geometry: BlockGeometry
     offset: tuple[Fraction, ...]
 
-    def mask(self, coords, t) -> np.ndarray:
-        return block_mask(self.geometry, coords, t, offset=self.offset)
+    def box(self, t: int):
+        """The sites x of the block at time t, where x - o - (t - o_t) * v
+        lies in prod [-w_i, w_i) for the offset (o, o_t), as the half-open
+        box (lo, hi) with lo = ceil(c - w), hi = ceil(c + w) per axis about
+        the centre c = o + (t - o_t) * v; empty when t - o_t lies outside
+        [0, h)."""
+        g, (*o, o_t) = self.geometry, self.offset
+        s = t - o_t
+        if not 0 <= s < g.h:
+            return (0,) * len(o), (0,) * len(o)
+        centre = [oi + s * vi for oi, vi in zip(o, g.v)]
+        return (tuple(math.ceil(c - w) for c, w in zip(centre, g.w)),
+                tuple(math.ceil(c + w) for c, w in zip(centre, g.w)))
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,7 @@ def test_run_artifacts(tmp_path, model_path):
     assert manifest["mixer"] == MIXER_ID
     assert manifest["master_seed"] == 7
     assert manifest["timing"]["wall_s"] >= 0
+    assert manifest["status"] == "ok" and manifest["reason"] is None
     with open(model_path, "rb") as fh:
         assert manifest["model_sha256"] == hashlib.sha256(fh.read()).hexdigest()
     assert not list(out.glob("*.partial"))
@@ -165,7 +166,8 @@ def test_run_is_reproducible_across_threads(tmp_path, model_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_refused_run_leaves_manifest_only(tmp_path, model_path):
+def test_refused_run_leaves_manifest_only(tmp_path, model_path, capsys):
+    # the manifest says that the run was refused, and why
     out = tmp_path / "out"
     code = main([
         "shape", "--model", model_path, "--seed", "1", "--p", "0.3",
@@ -175,8 +177,34 @@ def test_refused_run_leaves_manifest_only(tmp_path, model_path):
     assert (out / "manifest.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["timing"] is None       # crash-safe: written before results
+    assert manifest["status"] == "refused"
+    reason = manifest["reason"]
+    assert reason["class"] == "SubcriticalRefused"
+    assert "below the floor" in reason["message"]
+    assert f"refused (SubcriticalRefused): {reason['message']}" in capsys.readouterr().err
     assert not (out / "results.jsonl").exists()
     assert not (out / "summary.csv").exists()
+
+
+def test_crashed_run_leaves_manifest_that_says_why(tmp_path, model_path, monkeypatch):
+    # a runner that raises leaves the manifest it found at "running", with
+    # status "error" and the exception's class and message, and the
+    # exception goes on to the caller
+    out = tmp_path / "out"
+    seen = []
+
+    def crash(model, plan, threads):
+        seen.append(json.loads((out / "manifest.json").read_text())["status"])
+        raise RuntimeError("the runner broke")
+
+    monkeypatch.setitem(cli._RUNNERS, "survival", crash)
+    with pytest.raises(RuntimeError, match="the runner broke"):
+        run(_survival_plan(model_path, p=0.6, T=5, reps=3), out_dir=str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert seen == ["running"]
+    assert manifest["status"] == "error" and manifest["timing"] is None
+    assert manifest["reason"] == {"class": "RuntimeError", "message": "the runner broke"}
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 def test_simulate_snapshot_records(tmp_path, model_path):

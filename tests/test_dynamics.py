@@ -234,11 +234,14 @@ def test_reaches_matches_oracles_on_drawn_models(model, seed, p):
 
 def test_duality_identity():
     # a path forwards is a dual path backwards through the same open sites,
-    # and a domain binds the same sites of both
+    # and a domain binds the same sites of both, also where its box moves
+    # with t
+    tilted = TranslatedBlock(BlockGeometry((2,), 20, (Fraction(1, 2),)),
+                             (Fraction(0), Fraction(0))).box   # x - t/2 in [-2, 2)
     for model in (TWO_D_OP, ASYM3, RANGE2):
         for seed in (51, 52):
             f = FieldSpec(seed=seed, p=0.6)
-            for dom in (None, _untilted(1, 3)):       # x in [-2, 4)
+            for dom in (None, _untilted(1, 3), tilted):       # x in [-2, 4)
                 for x in range(-6, 7):
                     for t in range(0, 5):
                         assert reaches((0, 0), (x, t), model, f, dom) == dual_reaches(
@@ -246,9 +249,9 @@ def test_duality_identity():
 
 
 def _untilted(centre, w, h=20):
-    """Domain mask of the untilted block [centre - w, centre + w) x [0, h)."""
+    """Domain of the untilted block [centre - w, centre + w) x [0, h)."""
     g = BlockGeometry((w,), h, (0,))
-    return TranslatedBlock(g, (Fraction(centre), Fraction(0))).mask
+    return TranslatedBlock(g, (Fraction(centre), Fraction(0))).box
 
 
 def test_reaches_respects_domain():
@@ -406,19 +409,22 @@ def test_edge_track_refuses_too_narrow_truncation(side):
 def test_half_slab_cut_changes_no_frontier(monkeypatch, model, side):
     # the run without the cut of the omitted sources' cone certifies the
     # same frontiers, and refuses at the same replica and step when the
-    # margin is too small; the cut drops sites at most steps
+    # margin is too small; the cut's box drops sites of the new row's
+    # window at most steps
     seeds = spawn_seeds(11, 0, 6)
-    cut, dropped = dyn._half_slab_cut, []
+    cut, step, dropped = dyn._half_slab_cut, dyn._batch_step, []
 
-    def counting_cut(*args):
-        domain = cut(*args)
+    def counting_step(state, m, openness, domain, t0):
+        if domain is not None:
+            # the new row's window, and the part of it the box keeps
+            (mn,), (mx,) = m.spatial_min, m.spatial_max
+            lo = state.anchor[0] + mn
+            hi = lo + state.rows.shape[2] + mx - mn
+            (c_lo,), (c_hi,) = domain(t0 + state.t + m.R)
+            dropped.append(hi - lo - max(0, min(hi, c_hi) - max(lo, c_lo)))
+        return step(state, m, openness, domain, t0)
 
-        def counted(coords, t):
-            mask = domain(coords, t)
-            dropped.append(int(np.size(mask) - np.count_nonzero(mask)))
-            return mask
-
-        return counted
+    monkeypatch.setattr(dyn, "_batch_step", counting_step)
 
     def edges(margin, make_cut):
         monkeypatch.setattr(dyn, "_half_slab_cut", make_cut)
@@ -429,7 +435,7 @@ def test_half_slab_cut_changes_no_frontier(monkeypatch, model, side):
 
     for margin in (0.2, -0.9):
         dropped.clear()
-        got, ref = edges(margin, counting_cut), edges(margin, lambda *args: None)
+        got, ref = edges(margin, cut), edges(margin, lambda *args: None)
         assert type(got) is type(ref) and np.array_equal(got, ref)
         assert np.count_nonzero(dropped) > len(dropped) / 2
     assert isinstance(got, str) and "is not certified" in got

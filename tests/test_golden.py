@@ -2,8 +2,9 @@
 
 Each ``tests/golden/<name>.json`` holds a model, a plan small enough to run
 in seconds and the SHA-256 of the ``results.jsonl`` and ``summary.csv`` the
-plan produces.  The digests pin the bytes across rewrites of the engine; an
-announced output change re-pins them with
+plan produces, natively at one and two threads and on the numpy path.  The
+digests pin the bytes across rewrites of the engine; an announced output
+change re-pins them with
 
     PYTHONPATH=src python tests/test_golden.py --pin
 
@@ -21,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from gosp.cli import run, validate_plan
+
+from conftest import numpy_path
 
 GOLDEN = Path(__file__).parent / "golden"
 ARTIFACTS = ("results.jsonl", "summary.csv")
@@ -55,6 +58,14 @@ def test_corpus_covers_every_estimator():
 def test_golden_digests(name, threads, tmp_path):
     case = _load(name)
     assert _digests(case, threads, tmp_path) == case["sha256"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden_digests_on_numpy_path(name, tmp_path):
+    # the numpy references of the native kernels, the path that runs
+    # where the library cannot be built, write the same bytes
+    with numpy_path():
+        test_golden_digests(name, 1, tmp_path)
 
 
 def _pin() -> None:

@@ -21,7 +21,7 @@ import gosp.dynamics as dyn
 from gosp import _openness
 from gosp.dynamics import batch_evolve, coupled_slab, torus_extinction_batch
 from gosp.field import spawn_seeds
-from gosp.geometry import BlockGeometry, TranslatedBlock, cone_mask
+from gosp.geometry import BlockGeometry, TranslatedBlock, cone_box
 
 from conftest import (
     ASYM3, DRIFT2, MODEL_POOL, RANGE2, THREE_D, TWO_D_OP, model_file, numpy_path,
@@ -61,23 +61,42 @@ def _states(draw):
 _times = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-300, 300))
 
 
+def _moving_box(origin, width, drift):
+    """A box domain [o_a + s, o_a + s + width) on axis a, o = ``origin``,
+    shifted by s = drift * (t % 3) at time t; empty (lo = hi) at the times
+    divisible by 5, and with lo > hi wherever width < 0."""
+    def domain(t):
+        if t % 5 == 0:
+            return tuple(origin), tuple(origin)
+        lo = tuple(o + drift * (t % 3) for o in origin)
+        return lo, tuple(c + width for c in lo)
+
+    return domain
+
+
 @native
 @settings(max_examples=300, deadline=None)
-@given(_states(), _times, st.sampled_from(PS), st.booleans(), st.booleans())
-def test_native_step_matches_numpy_step(case, t0, p, dual, masked):
+@given(_states(), _times, st.sampled_from(PS), st.booleans(), st.booleans(),
+       st.integers(-8, 12), st.integers(-3, 12), st.integers(-2, 2))
+@example((TWO_D_OP, dyn.BatchState(0, (0,), np.ones((3, 1, 6), dtype=bool))),
+         1, 0.5, False, True, 4, -2, 0)
+@example((RANGE2, dyn.BatchState(2, (-3,), np.ones((2, 2, 7), dtype=bool))),
+         9, 1.0, True, True, 3, 3, 1)
+def test_native_step_matches_numpy_step(case, t0, p, dual, masked, off, width, drift):
     # one step of each kernel from a drawn state: negative coordinates and
-    # times wrap as u64, and the domain is a checkerboard in space and time;
-    # the step drops the dead replicas in place, and writes their extinction
-    # into a larger array through a shuffled index
+    # times wrap as u64, and the domain is a box that moves with t, partly
+    # or wholly outside the masked window, empty at some times and, for a
+    # negative width, inverted; the step drops the dead replicas in place,
+    # and writes their extinction into a larger array through a shuffled
+    # index
     model, state = case
     B = state.batch
     seeds = spawn_seeds(t0 & 0xFFFF, 0, B)
     rng = np.random.default_rng(t0 & 0xFFFF)
     index = rng.permutation(B + 3)[:B]
     extinction = rng.choice([-1, 0, 3], B + 3)
-
-    def domain(coords, t):
-        return (sum(coords) + t % 2) % 2 == 0
+    # axis a starts a sites further, so no two axes clip alike
+    domain = _moving_box([c + off + a for a, c in enumerate(state.anchor)], width, drift)
 
     kernel = dyn._dual_batch_step if dual else dyn._batch_step
 
@@ -120,9 +139,9 @@ def _domains(model):
     d_s = model.d - 1
     block = TranslatedBlock(BlockGeometry((6,) * d_s, 9, (Fraction(1, 2),) * d_s),
                             (Fraction(-1),) * d_s + (Fraction(1),))
-    out = {"none": None, "block": block.mask}
+    out = {"none": None, "block": block.box}
     if d_s == 1:
-        out["cone"] = partial(cone_mask, Fraction(-1, 3), Fraction(4, 5))
+        out["cone"] = partial(cone_box, Fraction(-1, 3), Fraction(4, 5))
     return out
 
 
@@ -248,9 +267,10 @@ def test_native_steps_never_run_the_numpy_body(monkeypatch, dual):
 def test_compacting_step_refuses_mismatched_bookkeeping():
     # a wrong dtype, a missing row, a strided array or sources outside the
     # rows never bind the struct of the kernel's in-place moves; a table
-    # bound for fewer replicas, rows of another R, a window outside the
-    # table's box and a domain of the wrong shape, dtype or layout never
-    # reach the kernel
+    # bound for fewer replicas, rows of another R, a box of the wrong
+    # length and a window outside the table's box never reach the kernel,
+    # which refuses a box outside the window, or inverted, before it writes
+    # anything
     rows, sources = np.ones((2, 1, 3), dtype=bool), np.array([[0, 0], [0, 1]])
     table = np.zeros((2, 4), dtype=np.uint64)
     good = [np.zeros(2, np.uint64), np.arange(2), np.full(2, -1)]
@@ -271,24 +291,37 @@ def test_compacting_step_refuses_mismatched_bookkeeping():
                {"shift": (0, 0)}]:
         with pytest.raises(ValueError, match="a chain_step needs"):
             bound(*good, **kw)
+    whole = [0, 4]                      # the new row's window (4,)
     with pytest.raises(ValueError, match="bound to 1 replicas, not 2"):
-        bound(*good, table=table[:1])(rows, (0,), [0], (0,), None, 1)
+        bound(*good, table=table[:1])(rows, (0,), [0], (0,), whole, 1)
     with pytest.raises(ValueError, match="of 1 rows, not 2"):
-        bound(*good)(np.ones((2, 2, 3), dtype=bool), (0,), [0], (0,), None, 1)
-    for domain in (np.ones(3, dtype=bool), np.ones(4, dtype=np.uint8),
-                   np.ones(8, dtype=bool)[::2]):
-        with pytest.raises(ValueError, match="domain must be a contiguous bool array"):
-            bound(*good)(rows, (0,), [0], (0,), domain, 1)
+        bound(*good)(np.ones((2, 2, 3), dtype=bool), (0,), [0], (0,), whole, 1)
+    for box in ([0], [0, 4, 0], [], [0, 4] * 2):
+        with pytest.raises(ValueError, match=f"box holds 2 ints, not {len(box)}"):
+            bound(*good)(rows, (0,), [0], (0,), box, 1)
+    for box in ([-1, 4], [0, 5], [3, 2], [5, 5]):
+        with pytest.raises(ValueError, match=r"not 0 <= lo <= hi <= \(4,\)"):
+            bound(*good)(rows, (0,), [0], (0,), box, 1)
     for place in ((-1,), (1,)):
         with pytest.raises(ValueError, match=r"leaves the table's box \(4,\)"):
-            bound(*good)(rows, (0,), [0], place, None, 1)
-    out, anchor, _ = bound(*good)(rows, (0,), [0], (0,), None, 1)
+            bound(*good)(rows, (0,), [0], place, whole, 1)
+    assert good[2].tolist() == [-1, -1]
+    out, anchor, _ = bound(*good)(rows, (0,), [0], (0,), whole, 1)
     assert out.shape == (0, 1, 4) and anchor == (0,) and good[2].tolist() == [1, 1]
 
 
-def _sparse_domain(coords, t):
-    """A domain that drops a sparse, shifting set of sites."""
-    return (sum((3 + 4 * a) * c for a, c in enumerate(coords)) + t) % 11 != 0
+def _widening_box(d_s, gap_at):
+    """A box domain that widens by a site every other unit of time and
+    shifts with t, so that it cuts the windows of a run from the origin at
+    most steps; at time ``gap_at`` it is inverted (lo > hi) if that time
+    is even, and wholly outside every window if it is odd."""
+    def domain(t):
+        lo, hi = -2 - abs(t) // 2 + t % 3, 3 + abs(t) // 2 + t % 3
+        if t == gap_at:
+            lo, hi = (hi, lo) if t % 2 == 0 else (lo + 10**6, hi + 10**6)
+        return (lo,) * d_s, (hi,) * d_s
+
+    return domain
 
 
 @native
@@ -297,17 +330,21 @@ def _sparse_domain(coords, t):
     st.sampled_from(MODEL_POOL), st.booleans(), st.sampled_from([0.7, 0.85, 1.0]),
     st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(6, 30),
     st.lists(st.integers(0, 30), max_size=3), st.integers(0, 30),
+    st.integers(0, 40),
 )
-@example(TWO_D_OP, False, 1.0, 1, 5, 20, [3, 9], 7)
-@example(THREE_D, True, 1.0, 2, 4, 12, [2], 5)
-@example(RANGE2, False, 0.85, 3, 12, 30, [0, 4, 5], 30)
-def test_native_runs_rederive_their_pointers(model, dual, p, master, B, T, end_at, snap):
+@example(TWO_D_OP, False, 1.0, 1, 5, 20, [3, 9], 7, 40)
+@example(THREE_D, True, 1.0, 2, 4, 12, [2], 5, 40)
+@example(RANGE2, False, 0.85, 3, 12, 30, [0, 4, 5], 30, 17)
+@example(RANGE2, True, 1.0, 4, 6, 24, [], 12, 10)
+def test_native_runs_rederive_their_pointers(model, dual, p, master, B, T, end_at, snap,
+                                             gap_at):
     # the kernel finds the rows it stepped last at the address it wrote
     # them to, and every other rows, such as those _keep copied when the
     # observer ended some, through numpy; its table, until _cover
     # reallocates it as the windows outgrow the box: native and numpy runs
     # agree through observers that end rows at drawn steps, snapshots and a
-    # domain, and a run at p = 1 that lives to T outgrows its first box
+    # box domain that moves with t and is empty at one drawn time, and a
+    # run at p = 1 that lives to T outgrows its first box
     seeds = spawn_seeds(master, 0, B)
     tables = []
     bind = _openness.ChainStep.bind
@@ -326,7 +363,7 @@ def test_native_runs_rederive_their_pointers(model, dual, p, master, B, T, end_a
                 return state.index % 3 == t % 3
 
         res = batch_evolve(model, seeds, p, T, t0=T if dual else 0, dual=dual,
-                           domain=_sparse_domain, per_step=observer,
+                           domain=_widening_box(model.d - 1, gap_at), per_step=observer,
                            snapshot_times=[min(snap, T), T])
         snaps = [(t, s.anchor, s.rows) for t, s in sorted(res.snapshots.items())]
         return res.extinction, snaps, seen
