@@ -335,10 +335,16 @@ int64_t chain_step(const struct step *run)
    prefix is the (B, N) contiguous table of spatial prefix hashes of the
    torus sites; gather holds G rows of N indices, row i giving for each site
    of the new top row its source through offset i in the flat R*N rows.
-   rows is a scratch buffer of (R + 1) * N bytes: the R rows, then the new
-   top row.  The top row at step t is open at time t + R, whose time key is
+   The top row at step t is open at time t + R, whose time key is
    key0 + t * key_step (key0 the key of time R, key_step = C); with all_open
-   (p = 1, whose threshold 2**64 does not fit a u64) every site is. */
+   (p = 1, whose threshold 2**64 does not fit a u64) every site is.
+
+   With R*N <= 64 (the word path) a replica's rows are one word w, bit
+   r*N + s site s of row r: a step ORs, for each byte k of w, tab[k][byte],
+   the top-row sites whose sources are that byte's set bits, ANDs in the
+   open mask, and shifts the new top row in; the replica dies when w is 0.
+   Larger tori (the byte path) keep their rows in the scratch buffer rows,
+   of (R + 1) * N bytes: the R rows, then the new top row. */
 #if defined(__x86_64__)
 __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 #endif
@@ -347,6 +353,39 @@ void torus_run(const uint64_t *prefix, int64_t B, int64_t N,
                uint64_t key0, uint64_t key_step, uint64_t threshold,
                int all_open, uint8_t *rows, int64_t *extinction)
 {
+    if (R * N <= 64) {
+        const int64_t bytes = (R * N + 7) / 8;
+        uint64_t to[64] = {0}, tab[8][256];
+        /* the top-row sites fed by each source bit, then by each byte */
+        for (int64_t i = 0; i < G * N; i++)
+            to[gather[i]] |= 1ULL << i % N;
+        for (int64_t k = 0; k < bytes; k++) {
+            tab[k][0] = 0;
+            for (int v = 1; v < 256; v++)
+                tab[k][v] = tab[k][v & (v - 1)] | to[8 * k + __builtin_ctz(v)];
+        }
+        for (int64_t b = 0; b < B; b++, prefix += N) {
+            uint64_t w = ~0ULL >> (64 - R * N), key = key0;
+            extinction[b] = -1;
+            for (int64_t t = 0; t < T_max; t++, key += key_step) {
+                uint64_t top = 0, open = 0;
+                for (int64_t k = 0; k < bytes; k++)
+                    top |= tab[k][w >> 8 * k & 255];
+                if (!all_open) {
+                    for (int64_t j = 0; j < N; j++)
+                        open |= (uint64_t)(mix(prefix[j] ^ key) < threshold) << j;
+                    top &= open;
+                }
+                /* w >> N in two shifts: N = 64 (R = 1) is undefined in one */
+                w = w >> (N - 1) >> 1 | top << (R - 1) * N;
+                if (!w) {
+                    extinction[b] = t + 1;
+                    break;
+                }
+            }
+        }
+        return;
+    }
     uint8_t *top = rows + R * N;
     for (int64_t b = 0; b < B; b++, prefix += N) {
         int64_t empty = 0;              /* trailing empty top rows */

@@ -27,8 +27,10 @@ compacts in numpy.
 
 ``torus_extinction`` runs the torus quotient chain of
 ``gosp.dynamics.torus_extinction_batch`` one replica at a time in the native
-kernel ``torus_run``, p = 1 included; without the library it returns None
-and the caller runs its numpy loop.
+kernel ``torus_run``, p = 1 included: a torus of R*N <= 64 sites takes the
+word path, each replica's rows one uint64 stepped through a per-byte
+lookup table, and a larger one the byte path, one byte a site.  Without
+the library it returns None and the caller runs its numpy loop.
 
 The kernels take hashes and coordinate keys, u64(c) * C + G, that their
 callers derive in ``gosp.field``; this module imports nothing from gosp,
@@ -319,7 +321,10 @@ def torus_extinction(prefix: np.ndarray, gather: np.ndarray, R: int,
 
     Row i of the (G, N) ``gather`` gives, for each site of the new top row,
     its source through offset i in the flat R*N rows.  The top row of step
-    t is open at the time of key ``key0 + t * key_step`` (mod 2**64)."""
+    t is open at the time of key ``key0 + t * key_step`` (mod 2**64).
+    With R*N <= 64 the kernel keeps each replica's rows in one 64-bit word
+    (the word path), otherwise one byte a site (the byte path); both give
+    the same steps."""
     if _torus is None:
         return None
     prefix = np.ascontiguousarray(prefix, dtype=np.uint64)

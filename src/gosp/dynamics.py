@@ -39,9 +39,11 @@ hashes with ``open_mask`` and dropping the dead replicas in numpy.
 chain on the side-n torus has a stepping loop of its own,
 ``torus_extinction_batch``: its window never moves, so each step is a
 gather of the flat rows through one precomputed index per offset.  With the
-native library each replica runs alone in C until it dies (``torus_run``);
-the numpy loop, its reference and fallback, steps the batch in lockstep
-with one open-mask query per step.
+native library each replica runs alone in C until it dies (``torus_run``),
+its R*N rows packed into one 64-bit word when R*N <= 64 (the word path)
+and one byte a site otherwise (the byte path); the numpy loop, their
+reference and fallback, steps the batch in lockstep with one open-mask
+query per step.
 
 All truncations of infinite initial conditions are justified by the cone
 bound of ``dependency_cone``.  A site influences another only through a path
@@ -825,11 +827,12 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
     Each step gathers the new top row from flat rows through one index per
     offset and masks it with the open sites of its time.  With the native
     library, ``torus_run`` runs each replica on its own from the (B, N)
-    prefix table until it dies, so no replica waits for another.  The numpy
-    loop is the reference and the fallback: it steps the batch in lockstep
-    (``_torus_batch_step``) with one ``BatchOpenness.window`` query per
-    step, and drops extinct replicas from the rows and the table after
-    every step (``_keep``).
+    prefix table until it dies, so no replica waits for another: with
+    R*N <= 64 its rows are one 64-bit word (the word path), else one byte
+    a site (the byte path).  The numpy loop is the reference and the
+    fallback: it steps the batch in lockstep (``_torus_batch_step``) with
+    one ``BatchOpenness.window`` query per step, and drops extinct replicas
+    from the rows and the table after every step (``_keep``).
     """
     check_torus_side(model, n)
     R, d_s = model.R, model.d - 1

@@ -256,7 +256,11 @@ def _event_chunk(seeds, model, p, T, L_stop):
 
     def stop_at_extent(t, state: BatchState):
         # a replica with an occupied site at sup-norm distance >= L_stop has
-        # the event; returning it ends it here
+        # the event; returning it ends it here.  None has it while the
+        # window lies inside |x| < L_stop
+        if all(-L_stop < a and a + e <= L_stop
+               for a, e in zip(state.anchor, state.rows.shape[2:])):
+            return None
         occ = state.rows.any(axis=1)
         big = np.zeros(len(occ), dtype=bool)
         for ax, a in enumerate(state.anchor):
@@ -350,11 +354,15 @@ def _shape_chunk(seeds, model, p, t, T_cond, ns):
 
     def record_hits(step, state):
         # a hit after step t would change H, the sites hit by time t
-        if step <= t:
-            occ = _grid_occupancy(state.anchor, state.rows[:, 0], lo, ext)
-            mine = hits[state.index]
+        # only the grid's columns inside the state's window can be hit
+        a = max(state.anchor[0], lo[0])
+        b = min(state.anchor[0] + state.rows.shape[2], hi[0])
+        if step <= t and a < b:
+            occ = _grid_occupancy(state.anchor, state.rows[:, 0], (a,), (b - a,))
+            cols = slice(a - lo[0], b - lo[0])
+            mine = hits[state.index, cols]
             mine[occ & (mine < 0)] = step
-            hits[state.index] = mine
+            hits[state.index, cols] = mine
 
     # one origin run answers survival to T_cond and gives the state at t
     res = batch_evolve(model, seeds, p, max(t, T_cond), snapshot_times=[t],

@@ -192,9 +192,6 @@ class FieldSpec:
         h = site_hash(self.seed, coords)
         return open_given_hash(h, threshold_for(self.p))
 
-    def site_open(self, site) -> bool:
-        return bool(self.open_mask([np.int64(c) for c in site]))
-
     def extra_mask(self, coords) -> np.ndarray:
         """Only the extra open sites from the sprinkle substream."""
         extra_rate = self._extra_rate

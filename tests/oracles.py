@@ -16,9 +16,28 @@ from itertools import product
 
 import numpy as np
 
-from gosp.field import FieldSpec
+from gosp.field import FieldSpec, threshold_for
 from gosp.geometry import BlockGeometry, TranslatedBlock
 from gosp.model import NormalizedModel
+
+_M64 = (1 << 64) - 1
+
+
+def _mix(z: int) -> int:
+    """The splitmix64 finalizer on a Python integer."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
+
+
+def site_open(field: FieldSpec, site) -> bool:
+    """Whether a site of the field is open: its seed and coordinates
+    chained through the mixer one at a time, in Python integers."""
+    golden = 0x9E3779B97F4A7C15
+    h = _mix(field.seed + golden & _M64)
+    for c in site:
+        h = _mix(h ^ ((int(c) & _M64) * 0xD6E8FEB86659FD93 + golden & _M64))
+    return h < threshold_for(field.p)
 
 
 def path_exists(model: NormalizedModel, field: FieldSpec, a, b) -> bool:
@@ -32,7 +51,7 @@ def path_exists(model: NormalizedModel, field: FieldSpec, a, b) -> bool:
         if site in memo:
             return memo[site]
         ok = False
-        if site[-1] > a[-1] and field.site_open(site):
+        if site[-1] > a[-1] and site_open(field, site):
             for off in offsets:
                 prev = tuple(c - o for c, o in zip(site, off))
                 if rec(prev):
@@ -50,7 +69,7 @@ def dual_path_exists(model: NormalizedModel, field: FieldSpec, b, a) -> bool:
     if tuple(b) == tuple(a):
         return True
     frontier = {tuple(b)}
-    if not field.site_open(tuple(b)):
+    if not site_open(field, tuple(b)):
         return False
     seen = set(frontier)
     while frontier:
@@ -62,7 +81,7 @@ def dual_path_exists(model: NormalizedModel, field: FieldSpec, b, a) -> bool:
                     return True
                 if prev[-1] <= a[-1] or prev in seen:
                     continue
-                if field.site_open(prev):
+                if site_open(field, prev):
                     nxt.add(prev)
                     seen.add(prev)
         frontier = nxt
@@ -89,7 +108,7 @@ def infected_times(model: NormalizedModel, field: FieldSpec, starts, t_max,
         for y, u in model.split_offsets:
             for x in levels.get(tau - u, ()):
                 cand.add(tuple(xi + yi for xi, yi in zip(x, y)))
-        here = {x for x in cand if field.site_open(x + (tau,))
+        here = {x for x in cand if site_open(field, x + (tau,))
                 and (domain is None or domain(x + (tau,)))}
         if here:
             levels[tau] = here
@@ -126,7 +145,7 @@ def dual_slab_state(model: NormalizedModel, field: FieldSpec, starts, t,
         for y, u in model.split_offsets:
             for x in levels.get(tau + u, ()):
                 src = x + (tau + u,)
-                if field.site_open(src):
+                if site_open(field, src):
                     cand.add(tuple(xi - yi for xi, yi in zip(x, y)))
         if cand:
             levels.setdefault(tau, set()).update(cand)

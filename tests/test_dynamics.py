@@ -503,7 +503,7 @@ def _torus_oracle(model, field, n, T_max):
         for y, u in model.split_offsets:
             top |= {tuple((xi + yi) % n for xi, yi in zip(x, y)) for x in rows[R - u]}
         tau = t + R
-        top = {x for x in top if field.site_open(x + (tau,))}
+        top = {x for x in top if oracles.site_open(field, x + (tau,))}
         rows = rows[1:] + [top]
         if not any(rows):
             return t + 1

@@ -152,6 +152,18 @@ def test_event_chunk_matches_set_growth(model, p):
     assert 0 < sum(got) < len(got) and sum(got) > sum(alive)
 
 
+def test_event_chunk_sees_an_event_exactly_at_L_stop():
+    # this replica's farthest site is at x = -L_stop and it dies before T:
+    # a window that starts at -L_stop does not lie inside |x| < L_stop
+    model, p, T, L_stop = ASYM3, 0.5, 30, 8
+    seeds = spawn_seeds(23, 77, 78)
+    levels = oracles.infected_times(model, FieldSpec(seed=int(seeds[0]), p=p),
+                                    [(0,) * model.d], T)
+    assert max(abs(x) for xs in levels.values() for (x,) in xs) == L_stop
+    assert not levels.get(T)
+    assert est._event_chunk(seeds, model, p, T, L_stop).tolist() == [True]
+
+
 # ---------------------------------------------------------------------------
 # shape and edge speeds
 

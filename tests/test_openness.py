@@ -385,10 +385,24 @@ def test_native_runs_rederive_their_pointers(model, dual, p, master, B, T, end_a
         assert len(tables) >= 2
 
 
-def _torus_extinction(model, p, master, B, extra, T_max):
-    """Extinction steps of B torus replicas on the side 2*gamma*R + 1 +
-    extra, the smallest allowed side plus ``extra``."""
-    n = int(2 * model.gamma * model.R) + 1 + extra
+def _word_side(model):
+    """The largest torus side whose R * n**(d-1) sites fit in the 64-bit
+    word of ``torus_run``'s word path; larger sides take its byte path."""
+    return max(n for n in range(1, 65) if model.R * n ** (model.d - 1) <= 64)
+
+
+@st.composite
+def _torus_sides(draw):
+    """A model and a torus side: one of its five smallest allowed sides, or
+    one within two of its largest word-path side, on either side of it."""
+    model = draw(st.sampled_from(MODEL_POOL))
+    least, word = int(2 * model.gamma * model.R) + 1, _word_side(model)
+    return model, draw(st.integers(least, least + 4)
+                       | st.integers(max(least, word - 2), word + 2))
+
+
+def _torus_extinction(model, n, p, master, B, T_max):
+    """Extinction steps of B torus replicas on the side n."""
     seeds = spawn_seeds(master, 0, B)
     return torus_extinction_batch(model, p, seeds, n, T_max).extinction
 
@@ -396,21 +410,31 @@ def _torus_extinction(model, p, master, B, extra, T_max):
 @native
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from(MODEL_POOL), st.sampled_from(PS),
-    st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 4),
-    st.one_of(st.just(1), st.integers(0, 400)),
+    _torus_sides(), st.sampled_from(PS), st.integers(0, 2**32 - 1),
+    st.integers(0, 12), st.one_of(st.just(1), st.integers(0, 400)),
 )
 # a batch with no replica; one step; replicas alive at T_max on every model,
 # RANGE2 among them, with others dead before it
-@example(TWO_D_OP, 0.5, 1, 0, 0, 50)
-@example(THREE_D, 0.3, 2, 5, 0, 1)
-@example(RANGE2, 0.7, 3, 12, 2, 300)
-@example(ASYM3, 0.7, 4, 12, 0, 300)
-@example(THREE_D, 0.5, 5, 12, 1, 300)
-def test_native_torus_matches_numpy_torus(model, p, master, B, extra, T_max):
-    got = _torus_extinction(model, p, master, B, extra, T_max)
+@example((TWO_D_OP, 3), 0.5, 1, 0, 50)
+@example((THREE_D, 3), 0.3, 2, 5, 1)
+@example((RANGE2, 5), 0.7, 3, 12, 300)
+@example((ASYM3, 5), 0.7, 4, 12, 300)
+@example((THREE_D, 4), 0.5, 5, 12, 300)
+# the largest word-path side and the smallest byte-path one (R = 1 and
+# N = 64 among them, where the word shifts a whole row out), p = 1 and no
+# step at all on the word path
+@example((TWO_D_OP, 64), 0.6, 6, 12, 300)
+@example((TWO_D_OP, 65), 0.6, 7, 12, 300)
+@example((RANGE2, 32), 0.55, 8, 12, 300)
+@example((RANGE2, 33), 0.55, 9, 12, 300)
+@example((THREE_D, 8), 0.4, 10, 12, 300)
+@example((THREE_D, 9), 0.4, 11, 12, 300)
+@example((TWO_D_OP, 64), 1.0, 12, 3, 300)
+@example((RANGE2, 32), 0.5, 13, 3, 0)
+def test_native_torus_matches_numpy_torus(side, p, master, B, T_max):
+    got = _torus_extinction(*side, p, master, B, T_max)
     with numpy_path():
-        ref = _torus_extinction(model, p, master, B, extra, T_max)
+        ref = _torus_extinction(*side, p, master, B, T_max)
     assert got.dtype == ref.dtype == np.int64
     assert np.array_equal(got, ref)
 
@@ -492,12 +516,14 @@ runs = [batch_evolve(model, seeds, 0.65, 60, dual=dual).extinction
         for dual in (False, True)]
 # compacting runs: replicas die at several steps, and some live to T
 assert all(len(set(a.tolist())) > 3 and (a < 0).any() for a in runs)
-torus = torus_extinction_batch(model, 0.65, seeds, 6, 200).extinction
+# one torus on each path of torus_run: R*N = 12 sites in a word, 80 in bytes
+tori = [torus_extinction_batch(model, 0.65, seeds, n, 200).extinction for n in (6, 40)]
 _openness._hash = _openness._step = _openness._torus = None
 assert np.array_equal(hashes, site_hash(*grid))
 assert all(np.array_equal(a, batch_evolve(model, seeds, 0.65, 60, dual=dual).extinction)
            for a, dual in zip(runs, (False, True)))
-assert np.array_equal(torus, torus_extinction_batch(model, 0.65, seeds, 6, 200).extinction)
+assert all(np.array_equal(a, torus_extinction_batch(model, 0.65, seeds, n, 200).extinction)
+           for a, n in zip(tori, (6, 40)))
 """
 
 
