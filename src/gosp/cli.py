@@ -62,6 +62,15 @@ _FORMATS.checks("finite")(
     lambda value: not isinstance(value, float) or math.isfinite(value))
 
 
+# "integer": an int that is not a bool, where jsonschema's default also
+# takes an integral float such as 10.0, which the estimators cannot run on
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: isinstance(value, int)
+        and not isinstance(value, bool)))
+
+
 def _number(**bounds) -> dict:
     """Schema of a finite number within ``bounds`` (JSON-schema keywords)."""
     return {"type": "number", **bounds, "allOf": [
@@ -130,7 +139,7 @@ def validate_plan(config: dict) -> dict:
     if unknown:
         raise SchemaError(f"/{unknown[0]}", "unknown key")
     try:
-        jsonschema.validate(config, schema, format_checker=_FORMATS)
+        jsonschema.validate(config, schema, cls=_Validator, format_checker=_FORMATS)
     except jsonschema.ValidationError as e:
         # a schema's "description", where it has one, explains the refusal
         pointer = "/" + "/".join(str(part) for part in e.absolute_path)

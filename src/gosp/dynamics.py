@@ -115,51 +115,22 @@ class BatchState:
         return self.rows.shape[0]
 
     def alive(self) -> np.ndarray:
-        if _narrow(self.rows):
-            return _any(_replica_last(self.rows), axis=0)
-        return _any(self.rows, axis=tuple(range(1, self.rows.ndim)))
-
-
-# A reduction over short rows costs about 20-30 ns a row however short
-# they are.  So a batch of at least _NARROW_MIN_B replicas that span at
-# most _NARROW_CELLS cells each is reduced from a copy with the replica axis
-# last, where every reduction runs across rows or along rows of B cells;
-# with fewer replicas or wider windows the copy costs more than it saves.
-# (``_any`` is ndarray.any without the method's Python-level wrapper.)
-_NARROW_CELLS = 32
-_NARROW_MIN_B = 128
-_any = np.logical_or.reduce
-
-
-def _narrow(rows: np.ndarray) -> bool:
-    B = rows.shape[0]
-    return B >= _NARROW_MIN_B and rows.size <= _NARROW_CELLS * B
-
-
-def _replica_last(rows: np.ndarray) -> np.ndarray:
-    """Rows (B, R, *ext) as a contiguous (R * cells, B) copy."""
-    return rows.reshape(rows.shape[0], -1).T.copy()
+        B, R, *ext = self.rows.shape
+        return self.rows.reshape(B, R, math.prod(ext)).any(axis=(1, 2))
 
 
 def _occupancy(rows: np.ndarray):
     """Which replicas the rows occupy, and the (lo, hi) bounds of the cells
-    that any of them occupies, from one pass that ORs the rows into
-    per-replica and per-cell occupancy: the numpy counterpart of what
-    ``chain_step`` returns."""
-    B, R, ext = rows.shape[0], rows.shape[1], rows.shape[2:]
+    that any of them occupies: the numpy counterpart of what ``chain_step``
+    returns."""
+    B, R, *ext = rows.shape
     d_s = len(ext)
-    if _narrow(rows):
-        occ = _any(_replica_last(rows).reshape(R, rows.size // (B * R), B), axis=0)
-        alive, cells = _any(occ, axis=0), _any(occ, axis=1).reshape(ext)
-    else:
-        occ = rows[:, 0]
-        for r in range(1, R):
-            occ = occ | rows[:, r]
-        alive, cells = _any(occ, axis=tuple(range(1, occ.ndim))), _any(occ, axis=0)
+    occ = rows.reshape(B, R, math.prod(ext)).any(axis=1)
+    alive, cells = occ.any(axis=1), occ.any(axis=0).reshape(ext)
     lo, hi = [], []
     if alive.any():
         for ax in range(d_s):
-            nz = np.flatnonzero(_any(cells, axis=tuple(i for i in range(d_s) if i != ax)))
+            nz = np.flatnonzero(cells.any(axis=tuple(i for i in range(d_s) if i != ax)))
             lo.append(int(nz[0]))
             hi.append(int(nz[-1]) + 1)
     return alive, (lo, hi)
@@ -228,11 +199,6 @@ def slab_window_rows(model: NormalizedModel, lo, hi) -> tuple[tuple[int, ...], n
 # ---------------------------------------------------------------------------
 # open-site evaluation for batches
 
-# the prefix table is hashed in blocks of this many rows, whose uint64
-# temporaries stay in cache
-_COVER_ROWS = 4096
-
-
 class BatchOpenness:
     """Openness of space-time sites for a batch of replicas, one seed per row.
 
@@ -245,8 +211,9 @@ class BatchOpenness:
     It also holds what moves with the table rows when replicas die: the
     seeds, each row's original replica ``index`` and the whole batch's
     ``extinction`` steps, and ``chain``, the ``chain_step`` that ``bind``
-    binds to them for a run; dropping replicas moves rows down within the
-    same buffers, so only a new table is bound again.
+    binds to them for a run before the first table is built.  ``_cover``
+    binds each table it builds; dropping replicas moves rows down within
+    the same buffers, so no other table is ever bound.
     """
 
     def __init__(self, seeds, p, cone=None):
@@ -267,8 +234,6 @@ class BatchOpenness:
         shift = tuple(-m for m in model.spatial_max) if dual else model.spatial_min
         self.chain = chain_step(_sources(model, dual), shift, model.R, dual,
                                 self.threshold, self.seeds, self.index, self.extinction)
-        if self.chain is not None and self.table is not None:
-            self.chain.bind(self.table)
 
     def keep(self, live, t: int) -> None:
         """Keep only the rows ``live``, a bool mask, moved down in place, and
@@ -305,11 +270,9 @@ class BatchOpenness:
                 for h, b, e, c in zip(hi, self.lo, self.hi, c_hi)
             )
         self.lo, self.hi = tuple(lo), tuple(hi)
-        shape = tuple(h - l for l, h in zip(lo, hi))
-        s = self.seeds.reshape((-1,) + (1,) * len(shape))
+        d = len(lo)
         # the box's coordinates, each varying along its own axis only: the
         # grid that site_hash hashes in one native call
-        d = len(shape)
         coords = [np.arange(l, h, dtype=np.int64).reshape((-1,) + (1,) * (d - a - 1))
                   for a, (l, h) in enumerate(zip(lo, hi))]
         # free the old box, which the chain holds too, before hashing the
@@ -317,9 +280,7 @@ class BatchOpenness:
         self.table = None
         if self.chain is not None:
             self.chain.bind(None)
-        self.table = np.empty((len(s),) + shape, dtype=np.uint64)
-        for i in range(0, len(s), _COVER_ROWS):
-            self.table[i:i + _COVER_ROWS] = site_hash(s[i:i + _COVER_ROWS], coords)
+        self.table = site_hash(self.seeds.reshape((-1,) + (1,) * d), coords)
         if self.chain is not None:
             self.chain.bind(self.table)
 

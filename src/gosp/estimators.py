@@ -183,6 +183,8 @@ def _run_chunks(worker, args, seed: int, stop: int, chunk: int, threads: int,
                 lane: int = 0, start: int = 0) -> list:
     """``worker(seeds, *args)`` for each chunk of replicas start..stop-1 of
     seed lane ``lane``, in replica order."""
+    if stop <= start:
+        raise EstimatorError("reps must be >= 1")
     # index 2**32 would take its seed from the next lane
     if stop >= _LANE:
         raise EstimatorError(
@@ -234,8 +236,6 @@ def survival_curve(model: NormalizedModel, p, T: int, reps: int, seed: int,
                    lane: int = 0) -> SurvivalCurve:
     """Fraction of origin-started replicas alive at horizon T (with ``dual``,
     of replicas whose dual from the origin reaches depth T)."""
-    if reps < 1:
-        raise EstimatorError("reps must be >= 1")
     taus = np.concatenate(_run_chunks(
         _survival_chunk, (model, p, T, dual), seed, reps, _SURVIVAL_CHUNK,
         threads, lane,
@@ -432,6 +432,9 @@ def shape_and_time_constants(model: NormalizedModel, p, t: int, reps: int,
     T_cond, drawn from at most max(10 reps, 50) attempts."""
     if model.d != 2:
         raise DimensionNot2("shape estimation is implemented for d = 2")
+    # the quota loop below would never meet a quota below 1
+    if reps < 1:
+        raise EstimatorError("reps must be >= 1")
     T_cond = t if T_cond is None else T_cond
     T_pre = min(t, 200)
     pre = survival_curve(model, p, T_pre, _PRE_REPS, seed, threads=threads,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,6 +54,14 @@ class ProperSublattice(ModelError):
         )
 
 
+def _integer(value, what: str) -> int:
+    """``value``, a Python or numpy integer but not a bool, as an int; a
+    float, however integral, is refused rather than truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ModelError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NeighborhoodSpec:
     """Raw neighbourhood: dimension and list of integer step offsets."""
@@ -61,14 +70,21 @@ class NeighborhoodSpec:
     offsets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ModelError(f"dimension must be >= 2, got {self.d}")
-        offs = tuple(tuple(int(c) for c in o) for o in self.offsets)
+        d = _integer(self.d, "dimension d")
+        if d < 2:
+            raise ModelError(f"dimension must be >= 2, got {d}")
+        try:
+            offs = tuple(tuple(_integer(c, f"component of offset {list(o)!r}")
+                               for c in o) for o in self.offsets)
+        except TypeError:
+            raise ModelError(f"offsets must be sequences of integers, got "
+                             f"{self.offsets!r}") from None
         for o in offs:
-            if len(o) != self.d:
-                raise ModelError(f"offset {o} does not have dimension {self.d}")
+            if len(o) != d:
+                raise ModelError(f"offset {o} does not have dimension {d}")
         if len(set(offs)) != len(offs):
             raise ModelError("offsets must be distinct")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "offsets", offs)
 
     @classmethod
@@ -79,7 +95,10 @@ class NeighborhoodSpec:
             raw = data["X"]
         except (KeyError, TypeError) as exc:
             raise ModelError(f"model mapping must contain 'd' and 'X': {exc}") from exc
-        return cls(d=int(d), offsets=tuple(tuple(int(c) for c in o) for o in raw))
+        if not isinstance(raw, list) or not all(isinstance(o, list) for o in raw):
+            raise ModelError(f"X must be a list of offsets, each a list of "
+                             f"integers, got {raw!r}")
+        return cls(d=d, offsets=raw)
 
     @classmethod
     def from_file(cls, path) -> "NeighborhoodSpec":

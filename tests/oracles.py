@@ -30,14 +30,20 @@ def _mix(z: int) -> int:
     return z ^ z >> 31
 
 
-def site_open(field: FieldSpec, site) -> bool:
-    """Whether a site of the field is open: its seed and coordinates
+def stream_hash(seed: int, coords, stream: int = 0) -> int:
+    """The hash of (seed, coords) on a substream: the seed and coordinates
     chained through the mixer one at a time, in Python integers."""
     golden = 0x9E3779B97F4A7C15
-    h = _mix(field.seed + golden & _M64)
-    for c in site:
+    h = _mix(int(seed) + golden * (stream + 1) & _M64)
+    for c in coords:
         h = _mix(h ^ ((int(c) & _M64) * 0xD6E8FEB86659FD93 + golden & _M64))
-    return h < threshold_for(field.p)
+    return h
+
+
+def site_open(field: FieldSpec, site) -> bool:
+    """Whether a site of the field is open: its hash on stream 0 falls
+    below the threshold."""
+    return stream_hash(field.seed, site) < threshold_for(field.p)
 
 
 def path_exists(model: NormalizedModel, field: FieldSpec, a, b) -> bool:
@@ -217,6 +223,52 @@ def exact_extinction_pmf(model: NormalizedModel, p, T: int):
     probs = [exact_survival(model, p, t) for t in range(T + 1)]
     pmf = [probs[t - 1] - probs[t] for t in range(1, T + 1)]
     return [1 - probs[0]] + pmf, probs[T]
+
+
+# ---------------------------------------------------------------------------
+# the bgprobe event
+
+def bg_event(model: NormalizedModel, p, g: BlockGeometry, n: int, seed: int) -> bool:
+    """The bgprobe event of one seed, by set growth.
+
+    The box's time t and centre x come from the seed's stream-2 hashes of
+    the coordinates 0, 1, ..., d-1, each scaled to its range [0, m) as
+    (h * m) >> 64: t in [0, h), and x_i = ceil(v_i t - w_i) + [0, 2 w_i).
+    The box [x - n, x + n) on every slab row starts a growth at t0 = t
+    inside the envelope block (width 4w, height 8h, tilt v).  The event
+    holds if at some time s in [7h, 8h) a site x of a target block (the
+    block displaced by 7h along the tilt and by +-2 w_{d-1} on the last
+    spatial axis) has its whole box [x - n, x + n) occupied on every slab
+    row, rows s, ..., s + R - 1.
+    """
+    R, d_s = model.R, model.d - 1
+    h0, *hx = (stream_hash(seed, [c], stream=2) for c in range(model.d))
+    t = h0 * g.h >> 64
+    # ceil(v t - w) = ceil(num / den) for v = vn / den
+    centre = [-((w * v.denominator - v.numerator * t) // v.denominator)
+              + (hi * 2 * w >> 64) for v, w, hi in zip(g.v, g.w, hx)]
+    box = list(product(*(range(c - n, c + n) for c in centre)))
+    starts = [x + (s,) for x in box for s in range(R)]
+    envelope = TranslatedBlock(
+        BlockGeometry(tuple(4 * w for w in g.w), 8 * g.h, g.v), (0,) * model.d)
+    shift = [v * 7 * g.h for v in g.v]
+    targets = [
+        TranslatedBlock(g, tuple(c + (sign * 2 * g.w[-1] if i == d_s - 1 else 0)
+                                 for i, c in enumerate(shift)) + (7 * g.h,))
+        for sign in (1, -1)
+    ]
+    levels = infected_times(
+        model, FieldSpec(seed=int(seed), p=p), starts, 8 * g.h - t, t0=t,
+        domain=lambda site: translated_block_contains(envelope, site))
+    around = list(product(range(-n, n), repeat=d_s))
+    for s in range(7 * g.h, 8 * g.h):
+        rows = set.intersection(*(levels.get(s + r, set()) for r in range(R)))
+        for x in rows:
+            if (any(translated_block_contains(tb, x + (s,)) for tb in targets)
+                    and all(tuple(a + b for a, b in zip(x, dx)) in rows
+                            for dx in around)):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,21 @@ def test_main_validate_proper_sublattice(tmp_path, capsys):
     assert "ProperSublattice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"d": 2, "X": [[0, 1.5], [1, 1]]}',
+    '{"d": 2, "X": 5}',
+    '{"d": 2, "X": [[0, null], [1, 1]]}',
+    '{"d": 1e400, "X": [[0, 1], [1, 1]]}',
+])
+def test_main_validate_refuses_non_integer_model(tmp_path, capsys, text):
+    # refused with exit 1, not truncated (1.5 would validate as 1) and not a
+    # TypeError or OverflowError traceback
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["validate", "--model", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error (ModelError): ")
+
+
 def test_main_schema_error_exit_code(tmp_path, model_path, capsys):
     cfg = tmp_path / "plan.json"
     cfg.write_text(json.dumps(_survival_plan(model_path, foo=1)))
@@ -484,6 +499,34 @@ def test_non_finite_number_flag_exits_before_manifest(tmp_path, model_path,
     assert main(argv + flags) == 1
     err = capsys.readouterr().err
     assert f"config error at {pointer}: must be a finite number" in err
+    assert not out.exists()
+
+
+_TORUS = {"estimator": "torus", "seed": 1, "p": 0.8, "sizes": [8], "reps": 5,
+          "T_max": 10}
+_DENSITY = {"estimator": "density", "seed": 1, "p": 0.8, "n": 2, "T_inf": 10,
+            "reps": 2}
+
+
+@pytest.mark.parametrize("over, pointer", [
+    (_survival_plan("m", reps=10.0), "/reps"),
+    (_survival_plan("m", T=10.0), "/T"),
+    (_survival_plan("m", seed=1.0), "/seed"),
+    (dict(_DENSITY, n=2.0), "/n"),
+    (dict(_TORUS, sizes=[8.0]), "/sizes/0"),
+    (dict(_survival_plan("m"), estimator="simulate", snapshots=[2.0]),
+     "/snapshots/0"),
+    (_survival_plan("m", reps=True), "/reps"),
+])
+def test_config_file_integral_float_exits_before_manifest(
+        tmp_path, model_path, over, pointer, capsys):
+    # a JSON integer is an int: 10.0 would pass jsonschema's default
+    # "integer" and fail in a traceback, or run, after the manifest
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(dict(over, model=model_path)))
+    out = tmp_path / "out"
+    assert main([over["estimator"], "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"config error at {pointer}: " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -42,7 +42,7 @@ from gosp.dynamics import (
     slab_window_rows,
     torus_extinction_batch,
 )
-from gosp.field import FieldSpec, spawn_seeds
+from gosp.field import FieldSpec, site_hash, spawn_seeds
 from gosp.geometry import BlockGeometry, TranslatedBlock
 from gosp.model import ModelError, NeighborhoodSpec, validate
 
@@ -773,6 +773,27 @@ def test_openness_matches_site_hash(run):
             assert (got[b] == _field_open(seeds[r], p, lo, shape, t)).all()
 
 
+@pytest.mark.parametrize("path", [contextlib.nullcontext, numpy_path],
+                         ids=["native", "numpy"])
+def test_table_of_many_replicas_is_one_bindable_array(path):
+    # more replicas than the 4,096 once hashed per block: the table is one
+    # contiguous, writable uint64 array, which the run's chain_step binds
+    # (and refuses otherwise), equal row by row to site_hash
+    seeds = spawn_seeds(5, 0, 4099)
+    lo, hi = (-3, 2), (1, 4)
+    with path():
+        openness = BatchOpenness(seeds, 0.5)
+        openness.bind(THREE_D, dual=False)
+        openness._cover(lo, hi)
+        assert (openness.chain is None) == (path is numpy_path)
+    table = openness.table
+    assert table.dtype == np.uint64 and table.shape == (4099, 4, 2)
+    assert table.flags.c_contiguous and table.flags.writeable
+    grid = [g + l for g, l in zip(np.indices((4, 2)), lo)]
+    for b, s in enumerate(seeds):
+        assert np.array_equal(table[b], site_hash(s, grid))
+
+
 # ---------------------------------------------------------------------------
 # compaction and occupancy
 
@@ -876,11 +897,11 @@ def test_snapshot_time_outside_horizon_refused(monkeypatch):
 
 @st.composite
 def _occupancy_rows(draw):
-    # batches on both sides of the narrow/wide switch in replicas and in
-    # cells per replica, with empty rows, all-empty batches and
-    # non-contiguous views like the trimmed rows a step leaves
+    # batches of few and many replicas, narrow and wide, with empty rows,
+    # all-empty batches and non-contiguous views like the trimmed rows a
+    # step leaves
     d_s = draw(st.sampled_from([1, 2]))
-    B = draw(st.sampled_from([1, 2, dyn._NARROW_MIN_B - 1, dyn._NARROW_MIN_B, 300]))
+    B = draw(st.sampled_from([1, 2, 127, 128, 300]))
     R = draw(st.integers(1, 3))
     ext = tuple(draw(st.integers(0, 40 if d_s == 1 else 7)) for _ in range(d_s))
     rng = np.random.default_rng(draw(_seeds))

@@ -406,6 +406,21 @@ def test_bg_event_placement_uses_no_numpy_generator(monkeypatch):
     assert ev.outcomes.shape == (20,)
 
 
+@pytest.mark.parametrize("model, p, h", [
+    (TWO_D_OP, 0.7, 2), (ASYM3, 0.5, 2),
+    # two slab rows, and growth that the envelope cuts
+    (RANGE2, 0.8, 3),
+], ids=["2dOP", "asym3", "range2"])
+def test_bg_chunk_matches_set_growth(model, p, h):
+    # the box placed from the hash chain, its growth inside the envelope
+    # and the full-box test at each s in [7h, 8h), recomputed per replica
+    # by oracles.bg_event; at these p both outcomes occur
+    seeds, g, n = spawn_seeds(29, 0, 30), BlockGeometry((3,), h, ("1/2",)), 1
+    got = est._bg_chunk(seeds, model, p, g, n).tolist()
+    assert got == [oracles.bg_event(model, p, g, n, s) for s in seeds]
+    assert 0 < sum(got) < len(got)
+
+
 def test_bg_event_geometry_validation():
     with pytest.raises(GeometryInvalid):
         bg_event_probability(TWO_D_OP, 0.5, BlockGeometry((2,), 3, (0,)), 2,
@@ -594,6 +609,45 @@ def test_reps_beyond_a_seed_lane_refused():
         survival_curve(TWO_D_OP, 0.8, 5, 2**32, seed=1)
     with pytest.raises(EstimatorError, match="seed lane"):
         edge_speeds(TWO_D_OP, 0.8, 5, 2**32 + 5, seed=1)
+
+
+# each public estimator, called with the given replica count
+_ESTIMATOR_CALLS = {
+    "survival": lambda reps: survival_curve(TWO_D_OP, 0.8, 5, reps, seed=1),
+    "pc": lambda reps: critical_point(TWO_D_OP, 5, 3, reps, 0.1, seed=1),
+    "shape": lambda reps: shape_and_time_constants(TWO_D_OP, 0.8, 10, reps,
+                                                   seed=1),
+    "edges": lambda reps: edge_speeds(TWO_D_OP, 0.8, 5, reps, seed=1),
+    "death": lambda reps: death_bound_fit(TWO_D_OP, 0.8, 10, reps, (2, 5),
+                                          seed=1),
+    "decay": lambda reps: subcritical_decay(TWO_D_OP, 0.5, 10, reps, seed=1,
+                                            windows=((2, 5),)),
+    "torus": lambda reps: torus_stats(TWO_D_OP, 0.8, [8], reps, 10, seed=1,
+                                      regime="super"),
+    "density": lambda reps: density_spectrum(TWO_D_OP, 0.8, 2, 10, reps, seed=1),
+    "crossing": lambda reps: crossing_probability(TWO_D_OP, 0.8, 10, 0.2, "1/2",
+                                                  reps, seed=1),
+    "bgprobe": lambda reps: bg_event_probability(
+        TWO_D_OP, 0.8, BlockGeometry((2,), 3, (0,)), 1, reps, seed=1),
+    "goodblock": lambda reps: good_block_probability(TWO_D_OP, 0.8, 4, 2, reps,
+                                                     seed=1),
+    "meet": lambda reps: primal_dual_meet(TWO_D_OP, 0.8, 5, reps, ("1/2",),
+                                          seed=1),
+    "cone": lambda reps: restricted_cone_survival(
+        TWO_D_OP, 0.8, ("1/4", "3/4"), 20, reps, seed=1, t0=5, shape=(0.0, 1.0)),
+    "crosspath": lambda reps: path_crossing_transfer(
+        TWO_D_OP, 0.8, 0.1, 10, reps, seed=1, alpha="1/2", beta="1/2"),
+}
+
+
+@pytest.mark.parametrize("reps", [0, -2])
+@pytest.mark.parametrize("name", sorted(_ESTIMATOR_CALLS))
+def test_no_replicas_is_an_error_not_a_refusal(name, reps):
+    # a run of no replicas is a bad request (exit 1), not an unanswerable
+    # one (exit 2), and no estimator returns an estimate of it
+    with pytest.raises(EstimatorError, match=r"^reps must be >= 1$") as exc:
+        _ESTIMATOR_CALLS[name](reps)
+    assert not isinstance(exc.value, est.EstimatorRefused)
 
 
 def _return_seeds(seeds):

@@ -1,11 +1,15 @@
 """Neighbourhood validation, orientation and lattice index."""
 
+import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gosp.model import (
+    ModelError,
     NeighborhoodSpec,
     NonPositiveTimeComponent,
     ProperSublattice,
@@ -109,3 +113,35 @@ def test_cached_spatial_bounds_keep_pickle_and_equality():
         back = pickle.loads(pickle.dumps(fresh))
         assert back == fresh
         assert (back.spatial_min, back.spatial_max) == bounds
+
+
+@pytest.mark.parametrize("mapping, bad", [
+    # a float is refused, not truncated to the offset (0, 1)
+    ({"d": 2, "X": [[0, 1.5], [1, 1]]}, "1.5"),
+    ({"d": 2, "X": [[0, 1.0], [1, 1]]}, "1.0"),
+    ({"d": 2, "X": [[0, None], [1, 1]]}, "None"),
+    ({"d": 2, "X": [[0, True], [1, 1]]}, "True"),
+    ({"d": 2, "X": [[0, "1"], [1, 1]]}, "'1'"),
+    ({"d": 2.0, "X": [[0, 1], [1, 1]]}, "2.0"),
+    ({"d": json.loads("1e400"), "X": [[0, 1], [1, 1]]}, "inf"),
+    ({"d": None, "X": [[0, 1], [1, 1]]}, "None"),
+    ({"d": False, "X": [[0, 1], [1, 1]]}, "False"),
+    ({"d": 2, "X": 5}, "5"),
+    ({"d": 2, "X": [5, [1, 1]]}, "[5, [1, 1]]"),
+    ({"d": 2, "X": [(0, 1), (1, 1)]}, "[(0, 1), (1, 1)]"),
+    ({"d": 2, "X": None}, "None"),
+])
+def test_model_mapping_takes_integers_only(mapping, bad):
+    with pytest.raises(ModelError, match=rf"got {re.escape(bad)}$"):
+        NeighborhoodSpec.from_mapping(mapping)
+
+
+def test_constructor_takes_python_and_numpy_integers_only():
+    spec = NeighborhoodSpec(d=np.int64(2), offsets=[[np.int32(0), 1], (np.uint8(1), 1)])
+    assert spec == NeighborhoodSpec(d=2, offsets=((0, 1), (1, 1)))
+    assert all(type(c) is int for o in spec.offsets for c in o) and type(spec.d) is int
+    for d, offsets in [(2.0, ((0, 1), (1, 1))), (True, ((0, 1), (1, 1))),
+                       (2, ((0, 1.5), (1, 1))), (2, ((0, np.bool_(1)), (1, 1))),
+                       (2, ((0, np.float64(1)), (1, 1))), (2, (5, (1, 1)))]:
+        with pytest.raises(ModelError):
+            NeighborhoodSpec(d=d, offsets=offsets)
