@@ -174,11 +174,14 @@ def _row(cfg, name, T, e, reps=None, p=None):
 def _replicas(**columns):
     """Per-replica records as columns: record i is {"replica": i, key:
     columns[key][i], ...}; array columns are turned into Python values with
-    ``tolist``."""
+    ``tolist``.  Columns of unequal lengths are a ValueError."""
     values = [c.tolist() if isinstance(c, np.ndarray) else list(c)
               for c in columns.values()]
-    n = min(map(len, values))
-    return {"replica": range(n), **{k: v[:n] for k, v in zip(columns, values)}}
+    n, *ragged = {len(v) for v in values}
+    if ragged:
+        raise ValueError(f"replica columns of unequal lengths: "
+                         f"{dict(zip(columns, map(len, values)))}")
+    return {"replica": range(n), **dict(zip(columns, values))}
 
 
 def _taus(taus):

@@ -881,9 +881,11 @@ def crossing_probability(model: NormalizedModel, p, L: int, eps: float,
 _BG_CHUNK = 16
 
 
-def _slices(box, anchor):
-    """Slices selecting the integer box (lo, hi) of an array at ``anchor``."""
-    return tuple(slice(max(l - a, 0), max(h - a, 0)) for l, h, a in zip(*box, anchor))
+def _on_box(anchor, rows, box):
+    """The cells of ``rows`` at ``anchor`` on the integer box (lo, hi), the
+    leading axes kept; cells outside the rows read unset."""
+    lo, hi = box
+    return _grid_occupancy(anchor, rows, lo, tuple(h - l for l, h in zip(lo, hi)))
 
 
 def _box_full(col, n):
@@ -919,20 +921,17 @@ def _bg_chunk(seeds, model, p, g, n):
         success = False
 
         def scan(step_t, state: BatchState):
+            # the run ends at its first success
             nonlocal success
-            if success:
-                return
             s_abs = t + step_t
             if not 7 * g.h <= s_abs < 8 * g.h:
                 return
             if any(e == 0 for e in state.rows.shape[2:]):
                 return
-            col = state.rows[0].all(axis=0)
-            full = _box_full(col, n)
-            if not full.any():
-                return
-            success = any(full[_slices(target.box(s_abs), state.anchor)].any()
+            full = _box_full(state.rows[0].all(axis=0), n)
+            success = any(_on_box(state.anchor, full, target.box(s_abs)).any()
                           for target in (regions.target_plus, regions.target_minus))
+            return np.array([success])
 
         batch_evolve(
             model, [si], p, 8 * g.h - t, init=init, t0=t,
@@ -950,8 +949,8 @@ def bg_event_probability(model: NormalizedModel, p, g: BlockGeometry, n: int,
     displaced target blocks."""
     if g.spatial_dim != model.d - 1:
         raise GeometryInvalid("block geometry dimension does not match model")
-    if n >= min(g.w):
-        raise GeometryInvalid(f"need n < min(w): n={n}, w={g.w}")
+    if not 1 <= n < min(g.w):
+        raise GeometryInvalid(f"need 1 <= n < min(w): n={n}, w={g.w}")
     if g.h <= model.R:
         raise GeometryInvalid(f"need block height > R: h={g.h}, R={model.R}")
     return _event_frequency(_bg_chunk, (model, p, g, n), seed, reps,
@@ -966,35 +965,25 @@ def _good_chunk(seeds, model, p, L, C, v):
     d_s = model.d - 1
     thr = L // C
     s_time = C * L + thr
-    region_g = BlockGeometry((3 * L,) * d_s, R, v)
-    probe_g = BlockGeometry((max(1, thr),) * d_s, R, v)
 
-    # fixed comparison grid covering every region this event touches
-    bounds_lo = [math.inf] * d_s
-    bounds_hi = [-math.inf] * d_s
-    for off_t in (C * L, s_time):
-        for ax in range(d_s):
-            centre = v[ax] * off_t
-            lo_c = centre - 3 * L + min(0, (R - 1) * v[ax])
-            hi_c = centre + 3 * L + max(0, (R - 1) * v[ax])
-            side = L + max(1, thr) if ax == d_s - 1 else 0
-            bounds_lo[ax] = min(bounds_lo[ax], lo_c - side)
-            bounds_hi[ax] = max(bounds_hi[ax], hi_c + side)
-    zlo = tuple(math.floor(b) - 1 for b in bounds_lo)
-    zhi = tuple(math.ceil(b) + 2 for b in bounds_hi)
-    shape = tuple(h - l for l, h in zip(zlo, zhi))
+    def boxes(half_width, centre):
+        # the block's box on each slab row r, row r at time r
+        tb = TranslatedBlock(BlockGeometry((half_width,) * d_s, R, v),
+                             tuple(centre) + (Fraction(0),))
+        return [tb.box(r) for r in range(R)]
 
-    def region_mask(block_g, off_spatial):
-        # the (R, *shape) mask of the block over the grid, row r at time r
-        tb = TranslatedBlock(block_g, tuple(off_spatial) + (Fraction(0),))
-        out = np.zeros((R,) + shape, dtype=bool)
-        for r in range(R):
-            out[(r,) + _slices(tb.box(r), zlo)] = True
-        return out
-
-    # initial window for the slab runs: the backward cone of the grid over
-    # s_time steps holds that over C*L <= s_time, so both snapshots are exact
-    slo, shi = dependency_cone(model, zlo, zhi, s_time, backward=True)
+    regions = {t: boxes(3 * L, [vi * t for vi in v]) for t in (C * L, s_time)}
+    probes = [
+        boxes(max(1, thr), [vi * s_time + (sgn * L if ax == d_s - 1 else 0)
+                            for ax, vi in enumerate(v)])
+        for sgn in (1, -1)
+    ]
+    los, his = zip(*(b for bs in (*regions.values(), *probes) for b in bs))
+    # initial window for the slab runs: the backward cone over s_time steps
+    # of the boxes' hull holds that over C*L <= s_time, so both snapshots
+    # are exact on every box
+    slo, shi = dependency_cone(model, [min(c) for c in zip(*los)],
+                               [max(c) for c in zip(*his)], s_time, backward=True)
 
     # one batch entry per replica and site (x, u) of the block's slab row
     # u, which is the top chain row R-1 of a run from t0 = u - R + 1
@@ -1002,6 +991,11 @@ def _good_chunk(seeds, model, p, L, C, v):
     n_sites = len(starts)
     k = len(seeds)
     site_seeds, starts = np.repeat(seeds, n_sites), np.concatenate([starts] * k)
+
+    def cells(snap, r, box):
+        # row r of each replica's snapshot on the box, flattened
+        return _on_box(snap.anchor, snap.rows[:, r], box).reshape(len(snap.rows), -1)
+
     e1, e2, e3 = np.ones((3, k), dtype=bool)
     for u in range(R):
         t0 = u - R + 1
@@ -1016,22 +1010,17 @@ def _good_chunk(seeds, model, p, L, C, v):
             model, seeds, p, s_time, init=slab_window_rows(model, slo, shi),
             t0=t0, snapshot_times=[C * L, s_time],
         )
-        for off_t in (C * L, s_time):
-            reg = region_mask(region_g, tuple(vi * off_t for vi in v))
+        for off_t, reg in regions.items():
             snap, snap_s = res.snapshots[off_t], res_s.snapshots[off_t]
-            occ = _grid_occupancy(snap.anchor, snap.rows, zlo, shape)
-            occ_s = _grid_occupancy(snap_s.anchor, snap_s.rows, zlo, shape)
-            mismatch = (occ.reshape((k, n_sites) + occ_s.shape[1:])
-                        != occ_s[:, None]) & reg
-            e2 &= ~(mismatch.reshape(k, n_sites, -1).any(axis=2)
-                    & alive_long).any(axis=1)
+            for r, box in enumerate(reg):
+                mismatch = (cells(snap, r, box).reshape(k, n_sites, -1)
+                            != cells(snap_s, r, box)[:, None])
+                e2 &= ~(mismatch.any(axis=2) & alive_long).any(axis=1)
         if u == R - 1:
             # probe blocks against the untranslated slab run (t0 = 0)
-            for sgn in (1, -1):
-                off_sp = [vi * s_time for vi in v]
-                off_sp[d_s - 1] += sgn * L
-                hit = occ_s & region_mask(probe_g, off_sp)
-                e3 &= hit.reshape(k, -1).any(axis=1)
+            for probe in probes:
+                e3 &= np.any([cells(res_s.snapshots[s_time], r, box).any(axis=1)
+                              for r, box in enumerate(probe)], axis=0)
     return list(zip(e1.tolist(), e2.tolist(), e3.tolist()))
 
 

@@ -11,6 +11,7 @@ engine it checks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -269,6 +270,75 @@ def bg_event(model: NormalizedModel, p, g: BlockGeometry, n: int, seed: int) -> 
                             for dx in around)):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the goodblock events
+
+def good_events(model: NormalizedModel, p, L: int, C: int, v, seed: int):
+    """The goodblock events (e1, e2, e3) of one seed, by set growth.
+
+    With thr = L // C and s = C L + thr, the block's base slab is the sites
+    (x, u), u in [0, R), with x - u v in [-L, L).  Each such site starts a
+    growth from the slab whose top row R - 1 it is (t0 = u - R + 1), and so
+    does the full slab, here truncated generously, from the same t0.  Row r
+    of a state k steps on is compared on the region x - (k + r) v in
+    [-3L, 3L).  Event 1: no site dies at a step tau in [thr, s).  Event 2:
+    every site that does not die before thr agrees with the full slab on
+    its region at k = C L and k = s.  Event 3: the full slab from t0 = 0
+    meets, at step s, both probes x - (s + r) v -+ L e_{d-1} in
+    [-max(1, thr), max(1, thr)).
+    """
+    R, d_s = model.R, model.d - 1
+    field = FieldSpec(seed=int(seed), p=p)
+    thr = L // C
+    s_time = C * L + thr
+    v = tuple(Fraction(c) for c in v)
+
+    def block(w, centre):
+        return TranslatedBlock(BlockGeometry((w,) * d_s, R, v),
+                               tuple(centre) + (Fraction(0),))
+
+    def state(levels, t0, k):
+        return {x + (r,) for r in range(R) for x in levels.get(t0 + k + r, ())}
+
+    def in_region(site, k):
+        # row r of the state at step k against the region at time r
+        return translated_block_contains(
+            block(3 * L, [vi * k for vi in v]), site)
+
+    probes = [block(max(1, thr), [vi * s_time + (sgn * L if i == d_s - 1 else 0)
+                                  for i, vi in enumerate(v)])
+              for sgn in (1, -1)]
+    base = block(L, [0] * d_s)
+    span = s_time + R
+    reach = 4 * L + model.dilation(span) + 1
+    axes = [range(math.floor(min(0, vi) * span) - reach,
+                  math.ceil(max(0, vi) * span) + reach) for vi in v]
+    e1 = e2 = True
+    for u in range(R):
+        t0 = u - R + 1
+        slab = infected_times(
+            model, field, [x + (r,) for x in product(*axes) for r in range(R)],
+            s_time, t0=t0)
+        full = {k: state(slab, t0, k) for k in (C * L, s_time)}
+        for x in product(*axes):
+            if not translated_block_contains(base, x + (u,)):
+                continue
+            levels = infected_times(model, field, [x + (R - 1,)], s_time, t0=t0)
+            tau = next((k for k in range(1, s_time + 1)
+                        if not state(levels, t0, k)), None)
+            if tau is not None and thr <= tau < s_time:
+                e1 = False
+            if tau is not None and tau < thr:
+                continue
+            for k, want in full.items():
+                if any(in_region(site, k) for site in state(levels, t0, k) ^ want):
+                    e2 = False
+        if u == R - 1:
+            e3 = all(any(translated_block_contains(tb, site) for site in full[s_time])
+                     for tb in probes)
+    return e1, e2, e3
 
 
 # ---------------------------------------------------------------------------

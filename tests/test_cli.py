@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -291,6 +292,15 @@ def test_column_writer_matches_record_lines(sizes, data):
         columns[key] = data.draw(st.lists(_VALUES, min_size=len(replica),
                                           max_size=len(replica)))
     assert cli._jsonl(columns) == _record_lines(columns)
+
+
+def test_replica_columns_must_have_equal_lengths():
+    cols = cli._replicas(tau=[3, None], hit=np.array([True, False]))
+    assert {k: list(v) for k, v in cols.items()} == {
+        "replica": [0, 1], "tau": [3, None], "hit": [True, False]}
+    # a short column is an error, not a run cut to its length
+    with pytest.raises(ValueError, match="unequal lengths"):
+        cli._replicas(tau=[3, None], hit=np.array([True]))
 
 
 def test_torus_columns_match_record_lines(model_path):

@@ -431,6 +431,12 @@ def test_bg_event_geometry_validation():
     with pytest.raises(GeometryInvalid):
         bg_event_probability(THREE_D, 0.5, BlockGeometry((2,), 3, (0,)), 1,
                              4, seed=2)
+    # a box needs n >= 1: n = 0 used to give a 0.0 estimate, n = -1 a bare
+    # ValueError from numpy
+    for n in (0, -1):
+        with pytest.raises(GeometryInvalid, match="1 <= n"):
+            bg_event_probability(TWO_D_OP, 0.5, BlockGeometry((2,), 3, (0,)), n,
+                                 4, seed=2)
 
 
 def test_good_block_p1_with_matching_tilt():
@@ -461,6 +467,26 @@ def test_good_block_geometry_validation():
         good_block_probability(TWO_D_OP, 0.5, 10, 4, 2, seed=3)
     with pytest.raises(GeometryInvalid):
         good_block_probability(TWO_D_OP, 0.5, 16, 4, 2, seed=3, v=(0, 0))
+
+
+@pytest.mark.parametrize("model, settings", [
+    (TWO_D_OP, [(0.6, 2, 2, "1/2", 32)]),
+    (ASYM3, [(0.8, 4, 4, 0, 13)]),
+    # two slab rows: a site's cluster spans the 6L-wide region only at
+    # C >= 16, so here e2 varies at p = 0.5 and e1 at p = 0.8
+    (RANGE2, [(0.5, 6, 3, "1/2", 32), (0.8, 4, 4, "1/2", 16)]),
+], ids=["2dOP", "asym3", "range2"])
+def test_good_chunk_matches_set_growth(model, settings):
+    # the dichotomy, the coupling with the full slab on the 3L-blocks and
+    # the probes, recomputed per replica by oracles.good_events
+    events = []
+    for p, L, C, v, n in settings:
+        seeds, v = spawn_seeds(7, 0, n), (Fraction(v),)
+        got = est._good_chunk(seeds, model, p, L, C, v)
+        assert got == [oracles.good_events(model, p, L, C, v, s) for s in seeds]
+        events += got
+    # each event holds in some replicas and fails in others
+    assert all(0 < sum(col) < len(events) for col in zip(*events))
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +794,9 @@ def test_batched_outcomes_do_not_depend_on_chunk_size(monkeypatch):
                                    threads=threads).events,
             good_block_probability(RANGE2, 0.8, 4, 2, 9, seed=7, v=v,
                                    threads=threads).events,
+            # the 2dOP and RANGE2 cases above never vary event 2
+            good_block_probability(ASYM3, 0.8, 4, 4, 13, seed=7,
+                                   threads=threads).events,
         )
 
     ref = None
@@ -783,6 +812,7 @@ def test_batched_outcomes_do_not_depend_on_chunk_size(monkeypatch):
             ref = got
             assert got[0] > 20          # some attempts died before T_cond
             assert 0 < sum(f for _, f in got[5]) < sum(b for b, _ in got[5])
+            assert all(0 < sum(col) < 13 for col in zip(*got[10]))
         assert got == ref
     # a shape chunk's items, the Nones of replicas dead by T_cond included,
     # are those of one-replica chunks in replica order
