@@ -45,14 +45,10 @@ and one byte a site otherwise (the byte path); the numpy loop, their
 reference and fallback, steps the batch in lockstep with one open-mask
 query per step.
 
-All truncations of infinite initial conditions are justified by the cone
-bound of ``dependency_cone``.  A site influences another only through a path
-of hops.  Each hop moves by a spatial step y with spatial_min <= y <=
-spatial_max and lands on a new top row, so k steps make at most k hops,
-while a shifted row keeps its place.  In k steps influence therefore moves
-by k*min(0, spatial_min) .. k*max(0, spatial_max) per axis, and a window
-dilated by that cone reproduces the infinite process exactly on the region
-of interest.
+All truncations of infinite initial conditions rest on the cone bound of
+``dependency_cone``: a run started on the ``source_window`` of the boxes it
+is read on agrees there with the infinite slab, and the half slab of
+``half_slab_edges`` certifies its cut as it runs.
 """
 
 from __future__ import annotations
@@ -480,6 +476,21 @@ def dependency_cone(model: NormalizedModel, lo, hi, k: int,
             tuple(h + u for h, u in zip(hi, up)))
 
 
+def source_window(model: NormalizedModel, boxes):
+    """Slab window (lo, hi) that a run must start on to agree with the
+    infinite slab on every box of ``boxes``, (k, (lo, hi)) pairs of a box
+    and the step k at which it is read: the hull of each box's backward
+    ``dependency_cone`` over k steps.
+
+    The chain is additive: a state is the union of the states grown from
+    each of its sources alone, and the growth of a source outside the
+    window misses every box at its step.
+    """
+    los, his = zip(*(dependency_cone(model, lo, hi, k, backward=True)
+                     for k, (lo, hi) in boxes))
+    return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
+
+
 @dataclass
 class BatchResult:
     """Summary of a batched run; all arrays are indexed by replica."""
@@ -522,6 +533,8 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     the rows of the replicas it ends at t, which get extinction step t and
     leave the run; an exception it raises ends the run.
     """
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
     snapshot_times = set(snapshot_times)
     if any(not 0 <= t <= T for t in snapshot_times):
         raise ValueError(
@@ -650,15 +663,13 @@ def coupled_slab(model: NormalizedModel, seeds, p, t: int, window) -> np.ndarray
     each seed's field, restricted to ``window``, a (lo, hi) pair of spatial
     bounds: slab site (x, s) of replica b maps to index [b, s, x - lo].
 
-    The run is started on the backward ``dependency_cone`` of the window
-    over t steps: no site outside it can influence the window at time t, so
-    by additivity the run's restriction to the window is the infinite
-    slab's.  Its domain is the cone shrinking with the steps left: a site
-    entering at step k reaches the window within t - k hops or never, so by
-    the same argument the domain changes nothing in the window.
+    The run starts on the ``source_window`` of the window at step t, so
+    its restriction to the window is the infinite slab's.  Its domain is
+    the cone shrinking with the steps left: a site entering at step k
+    reaches the window within t - k hops or never, so by the same argument
+    the domain changes nothing in the window.
     """
-    lo = tuple(int(c) for c in window[0])
-    hi = tuple(int(c) for c in window[1])
+    lo, hi = (tuple(int(c) for c in b) for b in window)
 
     def shrinking_cone(t_abs):
         # the top row at absolute time t_abs enters at step t_abs - R + 1
@@ -666,8 +677,7 @@ def coupled_slab(model: NormalizedModel, seeds, p, t: int, window) -> np.ndarray
 
     snap = batch_evolve(
         model, seeds, p, t,
-        init=slab_window_rows(
-            model, *dependency_cone(model, lo, hi, t, backward=True)),
+        init=slab_window_rows(model, *source_window(model, [(t, (lo, hi))])),
         domain=shrinking_cone, snapshot_times=[t],
     ).snapshots[t]
     return _grid_occupancy(snap.anchor, snap.rows, lo,

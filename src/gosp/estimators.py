@@ -48,6 +48,7 @@ from .dynamics import (
     half_slab_edges,
     rows_from_sites,
     slab_window_rows,
+    source_window,
     torus_extinction_batch,
 )
 from .field import FieldSpec, site_hash, spawn_seed, spawn_seeds
@@ -347,8 +348,8 @@ _SHAPE_DIRECTIONS = ((-1.0,), (1.0,))
 
 
 def _shape_chunk(seeds, model, p, t, T_cond, ns):
-    # the t-step cone of the origin, one site wider on each side
-    lo, hi = dependency_cone(model, (-1,), (2,), t)
+    # the t-step cone of the origin, the only sites it can hit
+    lo, hi = dependency_cone(model, (0,), (1,), t)
     ext = (hi[0] - lo[0],)
     hits = np.full((len(seeds),) + ext, -1, dtype=np.int64)
 
@@ -435,6 +436,8 @@ def shape_and_time_constants(model: NormalizedModel, p, t: int, reps: int,
     # the quota loop below would never meet a quota below 1
     if reps < 1:
         raise EstimatorError("reps must be >= 1")
+    if t < 1:
+        raise EstimatorError("t must be >= 1")
     T_cond = t if T_cond is None else T_cond
     T_pre = min(t, 200)
     pre = survival_curve(model, p, T_pre, _PRE_REPS, seed, threads=threads,
@@ -525,6 +528,8 @@ def edge_speeds(model: NormalizedModel, p, T: int, reps: int, seed: int,
     """
     if model.d != 2:
         raise DimensionNot2("edge speeds are defined for d = 2 only")
+    if T < 1:
+        raise EstimatorError("T must be >= 1")
 
     def side_edges(side):
         return np.concatenate(_run_chunks(
@@ -637,7 +642,6 @@ def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
     for window in windows:
         if not 1 <= window[0] < window[1] <= T:
             raise EstimatorError(f"window {window} must satisfy 1 <= a < b <= T")
-    b_max = max(b for _, b in windows)
     hist = sum(_run_chunks(
         _decay_chunk, (model, p, T), seed, reps, _DECAY_CHUNK, threads,
     ))
@@ -654,12 +658,8 @@ def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
         slope, _, _ = _fit_line(ts.astype(float), np.log(surv / reps))
         return -slope, int(surv[-1])
 
-    window_fits = []
-    for a, b in windows:
-        c_w, n_w = fit(int(a), int(b))
-        window_fits.append(((int(a), int(b)), c_w, n_w))
-    a0 = min(a for a, _ in windows)
-    c_hat, _ = fit(int(a0), int(b_max))
+    window_fits = [((int(a), int(b)), *fit(int(a), int(b))) for a, b in windows]
+    c_hat, _ = fit(int(min(a for a, _ in windows)), int(max(b for _, b in windows)))
     return SubcriticalDecay(c_hat=c_hat, window_fits=window_fits, histogram=hist)
 
 
@@ -811,8 +811,8 @@ class DensitySpectrum:
 def density_spectrum(model: NormalizedModel, p, n: int, T_inf: int, reps: int,
                      seed: int, threads: int = 1) -> DensitySpectrum:
     """Y_n = fraction of sites of B_n whose dual survives to depth T_inf."""
-    if T_inf < 10:
-        raise EstimatorError("T_inf must be at least 10")
+    if T_inf < 10 or n < 1:
+        raise EstimatorError(f"need T_inf >= 10 and n >= 1, got {T_inf} and {n}")
     samples = np.concatenate(_run_chunks(
         _density_chunk, (model, p, n, T_inf), seed, reps,
         _chunk_reps(model.R * (2 * n) ** (model.d - 1)), threads,
@@ -828,26 +828,17 @@ def _tilted_box(model: NormalizedModel, w: int, height: int, slope: Fraction,
     """``(init, domain)`` of a run inside the box B(w, height, slope) shifted
     by ``shift``, or None if no source can enter it.
 
-    ``init`` is the slab window of every source that can enter the box (with
-    ``half``, of those at x <= 0).  The truncation is exact: a source outside
-    the window lies outside the backward ``dependency_cone`` of every row of
-    the box, so it cannot place any site inside the box.
+    ``domain`` is the box's row at each time, and ``init`` the
+    ``source_window`` of those rows (with ``half``, cut to x <= 0).
     """
-    g = BlockGeometry((w,), height, (slope,))
-    # the box row at time t is slope*t + shift + [-w, w)
-    cones = [
-        dependency_cone(model, (slope * t - w + shift,),
-                        (slope * t + w + shift,), t, backward=True)
-        for t in range(height + 1)
-    ]
-    lo = math.floor(min(c_lo for (c_lo,), _ in cones))
-    hi = math.ceil(max(c_hi for _, (c_hi,) in cones)) + 1
+    box = TranslatedBlock(BlockGeometry((w,), height, (slope,)),
+                          (shift, Fraction(0))).box
+    (lo,), (hi,) = source_window(model, [(t, box(t)) for t in range(height)])
     if half:
         hi = min(hi, 1)
     if lo >= hi:
         return None
-    return (slab_window_rows(model, (lo,), (hi,)),
-            TranslatedBlock(g, (shift, Fraction(0))).box)
+    return slab_window_rows(model, (lo,), (hi,)), box
 
 
 _CROSS_CHUNK = 64
@@ -978,12 +969,9 @@ def _good_chunk(seeds, model, p, L, C, v):
                             for ax, vi in enumerate(v)])
         for sgn in (1, -1)
     ]
-    los, his = zip(*(b for bs in (*regions.values(), *probes) for b in bs))
-    # initial window for the slab runs: the backward cone over s_time steps
-    # of the boxes' hull holds that over C*L <= s_time, so both snapshots
-    # are exact on every box
-    slo, shi = dependency_cone(model, [min(c) for c in zip(*los)],
-                               [max(c) for c in zip(*his)], s_time, backward=True)
+    # the slab runs are read on the regions at their steps, the probes at s_time
+    window = source_window(model, [(k, b) for k, bs in regions.items() for b in bs]
+                           + [(s_time, b) for bs in probes for b in bs])
 
     # one batch entry per replica and site (x, u) of the block's slab row
     # u, which is the top chain row R-1 of a run from t0 = u - R + 1
@@ -1007,7 +995,7 @@ def _good_chunk(seeds, model, p, L, C, v):
         alive_long = (tau < 0) | (tau >= thr)
         e1 &= ~((tau >= thr) & (tau < s_time)).any(axis=1)
         res_s = batch_evolve(
-            model, seeds, p, s_time, init=slab_window_rows(model, slo, shi),
+            model, seeds, p, s_time, init=slab_window_rows(model, *window),
             t0=t0, snapshot_times=[C * L, s_time],
         )
         for off_t, reg in regions.items():

@@ -140,11 +140,9 @@ def _is_grid(heads: np.ndarray, coords) -> bool:
 
 def threshold_for(p: float) -> int:
     """Integer threshold T with site open iff hash < T; exact for the given
-    double, and monotone in p."""
-    if p <= 0:
-        return 0
-    if p >= 1:
-        return _TWO64
+    double, and monotone in p.  Refuses NaN and p outside [0, 1]."""
+    if not 0 <= p <= 1:
+        raise FieldError(f"p must be in [0,1], got {p}")
     return int(Fraction(p) * _TWO64)
 
 
@@ -170,8 +168,7 @@ class FieldSpec:
     sprinkle_eps: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise FieldError(f"p must be in [0,1], got {self.p}")
+        threshold_for(self.p)
         if self.sprinkle_eps is not None:
             if not 0.0 <= self.sprinkle_eps <= 1.0 - self.p:
                 raise FieldError(

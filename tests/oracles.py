@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -339,6 +340,88 @@ def good_events(model: NormalizedModel, p, L: int, C: int, v, seed: int):
             e3 = all(any(translated_block_contains(tb, site) for site in full[s_time])
                      for tb in probes)
     return e1, e2, e3
+
+
+# ---------------------------------------------------------------------------
+# the crosspath records
+
+def transfer_records(model: NormalizedModel, p, eps, L: int, blocks, probe,
+                     seeds):
+    """The crosspath record of each seed, by set growth and enumeration.
+
+    Range-1 models in d = 2.  A tilted block of ``blocks`` is crossed when
+    the growth inside it from the full slab at time 0, here truncated
+    generously, reaches time L.  Its witness is the lexicographically least
+    x-sequence of the crossing paths (x_0, 0), ..., (x_L, L): each step a
+    spatial step, each site after the start open and in the block.  A
+    record is None unless both blocks are crossed, else (the two witnesses
+    share a vertex, the first thickened by the probe (n, v, t) -- the sites
+    (x + v + b, s + t), b in [-n, n), over its vertices (x, s) -- meets the
+    second, the sprinkled transfer).  The transfer holds when steps from
+    the first witness's start reach the second's end through sites on
+    either witness or extra-open sites of the sprinkle, at time s + j,
+    1 <= j <= t, within rad = n + |v| + t max(1, dilation(1)) of a vertex
+    (x, s) of the first witness.
+    """
+    n_pr, (v_pr,), t_pr = probe
+    ys = [y for (y,), _ in model.split_offsets]
+    rate = float(Fraction(eps) / (1 - Fraction(p))) if eps else 0.0
+    rad = n_pr + abs(v_pr) + t_pr * max(1, model.dilation(1))
+    reach = max(abs(tb.offset[0]) + abs(tb.geometry.v[0]) * (L + 1)
+                + tb.geometry.w[0] for tb in blocks) + model.dilation(L) + 1
+    xs = range(-math.ceil(reach), math.ceil(reach) + 1)
+
+    def witness(field, tb):
+        @cache
+        def inside(site):
+            return site_open(field, site) and translated_block_contains(tb, site)
+
+        levels = infected_times(model, field, [(x, 0) for x in xs], L,
+                                domain=inside)
+        if not levels.get(L):
+            return None
+        paths = []
+
+        def extend(path):
+            x, t = path[-1]
+            if t == L:
+                paths.append(path)
+            for y in ys:
+                if inside((x + y, t + 1)):
+                    extend(path + [(x + y, t + 1)])
+
+        for x in xs:
+            extend([(x, 0)])
+        return min(paths, key=lambda path: [x for x, _ in path])
+
+    out = []
+    for seed in seeds:
+        field = FieldSpec(seed=int(seed), p=p)
+        gam, gam2 = (witness(field, tb) for tb in blocks)
+        if gam is None or gam2 is None:
+            out.append(None)
+            continue
+        path_meet = bool(set(gam) & set(gam2))
+        hat_meet = any(s2 == s + t_pr and -n_pr <= x2 - x - v_pr < n_pr
+                       for x, s in gam for x2, s2 in gam2)
+
+        def allowed(site):
+            z, t = site
+            if site in gam or site in gam2:
+                return True
+            near = any(1 <= t - s <= t_pr and abs(z - x) <= rad for x, s in gam)
+            return near and stream_hash(seed, site, stream=1) < threshold_for(rate)
+
+        seen, queue = {gam[0]}, [gam[0]]
+        while queue:
+            x, t = queue.pop(0)
+            for y in ys:
+                site = (x + y, t + 1)
+                if t < L and site not in seen and allowed(site):
+                    seen.add(site)
+                    queue.append(site)
+        out.append((path_meet, hat_meet, gam2[-1] in seen))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -470,8 +470,12 @@ def test_good_block_geometry_validation():
 
 
 @pytest.mark.parametrize("model, settings", [
-    (TWO_D_OP, [(0.6, 2, 2, "1/2", 32)]),
-    (ASYM3, [(0.8, 4, 4, 0, 13)]),
+    # at L = C = 4 event 2 fails in some replicas only through slab sites
+    # grown from sources outside the boxes, which pins the slab window
+    (TWO_D_OP, [(0.6, 2, 2, "1/2", 32), (0.6, 4, 4, "1/2", 16)]),
+    # at p = 0.7 a site dies at exactly thr in one replica, which pins the
+    # threshold of the long survivors in event 2
+    (ASYM3, [(0.8, 4, 4, 0, 13), (0.7, 4, 4, 0, 16)]),
     # two slab rows: a site's cluster spans the 6L-wide region only at
     # C >= 16, so here e2 varies at p = 0.5 and e1 at p = 0.8
     (RANGE2, [(0.5, 6, 3, "1/2", 32), (0.8, 4, 4, "1/2", 16)]),
@@ -605,6 +609,28 @@ def test_transfer_refusals():
                                alpha="1/2", beta="1/2")
 
 
+@pytest.mark.parametrize("model, p, shift, beta, counts", [
+    (TWO_D_OP, 0.75, 1, "1/2", (29, 7, 12, 18)),
+    (ASYM3, 0.7, 0, "0", (34, 16, 29, 32)),
+], ids=["2dOP", "asym3"])
+def test_transfer_chunk_matches_oracle(model, p, shift, beta, counts):
+    # crossings by set growth, witnesses by enumerating every crossing
+    # path, the meets and the sprinkled BFS recomputed per replica by
+    # oracles.transfer_records; here each outcome takes both values
+    L, eps, w = 8, 0.1, 2
+    slopes = ((Fraction(1, 2), -shift), (Fraction(beta), shift))
+    seeds, probe = spawn_seeds(5, 0, 40), box_infection_probe(model)
+    boxes = [est._tilted_box(model, w, L + 1, slope, Fraction(off), half=False)
+             for slope, off in slopes]
+    got = est._transfer_chunk(seeds, model, p, eps, L, boxes, probe)
+    blocks = [TranslatedBlock(BlockGeometry((w,), L + 1, (slope,)),
+                              (Fraction(off), Fraction(0)))
+              for slope, off in slopes]
+    assert got == oracles.transfer_records(model, p, eps, L, blocks, probe, seeds)
+    crossed = [r for r in got if r is not None]
+    assert (len(crossed), *map(sum, zip(*crossed))) == counts
+
+
 def test_box_setup_runs_once_per_estimator_call(monkeypatch):
     # every chunk shares the tilted-box set-up made once per call: one box
     # for crossing, two for crosspath, however many replicas and chunks
@@ -674,6 +700,27 @@ def test_no_replicas_is_an_error_not_a_refusal(name, reps):
     with pytest.raises(EstimatorError, match=r"^reps must be >= 1$") as exc:
         _ESTIMATOR_CALLS[name](reps)
     assert not isinstance(exc.value, est.EstimatorRefused)
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda: density_spectrum(TWO_D_OP, 0.7, 0, 10, 4, seed=1),
+     EstimatorError, "n >= 1"),
+    (lambda: density_spectrum(TWO_D_OP, 0.7, -1, 10, 4, seed=1),
+     EstimatorError, "n >= 1"),
+    (lambda: edge_speeds(TWO_D_OP, 0.8, 0, 4, seed=1),
+     EstimatorError, "T must be >= 1"),
+    (lambda: shape_and_time_constants(TWO_D_OP, 0.8, 0, 4, seed=1),
+     EstimatorError, "t must be >= 1"),
+    (lambda: batch_evolve(TWO_D_OP, [1], 0.5, -1), ValueError, "T must be >= 0"),
+    (lambda: survival_curve(TWO_D_OP, 0.5, -1, 4, seed=1),
+     ValueError, "T must be >= 0"),
+], ids=["density-n0", "density-n-1", "edges-T0", "shape-t0", "batch-T-1",
+        "survival-T-1"])
+def test_degenerate_sizes_are_refused(call, exc, match):
+    # these used to end in a ZeroDivisionError or a numpy error from an
+    # empty array, or, at T < 0, run no step and report survival 1.0
+    with pytest.raises(exc, match=match):
+        call()
 
 
 def _return_seeds(seeds):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from conftest import numpy_path
+from conftest import TWO_D_OP, numpy_path
 from oracles import site_open
 from gosp import _openness
+from gosp.estimators import survival_curve
 from gosp.field import (
     FieldSpec,
     FieldError,
@@ -41,6 +42,15 @@ def test_invalid_p_rejected():
         FieldSpec(seed=1, p=1.5)
     with pytest.raises(FieldError):
         FieldSpec(seed=1, p=0.9, sprinkle_eps=0.2)
+    # the bound lives in threshold_for, which used to clamp p into [0, 1]
+    # and fail on NaN inside Fraction; every run refuses through it
+    for p in (float("nan"), -0.1, 1.5, float("inf"), -float("inf")):
+        with pytest.raises(FieldError, match=r"p must be in \[0,1\]"):
+            threshold_for(p)
+        with pytest.raises(FieldError, match=r"p must be in \[0,1\]"):
+            FieldSpec(seed=1, p=p)
+    with pytest.raises(FieldError, match=r"p must be in \[0,1\]"):
+        survival_curve(TWO_D_OP, 1.5, 5, 4, seed=1)
 
 
 @given(st.integers(0, 2**64 - 1), st.tuples(st.integers(-50, 50), st.integers(-50, 50)))

@@ -188,7 +188,8 @@ def test_native_runs_match_numpy_runs(model, p, master, B, T, dual, dom, clear_a
         plain = batch_evolve(model, seeds, p, T, t0=t0, dual=dual, domain=domain)
         empty = batch_evolve(model, seeds, p, T, t0=t0, dual=dual, domain=domain,
                              init=((-1,) * d_s, start))
-        last = int(plain.extinction.max())
+        # with no replica dying (-1 throughout) the horizon is 0 steps
+        last = max(int(plain.extinction.max()), 0)
         at_T = batch_evolve(model, seeds, p, last, t0=t0, dual=dual, domain=domain)
         coupled = coupled_slab(model, seeds, p, T, ((-2,) * d_s, (3,) * d_s))
         n = int(3 * model.gamma * model.R) + 3
