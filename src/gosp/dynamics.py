@@ -518,6 +518,11 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
     of the sites x, lo <= x < hi per axis, that a path may step on at time
     t, in exact integers (for example ``TranslatedBlock.box`` or
     ``partial(cone_box, lo, hi)``); it is empty when lo >= hi on some axis.
+    A path's start site is exempt from openness and from the domain: the
+    rows of ``init`` are the state at step 0 as given, and the primal chain
+    tests only the sites it enters from step 1.  The dual chain tests the
+    sites it extends from, so there the exempt site is the one a dual path
+    reaches last.
 
     Each step drops the replicas that die in it from the rows, the prefix
     table and the seeds, and writes their extinction step; replicas empty
@@ -702,34 +707,71 @@ def _half_slab_cut(model: NormalizedModel, side: str, reach, bound: int):
     return cut
 
 
+# narrow truncations are tried first only when the full one is this wide:
+# below it the sites they save cost less than the steps of the attempts
+# that fail
+_NARROW_FLOOR = 512
+
+
 def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
                     margin: float) -> np.ndarray:
     """Frontiers r_0..r_T (side 'right': max occupied x from {x <= 0}) or
     l_0..l_T ('left': min occupied x from {x >= 0}), shape (B, T+1).
 
-    The infinite half slab is truncated at trunc = ceil(gamma*T*(1+margin))+1.
-    After t steps the omitted sources x <= -trunc-1 occupy nothing outside
-    the t-step ``dependency_cone`` of -trunc-1, the nearest of them; by
+    The infinite half slab is truncated to its sites -trunc <= x <= 0, with
+    trunc at most full = ceil(gamma*T*(1+margin))+1, the worst case.  After
+    t steps the omitted sources x <= -trunc-1 occupy nothing outside the
+    t-step ``dependency_cone`` of -trunc-1, the nearest of them; by
     additivity a truncated frontier right of that cone is the infinite one
     (mirrored for 'left').  Every replica and step is checked as the run
     goes, and TruncationUncertified is raised at the first step where the
     check fails, an empty frontier included.
 
-    The run also drops every site inside that cone (``_half_slab_cut``).
-    A site entering at step k inside the k-step cone has all its
-    descendants inside the cone of the steps after, since each step makes
-    at most one hop; conversely every path to a site right of the t-step
-    cone stays right of the k-step cone at each step k <= t.  By additivity
-    the cut run therefore occupies exactly the truncated run's sites right
-    of the cone, so every certified frontier, and every refusal, is the
-    same with or without the cut; only the window, which would otherwise
-    keep the cone's sites, shrinks.
+    A frontier that moves the way the cone grows needs less, so when
+    full >= _NARROW_FLOOR the same seeds are first run at trunc = full // 4,
+    then full // 2, and the first attempt certified at every step is
+    returned.  A narrow attempt ends at its first uncertified step, or at
+    step max(1, T // 8) when the least gap between a frontier and the
+    omitted sources' cone, extrapolated linearly from its start at trunc,
+    falls below trunc / 8 by step T.  Only the full attempt refuses.  The outputs cannot depend
+    on this schedule: the truncated runs grow with trunc and lie inside the
+    infinite one, and a frontier certified at trunc is the infinite one,
+    so at full it is the same frontier and is certified there too.  Every
+    result, refusal and refusal message is that of the run at full.
+
+    Each run also drops every site inside the cone of its omitted sources
+    (``_half_slab_cut``).  A site entering at step k inside the k-step cone
+    has all its descendants inside the cone of the steps after, since each
+    step makes at most one hop; conversely every path to a site right of
+    the t-step cone stays right of the k-step cone at each step k <= t.  By
+    additivity the cut run therefore occupies exactly the truncated run's
+    sites right of the cone, so every certified frontier, and every
+    refusal, is the same with or without the cut; only the window, which
+    would otherwise keep the cone's sites, shrinks.
     """
     if model.d != 2:
         raise DimensionNot2("edge processes are defined for d = 2 only")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    trunc = int(math.ceil(model.gamma * T * (1 + margin))) + 1
+    full = int(math.ceil(model.gamma * T * (1 + margin))) + 1
+    if full >= _NARROW_FLOOR:
+        for trunc in (full // 4, full // 2):
+            try:
+                return _half_slab_attempt(model, seeds, p, side, T, trunc,
+                                          margin, probe=max(1, T // 8))
+            except TruncationUncertified:
+                pass
+    return _half_slab_attempt(model, seeds, p, side, T, full, margin)
+
+
+def _half_slab_attempt(model: NormalizedModel, seeds, p, side: str, T: int,
+                       trunc: int, margin: float,
+                       probe: int | None = None) -> np.ndarray:
+    """The frontiers of ``half_slab_edges`` from one run truncated at
+    ``trunc``, or TruncationUncertified at its first uncertified step.
+    With ``probe``, also TruncationUncertified at step ``probe`` when the
+    least gap g there predicts trunc + (g - trunc) * T / probe < trunc / 8.
+    """
     if side == "right":
         start, nearest = ((-trunc,), (1,)), ((-trunc - 1,), (-trunc,))
     else:
@@ -743,11 +785,11 @@ def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
         # every step
         return lo0 + k * (lo1 - lo0), hi0 + k * (hi1 - hi0)
 
-    def certified(front, t):
-        # a live replica is certified iff it occupies a site outside the
-        # cone, which the cut leaves as it is
+    def gap(front, t):
+        # how far a live replica's frontier lies outside the cone, which the
+        # cut leaves as it is: certified iff >= 0, and trunc at step 0
         reach_lo, reach_hi = reach(t)
-        return front >= reach_hi if side == "right" else front < reach_lo
+        return front - reach_hi if side == "right" else reach_lo - 1 - front
 
     def frontier(t, state: BatchState):
         front = []
@@ -759,14 +801,20 @@ def half_slab_edges(model: NormalizedModel, seeds, p, side: str, T: int,
             w, flat, a = occ.shape[1], occ.tobytes(), state.anchor[0]
             find = flat.rfind if side == "right" else flat.find
             front = [find(1, i, i + w) + a - i for i in range(0, len(flat), w)]
+        least = gap(min(front) if side == "right" else max(front), t) if front else 0
         # the nearest frontier decides, unless a replica has died
-        if len(front) < len(seeds) or front and not certified(
-                min(front) if side == "right" else max(front), t):
+        if len(front) < len(seeds) or least < 0:
             ok = np.zeros(len(seeds), dtype=bool)     # by replica; a dead one fails
-            ok[state.index] = certified(np.array(front, dtype=np.int64), t)
+            ok[state.index] = gap(np.array(front, dtype=np.int64), t) >= 0
             raise TruncationUncertified(
                 f"{side} frontier of replica {np.argmin(ok)} at step {t} is not "
                 f"certified by the truncation at {trunc} (margin {margin})"
+            )
+        # trunc + (least - trunc) * T / t < trunc / 8, both sides times 8t
+        if t == probe and 8 * (least - trunc) * T < -7 * t * trunc:
+            raise TruncationUncertified(
+                f"{side} frontiers at step {t} predict no certificate at "
+                f"step {T} from the truncation at {trunc}"
             )
         edges[:, t] = front             # all alive, so in replica order
 

@@ -490,8 +490,9 @@ def shape_and_time_constants(model: NormalizedModel, p, t: int, reps: int,
 # edge speeds (d = 2)
 
 _EDGE_CHUNK = 8
-# the half slab's truncation margin; the frontier certificate refuses a
-# margin that turns out too small
+# the half slab's truncation margin, which sets the widest truncation
+# tried, after a quarter and half of it (``half_slab_edges``); the frontier
+# certificate refuses a margin that turns out too small
 _EDGE_MARGIN = 0.2
 
 

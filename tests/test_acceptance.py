@@ -210,7 +210,7 @@ def test_criterion_09_exponential_death_bound():
 def test_criterion_10_subcritical_decay_windows():
     dc = subcritical_decay(
         TWO_D_OP, 0.5, 90, 120_000_000, seed=1100,
-        windows=((40, 60), (60, 80)),
+        windows=((40, 60), (60, 80)), threads=2,
     )
     (_, c_a, n_a), (_, c_b, n_b) = dc.window_fits
     rel = abs(c_a - c_b) / ((c_a + c_b) / 2)

@@ -12,6 +12,7 @@ occupancy reductions are checked against plain numpy.
 
 import contextlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +206,21 @@ def test_dual_reaches_matches_dual_oracle(model):
                 b = (x, t)
                 got = dual_reaches(b, a, model, f)
                 assert got == oracles.dual_path_exists(model, f, b, a)
+
+
+def test_only_the_path_start_is_exempt_from_the_domain():
+    # at p = 1 a domain empty only at the start's time leaves the path
+    # (0, 0) -> (1, 2) alone in both chains, and one empty only at its
+    # end's time cuts it
+    f = FieldSpec(seed=1, p=1.0)
+
+    def empty_at(t_empty):
+        return lambda t: ((5,), (5,)) if t == t_empty else ((-50,), (50,))
+
+    for t_empty, want in ((0, True), (2, False)):
+        domain = empty_at(t_empty)
+        assert reaches((0, 0), (1, 2), TWO_D_OP, f, domain=domain) is want
+        assert dual_reaches((1, 2), (0, 0), TWO_D_OP, f, domain=domain) is want
 
 
 @st.composite
@@ -456,6 +472,82 @@ def test_edge_refusal_names_the_replica_that_died(side, message):
         with path(), pytest.raises(TruncationUncertified) as exc:
             half_slab_edges(TWO_D_OP, seeds, 0.6, side, 60, 0.5)
         assert str(exc.value) == message
+
+
+def _counted_attempts(monkeypatch):
+    """The unwrapped ``_half_slab_attempt`` and the log of (trunc, outcome)
+    of each attempt that ``half_slab_edges`` makes: 'certified', 'predicted'
+    (ended by the extrapolation) or 'uncertified'."""
+    attempt, log = dyn._half_slab_attempt, []
+
+    def counting(model, seeds, p, side, T, trunc, *args, **kwargs):
+        try:
+            edges = attempt(model, seeds, p, side, T, trunc, *args, **kwargs)
+        except TruncationUncertified as exc:
+            log.append((trunc, "predicted" if "predict" in str(exc)
+                        else "uncertified"))
+            raise
+        log.append((trunc, "certified"))
+        return edges
+
+    monkeypatch.setattr(dyn, "_half_slab_attempt", counting)
+    return attempt, log
+
+
+def _edges_or_refusal(run):
+    try:
+        return run()
+    except TruncationUncertified as exc:
+        return str(exc)
+
+
+def test_narrow_attempts_change_no_frontier(monkeypatch):
+    # half_slab_edges gives the frontiers of the one run at the full
+    # truncation, or its refusal word for word, whichever attempts it made:
+    # from p = 0.55 to 1 its narrow attempts are certified, ended by the
+    # extrapolation or uncertified, and the full one certifies or refuses
+    attempt, log = _counted_attempts(monkeypatch)
+    seeds, margin, paths = spawn_seeds(12, 0, 3), 0.2, set()
+    for model in (m for m in MODEL_POOL if m.d == 2):
+        T = math.ceil(450 / model.gamma)
+        full = math.ceil(model.gamma * T * (1 + margin)) + 1
+        assert full >= dyn._NARROW_FLOOR
+        for side in ("left", "right"):
+            narrow = 0
+            for p in (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.9, 1.0):
+                log.clear()
+                got = _edges_or_refusal(
+                    lambda: half_slab_edges(model, seeds, p, side, T, margin))
+                ref = _edges_or_refusal(
+                    lambda: attempt(model, seeds, p, side, T, full, margin))
+                assert type(got) is type(ref) and np.array_equal(got, ref)
+                assert [t for t, _ in log] == [full // 4, full // 2, full][:len(log)]
+                narrow += sum(t < full for t, _ in log)
+                paths |= {(t == full, outcome) for t, outcome in log}
+            assert narrow
+    assert paths == {(False, "certified"), (False, "predicted"),
+                     (False, "uncertified"), (True, "certified"),
+                     (True, "uncertified")}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_half_attempt_certifies_2dop_at_p075(monkeypatch, side):
+    # at T = 500 (full truncation 601) the quarter attempt is ended by the
+    # extrapolation at step 62, and the half attempt gives the full run's
+    # frontiers
+    attempt, log = _counted_attempts(monkeypatch)
+    seeds = spawn_seeds(0, 0, 4)
+    got = half_slab_edges(TWO_D_OP, seeds, 0.75, side, 500, 0.2)
+    assert log == [(150, "predicted"), (300, "certified")]
+    assert np.array_equal(got, attempt(TWO_D_OP, seeds, 0.75, side, 500, 601, 0.2))
+
+
+def test_no_narrow_attempt_below_the_floor(monkeypatch):
+    # at T = 400 the full truncation, 481, is below _NARROW_FLOOR, so the
+    # one attempt made is the full one
+    _, log = _counted_attempts(monkeypatch)
+    half_slab_edges(TWO_D_OP, spawn_seeds(0, 0, 4), 0.75, "right", 400, 0.2)
+    assert log == [(481, "certified")]
 
 
 def test_edge_track_requires_d2():

@@ -631,6 +631,28 @@ def test_transfer_chunk_matches_oracle(model, p, shift, beta, counts):
     assert (len(crossed), *map(sum, zip(*crossed))) == counts
 
 
+def test_path_start_is_exempt_from_the_domain():
+    # a path's start site is exempt from openness and from the domain: in
+    # the ASYM3 setting above, 18 of the 36 witnesses that cross the first
+    # box start outside its row at time 0, and every later site of each
+    # lies inside the box
+    L, seeds = 8, spawn_seeds(5, 0, 40)
+    init, box = est._tilted_box(ASYM3, 2, L + 1, Fraction(1, 2), Fraction(0),
+                                half=False)
+    run = batch_evolve(ASYM3, seeds, 0.7, L, init=init, domain=box,
+                       snapshot_times=range(L + 1))
+    paths = [est._leftmost_path(ASYM3, run.snapshots, L, b)
+             for b in np.flatnonzero(run.alive_at_T)]
+
+    def inside(x, t):
+        (lo,), (hi,) = box(t)
+        return lo <= x < hi
+
+    assert len(paths) == 36
+    assert sum(not inside(*path[0]) for path in paths) == 18
+    assert all(inside(*site) for path in paths for site in path[1:])
+
+
 def test_box_setup_runs_once_per_estimator_call(monkeypatch):
     # every chunk shares the tilted-box set-up made once per call: one box
     # for crossing, two for crosspath, however many replicas and chunks
