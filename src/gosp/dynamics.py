@@ -42,8 +42,8 @@ gather of the flat rows through one precomputed index per offset.  With the
 native library each replica runs alone in C until it dies (``torus_run``),
 its R*N rows packed into one 64-bit word when R*N <= 64 (the word path)
 and one byte a site otherwise (the byte path); the numpy loop, their
-reference and fallback, steps the batch in lockstep with one open-mask
-query per step.
+reference and fallback, steps the batch in lockstep and finishes the
+torus's prefix table with ``open_mask`` at every step.
 
 All truncations of infinite initial conditions rest on the cone bound of
 ``dependency_cone``: a run started on the ``source_window`` of the boxes it
@@ -141,29 +141,20 @@ def _trim(rows: np.ndarray, anchor, box):
     return rows[(slice(None),) * 2 + tuple(map(slice, lo, hi))], tuple(map(add, anchor, lo))
 
 
-def _keep(rows: np.ndarray, live: np.ndarray, t: int,
-          openness: BatchOpenness) -> np.ndarray:
-    """The rows of the replicas ``live``; the others leave the batch with
-    extinction step t (``BatchOpenness.keep``)."""
-    if live.all():
-        return rows
-    openness.keep(live, t)
-    return rows[live]
-
-
-def _grid_occupancy(anchor, rows, zlo, shape):
-    """Embed a state's rows into the fixed grid [zlo, zlo+shape)."""
-    lead = rows.shape[: rows.ndim - len(shape)]
-    out = np.zeros(lead + shape, dtype=bool)
+def _on_box(anchor, rows, box) -> np.ndarray:
+    """The cells of ``rows`` at ``anchor`` on the integer box (lo, hi), the
+    leading axes kept; cells outside the rows read unset, an empty box none."""
+    lo, hi = box
+    lead = rows.shape[:rows.ndim - len(lo)]
+    out = np.zeros(lead + tuple(max(h - l, 0) for l, h in zip(lo, hi)), dtype=bool)
     src, dst = [], []
-    for a, e, l, w in zip(anchor, rows.shape[len(lead):], zlo, shape):
-        s0, s1 = max(l - a, 0), min(l + w - a, e)
+    for a, e, l, h in zip(anchor, rows.shape[len(lead):], lo, hi):
+        s0, s1 = max(l - a, 0), min(h - a, e)
         if s0 >= s1:
             return out
         src.append(slice(s0, s1))
         dst.append(slice(s0 + a - l, s1 + a - l))
-    lead_sl = (slice(None),) * len(lead)
-    out[lead_sl + tuple(dst)] = rows[lead_sl + tuple(src)]
+    out[(...,) + tuple(dst)] = rows[(...,) + tuple(src)]
     return out
 
 
@@ -199,10 +190,10 @@ class BatchOpenness:
     """Openness of space-time sites for a batch of replicas, one seed per row.
 
     The spatial hash prefix site_hash(seed, x) of every site of a box is
-    kept in a (B, *box) table, so each query only finishes the hash with its
-    time coordinate (``open_mask``: one mix per site).  The box grows,
-    doubling per axis, only when a query window leaves it, and never past
-    ``cone``, a (lo, hi) box holding every window the run can query.
+    kept in a (B, *box) table, so a step only finishes the hash with its time
+    coordinate (one mix per site, ``open_mask`` on a ``prefix`` view).  The
+    box grows, doubling per axis, only when a window of ``place`` or
+    ``prefix`` leaves it, and never past ``cone``, which holds them all.
 
     It also holds what moves with the table rows when replicas die: the
     seeds, each row's original replica ``index`` and the whole batch's
@@ -231,15 +222,19 @@ class BatchOpenness:
         self.chain = chain_step(_sources(model, dual), shift, model.R, dual,
                                 self.threshold, self.seeds, self.index, self.extinction)
 
-    def keep(self, live, t: int) -> None:
-        """Keep only the rows ``live``, a bool mask, moved down in place, and
-        give the others extinction step t: a ``chain_step``'s drop in numpy."""
+    def keep(self, rows: np.ndarray, live, t: int) -> np.ndarray:
+        """The ``rows`` of the replicas ``live``, a bool mask; the others get
+        extinction step t, and the live ones' seeds, index and table rows
+        move down in place: a ``chain_step``'s drop in numpy."""
+        if live.all():
+            return rows
         self.extinction[self.index[~live]] = t
         kept = np.flatnonzero(live)
         for a in (self.seeds, self.index, self.table):
             if a is not None:
                 a[:len(kept)] = a[kept]
         self.resize(len(kept))
+        return rows[live]
 
     def resize(self, n: int) -> None:
         """Keep the first n rows, as a ``chain_step`` leaves them."""
@@ -288,15 +283,8 @@ class BatchOpenness:
 
     def prefix(self, lo, shape) -> np.ndarray:
         """The (B, *shape) view of the prefix table over [lo, lo + shape)."""
-        hi = tuple(l + e for l, e in zip(lo, shape))
-        self._cover(lo, hi)
-        return self.table[(slice(None),) + tuple(
-            slice(l - b, h - b) for l, h, b in zip(lo, hi, self.lo)
-        )]
-
-    def window(self, lo, shape, t: int) -> np.ndarray:
-        """Open mask (B, *shape) of the sites (x, t), x in [lo, lo + shape)."""
-        return open_mask(self.prefix(lo, shape), t, self.threshold)
+        at = self.place(lo, shape)
+        return self.table[(slice(None),) + tuple(map(slice, at, map(add, at, shape)))]
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +303,8 @@ def _shift_in(state: BatchState, new: np.ndarray, lo, openness: BatchOpenness,
               dual: bool) -> BatchState:
     """The next state: ``new``, the (B, *shape) new row at ``lo``, becomes
     the top row (row 0 for the dual), the old rows move one row towards the
-    other end, the replicas that died leave (``_keep``), and the union
-    window of both is trimmed."""
+    other end, the replicas that died leave (``BatchOpenness.keep``), and
+    the union window of both is trimmed."""
     B, R, *ext = state.rows.shape
     shape = new.shape[1:]
     ulo, uni = _union(state, lo, shape)
@@ -329,7 +317,7 @@ def _shift_in(state: BatchState, new: np.ndarray, lo, openness: BatchOpenness,
     sl = tuple(slice(l_ - l, l_ - l + s) for l_, l, s in zip(lo, ulo, shape))
     rows[(slice(None), row) + sl] = new
     live, box = _occupancy(rows)
-    rows, anchor = _trim(_keep(rows, live, state.t + 1, openness), ulo, box)
+    rows, anchor = _trim(openness.keep(rows, live, state.t + 1), ulo, box)
     return BatchState(state.t + 1, anchor, rows, openness.index)
 
 
@@ -562,7 +550,7 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
         seeds, p, cone=dependency_cone(model, anchor, hi, T, backward=dual),
     )
     openness.bind(model, dual)
-    rows = _keep(rows, BatchState(0, anchor, rows).alive(), 0, openness)
+    rows = openness.keep(rows, BatchState(0, anchor, rows).alive(), 0)
     state = BatchState(0, anchor, rows, openness.index)
     snapshots = {} if snapshot_times else None
 
@@ -573,7 +561,7 @@ def batch_evolve(model: NormalizedModel, seeds, p, T, *,
             if np.shape(ended) != (state.batch,) or np.asarray(ended).dtype != bool:
                 raise ValueError(f"per_step must return None or a bool mask "
                                  f"of the {state.batch} rows")
-            rows = _keep(state.rows, ~ended, t, openness)
+            rows = openness.keep(state.rows, ~ended, t)
             state = BatchState(t, state.anchor, rows, openness.index)
         if t in snapshot_times:
             full = np.zeros((B,) + state.rows.shape[1:], dtype=bool)
@@ -622,12 +610,6 @@ def dual_evolve(A, model: NormalizedModel, field: FieldSpec, T: int,
 # ---------------------------------------------------------------------------
 # pointwise reachability
 
-def _occupied(state: BatchState, row: int, x) -> bool:
-    """Does the one-replica state occupy the slab site (x, row)?"""
-    return bool(_grid_occupancy(state.anchor, state.rows[0, row], x,
-                                (1,) * len(x)).any())
-
-
 def reaches(a, b, model: NormalizedModel, field: FieldSpec,
             domain: Callable | None = None) -> bool:
     """True iff there is a path a -> b of open in-domain sites (start exempt).
@@ -639,9 +621,10 @@ def reaches(a, b, model: NormalizedModel, field: FieldSpec,
     R, T = model.R, int(b[-1]) - int(a[-1])
     if T < 0:
         return False
-    res = evolve([tuple(a[:-1]) + (R - 1,)], model, field, T, domain=domain,
-                 t0=int(a[-1]) - (R - 1), snapshot_times=[T])
-    return _occupied(res.snapshots[T], R - 1, b[:-1])
+    snap = evolve([tuple(a[:-1]) + (R - 1,)], model, field, T, domain=domain,
+                  t0=int(a[-1]) - (R - 1), snapshot_times=[T]).snapshots[T]
+    return bool(_on_box(snap.anchor, snap.rows[0, R - 1],
+                        (b[:-1], [c + 1 for c in b[:-1]])).any())
 
 
 def dual_reaches(b, a, model: NormalizedModel, field: FieldSpec,
@@ -655,9 +638,10 @@ def dual_reaches(b, a, model: NormalizedModel, field: FieldSpec,
     T = int(b[-1]) - int(a[-1])
     if T < 0:
         return False
-    res = dual_evolve([tuple(b[:-1]) + (0,)], model, field, T, domain=domain,
-                      t0=int(b[-1]), snapshot_times=[T])
-    return _occupied(res.snapshots[T], 0, a[:-1])
+    snap = dual_evolve([tuple(b[:-1]) + (0,)], model, field, T, domain=domain,
+                       t0=int(b[-1]), snapshot_times=[T]).snapshots[T]
+    return bool(_on_box(snap.anchor, snap.rows[0, 0],
+                        (a[:-1], [c + 1 for c in a[:-1]])).any())
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +669,7 @@ def coupled_slab(model: NormalizedModel, seeds, p, t: int, window) -> np.ndarray
         init=slab_window_rows(model, *source_window(model, [(t, (lo, hi))])),
         domain=shrinking_cone, snapshot_times=[t],
     ).snapshots[t]
-    return _grid_occupancy(snap.anchor, snap.rows, lo,
-                           tuple(h - l for l, h in zip(lo, hi)))
+    return _on_box(snap.anchor, snap.rows, (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -849,9 +832,9 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
     prefix table until it dies, so no replica waits for another: with
     R*N <= 64 its rows are one 64-bit word (the word path), else one byte
     a site (the byte path).  The numpy loop is the reference and the
-    fallback: it steps the batch in lockstep (``_torus_batch_step``) with
-    one ``BatchOpenness.window`` query per step, and drops extinct replicas
-    from the rows and the table after every step (``_keep``).
+    fallback: it steps the batch in lockstep (``_torus_batch_step``), with
+    ``open_mask`` on the same table, and drops extinct replicas from the
+    rows and the table after every step (``BatchOpenness.keep``).
     """
     check_torus_side(model, n)
     R, d_s = model.R, model.d - 1
@@ -862,14 +845,15 @@ def torus_extinction_batch(model: NormalizedModel, p, seeds, n: int,
         for y, u in model.split_offsets
     ])
     openness = BatchOpenness(seeds, p)
-    openness._cover((0,) * d_s, (n,) * d_s)
-    native = torus_extinction(openness.table.reshape(B, N), gather, R, T_max,
-                              openness.threshold, _coord_key(R), int(_COORD_MUL))
+    table = openness.prefix((0,) * d_s, (n,) * d_s).reshape(B, N)
+    native = torus_extinction(table, gather, R, T_max, openness.threshold,
+                              _coord_key(R), int(_COORD_MUL))
     if native is not None:
         return BatchResult(native)
     state = BatchState(0, (0,) * d_s, np.ones((B, R) + (n,) * d_s, dtype=bool))
     while state.batch and state.t < T_max:
-        open_top = openness.window((0,) * d_s, (n,) * d_s, state.t + R)
-        state = _torus_batch_step(state, gather, open_top.reshape(state.batch, N))
-        state.rows = _keep(state.rows, state.alive(), state.t, openness)
+        # keep moves the live replicas' table rows to the front of the table
+        open_top = open_mask(table[:state.batch], state.t + R, openness.threshold)
+        state = _torus_batch_step(state, gather, open_top)
+        state.rows = openness.keep(state.rows, state.alive(), state.t)
     return BatchResult(openness.extinction)

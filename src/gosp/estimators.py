@@ -40,7 +40,7 @@ from .dynamics import (
     BatchState,
     DimensionNot2,
     TruncationUncertified,
-    _grid_occupancy,
+    _on_box,
     batch_evolve,
     check_torus_side,
     coupled_slab,
@@ -350,8 +350,7 @@ _SHAPE_DIRECTIONS = ((-1.0,), (1.0,))
 def _shape_chunk(seeds, model, p, t, T_cond, ns):
     # the t-step cone of the origin, the only sites it can hit
     lo, hi = dependency_cone(model, (0,), (1,), t)
-    ext = (hi[0] - lo[0],)
-    hits = np.full((len(seeds),) + ext, -1, dtype=np.int64)
+    hits = np.full((len(seeds), hi[0] - lo[0]), -1, dtype=np.int64)
 
     def record_hits(step, state):
         # a hit after step t would change H, the sites hit by time t
@@ -359,7 +358,7 @@ def _shape_chunk(seeds, model, p, t, T_cond, ns):
         a = max(state.anchor[0], lo[0])
         b = min(state.anchor[0] + state.rows.shape[2], hi[0])
         if step <= t and a < b:
-            occ = _grid_occupancy(state.anchor, state.rows[:, 0], (a,), (b - a,))
+            occ = _on_box(state.anchor, state.rows[:, 0], ((a,), (b,)))
             cols = slice(a - lo[0], b - lo[0])
             mine = hits[state.index, cols]
             mine[occ & (mine < 0)] = step
@@ -373,7 +372,7 @@ def _shape_chunk(seeds, model, p, t, T_cond, ns):
     if not alive.any():
         return out
     snap = res.snapshots[t]
-    xi_origin = _grid_occupancy(snap.anchor, snap.rows[alive, 0], lo, ext)
+    xi_origin = _on_box(snap.anchor, snap.rows[alive, 0], (lo, hi))
     xi_slab = coupled_slab(model, seeds[alive], p, t, (lo, hi))[:, 0]
     for j, i in enumerate(np.flatnonzero(alive)):
         hit_times = hits[i]
@@ -640,6 +639,8 @@ class SubcriticalDecay:
 def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
                       threads: int = 1,
                       windows=((40, 60), (60, 80))) -> SubcriticalDecay:
+    if not windows:
+        raise EstimatorError("need at least one fit window")
     for window in windows:
         if not 1 <= window[0] < window[1] <= T:
             raise EstimatorError(f"window {window} must satisfy 1 <= a < b <= T")
@@ -873,13 +874,6 @@ def crossing_probability(model: NormalizedModel, p, L: int, eps: float,
 _BG_CHUNK = 16
 
 
-def _on_box(anchor, rows, box):
-    """The cells of ``rows`` at ``anchor`` on the integer box (lo, hi), the
-    leading axes kept; cells outside the rows read unset."""
-    lo, hi = box
-    return _grid_occupancy(anchor, rows, lo, tuple(h - l for l, h in zip(lo, hi)))
-
-
 def _box_full(col, n):
     """The cells x of the boolean array col whose box [x - n, x + n) on
     every axis is set in col; cells outside col count as unset."""
@@ -1072,7 +1066,8 @@ def _meet_chunk(seeds, model, p, t, z):
     )
     both = rp.alive_at_T & rd.alive_at_T
     sp, sd = rp.snapshots[t], rd.snapshots[t]
-    meet = sp.rows & _grid_occupancy(sd.anchor, sd.rows, sp.anchor, sp.rows.shape[2:])
+    meet = sp.rows & _on_box(sd.anchor, sd.rows,
+                             (sp.anchor, [a + e for a, e in zip(sp.anchor, sp.rows.shape[2:])]))
     meet = meet.reshape(len(seeds), -1).any(axis=1)
     return list(zip(both.tolist(), (both & ~meet).tolist()))
 

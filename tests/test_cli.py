@@ -312,6 +312,25 @@ def test_torus_columns_match_record_lines(model_path):
     assert cli._jsonl(columns) == _record_lines(columns)
 
 
+@pytest.mark.xfail(strict=True, reason="TorusSizeStats.taus keeps only the "
+                   "uncensored steps, so a censored replica has no record and "
+                   "the later ones take its index; the fix re-pins torus-tail's "
+                   "digests (ROADMAP item 15)")
+def test_torus_writes_one_record_per_replica(tmp_path, model_path):
+    # 2 of these 64 replicas live to T_max: each keeps its own record, with
+    # tau null, and every other record keeps its replica's extinction step
+    plan = validate_plan({"estimator": "torus", "model": model_path, "seed": 7,
+                          "p": 0.75, "sizes": [12], "reps": 64, "T_max": 8000})
+    run(plan, parallelism=1, out_dir=str(tmp_path / "out"))
+    lines = (tmp_path / "out" / "results.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    stats = est.torus_stats(TWO_D_OP, 0.75, [12], 64, 8000, seed=7).per_size[0]
+    assert stats.censored == 2
+    assert [r["replica"] for r in records] == list(range(64))
+    assert sum(r["tau"] is None for r in records) == stats.censored
+    assert [r["tau"] for r in records if r["tau"] is not None] == stats.taus.tolist()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -43,7 +43,7 @@ from gosp.dynamics import (
     slab_window_rows,
     torus_extinction_batch,
 )
-from gosp.field import FieldSpec, site_hash, spawn_seeds
+from gosp.field import FieldSpec, open_mask, site_hash, spawn_seeds
 from gosp.geometry import BlockGeometry, TranslatedBlock
 from gosp.model import ModelError, NeighborhoodSpec, validate
 
@@ -318,6 +318,49 @@ def test_reachability_is_one_engine_run(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # hit and coupled regions
+
+@st.composite
+def _box_reads(draw):
+    """(anchor, rows, box): rows with 0-2 leading axes over d - 1 in {1, 2}
+    spatial axes, some of extent 0, and a box drawn near them, which may
+    contain them, lie inside them, overlap them, miss them or be empty."""
+    d_s = draw(st.sampled_from([1, 2]))
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    ext = draw(st.lists(st.integers(0, 4), min_size=d_s, max_size=d_s))
+    anchor = draw(st.lists(st.integers(-4, 4), min_size=d_s, max_size=d_s))
+    n = math.prod(lead + ext)
+    rows = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                    dtype=bool).reshape(lead + ext)
+    lo = draw(st.lists(st.integers(-9, 9), min_size=d_s, max_size=d_s))
+    hi = [l + draw(st.integers(-2, 9)) for l in lo]
+    return tuple(anchor), rows, (tuple(lo), tuple(hi))
+
+
+_FULL = np.array([[1, 0, 1], [0, 1, 1]], dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_box_reads())
+@example(((2,), _FULL, ((0,), (7,))))          # contains the rows
+@example(((2,), _FULL, ((3,), (4,))))          # inside them
+@example(((2,), _FULL, ((3,), (9,))))          # overlaps them
+@example(((2,), _FULL, ((-4,), (2,))))         # misses them
+@example(((2,), _FULL, ((4,), (4,))))          # empty
+@example(((2,), _FULL, ((4,), (1,))))          # empty, hi < lo
+@example(((0, 0), np.zeros((2, 0, 3), dtype=bool), ((-1, -1), (2, 2))))
+def test_on_box_matches_per_cell_reference(read):
+    # each cell x of the box reads the rows' cell x - anchor, unset outside
+    # them, with the leading axes kept and no cell on an empty box
+    anchor, rows, (lo, hi) = read
+    lead = rows.shape[:rows.ndim - len(lo)]
+    shape = tuple(max(h - l, 0) for l, h in zip(lo, hi))
+    got = dyn._on_box(anchor, rows, (lo, hi))
+    assert got.dtype == bool and got.shape == lead + shape
+    for idx in np.ndindex(*lead, *shape):
+        cell = [l + c - a for l, c, a in zip(lo, idx[len(lead):], anchor)]
+        inside = all(0 <= c < e for c, e in zip(cell, rows.shape[len(lead):]))
+        assert got[idx] == (inside and rows[idx[:len(lead)] + tuple(cell)])
+
 
 def test_hit_coupled_at_time_zero():
     # before any step the slab run is its start: the whole window, every row
@@ -857,9 +900,10 @@ def test_openness_matches_site_hash(run):
     for k, (lo, shape, t) in enumerate(queries):
         if k == keep_at and any(keep):
             kept = np.flatnonzero(keep)
-            openness.keep(np.array(keep), t)
+            left = openness.keep(np.array(rows), np.array(keep), t)
             rows = [rows[i] for i in kept]
-        got = openness.window(lo, shape, t)
+            assert left.tolist() == rows
+        got = open_mask(openness.prefix(lo, shape), t, openness.threshold)
         assert got.dtype == bool and got.shape == (len(rows),) + shape
         for b, r in enumerate(rows):
             assert (got[b] == _field_open(seeds[r], p, lo, shape, t)).all()

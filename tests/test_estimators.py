@@ -245,6 +245,17 @@ def test_subcritical_decay_refuses_without_survivors():
                           windows=((5, 10),))
 
 
+def test_subcritical_decay_refuses_no_windows_before_any_chunk(monkeypatch):
+    # with no window there is nothing to fit: refused before the first
+    # chunk, not by min() of an empty sequence after every chunk ran
+    def no_chunk(common, span):
+        raise AssertionError("a decay chunk ran")
+
+    monkeypatch.setattr(est, "_decay_chunk", no_chunk)
+    with pytest.raises(EstimatorError, match="at least one fit window"):
+        subcritical_decay(TWO_D_OP, 0.5, 20, 200_000, seed=1, windows=())
+
+
 # ---------------------------------------------------------------------------
 # torus
 

@@ -128,8 +128,8 @@ def test_native_step_matches_numpy_step(case, t0, p, dual, masked, off, width, d
             continue
         assert ref.index[j] == index[b] and ref_open.seeds[j] == seeds[b]
         assert np.array_equal(ref_open.table[j], one_open.table[0])
-        assert np.array_equal(ref.rows[j], dyn._grid_occupancy(
-            one.anchor, one.rows[0], ref.anchor, ref.rows.shape[2:]))
+        assert np.array_equal(ref.rows[j], dyn._on_box(one.anchor, one.rows[0], (
+            ref.anchor, [a + e for a, e in zip(ref.anchor, ref.rows.shape[2:])])))
         j += 1
     assert j == ref.batch and np.array_equal(ref_open.extinction, expect)
 
