@@ -25,7 +25,6 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -359,9 +358,8 @@ def _run_density(model, cfg, threads):
             {"shift": _FRAC})
 def _run_crossing(model, cfg, threads):
     r = est.crossing_probability(
-        model, cfg["p"], cfg["L"], cfg["eps"], as_fraction(cfg["slope"]),
-        cfg["reps"], cfg["seed"], threads=threads,
-        lateral_shift=as_fraction(cfg.get("shift", 0)),
+        model, cfg["p"], cfg["L"], cfg["eps"], cfg["slope"], cfg["reps"],
+        cfg["seed"], threads=threads, lateral_shift=cfg.get("shift", 0),
     )
     return ([_row(cfg, "crossing", cfg["L"], r.estimate)],
             _replicas(crossed=r.outcomes))
@@ -370,9 +368,7 @@ def _run_crossing(model, cfg, threads):
 @_estimator("bgprobe", {"p": _NUM01, "w": _INTS, "h": _POSINT, "v": _FRACS,
                         "n": _POSINT, "reps": _POSINT})
 def _run_bgprobe(model, cfg, threads):
-    g = BlockGeometry(
-        tuple(cfg["w"]), cfg["h"], tuple(as_fraction(c) for c in cfg["v"])
-    )
+    g = BlockGeometry(tuple(cfg["w"]), cfg["h"], tuple(cfg["v"]))
     r = est.bg_event_probability(model, cfg["p"], g, cfg["n"], cfg["reps"],
                                  cfg["seed"], threads=threads)
     return ([_row(cfg, "bgprobe", cfg["h"], r.estimate)],
@@ -386,7 +382,7 @@ def _run_goodblock(model, cfg, threads):
     L, C = cfg["L"], cfg["C"]
     r = est.good_block_probability(
         model, cfg["p"], L, C, cfg["reps"], cfg["seed"], threads=threads,
-        v=[as_fraction(c) for c in cfg["v"]] if "v" in cfg else None,
+        v=cfg.get("v"),
     )
     T = C * L + L // C
     rows = [_row(cfg, name, T, e) for name, e in (
@@ -400,8 +396,8 @@ def _run_goodblock(model, cfg, threads):
                      "reps": _POSINT})
 def _run_meet(model, cfg, threads):
     r = est.primal_dual_meet(
-        model, cfg["p"], cfg["t"], cfg["reps"],
-        [as_fraction(c) for c in cfg["v_hat"]], cfg["seed"], threads=threads,
+        model, cfg["p"], cfg["t"], cfg["reps"], cfg["v_hat"], cfg["seed"],
+        threads=threads,
     )
     ev = np.array(r.events, dtype=bool)
     return ([_row(cfg, "meet.failure", cfg["t"], r.failure)],
@@ -414,9 +410,8 @@ def _run_meet(model, cfg, threads):
             dependentRequired={"shape_lo": ["shape_hi"], "shape_hi": ["shape_lo"]})
 def _run_cone(model, cfg, threads):
     r = est.restricted_cone_survival(
-        model, cfg["p"], (as_fraction(cfg["lo"]), as_fraction(cfg["hi"])),
-        cfg["T"], cfg["reps"], cfg["seed"], threads=threads,
-        t0=cfg.get("t0", 50),
+        model, cfg["p"], (cfg["lo"], cfg["hi"]), cfg["T"], cfg["reps"],
+        cfg["seed"], threads=threads, t0=cfg.get("t0", 50),
         shape=(cfg["shape_lo"], cfg["shape_hi"]) if "shape_lo" in cfg else None,
     )
     return ([_row(cfg, "cone", cfg["T"], r.estimate)],
@@ -429,9 +424,8 @@ def _run_cone(model, cfg, threads):
 def _run_crosspath(model, cfg, threads):
     r = est.path_crossing_transfer(
         model, cfg["p"], cfg["eps"], cfg["L"], cfg["reps"], cfg["seed"],
-        threads=threads, alpha=as_fraction(cfg["alpha"]),
-        beta=as_fraction(cfg["beta"]), shift=cfg.get("shift"),
-        half_width=cfg.get("half_width"),
+        threads=threads, alpha=cfg["alpha"], beta=cfg["beta"],
+        shift=cfg.get("shift"), half_width=cfg.get("half_width"),
     )
     rows = [
         _row(cfg, "crosspath.crossing", cfg["L"], r.crossing),
@@ -454,21 +448,8 @@ _CSV_COLUMNS = (
 )
 
 
-def _json_default(o):
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, Fraction):
-        return str(o)
-    raise TypeError(f"not JSON serialisable: {o!r}")
-
-
 # one encoder for every results.jsonl line; json.dumps would build one per call
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                   default=_json_default)
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _column_lines(columns: dict) -> str:
@@ -530,8 +511,7 @@ def _write_manifest(path: str, plan: dict, status: str, timing=None,
         "reason": reason,
         "timing": timing,
     }
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True,
-                                   default=_json_default) + "\n")
+    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def run(plan: dict, parallelism: int = 1, out_dir: str = ".") -> dict:

@@ -333,6 +333,17 @@ def _sources(model: NormalizedModel, dual: bool) -> np.ndarray:
     ], dtype=np.int64)
 
 
+def _shift_or(rows: np.ndarray, model: NormalizedModel, dual: bool,
+              shape) -> np.ndarray:
+    """The (B, *shape) OR of ``rows`` through every offset, each source row
+    at its place from ``_sources``: the kernel's shift-OR in numpy."""
+    acc = np.zeros((len(rows),) + tuple(shape), dtype=bool)
+    for r, *at in _sources(model, dual):
+        sl = tuple(slice(a, a + e) for a, e in zip(at, rows.shape[2:]))
+        acc[(slice(None),) + sl] |= rows[:, r]
+    return acc
+
+
 def _clip(domain, t: int, lo, shape) -> list[int]:
     """The box of ``domain`` at time t clipped to the window [lo, lo +
     shape), in the window's coordinates: its lower then its upper bounds,
@@ -377,13 +388,7 @@ def _batch_step(state: BatchState, model: NormalizedModel,
     if openness.chain is not None:
         return _native_step(state, openness, place, [t_abs], box)
     prefix = openness.prefix(lo, shape)
-    acc = np.zeros((state.batch,) + shape, dtype=bool)
-    for y, u in model.split_offsets:
-        src = state.rows[:, R - u]
-        sl = tuple(
-            slice(yi - mn, yi - mn + e) for yi, mn, e in zip(y, mins, ext)
-        )
-        acc[(slice(None),) + sl] |= src
+    acc = _shift_or(state.rows, model, False, shape)
     new = np.zeros_like(acc)
     sl = (slice(None),) + tuple(map(slice, box[:len(shape)], box[len(shape):]))
     new[sl] = acc[sl] & open_mask(prefix[sl], t_abs, openness.threshold)
@@ -411,19 +416,13 @@ def _dual_batch_step(state: BatchState, model: NormalizedModel,
     lo = tuple(map(sub, state.anchor, maxs))
     shape = tuple(map(add, ext, map(sub, maxs, mins)))
     prefix = openness.prefix(state.anchor, ext)
-    acc = np.zeros((state.batch,) + shape, dtype=bool)
     occ_open = np.zeros_like(state.rows)
     for r, (t_abs, box) in enumerate(zip(times, boxes)):
         sl = (slice(None),) + tuple(map(slice, box[:len(ext)], box[len(ext):]))
         occ_open[:, r][sl] = state.rows[:, r][sl] & open_mask(
             prefix[sl], t_abs, openness.threshold)
-    for y, u in model.split_offsets:
-        src = occ_open[:, u - 1]
-        sl = tuple(
-            slice(mx - yi, mx - yi + e) for yi, mx, e in zip(y, maxs, ext)
-        )
-        acc[(slice(None),) + sl] |= src
-    return _shift_in(state, acc, lo, openness, dual=True)
+    return _shift_in(state, _shift_or(occ_open, model, True, shape), lo,
+                     openness, dual=True)
 
 
 def _torus_batch_step(state: BatchState, gather: np.ndarray,
@@ -610,6 +609,22 @@ def dual_evolve(A, model: NormalizedModel, field: FieldSpec, T: int,
 # ---------------------------------------------------------------------------
 # pointwise reachability
 
+def _path_query(source, target, model: NormalizedModel, field: FieldSpec,
+                domain, dual: bool) -> bool:
+    """Whether the one-replica run from the site ``source`` = (x, t), put
+    on slab row 0 (dual) or R-1 at absolute time t, has ``target`` on that
+    row at target's time; False if that time is not ahead of t."""
+    row, (*x, t), (*y, u) = (0 if dual else model.R - 1), source, target
+    T = int(t) - int(u) if dual else int(u) - int(t)
+    if T < 0:
+        return False
+    snap = (dual_evolve if dual else evolve)(
+        [tuple(x) + (row,)], model, field, T, domain=domain,
+        t0=int(t) - row, snapshot_times=[T]).snapshots[T]
+    return bool(_on_box(snap.anchor, snap.rows[0, row],
+                        (y, [c + 1 for c in y])).any())
+
+
 def reaches(a, b, model: NormalizedModel, field: FieldSpec,
             domain: Callable | None = None) -> bool:
     """True iff there is a path a -> b of open in-domain sites (start exempt).
@@ -618,13 +633,7 @@ def reaches(a, b, model: NormalizedModel, field: FieldSpec,
     a_t, for b_t - a_t steps: the path exists iff b is then on the top row.
     Reflexive by the empty path.
     """
-    R, T = model.R, int(b[-1]) - int(a[-1])
-    if T < 0:
-        return False
-    snap = evolve([tuple(a[:-1]) + (R - 1,)], model, field, T, domain=domain,
-                  t0=int(a[-1]) - (R - 1), snapshot_times=[T]).snapshots[T]
-    return bool(_on_box(snap.anchor, snap.rows[0, R - 1],
-                        (b[:-1], [c + 1 for c in b[:-1]])).any())
+    return _path_query(a, b, model, field, domain, dual=False)
 
 
 def dual_reaches(b, a, model: NormalizedModel, field: FieldSpec,
@@ -635,13 +644,7 @@ def dual_reaches(b, a, model: NormalizedModel, field: FieldSpec,
     One ``dual_evolve`` run from b on row 0 at absolute time b_t: the dual
     path exists iff a is on row 0 at depth b_t - a_t.
     """
-    T = int(b[-1]) - int(a[-1])
-    if T < 0:
-        return False
-    snap = dual_evolve([tuple(b[:-1]) + (0,)], model, field, T, domain=domain,
-                       t0=int(b[-1]), snapshot_times=[T]).snapshots[T]
-    return bool(_on_box(snap.anchor, snap.rows[0, 0],
-                        (a[:-1], [c + 1 for c in a[:-1]])).any())
+    return _path_query(b, a, model, field, domain, dual=True)
 
 
 # ---------------------------------------------------------------------------

@@ -159,9 +159,8 @@ class Estimate:
 # replica seeds live in disjoint lanes so auxiliary runs (pre-checks,
 # stability repeats) never share seeds with the main replicas
 _LANE = 1 << 32
-# the survival pre-check of shape and torus: _PRE_REPS replicas of seed lane
-# _PRE_LANE, read as subcritical when they survive below _SURVIVAL_FLOOR
-_PRE_REPS, _PRE_LANE, _SURVIVAL_FLOOR = 200, 9, 0.2
+# shape and torus read a survival pre-check below this as subcritical
+_SURVIVAL_FLOOR = 0.2
 
 
 def _run_spans(worker, common, spans, threads: int) -> list:
@@ -246,6 +245,14 @@ def survival_curve(model: NormalizedModel, p, T: int, reps: int, seed: int,
     )
 
 
+def _pre_survival(model: NormalizedModel, p, T: int, seed: int,
+                  threads: int) -> float:
+    """The survival frequency at T of the shape and torus pre-check, 200
+    replicas of seed lane 9."""
+    return survival_curve(model, p, T, 200, seed, threads=threads,
+                          lane=9).estimate.mean
+
+
 # ---------------------------------------------------------------------------
 # critical point proxy
 
@@ -293,7 +300,7 @@ class CriticalPoint:
 
 def critical_point(model: NormalizedModel, T: int, L_stop: int, reps: int,
                    tol: float, seed: int, threads: int = 1) -> CriticalPoint:
-    if tol <= 0:
+    if not tol > 0:             # NaN too
         raise EstimatorError("tol must be positive")
     if T < 1 or L_stop < 1:
         raise EstimatorError("T and L_stop must be at least 1")
@@ -439,11 +446,10 @@ def shape_and_time_constants(model: NormalizedModel, p, t: int, reps: int,
         raise EstimatorError("t must be >= 1")
     T_cond = t if T_cond is None else T_cond
     T_pre = min(t, 200)
-    pre = survival_curve(model, p, T_pre, _PRE_REPS, seed, threads=threads,
-                         lane=_PRE_LANE)
-    if pre.estimate.mean < _SURVIVAL_FLOOR:
+    pre = _pre_survival(model, p, T_pre, seed, threads)
+    if pre < _SURVIVAL_FLOOR:
         raise SubcriticalRefused(
-            f"survival frequency {pre.estimate.mean:.3f} at T={T_pre} is "
+            f"survival frequency {pre:.3f} at T={T_pre} is "
             f"below the floor {_SURVIVAL_FLOOR}"
         )
     ns = tuple(range(max(2, t // 5), t // 2 + 1, max(1, t // 20)))
@@ -574,6 +580,26 @@ def _fit_line(x: np.ndarray, y: np.ndarray):
 _MIN_EVENTS = 50
 
 
+def _fit_window(window, T: int) -> tuple[int, int]:
+    """The fit window (a, b) as ints, refused unless a and b are integers
+    with 1 <= a < b <= T."""
+    a, b = window
+    if not (a % 1 == 0 and b % 1 == 0 and 1 <= a < b <= T):
+        raise EstimatorError(
+            f"window {window} must satisfy 1 <= a < b <= T in integers")
+    return int(a), int(b)
+
+
+_DECAY_CHUNK = 65536
+
+
+def _decay_chunk(seeds, model, p, T):
+    res = batch_evolve(model, seeds, p, T)
+    tau_eff = np.where(res.extinction < 0, T + 1, res.extinction)
+    # integer histogram so the merge over chunks is exact in any order
+    return np.bincount(tau_eff, minlength=T + 2)
+
+
 @dataclass
 class DeathBoundFit:
     """Log-linear fit of the finite-extinction-time tail over a window."""
@@ -594,14 +620,17 @@ def death_bound_fit(model: NormalizedModel, p, T: int, reps: int,
     the event, which biases the tail slightly low but leaves the slope of
     the log-tail nearly unchanged over windows well below T.
     """
-    w0, w1 = int(window[0]), int(window[1])
-    if not 1 <= w0 < w1 <= T:
-        raise EstimatorError(f"window {window} must satisfy 1 <= a < b <= T")
-    sc = survival_curve(model, p, T, reps, seed, threads=threads)
+    w0, w1 = _fit_window(window, T)
+    # decay's histogram in survival's chunks: the death fit runs mostly
+    # supercritical replicas, whose windows grow
+    hist = sum(_run_chunks(
+        _decay_chunk, (model, p, T), seed, reps, _SURVIVAL_CHUNK, threads,
+    ))
+    # tail[t] counts the replicas with tau >= t, those alive at T as T + 1
+    tail = np.cumsum(hist[::-1])[::-1]
     ts = np.arange(w0, w1 + 1)
-    finite = sc.taus[sc.taus >= 0]
-    tails = np.array([(finite >= t).sum() for t in ts])
-    n_deaths = int(tails[0] - (finite > w1).sum())
+    tails = tail[w0:w1 + 1] - tail[T + 1]
+    n_deaths = int(tail[w0] - tail[w1 + 1])
     keep = tails > 0
     if n_deaths < _MIN_EVENTS or keep.sum() < 3:
         raise InsufficientDeaths(
@@ -615,16 +644,6 @@ def death_bound_fit(model: NormalizedModel, p, T: int, reps: int,
         slope=slope, slope_stderr=se, r2=r2, n_deaths=n_deaths,
         counts={int(t): int(c) for t, c in zip(ts, tails)},
     )
-
-
-_DECAY_CHUNK = 65536
-
-
-def _decay_chunk(seeds, model, p, T):
-    res = batch_evolve(model, seeds, p, T)
-    tau_eff = np.where(res.extinction < 0, T + 1, res.extinction)
-    # integer histogram so the merge over chunks is exact in any order
-    return np.bincount(tau_eff, minlength=T + 2)
 
 
 @dataclass
@@ -641,9 +660,7 @@ def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
                       windows=((40, 60), (60, 80))) -> SubcriticalDecay:
     if not windows:
         raise EstimatorError("need at least one fit window")
-    for window in windows:
-        if not 1 <= window[0] < window[1] <= T:
-            raise EstimatorError(f"window {window} must satisfy 1 <= a < b <= T")
+    windows = [_fit_window(window, T) for window in windows]
     hist = sum(_run_chunks(
         _decay_chunk, (model, p, T), seed, reps, _DECAY_CHUNK, threads,
     ))
@@ -660,8 +677,8 @@ def subcritical_decay(model: NormalizedModel, p, T: int, reps: int, seed: int,
         slope, _, _ = _fit_line(ts.astype(float), np.log(surv / reps))
         return -slope, int(surv[-1])
 
-    window_fits = [((int(a), int(b)), *fit(int(a), int(b))) for a, b in windows]
-    c_hat, _ = fit(int(min(a for a, _ in windows)), int(max(b for _, b in windows)))
+    window_fits = [((a, b), *fit(a, b)) for a, b in windows]
+    c_hat, _ = fit(min(a for a, _ in windows), max(b for _, b in windows))
     return SubcriticalDecay(c_hat=c_hat, window_fits=window_fits, histogram=hist)
 
 
@@ -728,12 +745,13 @@ def torus_stats(model: NormalizedModel, p, sizes, reps: int, T_max: int,
                 seed: int, threads: int = 1, regime: str = "auto") -> TorusStats:
     if regime not in ("auto", "sub", "super"):
         raise EstimatorError(f"unknown regime {regime!r}")
+    if not len(sizes):
+        raise EstimatorError("need at least one torus size")
     for n in sizes:
         check_torus_side(model, int(n))
     if regime == "auto":
-        pre = survival_curve(model, p, 100, _PRE_REPS, seed, threads=threads,
-                             lane=_PRE_LANE)
-        regime = "super" if pre.estimate.mean >= _SURVIVAL_FLOOR else "sub"
+        pre = _pre_survival(model, p, 100, seed, threads)
+        regime = "super" if pre >= _SURVIVAL_FLOOR else "sub"
     floor = max(10, reps // 2)
     per_size = []
     for j, n in enumerate(sizes):
@@ -779,27 +797,25 @@ def _chunk_reps(n_sites: int) -> int:
     return max(1, _SITE_ROWS // n_sites)
 
 
-def _site_starts(model: NormalizedModel, ext, slab_rows) -> np.ndarray:
-    """Rows (n, R, *ext) with one occupied site each: every cell of a box of
-    extent ``ext`` on each slab row of ``slab_rows`` in turn."""
+def _site_batch(model: NormalizedModel, seeds, ext, slab_rows):
+    """(seeds, rows) of one batch row per replica and start site, in replica
+    order; a replica's rows (R, *ext) hold one site each, every cell of a box
+    of extent ``ext`` on each slab row of ``slab_rows`` in turn."""
     cells = math.prod(ext)
     n = len(slab_rows) * cells
     rows = np.zeros((n, model.R, cells), dtype=bool)
     k = np.arange(n)
     rows[k, np.repeat(slab_rows, cells), k % cells] = True
-    return rows.reshape((n, model.R) + tuple(ext))
+    rows = rows.reshape((n, model.R) + tuple(ext))
+    return np.repeat(seeds, n), np.concatenate([rows] * len(seeds))
 
 
 def _density_chunk(seeds, model, p, n, T_inf):
     d_s = model.d - 1
-    rows = _site_starts(model, (2 * n,) * d_s, range(model.R))
-    n_sites = len(rows)
-    res = batch_evolve(
-        model, np.repeat(seeds, n_sites), p, T_inf,
-        init=((-n,) * d_s, np.concatenate([rows] * len(seeds))),
-        dual=True,
-    )
-    return res.alive_at_T.reshape(len(seeds), n_sites).mean(axis=1)
+    site_seeds, rows = _site_batch(model, seeds, (2 * n,) * d_s, range(model.R))
+    res = batch_evolve(model, site_seeds, p, T_inf, init=((-n,) * d_s, rows),
+                       dual=True)
+    return res.alive_at_T.reshape(len(seeds), -1).mean(axis=1)
 
 
 @dataclass
@@ -825,16 +841,17 @@ def density_spectrum(model: NormalizedModel, p, n: int, T_inf: int, reps: int,
 # ---------------------------------------------------------------------------
 # box crossing
 
-def _tilted_box(model: NormalizedModel, w: int, height: int, slope: Fraction,
-                shift: Fraction, half: bool):
+def _tilted_box(model: NormalizedModel, w: int, height: int, slope, shift,
+                half: bool):
     """``(init, domain)`` of a run inside the box B(w, height, slope) shifted
-    by ``shift``, or None if no source can enter it.
+    by ``shift``, both rationals that ``as_fraction`` takes, or None if no
+    source can enter it.
 
     ``domain`` is the box's row at each time, and ``init`` the
     ``source_window`` of those rows (with ``half``, cut to x <= 0).
     """
     box = TranslatedBlock(BlockGeometry((w,), height, (slope,)),
-                          (shift, Fraction(0))).box
+                          (as_fraction(shift), Fraction(0))).box
     (lo,), (hi,) = source_window(model, [(t, box(t)) for t in range(height)])
     if half:
         hi = min(hi, 1)
@@ -860,10 +877,11 @@ def crossing_probability(model: NormalizedModel, p, L: int, eps: float,
     by the process started from the truncated half slab {x <= 0}."""
     if model.d != 2:
         raise DimensionNot2("box crossing is defined for d = 2 only")
+    if L < 1:
+        raise EstimatorError("L must be >= 1")
     w = max(1, round(eps * L))
     # box height L+R so the top chain row [L, L+R) lies inside the domain
-    box = _tilted_box(model, w, L + model.R, as_fraction(slope),
-                      as_fraction(lateral_shift), half=True)
+    box = _tilted_box(model, w, L + model.R, slope, lateral_shift, half=True)
     return _event_frequency(_crossing_chunk, (model, p, L, box), seed, reps,
                             _CROSS_CHUNK, threads)
 
@@ -970,10 +988,8 @@ def _good_chunk(seeds, model, p, L, C, v):
 
     # one batch entry per replica and site (x, u) of the block's slab row
     # u, which is the top chain row R-1 of a run from t0 = u - R + 1
-    starts = _site_starts(model, (2 * L,) * d_s, [R - 1])
-    n_sites = len(starts)
+    site_seeds, starts = _site_batch(model, seeds, (2 * L,) * d_s, [R - 1])
     k = len(seeds)
-    site_seeds, starts = np.repeat(seeds, n_sites), np.concatenate([starts] * k)
 
     def cells(snap, r, box):
         # row r of each replica's snapshot on the box, flattened
@@ -986,7 +1002,7 @@ def _good_chunk(seeds, model, p, L, C, v):
             model, site_seeds, p, s_time, t0=t0, snapshot_times=[C * L, s_time],
             init=(tuple(math.ceil(vi * u - L) for vi in v), starts),
         )
-        tau = res.extinction.reshape(k, n_sites)
+        tau = res.extinction.reshape(k, -1)            # (replica, site)
         alive_long = (tau < 0) | (tau >= thr)
         e1 &= ~((tau >= thr) & (tau < s_time)).any(axis=1)
         res_s = batch_evolve(
@@ -996,7 +1012,7 @@ def _good_chunk(seeds, model, p, L, C, v):
         for off_t, reg in regions.items():
             snap, snap_s = res.snapshots[off_t], res_s.snapshots[off_t]
             for r, box in enumerate(reg):
-                mismatch = (cells(snap, r, box).reshape(k, n_sites, -1)
+                mismatch = (cells(snap, r, box).reshape(tau.shape + (-1,))
                             != cells(snap_s, r, box)[:, None])
                 e2 &= ~(mismatch.any(axis=2) & alive_long).any(axis=1)
         if u == R - 1:
@@ -1092,6 +1108,8 @@ def primal_dual_meet(model: NormalizedModel, p, t: int, reps: int, v_hat,
     v_hat = tuple(as_fraction(c) for c in v_hat)
     if len(v_hat) != model.d - 1:
         raise EstimatorError("v_hat has wrong dimension")
+    if t < 1:
+        raise EstimatorError("t must be >= 1")
     # nearest integer with ties toward minus infinity
     z = tuple(math.ceil(2 * t * c - Fraction(1, 2)) for c in v_hat)
     flat = list(chain.from_iterable(_run_chunks(
@@ -1112,11 +1130,9 @@ _CONE_MARGIN = 0.02
 
 
 def _cone_chunk(seeds, model, p, lo, hi, T, t0):
-    # the cone's lattice sites x in [lo*t, hi*t] at t = t0, ..., t0+R-1
-    sites = [
-        (x, s) for s in range(model.R)
-        for x in range(math.ceil(lo * (t0 + s)), math.floor(hi * (t0 + s)) + 1)
-    ]
+    # the cone's lattice sites at t = t0, ..., t0+R-1, all t > 0
+    sites = [(x, s) for s in range(model.R)
+             for x in range(*(c for (c,) in cone_box(lo, hi, t0 + s)))]
     res = batch_evolve(
         model, seeds, p, T - t0, init=rows_from_sites(model, sites), t0=t0,
         domain=partial(cone_box, lo, hi),
@@ -1322,7 +1338,6 @@ def path_crossing_transfer(model: NormalizedModel, p, eps: float, L: int,
         raise DimensionNot2("path transfer is defined for d = 2 only")
     if not 0 <= eps <= 1 - p:
         raise EstimatorError(f"eps must lie in [0, 1-p], got {eps}")
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
     if half_width is not None:
         w = int(half_width)
     else:
@@ -1331,7 +1346,7 @@ def path_crossing_transfer(model: NormalizedModel, p, eps: float, L: int,
     probe = box_infection_probe(model)
     # neither box is cut to a half slab, so neither source window is empty
     boxes = [
-        _tilted_box(model, w, L + 1, slope, Fraction(off), half=False)
+        _tilted_box(model, w, L + 1, slope, off, half=False)
         for slope, off in ((alpha, -shift), (beta, shift))
     ]
     records = list(chain.from_iterable(_run_chunks(

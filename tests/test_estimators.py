@@ -747,13 +747,71 @@ def test_no_replicas_is_an_error_not_a_refusal(name, reps):
     (lambda: batch_evolve(TWO_D_OP, [1], 0.5, -1), ValueError, "T must be >= 0"),
     (lambda: survival_curve(TWO_D_OP, 0.5, -1, 4, seed=1),
      ValueError, "T must be >= 0"),
+    (lambda: critical_point(TWO_D_OP, 5, 3, 4, float("nan"), seed=1),
+     EstimatorError, "tol must be positive"),
+    (lambda: crossing_probability(TWO_D_OP, 0.8, 0, 0.2, "1/2", 4, seed=1),
+     EstimatorError, "L must be >= 1"),
+    (lambda: torus_stats(TWO_D_OP, 0.8, [], 4, 10, seed=1),
+     EstimatorError, "at least one torus size"),
+    (lambda: primal_dual_meet(TWO_D_OP, 0.8, 0, 4, ("1/2",), seed=1),
+     EstimatorError, "t must be >= 1"),
+    (lambda: death_bound_fit(TWO_D_OP, 0.8, 60, 12000, (5.7, 25.2), seed=6),
+     EstimatorError, r"must satisfy 1 <= a < b <= T in integers"),
+    (lambda: subcritical_decay(TWO_D_OP, 0.5, 30, 20000, seed=1,
+                               windows=((5.7, 25.2),)),
+     EstimatorError, r"must satisfy 1 <= a < b <= T in integers"),
 ], ids=["density-n0", "density-n-1", "edges-T0", "shape-t0", "batch-T-1",
-        "survival-T-1"])
+        "survival-T-1", "pc-tol-nan", "crossing-L0", "torus-no-sizes",
+        "meet-t0", "death-window-5.7", "decay-window-5.7"])
 def test_degenerate_sizes_are_refused(call, exc, match):
     # these used to end in a ZeroDivisionError or a numpy error from an
-    # empty array, or, at T < 0, run no step and report survival 1.0
+    # empty array, or, at T < 0, run no step and report survival 1.0; a
+    # NaN tol bisected nothing and reported the bracket [0, 1], L = 0 a
+    # crossing frequency of 1.0, no torus size an empty result, t = 0 a
+    # meeting failure of 0, and a fit window of non-integers ran truncated
     with pytest.raises(exc, match=match):
         call()
+
+
+def _never_reached(seeds, *args):
+    return np.zeros(len(seeds), dtype=bool)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda mp: (mp.setattr(est, "_event_chunk", _never_reached),
+                 critical_point(TWO_D_OP, 5, 3, 4, 0.1, seed=1)),
+     est.BracketNotFound,
+     "event frequency does not cross 1/2 on [0, 1] at this horizon"),
+    (lambda mp: shape_and_time_constants(TWO_D_OP, 0.5, 1, 1, T_cond=200, seed=1),
+     InsufficientSurvivals,
+     "only 0 of 1 conditioned replicas obtained in 50 attempts"),
+    (lambda mp: edge_speeds(THREE_D, 0.8, 5, 4, seed=1),
+     dyn.DimensionNot2, "edge speeds are defined for d = 2 only"),
+    (lambda mp: crossing_probability(THREE_D, 0.8, 10, 0.2, "1/2", 4, seed=1),
+     dyn.DimensionNot2, "box crossing is defined for d = 2 only"),
+    (lambda mp: restricted_cone_survival(THREE_D, 0.8, ("1/4", "3/4"), 20, 4,
+                                         seed=1, t0=5, shape=(0.0, 1.0)),
+     dyn.DimensionNot2, "cone survival is implemented for d = 2"),
+    (lambda mp: path_crossing_transfer(THREE_D, 0.8, 0.1, 10, 4, seed=1,
+                                       alpha="1/2", beta="1/2"),
+     dyn.DimensionNot2, "path transfer is defined for d = 2 only"),
+    (lambda mp: restricted_cone_survival(TWO_D_OP, 0.8, ("1/4", "3/4"), 5, 4,
+                                         seed=1, t0=5, shape=(0.0, 1.0)),
+     EstimatorError, "need 0 < t0 < T"),
+    (lambda mp: restricted_cone_survival(TWO_D_OP, 0.8, ("3/4", "1/4"), 20, 4,
+                                         seed=1, t0=5, shape=(0.0, 1.0)),
+     EstimatorError, "cone interval must be non-empty"),
+    (lambda mp: box_infection_probe(RANGE2),
+     EstimatorError, "box infection probe requires a range-1 model"),
+], ids=["pc-no-bracket", "shape-no-survivors", "edges-3d", "crossing-3d",
+        "cone-3d", "crosspath-3d", "cone-t0-at-T", "cone-empty", "probe-range2"])
+def test_refusals_name_their_class_and_reason(monkeypatch, call, exc, message):
+    # the refusals that no other unit test reaches: the exact class, so a
+    # refusal (exit 2) cannot turn into an error (exit 1) or back, and the
+    # whole message
+    with pytest.raises(exc) as info:
+        call(monkeypatch)
+    assert type(info.value) is exc and str(info.value) == message
 
 
 def _return_seeds(seeds):

@@ -340,9 +340,9 @@ def _widening_box(d_s, gap_at):
 def test_native_runs_rederive_their_pointers(model, dual, p, master, B, T, end_at, snap,
                                              gap_at):
     # the kernel finds the rows it stepped last at the address it wrote
-    # them to, and every other rows, such as those _keep copied when the
-    # observer ended some, through numpy; its table, until _cover
-    # reallocates it as the windows outgrow the box: native and numpy runs
+    # them to, and every other rows, such as those BatchOpenness.keep
+    # copied when the observer ended some, through numpy; its table, until
+    # _cover reallocates it as the windows outgrow the box: native and numpy runs
     # agree through observers that end rows at drawn steps, snapshots and a
     # box domain that moves with t and is empty at one drawn time, and a
     # run at p = 1 that lives to T outgrows its first box
@@ -464,6 +464,15 @@ def _cache_files(cache):
     return sorted(p.name for p in (cache / "gosp").iterdir())
 
 
+def _seed_cache(cache):
+    """Put a copy of the library this session loaded into ``cache``, so a
+    process started on it loads the kernel without a gcc run; the tests
+    that check the build itself start from an empty cache instead."""
+    name = _openness._library_name()
+    (cache / "gosp").mkdir(parents=True)
+    shutil.copy(os.path.join(_openness._cache_dir(), name), cache / "gosp" / name)
+
+
 _CLI_RUNS = """
 import sys
 from gosp.cli import main
@@ -479,13 +488,16 @@ sys.exit(main(["survival", "--model", model, "--seed", "5", "--p", "0.7",
 @native
 def test_failed_build_falls_back_to_numpy(tmp_path):
     # no compiler on PATH and nothing cached: the run takes the numpy path,
-    # says so in its manifest only, and writes the native run's bytes
+    # says so in its manifest only, and writes the native run's bytes; the
+    # native run loads the session's library from its cache and leaves it
     model = model_file(tmp_path, TWO_D_OP)
     (tmp_path / "empty-bin").mkdir()
     paths = {"native": None, "numpy": str(tmp_path / "empty-bin")}
     for kind, path in paths.items():
         cache = tmp_path / f"cache-{kind}"
         cache.mkdir()
+        if kind == "native":
+            _seed_cache(cache)
         subprocess.run(
             [sys.executable, "-c", _CLI_RUNS, model, str(tmp_path / kind)],
             env=_env(cache, path), check=True, capture_output=True, timeout=300,
@@ -549,7 +561,7 @@ import gosp.cli as cli
 import gosp.estimators as est
 
 cache, model, out = sys.argv[1:]
-# the import built the kernel; with it gone, a worker that loaded the
+# the import loaded the kernel; with it gone, a worker that loaded the
 # kernel again would build it afresh into the cache
 for path in glob.glob(os.path.join(cache, "gosp", "*")):
     os.unlink(path)
@@ -572,7 +584,7 @@ assert not os.listdir(os.path.join(cache, "gosp")), "a worker built the kernel"
 def test_pool_workers_never_build(tmp_path):
     model = model_file(tmp_path, TWO_D_OP)
     cache = tmp_path / "cache"
-    cache.mkdir()
+    _seed_cache(cache)
     proc = subprocess.run(
         [sys.executable, "-c", _POOL_RUN, str(cache), model, str(tmp_path / "out")],
         env=_env(cache), capture_output=True, timeout=300,
